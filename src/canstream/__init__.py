@@ -38,12 +38,12 @@ from .core import (
     validate_scenario,
 )
 from .oracle import CompareResult, compare_with_simulator, oracle_run
-from .system import RunError, SystemState, delivery_log, run_can_only, run_scenario, tick_system
+from .system import Columns, RunError, SystemState, delivery_log, run_can_only, run_scenario, tick_system
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMessage", "AssumptionViolation", "CompareResult", "DataSym", "FormatViolation",
+    "AMessage", "AssumptionViolation", "Columns", "CompareResult", "DataSym", "FormatViolation",
     "IdSym", "Injection", "InputCollision", "Message", "MixingViolation",
     "ModelViolation", "PAYLOAD_CAP_DEFAULT", "REQ", "Report", "RunError",
     "RunOptions", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",

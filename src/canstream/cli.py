@@ -129,7 +129,8 @@ def _cmd_fuzz(args) -> int:
         report = check_all(result.trace, predicates=ALL_PREDICATES)
         reasons = []
         if not result.equivalent:
-            reasons.append(f"oracle divergence at entry {result.first_divergence}")
+            reasons.append(f"oracle divergence at node {result.divergent_node}, "
+                           f"entry {result.first_divergence}")
         if not report.ok():
             broken = sorted({v.predicate for v in report.violations})
             reasons.append(f"check violations: {', '.join(broken)}")
@@ -162,7 +163,7 @@ def _cmd_oracle_diff(args) -> int:
     k = result.first_divergence
     sim = result.simulator_log[k] if k < len(result.simulator_log) else None
     exp = result.oracle_log[k] if k < len(result.oracle_log) else None
-    print(f"inequivalent at delivery {k}: simulator={sim}, oracle={exp}")
+    print(f"inequivalent at node {result.divergent_node}, delivery {k}: simulator={sim}, oracle={exp}")
     return EXIT_VIOLATIONS
 
 

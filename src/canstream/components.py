@@ -2,7 +2,9 @@
 
 Every step function is pure: it maps (state, inputs at tick t) to (outputs at
 tick t, next state). Outputs never depend on anything later than t, and the
-next state is what the component carries into tick t+1.
+next state is what the component carries into tick t+1. States are immutable
+values, so a step that changes nothing hands back the state it was given, and
+the idle encoder and decoder states are one shared value each.
 """
 from __future__ import annotations
 
@@ -67,9 +69,14 @@ class WireState:
     latch_sources: tuple[int, ...] = ()
 
 
-def _check_unary(cell: Sequence, name: str, t: int) -> None:
-    if len(cell) > 1:
-        raise AssumptionViolation(f"{name} carries {len(cell)} messages at tick {t}")
+_IDLE_ENCODER = EncoderState()
+_IDLE_DECODER = DecoderState()
+_EMPTY_WIRE = WireState()
+REQ_CELL: Cell = (REQ,)
+
+
+def _not_unary(cell: Sequence, name: str, t: int) -> AssumptionViolation:
+    return AssumptionViolation(f"{name} carries {len(cell)} messages at tick {t}")
 
 
 def buffer_emission(state: BufferState, t: int) -> Cell:
@@ -86,8 +93,11 @@ def buffer_step(state: BufferState, a: Sequence[AMessage], r: Sequence[int], t: 
     reloaded, either directly from the arrival when the queue is empty or
     from the head of the updated queue.
     """
-    _check_unary(a, "buffer input a", t)
+    if len(a) > 1:
+        raise _not_unary(a, "buffer input a", t)
     out = buffer_emission(state, t)
+    if not a and not r:
+        return out, state
     newbuf = state.buf if not a else pr_add(state.buf, a[0])
     if not r:
         nxt = BufferState(buf=newbuf, b=state.b)
@@ -105,11 +115,12 @@ def encoder_step(state: EncoderState, as_cell: Sequence[AMessage], t: int) -> tu
     consistent encoding, so it is rejected rather than silently dropped; the
     buffer's odd-tick cadence keeps composed runs clear of this.
     """
-    _check_unary(as_cell, "encoder input", t)
+    if len(as_cell) > 1:
+        raise _not_unary(as_cell, "encoder input", t)
     if state.e:
         if as_cell:
             raise InputCollision(f"encoder got a new message at tick {t} while mid-frame")
-        return (DataSym(state.pending),), EncoderState(e=False, pending=None)
+        return (DataSym(state.pending),), _IDLE_ENCODER
     if not as_cell:
         return (), state
     msg = as_cell[0]
@@ -118,9 +129,10 @@ def encoder_step(state: EncoderState, as_cell: Sequence[AMessage], t: int) -> tu
 
 def decoder_step(state: DecoderState, mr: Sequence[Message], t: int) -> tuple[Cell, DecoderState]:
     """One decoder tick: remember the identifier, deliver on the data symbol."""
-    _check_unary(mr, "decoder input", t)
+    if len(mr) > 1:
+        raise _not_unary(mr, "decoder input", t)
     if not mr:
-        return (), DecoderState(d=False, last_id=None)
+        return (), _IDLE_DECODER
     sym = mr[0]
     if isinstance(sym, IdSym):
         if state.d:
@@ -128,7 +140,7 @@ def decoder_step(state: DecoderState, mr: Sequence[Message], t: int) -> tuple[Ce
         return (), DecoderState(d=True, last_id=sym.value)
     if not state.d:
         raise FormatViolation(f"data symbol at tick {t} with no preceding identifier")
-    return (AMessage(state.last_id, sym.value),), DecoderState(d=False, last_id=None)
+    return (AMessage(state.last_id, sym.value),), _IDLE_DECODER
 
 
 def dispatch_row(ms: Sequence[Message], wr: Sequence[Message], lid: int) -> int:
@@ -139,7 +151,8 @@ def dispatch_row(ms: Sequence[Message], wr: Sequence[Message], lid: int) -> int:
         return 2
     if not wr:
         return 3
-    if wr[0] == IdSym(lid):
+    verdict = wr[0]
+    if verdict.__class__ is IdSym and verdict.value == lid:
         return 4
     return 5
 
@@ -162,15 +175,18 @@ def logical_layer_step(
     literal_row2 reproduces the non-transmitting variant of row 2 (ws empty),
     under which no identifier ever reaches the bus and arbitration starves.
     """
-    _check_unary(ms, "bus-access input ms", t)
-    _check_unary(wr, "bus-access input wr", t)
+    if len(ms) > 1:
+        raise _not_unary(ms, "bus-access input ms", t)
+    if len(wr) > 1:
+        raise _not_unary(wr, "bus-access input wr", t)
     mr = tuple(wr)
     row = dispatch_row(ms, wr, state.lid)
     if row == 2:
-        ws: Cell = () if literal_row2 else (ms[0],)
-        return mr, ws, (), LogicalLayerState(lid=ms[0].value)
+        ws: Cell = () if literal_row2 else tuple(ms)
+        lid = ms[0].value
+        return mr, ws, (), state if lid == state.lid else LogicalLayerState(lid=lid)
     if row == 4:
-        return mr, (ms[0],), (REQ,), state
+        return mr, tuple(ms), REQ_CELL, state
     return mr, (), (), state
 
 
@@ -192,8 +208,10 @@ def wire_latch(ws_all: Sequence[Sequence[Message]], t: int) -> WireState:
     n = len(ws_all)
     for i, cell in enumerate(ws_all, start=1):
         if len(cell) > 1:
-            raise AssumptionViolation(f"ws_{i} carries {len(cell)} messages at tick {t}")
+            raise _not_unary(cell, f"ws_{i}", t)
     latch = collect_elements(n, ws_all)
+    if not latch:
+        return _EMPTY_WIRE
     sources = tuple(i for i in range(n, 0, -1) if ws_all[i - 1])
     return WireState(latch=latch, latch_sources=sources)
 

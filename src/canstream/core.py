@@ -6,7 +6,7 @@ mutable state, so traces and states can be passed around freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence
 
 # Default cap on payload size, mirroring the classic 8-octet CAN data field.
 # This is configuration, not semantics: nothing in the model inspects payload
@@ -75,7 +75,9 @@ class DataSym:
     value: bytes
 
 
-Message = Union[IdSym, DataSym]
+# An operator union, not typing.Union: that one caches its arguments and so
+# would keep every re-imported copy of this module alive.
+Message = IdSym | DataSym
 
 # A cell is what a stream carries in one tick: a finite (usually 0- or
 # 1-element) sequence of messages. Cells are plain tuples.

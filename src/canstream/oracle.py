@@ -84,7 +84,12 @@ def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
 
 @dataclass(frozen=True, slots=True)
 class CompareResult:
-    """Outcome of an oracle-versus-simulator comparison."""
+    """Outcome of an oracle-versus-simulator comparison.
+
+    divergent_node is the first node whose delivery log differs from the
+    oracle's (None when every node agrees). simulator_log is that node's
+    log, or node 1's when all agree; first_divergence indexes into it.
+    """
 
     equivalent: bool
     simulator_log: tuple[tuple[int, AMessage], ...]
@@ -92,25 +97,29 @@ class CompareResult:
     first_divergence: int | None
     flagged_ticks: tuple[int, ...]
     trace: Trace
+    divergent_node: int | None = None
 
 
 def compare_with_simulator(scenario: Scenario) -> CompareResult:
-    """Run both models and compare their node-1 delivery sequences exactly."""
+    """Run both models and compare every node's delivery sequence exactly."""
     trace = run_scenario(scenario)
-    sim = tuple(delivery_log(trace, node=1))
     log, flagged = _run(scenario)
     expected = tuple(log)
+    logs = [tuple(delivery_log(trace, node)) for node in range(1, trace.node_count + 1)]
+    node = next((k for k, sim in enumerate(logs, start=1) if sim != expected), None)
+    sim = logs[0 if node is None else node - 1]
     divergence = None
-    if sim != expected:
+    if node is not None:
         divergence = next(
             (k for k in range(min(len(sim), len(expected))) if sim[k] != expected[k]),
             min(len(sim), len(expected)),
         )
     return CompareResult(
-        equivalent=sim == expected,
+        equivalent=node is None,
         simulator_log=sim,
         oracle_log=expected,
         first_divergence=divergence,
         flagged_ticks=tuple(flagged),
         trace=trace,
+        divergent_node=node,
     )

@@ -1,28 +1,41 @@
 """Composition of buffers, controllers, and the bus into one synchronous system.
 
-Within a tick the evaluation order is fixed: buffers emit, encoders run, the
-bus emits from its latch, each node's bus-access layer runs, decoders run, and
-finally all states update. The only feedback cycles (bus-access -> wire ->
-bus-access, and the request path back into the buffers) are broken by the
-wire's unit delay and by the buffers consuming requests in the update phase,
-so the order is causally well defined.
+One kernel, `tick_system`, advances the system by one tick. `run_scenario`
+drives it with buffers fed from a scenario's injections; `run_can_only` drives
+the same kernel without buffers (`SystemState.buffers is None`), handing given
+offer streams straight to the encoders.
+
+Within a tick the bus first emits from its latch. Then each node in turn runs
+its whole chain: buffer emission, encoder, bus-access layer, decoder, request
+delay line and buffer update. Last, the bus latches every node's offer. This
+gives the same values as the phase order (all buffers emit, then all
+encoders, then the bus, then all bus-access layers, all decoders, and finally
+all state updates), because the components are pure and nodes interact within
+a tick only through the wire's unit-delayed latch and the update phase of the
+buffers. Every node reads the latch of the previous tick, emitted once before
+the first node runs, and this tick's offers are latched only after the last
+node. A buffer's update consumes only its own node's request and comes after
+that node's emission. These are also the only feedback cycles (bus-access ->
+wire -> bus-access, and the request path back into the buffers), so the order
+is causally well defined.
 
 Request flow: a controller raises its transmit-success request during the data
 phase of a won frame; the owning buffer consumes it in that same tick's state
 update, which releases the offer slot before the next odd tick (otherwise the
 frame would be re-offered and delivered twice). A request that finds nothing
 to hand over stays pending until a message arrives, so nodes wake up when new
-traffic appears. One bootstrap request primes each node; without it nothing
-ever flows. The externally recorded request stream r_i shows the success
-requests req_delay ticks late, which places them exactly mt_latency ticks
-after the frame start.
+traffic appears. One bootstrap request primes each node's buffer; without it
+nothing ever flows. The externally recorded request stream r_i shows the
+success requests req_delay ticks late, which places them exactly mt_latency
+ticks after the frame start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 from .components import (
+    REQ_CELL,
     BufferState,
     DecoderState,
     EncoderState,
@@ -38,7 +51,6 @@ from .components import (
     wire_latch,
 )
 from .core import (
-    REQ,
     AMessage,
     Cell,
     ModelViolation,
@@ -55,12 +67,13 @@ from .core import (
 class SystemState:
     """All component states plus the executor's request bookkeeping.
 
-    req_line is the per-node delay line feeding the observable request stream
-    (length req_delay, oldest cell first). req_pending marks nodes whose last
-    request is still waiting for a message to hand over.
+    buffers is None when the controllers are driven directly by offer
+    streams. req_line is the per-node delay line feeding the observable
+    request stream (length req_delay, oldest cell first). req_pending marks
+    nodes whose last request is still waiting for a message to hand over.
     """
 
-    buffers: tuple[BufferState, ...]
+    buffers: tuple[BufferState, ...] | None
     encoders: tuple[EncoderState, ...]
     decoders: tuple[DecoderState, ...]
     llayers: tuple[LogicalLayerState, ...]
@@ -69,21 +82,45 @@ class SystemState:
     req_pending: tuple[bool, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TickRecord:
-    """Every stream cell produced at one tick, plus row dispatch and states."""
+@dataclass(slots=True)
+class Columns:
+    """The trace under construction: one list of cells per node and family.
 
-    t: int
-    a: tuple[Cell, ...] | None
-    as_: tuple[Cell, ...]
-    ar: tuple[Cell, ...]
-    r: tuple[Cell, ...]
-    ms: tuple[Cell, ...]
-    mr: tuple[Cell, ...]
-    ws: tuple[Cell, ...]
-    wr: Cell
-    rows: tuple[int, ...]
-    snapshot: dict
+    tick_system appends one cell per node to every family, plus the wire
+    cell, the row tuple and the state snapshot of the tick it runs.
+    """
+
+    streams: dict[str, list[list[Cell]]]
+    wire: list[Cell] = field(default_factory=list)
+    rows: list[tuple[int, ...]] = field(default_factory=list)
+    states: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def for_state(cls, state: SystemState) -> "Columns":
+        families = ("as", "ar", "r", "ms", "mr", "ws") + (("a",) if state.buffers is not None else ())
+        return cls({family: [[] for _ in state.encoders] for family in families})
+
+    def truncate(self, horizon: int) -> None:
+        """Drop everything from tick `horizon` on, including a half-written tick."""
+        for per_node in self.streams.values():
+            for column in per_node:
+                del column[horizon:]
+        del self.wire[horizon:], self.rows[horizon:], self.states[horizon:]
+
+    def trace(self, scenario: Scenario | None, error: dict | None = None) -> Trace:
+        return Trace(
+            scenario=scenario,
+            node_count=len(self.streams["as"]),
+            horizon=len(self.wire),
+            streams={
+                family: tuple(TimedStream(tuple(column)) for column in per_node)
+                for family, per_node in self.streams.items()
+            },
+            wire=TimedStream(tuple(self.wire)),
+            rows=tuple(self.rows),
+            states=tuple(self.states),
+            error=error,
+        )
 
 
 class RunError(ModelViolation):
@@ -107,119 +144,116 @@ def initial_state(node_count: int, req_delay: int) -> SystemState:
     )
 
 
-def _controller_snapshot(state: SystemState, with_buffers: bool) -> dict:
-    snap = {
+def tick_system(
+    state: SystemState,
+    cells: Sequence[Cell],
+    t: int,
+    options: RunOptions,
+    columns: Columns,
+) -> SystemState:
+    """Advance the system by one tick, appending every stream cell to columns.
+
+    cells[i] is node i+1's input at tick t: its application cell a when the
+    system has buffers, else its offer cell as. Returns the next state. If a
+    component raises, columns may hold part of tick t (see Columns.truncate).
+
+    All decoders read the same wire cell and start from one idle state, so
+    their states stay one shared value. decoder_step therefore runs for the
+    first node only, and each later node whose (state, mr) pair is the same
+    two objects as the node before it reuses that result, which is exact
+    because the step is a pure function.
+    """
+    buffers = state.buffers
+    snapshot = {
         "encoders": state.encoders,
         "decoders": state.decoders,
         "llayers": state.llayers,
         "wire": state.wire,
     }
-    if with_buffers:
-        snap["buffers"] = state.buffers
-    return snap
+    if buffers is not None:
+        snapshot["buffers"] = buffers
+    columns.states.append(snapshot)
+    wr = wire_emission(state.wire, t)
+    columns.wire.append(wr)
 
+    streams = columns.streams
+    a_col, as_col, ar_col, r_col = streams.get("a"), streams["as"], streams["ar"], streams["r"]
+    ms_col, mr_col, ws_col = streams["ms"], streams["mr"], streams["ws"]
+    boot = buffers is not None and t == options.bootstrap_request_tick
+    literal_row2 = options.fidelity_row2
+    rows, ws_all, encoders, decoders, llayers, req_line, new_buffers, pending = [], [], [], [], [], [], [], []
+    decoded_from, decoded = (None, None), None
+    for i, enc in enumerate(state.encoders):
+        if buffers is None:
+            as_cell = cells[i]
+        else:
+            a_col[i].append(cells[i])
+            as_cell = buffer_emission(buffers[i], t)
+        ms, enc = encoder_step(enc, as_cell, t)
+        ll = state.llayers[i]
+        rows.append(dispatch_row(ms, wr, ll.lid))
+        mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t, literal_row2=literal_row2)
+        dec = state.decoders[i]
+        if dec is not decoded_from[0] or mr is not decoded_from[1]:
+            decoded_from, decoded = (dec, mr), decoder_step(dec, mr, t)
+        ar, dec = decoded
 
-def tick_system(
-    state: SystemState,
-    a_cells: Sequence[Cell],
-    t: int,
-    options: RunOptions,
-) -> tuple[TickRecord, SystemState]:
-    """Advance the full system by one tick, recording every stream cell."""
-    n = len(state.buffers)
-    snapshot = _controller_snapshot(state, with_buffers=True)
+        # Observable request stream: bootstrap priming plus the success
+        # requests delayed by the line (its head is the oldest entry).
+        line = state.req_line[i]
+        if line:
+            delayed, line = line[0], line[1:] + (raised,)
+        else:
+            delayed = raised
+        r = REQ_CELL + delayed if boot else delayed
 
-    as_cells = tuple(buffer_emission(state.buffers[i], t) for i in range(n))
+        # Buffer update: a success request acts in the tick it is raised, and
+        # an unconsumed request stands until it can hand a message over.
+        if buffers is not None:
+            has_req = boot or state.req_pending[i] or bool(raised)
+            _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
+            new_buffers.append(buf)
+            pending.append(has_req and not buf.b)
 
-    enc_results = [encoder_step(state.encoders[i], as_cells[i], t) for i in range(n)]
-    ms_cells = tuple(res[0] for res in enc_results)
-
-    wr_cell = wire_emission(state.wire, t)
-
-    rows = tuple(dispatch_row(ms_cells[i], wr_cell, state.llayers[i].lid) for i in range(n))
-    ll_results = [
-        logical_layer_step(state.llayers[i], ms_cells[i], wr_cell, t, literal_row2=options.fidelity_row2)
-        for i in range(n)
-    ]
-    mr_cells = tuple(res[0] for res in ll_results)
-    ws_cells = tuple(res[1] for res in ll_results)
-    rll_cells = tuple(res[2] for res in ll_results)
-
-    dec_results = [decoder_step(state.decoders[i], mr_cells[i], t) for i in range(n)]
-    ar_cells = tuple(res[0] for res in dec_results)
-
-    # Observable request stream: bootstrap priming plus the delayed success
-    # requests (delay line head is the oldest entry).
-    boot = options.bootstrap_request_tick is not None and t == options.bootstrap_request_tick
-    boot_cell: Cell = (REQ,) if boot else ()
-    if options.req_delay == 0:
-        delayed = rll_cells
-    else:
-        delayed = tuple(state.req_line[i][0] for i in range(n))
-    r_cells = tuple(boot_cell + delayed[i] for i in range(n))
-
-    # Buffer updates: success requests act in the same tick they are raised,
-    # and an unconsumed request stands until it can hand a message over.
-    new_buffers = []
-    new_pending = []
-    for i in range(n):
-        has_req = boot or state.req_pending[i] or bool(rll_cells[i])
-        _, nb = buffer_step(state.buffers[i], a_cells[i], (REQ,) if has_req else (), t)
-        new_buffers.append(nb)
-        new_pending.append(has_req and not nb.b)
-
-    if options.req_delay == 0:
-        new_line = state.req_line
-    else:
-        new_line = tuple(state.req_line[i][1:] + (rll_cells[i],) for i in range(n))
-
-    next_state = SystemState(
-        buffers=tuple(new_buffers),
-        encoders=tuple(res[1] for res in enc_results),
-        decoders=tuple(res[1] for res in dec_results),
-        llayers=tuple(res[3] for res in ll_results),
-        wire=wire_latch(ws_cells, t),
-        req_line=new_line,
-        req_pending=tuple(new_pending),
+        as_col[i].append(as_cell)
+        ms_col[i].append(ms)
+        mr_col[i].append(mr)
+        ws_col[i].append(ws)
+        ar_col[i].append(ar)
+        r_col[i].append(r)
+        ws_all.append(ws)
+        encoders.append(enc)
+        llayers.append(ll)
+        decoders.append(dec)
+        req_line.append(line)
+    columns.rows.append(tuple(rows))
+    return SystemState(
+        buffers=None if buffers is None else tuple(new_buffers),
+        encoders=tuple(encoders),
+        decoders=tuple(decoders),
+        llayers=tuple(llayers),
+        wire=wire_latch(ws_all, t),
+        req_line=tuple(req_line),
+        req_pending=state.req_pending if buffers is None else tuple(pending),
     )
-    record = TickRecord(
-        t=t, a=tuple(a_cells), as_=as_cells, ar=ar_cells, r=r_cells,
-        ms=ms_cells, mr=mr_cells, ws=ws_cells, wr=wr_cell, rows=rows, snapshot=snapshot,
-    )
-    return record, next_state
 
 
-def _build_trace(
+def _run(
     scenario: Scenario | None,
-    n: int,
-    records: Sequence[TickRecord],
-    error: dict | None = None,
+    state: SystemState,
+    inputs: Iterable[Sequence[Cell]],
+    options: RunOptions,
 ) -> Trace:
-    def family(getter) -> tuple[TimedStream, ...]:
-        return tuple(TimedStream(tuple(getter(rec)[i] for rec in records)) for i in range(n))
-
-    streams: dict[str, tuple[TimedStream, ...]] = {
-        "as": family(lambda r: r.as_),
-        "ar": family(lambda r: r.ar),
-        "r": family(lambda r: r.r),
-        "ms": family(lambda r: r.ms),
-        "mr": family(lambda r: r.mr),
-        "ws": family(lambda r: r.ws),
-    }
-    if records and records[0].a is not None:
-        streams["a"] = family(lambda r: r.a)
-    elif not records and scenario is not None:
-        streams["a"] = tuple(TimedStream(()) for _ in range(n))
-    return Trace(
-        scenario=scenario,
-        node_count=n,
-        horizon=len(records),
-        streams=streams,
-        wire=TimedStream(tuple(rec.wr for rec in records)),
-        rows=tuple(rec.rows for rec in records),
-        states=tuple(rec.snapshot for rec in records),
-        error=error,
-    )
+    """Step the kernel once per tick's input cells; a failure ends the trace at its tick."""
+    columns = Columns.for_state(state)
+    for t, cells in enumerate(inputs):
+        try:
+            state = tick_system(state, cells, t, options, columns)
+        except ModelViolation as exc:
+            columns.truncate(t)
+            partial = columns.trace(scenario, error={"tick": t, "message": str(exc)})
+            raise RunError(f"tick {t}: {exc}", partial) from exc
+    return columns.trace(scenario)
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -228,18 +262,13 @@ def run_scenario(scenario: Scenario) -> Trace:
     if problems:
         raise ScenarioError("; ".join(v.detail for v in problems))
     n = scenario.node_count
-    injections = {(inj.node, inj.tick): (inj.message,) for inj in scenario.injections}
+    quiet: tuple[Cell, ...] = ((),) * n
+    arrivals: dict[int, list[Cell]] = {}
+    for inj in scenario.injections:
+        arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
+    inputs = (arrivals.get(t, quiet) for t in range(scenario.horizon))
     state = initial_state(n, scenario.options.req_delay)
-    records: list[TickRecord] = []
-    for t in range(scenario.horizon):
-        a_cells = tuple(injections.get((node, t), ()) for node in range(1, n + 1))
-        try:
-            record, state = tick_system(state, a_cells, t, scenario.options)
-        except ModelViolation as exc:
-            partial = _build_trace(scenario, n, records, error={"tick": t, "message": str(exc)})
-            raise RunError(f"tick {t}: {exc}", partial) from exc
-        records.append(record)
-    return _build_trace(scenario, n, records)
+    return _run(scenario, state, inputs, scenario.options)
 
 
 def run_can_only(
@@ -251,7 +280,8 @@ def run_can_only(
     The streams must follow the discipline buffers establish: at most one
     message per cell, offers only at odd ticks, and distinct identifiers among
     simultaneous offers. Anything else is rejected up front rather than run
-    into undefined behaviour.
+    into undefined behaviour. There is no buffer to prime, so the request
+    stream r carries no bootstrap request.
     """
     options = options or RunOptions()
     n = len(as_streams)
@@ -274,45 +304,8 @@ def run_can_only(
             problems.append(f"duplicate identifiers offered at tick {t}: {sorted(ids)}")
     if problems:
         raise ScenarioError("; ".join(problems))
-
-    encoders = (EncoderState(),) * n
-    decoders = (DecoderState(),) * n
-    llayers = (LogicalLayerState(),) * n
-    wire = WireState()
-    req_line = (((),) * options.req_delay,) * n
-    records: list[TickRecord] = []
-    for t in range(horizon):
-        snapshot = {
-            "encoders": encoders, "decoders": decoders, "llayers": llayers, "wire": wire,
-        }
-        as_cells = tuple(s.cells[t] for s in as_streams)
-        enc_results = [encoder_step(encoders[i], as_cells[i], t) for i in range(n)]
-        ms_cells = tuple(res[0] for res in enc_results)
-        wr_cell = wire_emission(wire, t)
-        rows = tuple(dispatch_row(ms_cells[i], wr_cell, llayers[i].lid) for i in range(n))
-        ll_results = [
-            logical_layer_step(llayers[i], ms_cells[i], wr_cell, t, literal_row2=options.fidelity_row2)
-            for i in range(n)
-        ]
-        mr_cells = tuple(res[0] for res in ll_results)
-        ws_cells = tuple(res[1] for res in ll_results)
-        rll_cells = tuple(res[2] for res in ll_results)
-        dec_results = [decoder_step(decoders[i], mr_cells[i], t) for i in range(n)]
-        ar_cells = tuple(res[0] for res in dec_results)
-        if options.req_delay == 0:
-            r_cells = rll_cells
-        else:
-            r_cells = tuple(req_line[i][0] for i in range(n))
-            req_line = tuple(req_line[i][1:] + (rll_cells[i],) for i in range(n))
-        records.append(TickRecord(
-            t=t, a=None, as_=as_cells, ar=ar_cells, r=r_cells,
-            ms=ms_cells, mr=mr_cells, ws=ws_cells, wr=wr_cell, rows=rows, snapshot=snapshot,
-        ))
-        encoders = tuple(res[1] for res in enc_results)
-        llayers = tuple(res[3] for res in ll_results)
-        decoders = tuple(res[1] for res in dec_results)
-        wire = wire_latch(ws_cells, t)
-    return _build_trace(None, n, records)
+    state = replace(initial_state(n, options.req_delay), buffers=None)
+    return _run(None, state, zip(*(s.cells for s in as_streams)), options)
 
 
 def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:

@@ -47,6 +47,7 @@ def test_compare_equivalent_on_nominal_scenario(two_node_scenario):
     result = compare_with_simulator(two_node_scenario)
     assert result.equivalent
     assert result.first_divergence is None
+    assert result.divergent_node is None
 
 
 def test_compare_empty_scenario():
@@ -80,3 +81,26 @@ def test_equivalence_on_random_scenarios(rng):
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=32)
     result = compare_with_simulator(s)
     assert result.equivalent, (result.simulator_log, result.oracle_log)
+
+
+def test_compare_checks_every_node_not_only_node_1(monkeypatch, two_node_scenario):
+    from dataclasses import replace
+
+    import canstream.oracle as oracle
+    from canstream import TimedStream
+
+    real = oracle.run_scenario
+
+    def node_2_hears_nothing(s):
+        trace = real(s)
+        ar = trace.streams["ar"]
+        deaf = TimedStream(((),) * trace.horizon)
+        return replace(trace, streams={**trace.streams, "ar": (ar[0], deaf)})
+
+    monkeypatch.setattr(oracle, "run_scenario", node_2_hears_nothing)
+    result = compare_with_simulator(two_node_scenario)
+    assert not result.equivalent
+    assert result.divergent_node == 2
+    assert result.simulator_log == ()
+    assert ids_of(result.oracle_log) == [(3, 3), (5, 5)]
+    assert result.first_divergence == 0

@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
+    REQ,
     DataSym,
     IdSym,
+    ModelViolation,
+    RunError,
     ScenarioError,
     TimedStream,
     run_can_only,
     run_scenario,
 )
 from canstream.fuzzing import random_scenario, seeded_scenario
+from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log
 from .conftest import amsg, scenario
 
@@ -180,3 +184,67 @@ def test_can_only_trace_passes_all_checkers():
     report = check_all(t, latency=2,
                        predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
     assert report.ok(strict=True), report.violations[:3]
+
+
+def test_can_only_reproduces_the_controller_half_of_a_full_run():
+    """Both entry points drive the one kernel; only buffers and bootstrap differ."""
+    for i in range(300):
+        s = seeded_scenario("kernel", i, nodes=1 + i % 6, horizon=32)
+        full = run_scenario(s)
+        can = run_can_only(full.streams["as"])
+        for family in ("as", "ms", "mr", "ws", "ar"):
+            assert can.streams[family] == full.streams[family], (i, family)
+        assert (can.wire, can.rows) == (full.wire, full.rows), i
+        assert can.states == tuple(
+            {k: v for k, v in snap.items() if k != "buffers"} for snap in full.states
+        ), i
+        for can_r, full_r in zip(can.streams["r"], full.streams["r"]):
+            assert full_r.cells[0] == (REQ,) + can_r.cells[0], i  # the bootstrap priming
+            assert can_r.cells[1:] == full_r.cells[1:], i
+
+
+# -- a component failing mid-run ------------------------------------------------
+
+def _fail_second_call_at(monkeypatch, k):
+    """Make canstream.system's bus-access step raise for the second node at tick k."""
+    import canstream.system as system
+
+    real = system.logical_layer_step
+    calls_at_k = []
+
+    def failing(state, ms, wr, t, **kwargs):
+        if t == k:
+            calls_at_k.append(t)
+            if len(calls_at_k) == 2:
+                raise ModelViolation(f"synthetic failure at tick {t}")
+        return real(state, ms, wr, t, **kwargs)
+
+    monkeypatch.setattr(system, "logical_layer_step", failing)
+
+
+@pytest.mark.parametrize("k", [0, 1, 6, 11])
+@pytest.mark.parametrize("entry", ["run_scenario", "run_can_only"])
+def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, entry, k):
+    s = seeded_scenario("partial", 3, nodes=3, horizon=16)
+    full = run_scenario(s)
+    if entry == "run_scenario":
+        run = lambda: run_scenario(s)  # noqa: E731
+    else:
+        as_streams = full.streams["as"]
+        run = lambda: run_can_only(as_streams)  # noqa: E731
+        full = run()
+    _fail_second_call_at(monkeypatch, k)
+    with pytest.raises(RunError, match=f"tick {k}:") as info:
+        run()
+    trace = info.value.trace
+    assert trace.horizon == k
+    assert trace.error == {"tick": k, "message": f"synthetic failure at tick {k}"}
+    assert set(trace.streams) == set(full.streams)
+    for family, per_node in trace.streams.items():
+        assert len(per_node) == 3
+        for partial, whole in zip(per_node, full.streams[family]):
+            assert partial.cells == whole.cells[:k], family
+    assert trace.wire.cells == full.wire.cells[:k]
+    assert trace.rows == full.rows[:k]
+    assert trace.states == full.states[:k]
+    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
