@@ -17,6 +17,7 @@ from .checkers import (
     check_wire_assumptions,
 )
 from .core import (
+    FRAME_LATENCY,
     PAYLOAD_CAP_DEFAULT,
     REQ,
     AMessage,
@@ -43,7 +44,7 @@ from .system import Columns, RunError, SystemState, delivery_log, run_can_only, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMessage", "AssumptionViolation", "Columns", "CompareResult", "DataSym", "FormatViolation",
+    "AMessage", "AssumptionViolation", "Columns", "CompareResult", "DataSym", "FRAME_LATENCY", "FormatViolation",
     "IdSym", "Injection", "InputCollision", "Message", "MixingViolation",
     "ModelViolation", "PAYLOAD_CAP_DEFAULT", "REQ", "Report", "RunError",
     "RunOptions", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",

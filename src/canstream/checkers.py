@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import AMessage, DataSym, IdSym, Trace
+from .core import FRAME_LATENCY, AMessage, DataSym, IdSym, Trace
 from .primitives import collect_elements, min_of_list, take_ids
 
 ALL_PREDICATES = ("msg1", "format", "wire", "transmission", "row3", "structural")
@@ -114,7 +114,7 @@ def check_wire_assumptions(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_message_transmission(trace: Trace, latency: int = 2) -> list[Violation]:
+def check_message_transmission(trace: Trace, latency: int = FRAME_LATENCY) -> list[Violation]:
     """The end-to-end transmission contract over the as/ar/r boundary streams.
 
     (1) A tick with no offers delivers nothing `latency` ticks later.
@@ -287,7 +287,7 @@ def check_all(
     if unknown:
         raise ValueError(f"unknown predicates: {sorted(unknown)}")
     if latency is None:
-        latency = trace.scenario.options.mt_latency if trace.scenario else 2
+        latency = trace.scenario.options.mt_latency if trace.scenario else FRAME_LATENCY
     entries: list[ReportEntry] = []
 
     if "msg1" in predicates:

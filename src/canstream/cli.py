@@ -16,6 +16,7 @@ from .core import ScenarioError, validate_scenario
 from .fuzzing import seeded_scenario
 from .oracle import compare_with_simulator
 from .serialize import (
+    report_to_json,
     scenario_from_json,
     scenario_to_json,
     trace_from_jsonl,
@@ -107,7 +108,10 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _print_report(report)
+    if args.json:
+        print(report_to_json(report), end="")
+    else:
+        _print_report(report)
     return EXIT_OK if report.ok(strict=args.strict) else EXIT_VIOLATIONS
 
 
@@ -183,6 +187,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--latency", type=int, default=None, help="transmission latency (default: trace option)")
     p_check.add_argument("--strict", action="store_true", help="treat warnings as failures")
     p_check.add_argument("--only", default=None, help=f"comma-separated subset of {','.join(ALL_PREDICATES)}")
+    p_check.add_argument("--json", action="store_true", help="print the report as one JSON object")
     p_check.set_defaults(func=_cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="run seeded random scenarios against checkers and oracle")

@@ -16,6 +16,9 @@ PAYLOAD_CAP_DEFAULT = 8
 # The request token. Request cells carry this single constant value.
 REQ = 0
 
+# Ticks from a frame's start (its identifier on the bus) to its delivery.
+FRAME_LATENCY = 2
+
 
 class ModelViolation(Exception):
     """A protocol-level contract was broken during a run."""
@@ -122,7 +125,7 @@ class RunOptions:
 
     bootstrap_request_tick: int | None = 0
     req_delay: int = 1
-    mt_latency: int = 2
+    mt_latency: int = FRAME_LATENCY
     fidelity_row2: bool = False
 
 

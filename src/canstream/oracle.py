@@ -20,10 +20,8 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 
-from .core import AMessage, Scenario, ScenarioError, Trace, validate_scenario
+from .core import FRAME_LATENCY, AMessage, Scenario, ScenarioError, Trace, validate_scenario
 from .system import delivery_log, run_scenario
-
-FRAME_LATENCY = 2  # ticks from frame start to delivery
 
 
 def _run(scenario: Scenario) -> tuple[list[tuple[int, AMessage]], list[int]]:

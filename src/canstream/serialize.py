@@ -4,15 +4,24 @@ Scenarios are single JSON documents; traces are line-delimited JSON with one
 header line followed by one line per tick. All dumps are canonical (sorted
 keys, fixed separators, integers and hex strings only), so a given run always
 serializes to identical bytes.
+
+Trace lines are canonical JSON text written by hand. Within one dump each
+cell, message and state becomes text once and is then found by its id(), which
+is exact: the values are immutable and the trace keeps them all alive for the
+call, so no id is reused. A load builds each distinct message and state once,
+and a run of equal snapshots is decoded (and encoded) once.
 """
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from .checkers import Report
 from .components import BufferState, DecoderState, EncoderState, LogicalLayerState, WireState
 from .core import (
+    FRAME_LATENCY,
+    PER_NODE_FAMILIES,
     AMessage,
     DataSym,
     IdSym,
@@ -29,49 +38,6 @@ TRACE_VERSION = 1
 
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _amessage_to_obj(m: AMessage) -> dict:
-    return {"id": m.id, "data": m.data.hex()}
-
-
-def _amessage_from_obj(obj: dict) -> AMessage:
-    return AMessage(int(obj["id"]), bytes.fromhex(obj["data"]))
-
-
-def _symbol_to_obj(m) -> dict:
-    if isinstance(m, IdSym):
-        return {"sym": "id", "value": m.value}
-    return {"sym": "data", "value": m.value.hex()}
-
-
-def _symbol_from_obj(obj: dict):
-    if obj["sym"] == "id":
-        return IdSym(int(obj["value"]))
-    return DataSym(bytes.fromhex(obj["value"]))
-
-
-_CELL_CODECS = {
-    "amessage": (_amessage_to_obj, _amessage_from_obj),
-    "symbol": (_symbol_to_obj, _symbol_from_obj),
-    "req": (lambda r: r, lambda r: int(r)),
-}
-
-_FAMILY_KIND = {
-    "a": "amessage", "as": "amessage", "ar": "amessage",
-    "ms": "symbol", "mr": "symbol", "ws": "symbol", "wr": "symbol",
-    "r": "req",
-}
-
-
-def _cell_to_obj(cell, kind: str) -> list:
-    enc, _ = _CELL_CODECS[kind]
-    return [enc(m) for m in cell]
-
-
-def _cell_from_obj(obj: list, kind: str) -> tuple:
-    _, dec = _CELL_CODECS[kind]
-    return tuple(dec(m) for m in obj)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -106,7 +72,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         options=RunOptions(
             bootstrap_request_tick=None if boot is None else int(boot),
             req_delay=int(opts.get("reqDelay", 1)),
-            mt_latency=int(opts.get("mtLatency", 2)),
+            mt_latency=int(opts.get("mtLatency", FRAME_LATENCY)),
             fidelity_row2=bool(opts.get("fidelityMode", False)),
         ),
     )
@@ -120,73 +86,101 @@ def scenario_from_json(text: str) -> Scenario:
     return scenario_from_dict(json.loads(text))
 
 
-# -- component state snapshots ------------------------------------------------
-
-def _snapshot_to_obj(snap: dict) -> dict:
-    out: dict = {
-        "encoders": [
-            {"e": e.e, "pending": None if e.pending is None else e.pending.hex()}
-            for e in snap["encoders"]
-        ],
-        "decoders": [{"d": d.d, "lastId": d.last_id} for d in snap["decoders"]],
-        "llayers": [{"lid": ll.lid} for ll in snap["llayers"]],
-        "wire": {
-            "latch": _cell_to_obj(snap["wire"].latch, "symbol"),
-            "sources": list(snap["wire"].latch_sources),
-        },
-    }
-    if "buffers" in snap:
-        out["buffers"] = [
-            {"buf": _cell_to_obj(b.buf, "amessage"), "b": _cell_to_obj(b.b, "amessage")}
-            for b in snap["buffers"]
-        ]
-    return out
-
-
-def _snapshot_from_obj(obj: dict) -> dict:
-    snap: dict = {
-        "encoders": tuple(
-            EncoderState(e=e["e"], pending=None if e["pending"] is None else bytes.fromhex(e["pending"]))
-            for e in obj["encoders"]
-        ),
-        "decoders": tuple(DecoderState(d=d["d"], last_id=d["lastId"]) for d in obj["decoders"]),
-        "llayers": tuple(LogicalLayerState(lid=ll["lid"]) for ll in obj["llayers"]),
-        "wire": WireState(
-            latch=_cell_from_obj(obj["wire"]["latch"], "symbol"),
-            latch_sources=tuple(obj["wire"]["sources"]),
-        ),
-    }
-    if "buffers" in obj:
-        snap["buffers"] = tuple(
-            BufferState(buf=_cell_from_obj(b["buf"], "amessage"), b=_cell_from_obj(b["b"], "amessage"))
-            for b in obj["buffers"]
-        )
-    return snap
-
-
 # -- traces -------------------------------------------------------------------
 
+# The canonical JSON text of a value, by its exact type; parts come from the memo.
+_FRAGMENTS = {
+    tuple: lambda v, memo: "[%s]" % ",".join(_texts(v, memo)),
+    int: lambda v, memo: "%d" % v,
+    AMessage: lambda v, memo: '{"data":"%s","id":%d}' % (v.data.hex(), v.id),
+    IdSym: lambda v, memo: '{"sym":"id","value":%d}' % v.value,
+    DataSym: lambda v, memo: '{"sym":"data","value":"%s"}' % v.value.hex(),
+    BufferState: lambda v, memo: '{"b":%s,"buf":%s}' % tuple(_texts((v.b, v.buf), memo)),
+    DecoderState: lambda v, memo: '{"d":%s,"lastId":%s}' % (_dumps(v.d), _dumps(v.last_id)),
+    EncoderState: lambda v, memo: '{"e":%s,"pending":%s}' % (
+        _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
+    LogicalLayerState: lambda v, memo: '{"lid":%d}' % v.lid,
+    WireState: lambda v, memo: '{"latch":%s,"sources":%s}' % tuple(_texts((v.latch, v.latch_sources), memo)),
+}
+
+
+def _texts(values, memo: dict[int, str]) -> list[str]:
+    """Each value's canonical JSON text, made once per dump and then found by id."""
+    get, made = memo.get, memo.setdefault
+    return [get(id(v)) or made(id(v), _FRAGMENTS[type(v)](v, memo)) for v in values]
+
+
+def _snapshot_to_obj(snap: dict, memo: dict[int, str]) -> str:
+    """One tick's component states as canonical JSON text."""
+    keys = sorted(snap)
+    return "{%s}" % ",".join('"%s":%s' % kv for kv in zip(keys, _texts([snap[k] for k in keys], memo)))
+
+
 def trace_to_jsonl(trace: Trace) -> str:
-    header = {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "nodeCount": trace.node_count,
-        "horizon": trace.horizon,
-        "scenario": None if trace.scenario is None else scenario_to_dict(trace.scenario),
+    scenario = None if trace.scenario is None else scenario_to_dict(trace.scenario)
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
+              "horizon": trace.horizon, "scenario": scenario}
+    memo: dict[int, str] = {}
+    fields = {
+        family: ["[%s]" % ",".join(cells) for cells in zip(*[_texts(s.cells, memo) for s in per_node])]
+        for family, per_node in trace.streams.items()
     }
-    lines = [_dumps(header)]
-    for t in range(trace.horizon):
-        tick: dict = {"t": t}
-        for family, per_node in sorted(trace.streams.items()):
-            kind = _FAMILY_KIND[family]
-            tick[family] = [_cell_to_obj(s.cells[t], kind) for s in per_node]
-        tick["wr"] = _cell_to_obj(trace.wire.cells[t], "symbol")
-        tick["rows"] = list(trace.rows[t])
-        tick["state"] = _snapshot_to_obj(trace.states[t])
-        lines.append(_dumps(tick))
+    states, snap = [], None
+    for state in trace.states:  # runs of equal snapshots are common: encode each run once
+        if state != snap:
+            snap, text = state, _snapshot_to_obj(state, memo)
+        states.append(text)
+    fields.update(rows=_texts(trace.rows, memo), state=states, t=range(trace.horizon),
+                  wr=_texts(trace.wire.cells, memo))
+    keys = sorted(fields)
+    line = "{%s}" % ",".join('"%s":%%s' % key for key in keys)
+    lines = [_dumps(header), *(line % values for values in zip(*[fields[key] for key in keys]))]
     if trace.error is not None:
         lines.append(_dumps({"error": trace.error}))
     return "\n".join(lines) + "\n"
+
+
+def _memo_reader(key, make):
+    """A reader for one load: JSON list -> tuple, making each distinct key's value once."""
+    memo: dict = {}
+
+    def made(k):
+        value = memo[k] = make(k)
+        return value
+
+    return lambda objs: () if objs == [] else tuple([memo.get(k) or made(k) for k in map(key, objs)])
+
+
+def _symbol(key: tuple):
+    kind, value = key
+    if kind not in ("id", "data"):
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    return IdSym(int(value)) if kind == "id" else DataSym(bytes.fromhex(value))
+
+
+def _readers() -> dict:
+    """Fresh readers for one load, by field name."""
+    amessages = _memo_reader(itemgetter("id", "data"), lambda k: AMessage(int(k[0]), bytes.fromhex(k[1])))
+    symbols = _memo_reader(itemgetter("sym", "value"), _symbol)
+    return {
+        **dict.fromkeys(("a", "as", "ar"), amessages),
+        **dict.fromkeys(("ms", "mr", "ws", "wr"), symbols),
+        "r": lambda cell: tuple(map(int, cell)),
+        "rows": int,
+        "encoders": _memo_reader(
+            itemgetter("e", "pending"), lambda k: EncoderState(k[0], None if k[1] is None else bytes.fromhex(k[1]))),
+        "decoders": _memo_reader(itemgetter("d", "lastId"), lambda k: DecoderState(*k)),
+        "llayers": _memo_reader(itemgetter("lid"), LogicalLayerState),
+    }
+
+
+def _snapshot_from_obj(obj: dict, read: dict) -> dict:
+    """One tick's component states from their parsed JSON."""
+    snap = {key: read[key](obj[key]) for key in ("encoders", "decoders", "llayers")}
+    snap["wire"] = WireState(read["wr"](obj["wire"]["latch"]), tuple(obj["wire"]["sources"]))
+    if "buffers" in obj:
+        snap["buffers"] = tuple(BufferState(read["a"](b["buf"]), read["a"](b["b"])) for b in obj["buffers"])
+    return snap
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -199,36 +193,40 @@ def trace_from_jsonl(text: str) -> Trace:
     n = int(header["nodeCount"])
     horizon = int(header["horizon"])
     scenario = None if header["scenario"] is None else scenario_from_dict(header["scenario"])
+    ticks = [json.loads(line) for line in lines[1:]]
+    error = ticks.pop()["error"] if ticks and "error" in ticks[-1] else None
+    if len(ticks) != horizon:
+        raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
 
-    error = None
-    tick_lines = lines[1:]
-    if tick_lines and "error" in json.loads(tick_lines[-1]):
-        error = json.loads(tick_lines[-1])["error"]
-        tick_lines = tick_lines[:-1]
-    if len(tick_lines) != horizon:
-        raise ValueError(f"expected {horizon} tick lines, found {len(tick_lines)}")
+    read = _readers()
+    # Each tick has one entry per node in every family ("a" only with buffers) and in rows.
+    columns = {f: [] for f in PER_NODE_FAMILIES + ("rows",) if f != "a" or scenario is not None}
+    blank, blank_row = [[]] * n, ((),) * n
+    wire, states, snap = [], [], None
+    for t, tick in enumerate(ticks):
+        field = "t"
+        try:
+            if tick["t"] != t:
+                raise ValueError(f"expected {t}, found {tick['t']!r}")
+            for field, column in columns.items():
+                cells = tick[field]
+                if len(cells) != n:
+                    raise ValueError(f"{len(cells)} entries for {n} nodes")
+                column.append(blank_row if cells == blank else tuple(map(read[field], cells)))
+            field = "wr"
+            wire.append(read["wr"](tick["wr"]))
+            field = "state"
+            if snap is None or tick["state"] != ticks[t - 1]["state"]:  # decode each run of equal ones once
+                snap = _snapshot_from_obj(tick["state"], read)
+            states.append(snap)
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
 
-    ticks = [json.loads(line) for line in tick_lines]
-    families = [f for f in _FAMILY_KIND if f != "wr" and (not ticks or f in ticks[0])]
-    if not ticks:
-        families = ["as", "ar", "r", "ms", "mr", "ws"] + (["a"] if scenario is not None else [])
-    streams = {
-        family: tuple(
-            TimedStream(tuple(_cell_from_obj(tick[family][i], _FAMILY_KIND[family]) for tick in ticks))
-            for i in range(n)
-        )
-        for family in families
-    }
-    return Trace(
-        scenario=scenario,
-        node_count=n,
-        horizon=horizon,
-        streams=streams,
-        wire=TimedStream(tuple(_cell_from_obj(tick["wr"], "symbol") for tick in ticks)),
-        rows=tuple(tuple(tick["rows"]) for tick in ticks),
-        states=tuple(_snapshot_from_obj(tick["state"]) for tick in ticks),
-        error=error,
-    )
+    rows = tuple(columns.pop("rows"))
+    streams = {f: tuple(map(TimedStream, zip(*column))) or (TimedStream(()),) * n for f, column in columns.items()}
+    return Trace(scenario=scenario, node_count=n, horizon=horizon, streams=streams, wire=TimedStream(tuple(wire)),
+                 rows=rows, states=tuple(states), error=error)
 
 
 # -- reports ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from canstream.checkers import ALL_PREDICATES
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
 from .conftest import scenario
@@ -48,6 +49,25 @@ def test_check_catches_corruption(golden_file, tmp_path):
     lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")
     assert main(["check", "--trace", str(out)]) == 1
+
+
+def test_check_json_prints_the_report_with_the_same_exit_codes(golden_file, tmp_path, capsys):
+    out = tmp_path / "golden.trace"
+    main(["run", "--scenario", str(golden_file), "--trace", str(out)])
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert [e["predicate"] for e in report["predicates"]] == list(ALL_PREDICATES)
+    assert len(ALL_PREDICATES) == 6
+
+    lines = out.read_text().splitlines()
+    tick3 = json.loads(lines[4])
+    tick3["ar"] = [[]]  # erase the delivery
+    lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--trace", str(out), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_malformed_scenario_is_input_error(tmp_path):

@@ -1,14 +1,27 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canstream import TimedStream, check_all, run_can_only, run_scenario
-from canstream.fuzzing import random_scenario
+from canstream import (
+    AMessage,
+    Injection,
+    RunError,
+    RunOptions,
+    Scenario,
+    TimedStream,
+    check_all,
+    run_can_only,
+    run_scenario,
+)
+from canstream.cli import EXIT_INPUT, main
+from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.serialize import (
+    _dumps,
     report_to_dict,
     report_to_json,
     scenario_from_json,
@@ -17,6 +30,7 @@ from canstream.serialize import (
     trace_to_jsonl,
 )
 from .conftest import amsg, scenario
+from .test_system import _fail_second_call_at
 
 
 def test_scenario_round_trip(two_node_scenario):
@@ -94,3 +108,90 @@ def test_scenario_null_bootstrap_survives():
     )
     assert s.options.bootstrap_request_tick is None
     assert scenario_from_json(scenario_to_json(s)) == s
+
+
+def _any_scenario(rng: random.Random, nodes: int, horizon: int) -> Scenario:
+    """Anything validation accepts: any tick, repeated ids, empty payloads, all options."""
+    slots = rng.sample([(n, t) for n in range(1, nodes + 1) for t in range(horizon)],
+                       min(nodes * horizon, rng.randint(0, 2 * nodes)))
+    injections = tuple(
+        Injection(node, tick, AMessage(rng.randrange(16), rng.randbytes(rng.randint(0, 8))))
+        for node, tick in sorted(slots)
+    )
+    options = RunOptions(bootstrap_request_tick=rng.choice([0, 0, 1, 4, None]), fidelity_row2=rng.random() < 0.2)
+    return Scenario(nodes, horizon, injections, options)
+
+
+def _partial(monkeypatch, run, k: int):
+    """The RunError trace of `run` when the second node's bus-access step fails at tick k."""
+    with monkeypatch.context() as patch:
+        _fail_second_call_at(patch, k)
+        with pytest.raises(RunError) as info:
+            run()
+    return info.value.trace
+
+
+def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeypatch):
+    rng = random.Random(2024)
+    traces = [run_scenario(seeded_scenario("codec", i, nodes=1 + i % 6, horizon=rng.choice([4, 16, 64])))
+              for i in range(60)]
+    traces += [run_scenario(_any_scenario(rng, 1 + i % 6, rng.choice([0, 1, 2, 5, 16, 40]))) for i in range(100)]
+    traces += [run_can_only(t.streams["as"]) for t in traces[:30] if t.horizon]
+    for i in range(10):
+        s = seeded_scenario("partial", i, nodes=2 + i % 3, horizon=16)
+        as_streams = run_scenario(s).streams["as"]
+        traces.append(_partial(monkeypatch, lambda: run_scenario(s), i))
+        traces.append(_partial(monkeypatch, lambda: run_can_only(as_streams), i + 4))
+    kinds = {(t.node_count, t.horizon == 0, t.scenario is None, t.error is not None) for t in traces}
+    assert {k[0] for k in kinds} == set(range(1, 7)) and any(k[1] for k in kinds)
+    assert any(k[2] and k[3] for k in kinds) and any(not k[2] and k[3] for k in kinds)
+    options = [t.scenario.options for t in traces if t.scenario is not None]
+    assert any(o.fidelity_row2 for o in options) and any(o.bootstrap_request_tick not in (0, None) for o in options)
+    assert any(i.tick % 2 == 0 and i.tick for t in traces if t.scenario for i in t.scenario.injections)
+    for trace in traces:
+        text = trace_to_jsonl(trace)
+        for line in text.splitlines():
+            assert line == _dumps(json.loads(line))
+        loaded = trace_from_jsonl(text)
+        assert loaded == trace
+        assert trace_to_jsonl(loaded) == text
+
+
+def _swap_ticks_1_and_2(lines):
+    lines[2], lines[3] = lines[3], lines[2]
+
+
+def _edit_tick(t, edit):
+    def mutate(lines):
+        tick = json.loads(lines[1 + t])
+        edit(tick)
+        lines[1 + t] = _dumps(tick)
+    return mutate
+
+
+def _unknown_symbol_kind(lines):
+    t = next(t for t in range(1, len(lines)) if json.loads(lines[t])["ws"][0])
+    _edit_tick(t - 1, lambda tick: tick["ws"][0][0].update(sym="bogus"))(lines)
+
+
+MALFORMED = {
+    "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
+    "extra node entry": (_edit_tick(3, lambda tick: tick["as"].append([])), r"tick 3: field 'as'"),
+    "short family list": (_edit_tick(3, lambda tick: tick["ms"].pop()), r"tick 3: field 'ms'"),
+    "missing family": (_edit_tick(4, lambda tick: tick.pop("mr")), r"tick 4: field 'mr'"),
+    "unknown symbol kind": (_unknown_symbol_kind, r"tick \d+: field 'ws': unknown symbol kind 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_tick_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    mutate, message = MALFORMED[case]
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    mutate(lines)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match=message):
+        trace_from_jsonl(text)
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    assert main(["check", "--trace", str(path)]) == EXIT_INPUT
+    assert "malformed trace" in capsys.readouterr().err
