@@ -20,7 +20,6 @@ def main() -> int:
     parser.add_argument("--seed", default="accept3")
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--horizon", type=int, default=64)
-    parser.add_argument("--latency", type=int, default=2)
     args = parser.parse_args()
 
     started = time.perf_counter()
@@ -29,8 +28,7 @@ def main() -> int:
     for i in range(args.count):
         scenario = seeded_scenario(args.seed, i, nodes=2 + (i % 4), horizon=args.horizon)
         trace = run_scenario(scenario)
-        report = check_all(trace, latency=args.latency,
-                           predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
+        report = check_all(trace, predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
         for entry in report.entries:
             totals[entry.predicate] = totals.get(entry.predicate, 0) + len(entry.violations)
         if not report.ok():

@@ -114,21 +114,21 @@ def check_wire_assumptions(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_message_transmission(trace: Trace, latency: int = FRAME_LATENCY) -> list[Violation]:
+def check_message_transmission(trace: Trace) -> list[Violation]:
     """The end-to-end transmission contract over the as/ar/r boundary streams.
 
-    (1) A tick with no offers delivers nothing `latency` ticks later.
+    (1) A tick with no offers delivers nothing FRAME_LATENCY ticks later.
     (2) All nodes receive identical cells at every tick.
     (3) The minimum-identifier offer of a tick is acknowledged to its sender
-        and delivered to every node `latency` ticks later.
+        and delivered to every node FRAME_LATENCY ticks later.
 
     Ticks where several nodes offer the same minimal identifier make (3)
     ambiguous; those are reported as warnings and skipped.
     """
     if trace.horizon == 0:
         return []
-    if latency >= trace.horizon:
-        raise ValueError(f"horizon {trace.horizon} too short for latency {latency}")
+    if FRAME_LATENCY >= trace.horizon:
+        raise ValueError(f"horizon {trace.horizon} too short for latency {FRAME_LATENCY}")
     n = trace.node_count
     as_streams = trace.streams["as"]
     ar_streams = trace.streams["ar"]
@@ -146,17 +146,16 @@ def check_message_transmission(trace: Trace, latency: int = FRAME_LATENCY) -> li
                     render_cell(other),
                 ))
 
-    for t in range(trace.horizon):
-        if t + latency >= trace.horizon:
-            break
+    for t in range(trace.horizon - FRAME_LATENCY):
+        later = t + FRAME_LATENCY
         offers = [as_streams[i].cells[t] for i in range(n)]
         if not any(offers):
             for j in range(n):
-                delivered = ar_streams[j].cells[t + latency]
+                delivered = ar_streams[j].cells[later]
                 if delivered:
                     out.append(Violation(
                         "transmission", t, (f"ar_{j + 1}",),
-                        f"empty delivery at tick {t + latency} (clause 1, no offers at {t})",
+                        f"empty delivery at tick {later} (clause 1, no offers at {t})",
                         render_cell(delivered),
                     ))
             continue
@@ -172,18 +171,18 @@ def check_message_transmission(trace: Trace, latency: int = FRAME_LATENCY) -> li
             ))
             continue
         w = winners[0]
-        if not r_streams[w].cells[t + latency]:
+        if not r_streams[w].cells[later]:
             out.append(Violation(
                 "transmission", t, (f"r_{w + 1}",),
-                f"request at tick {t + latency} for winner node {w + 1} (clause 3)",
+                f"request at tick {later} for winner node {w + 1} (clause 3)",
                 "[]",
             ))
         for j in range(n):
-            delivered = ar_streams[j].cells[t + latency]
+            delivered = ar_streams[j].cells[later]
             if delivered != offers[w]:
                 out.append(Violation(
                     "transmission", t, (f"as_{w + 1}", f"ar_{j + 1}"),
-                    f"delivery of {render_cell(offers[w])} at tick {t + latency} (clause 3)",
+                    f"delivery of {render_cell(offers[w])} at tick {later} (clause 3)",
                     render_cell(delivered),
                 ))
     return out
@@ -277,17 +276,11 @@ def _split(findings: Iterable[Violation]) -> tuple[tuple[Violation, ...], tuple[
     return violations, warnings
 
 
-def check_all(
-    trace: Trace,
-    latency: int | None = None,
-    predicates: Sequence[str] = DEFAULT_PREDICATES,
-) -> Report:
+def check_all(trace: Trace, predicates: Sequence[str] = DEFAULT_PREDICATES) -> Report:
     """Run the selected checkers over every applicable stream of a trace."""
     unknown = set(predicates) - set(ALL_PREDICATES)
     if unknown:
         raise ValueError(f"unknown predicates: {sorted(unknown)}")
-    if latency is None:
-        latency = trace.scenario.options.mt_latency if trace.scenario else FRAME_LATENCY
     entries: list[ReportEntry] = []
 
     if "msg1" in predicates:
@@ -311,7 +304,7 @@ def check_all(
         entries.append(ReportEntry("wire", *_split(check_wire_assumptions(trace))))
 
     if "transmission" in predicates:
-        entries.append(ReportEntry("transmission", *_split(check_message_transmission(trace, latency))))
+        entries.append(ReportEntry("transmission", *_split(check_message_transmission(trace))))
 
     if "row3" in predicates:
         entries.append(ReportEntry("row3", *_split(check_row3_unreachable(trace))))

@@ -104,7 +104,7 @@ def _cmd_check(args) -> int:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = check_all(trace, latency=args.latency, predicates=predicates)
+        report = check_all(trace, predicates=predicates)
     except ValueError as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -184,7 +184,6 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="check a trace against the protocol predicates")
     p_check.add_argument("--trace", required=True)
-    p_check.add_argument("--latency", type=int, default=None, help="transmission latency (default: trace option)")
     p_check.add_argument("--strict", action="store_true", help="treat warnings as failures")
     p_check.add_argument("--only", default=None, help=f"comma-separated subset of {','.join(ALL_PREDICATES)}")
     p_check.add_argument("--json", action="store_true", help="print the report as one JSON object")

@@ -102,7 +102,8 @@ def buffer_step(state: BufferState, a: Sequence[AMessage], r: Sequence[int], t: 
     if not r:
         nxt = BufferState(buf=newbuf, b=state.b)
     elif not state.buf:
-        nxt = BufferState(buf=(), b=tuple(a))
+        # An idle node's standing request changes nothing: keep the state.
+        nxt = BufferState(buf=(), b=tuple(a)) if a or state.b else state
     else:
         nxt = BufferState(buf=newbuf[1:], b=(newbuf[0],))
     return out, nxt
@@ -214,9 +215,3 @@ def wire_latch(ws_all: Sequence[Sequence[Message]], t: int) -> WireState:
         return _EMPTY_WIRE
     sources = tuple(i for i in range(n, 0, -1) if ws_all[i - 1])
     return WireState(latch=latch, latch_sources=sources)
-
-
-def wire_step(state: WireState, ws_all: Sequence[Sequence[Message]], t: int) -> tuple[Cell, WireState]:
-    """One bus tick: emit last tick's resolution, latch this tick's offers."""
-    wr = wire_emission(state, t)
-    return wr, wire_latch(ws_all, t)

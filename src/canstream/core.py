@@ -117,15 +117,13 @@ class RunOptions:
 
     bootstrap_request_tick primes each node's buffer with one initial request
     (None disables priming entirely, which demonstrably stalls the system).
-    req_delay is the delay, in ticks, between a controller raising its
-    transmit-success request and that request appearing on the observable
-    request stream. fidelity_row2 switches the bus-access table to its literal
-    non-transmitting identifier row, another deliberately stalling variant.
+    fidelity_row2 switches the bus-access table to its literal non-transmitting
+    identifier row, another deliberately stalling variant. The request delay
+    and the frame latency are not options: each has one value under which the
+    protocol works (see system.py and FRAME_LATENCY).
     """
 
     bootstrap_request_tick: int | None = 0
-    req_delay: int = 1
-    mt_latency: int = FRAME_LATENCY
     fidelity_row2: bool = False
 
 
@@ -154,10 +152,6 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
         out.append(ScenarioViolation("node-count", None, None, f"nodeCount must be >= 1, got {s.node_count}"))
     if s.horizon < 0:
         out.append(ScenarioViolation("horizon", None, None, f"horizon must be >= 0, got {s.horizon}"))
-    if s.options.req_delay < 0:
-        out.append(ScenarioViolation("req-delay", None, None, f"reqDelay must be >= 0, got {s.options.req_delay}"))
-    if s.options.mt_latency < 0:
-        out.append(ScenarioViolation("mt-latency", None, None, f"mtLatency must be >= 0, got {s.options.mt_latency}"))
     boot = s.options.bootstrap_request_tick
     if boot is not None and boot < 0:
         out.append(ScenarioViolation("bootstrap", None, None, f"bootstrapRequestTick must be >= 0, got {boot}"))

@@ -13,18 +13,14 @@ import random
 from .core import AMessage, Injection, Scenario
 
 ID_POOL = 2048  # identifiers are sampled from [0, ID_POOL)
+MESSAGES_PER_NODE = 2  # a scenario carries at most nodes * MESSAGES_PER_NODE messages
 
 
-def random_scenario(
-    rng: random.Random,
-    nodes: int,
-    horizon: int,
-    max_messages_per_node: int = 2,
-) -> Scenario:
+def random_scenario(rng: random.Random, nodes: int, horizon: int) -> Scenario:
     """One random, disciplined scenario."""
     odd_ticks = list(range(1, horizon, 2))
     slots = [(node, tick) for node in range(1, nodes + 1) for tick in odd_ticks]
-    count = rng.randint(1, max(1, min(nodes * max_messages_per_node, len(slots))))
+    count = rng.randint(1, max(1, min(nodes * MESSAGES_PER_NODE, len(slots))))
     chosen = rng.sample(slots, count)
     ids = rng.sample(range(ID_POOL), count)
     injections = []

@@ -28,6 +28,7 @@ from .core import (
     Injection,
     RunOptions,
     Scenario,
+    ScenarioError,
     TimedStream,
     Trace,
 )
@@ -42,6 +43,11 @@ def _dumps(obj: Any) -> str:
 
 # -- scenarios ---------------------------------------------------------------
 
+# Options that scenario files once let vary, as (key, rule, only value): every
+# other value broke the run. They are still read, for older files, and written.
+_FIXED_OPTIONS = (("reqDelay", "req-delay", 1), ("mtLatency", "mt-latency", FRAME_LATENCY))
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "nodeCount": s.node_count,
@@ -52,15 +58,17 @@ def scenario_to_dict(s: Scenario) -> dict:
         ],
         "options": {
             "bootstrapRequestTick": s.options.bootstrap_request_tick,
-            "reqDelay": s.options.req_delay,
-            "mtLatency": s.options.mt_latency,
             "fidelityMode": s.options.fidelity_row2,
+            **{key: value for key, _, value in _FIXED_OPTIONS},
         },
     }
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
     opts = obj.get("options", {})
+    for key, rule, value in _FIXED_OPTIONS:
+        if opts.get(key, value) != value:
+            raise ScenarioError(f"{rule}: {key} is fixed at {value}, got {opts[key]!r}")
     boot = opts.get("bootstrapRequestTick", 0)
     return Scenario(
         node_count=int(obj["nodeCount"]),
@@ -71,8 +79,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         ),
         options=RunOptions(
             bootstrap_request_tick=None if boot is None else int(boot),
-            req_delay=int(opts.get("reqDelay", 1)),
-            mt_latency=int(opts.get("mtLatency", FRAME_LATENCY)),
             fidelity_row2=bool(opts.get("fidelityMode", False)),
         ),
     )

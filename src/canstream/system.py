@@ -7,7 +7,7 @@ offer streams straight to the encoders.
 
 Within a tick the bus first emits from its latch. Then each node in turn runs
 its whole chain: buffer emission, encoder, bus-access layer, decoder, request
-delay line and buffer update. Last, the bus latches every node's offer. This
+stream and buffer update. Last, the bus latches every node's offer. This
 gives the same values as the phase order (all buffers emit, then all
 encoders, then the bus, then all bus-access layers, all decoders, and finally
 all state updates), because the components are pure and nodes interact within
@@ -25,9 +25,9 @@ update, which releases the offer slot before the next odd tick (otherwise the
 frame would be re-offered and delivered twice). A request that finds nothing
 to hand over stays pending until a message arrives, so nodes wake up when new
 traffic appears. One bootstrap request primes each node's buffer; without it
-nothing ever flows. The externally recorded request stream r_i shows the
-success requests req_delay ticks late, which places them exactly mt_latency
-ticks after the frame start.
+nothing ever flows. The externally recorded request stream r_i shows each
+success request one tick after it is raised, which places it FRAME_LATENCY
+ticks after the frame start, where the transmission contract looks for it.
 """
 from __future__ import annotations
 
@@ -68,9 +68,10 @@ class SystemState:
     """All component states plus the executor's request bookkeeping.
 
     buffers is None when the controllers are driven directly by offer
-    streams. req_line is the per-node delay line feeding the observable
-    request stream (length req_delay, oldest cell first). req_pending marks
-    nodes whose last request is still waiting for a message to hand over.
+    streams. raised holds each node's success request of the previous tick,
+    () or REQ_CELL, which the observable request stream shows this tick.
+    req_pending marks nodes whose last request is still waiting for a message
+    to hand over.
     """
 
     buffers: tuple[BufferState, ...] | None
@@ -78,7 +79,7 @@ class SystemState:
     decoders: tuple[DecoderState, ...]
     llayers: tuple[LogicalLayerState, ...]
     wire: WireState
-    req_line: tuple[tuple[Cell, ...], ...]
+    raised: tuple[Cell, ...]
     req_pending: tuple[bool, ...]
 
 
@@ -131,15 +132,14 @@ class RunError(ModelViolation):
         self.trace = trace
 
 
-def initial_state(node_count: int, req_delay: int) -> SystemState:
-    line = ((),) * req_delay
+def initial_state(node_count: int) -> SystemState:
     return SystemState(
         buffers=(BufferState(),) * node_count,
         encoders=(EncoderState(),) * node_count,
         decoders=(DecoderState(),) * node_count,
         llayers=(LogicalLayerState(),) * node_count,
         wire=WireState(),
-        req_line=(line,) * node_count,
+        raised=((),) * node_count,
         req_pending=(False,) * node_count,
     )
 
@@ -181,7 +181,7 @@ def tick_system(
     ms_col, mr_col, ws_col = streams["ms"], streams["mr"], streams["ws"]
     boot = buffers is not None and t == options.bootstrap_request_tick
     literal_row2 = options.fidelity_row2
-    rows, ws_all, encoders, decoders, llayers, req_line, new_buffers, pending = [], [], [], [], [], [], [], []
+    rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers, pending = [], [], [], [], [], [], [], []
     decoded_from, decoded = (None, None), None
     for i, enc in enumerate(state.encoders):
         if buffers is None:
@@ -199,13 +199,8 @@ def tick_system(
         ar, dec = decoded
 
         # Observable request stream: bootstrap priming plus the success
-        # requests delayed by the line (its head is the oldest entry).
-        line = state.req_line[i]
-        if line:
-            delayed, line = line[0], line[1:] + (raised,)
-        else:
-            delayed = raised
-        r = REQ_CELL + delayed if boot else delayed
+        # request raised in the previous tick.
+        r = REQ_CELL + state.raised[i] if boot else state.raised[i]
 
         # Buffer update: a success request acts in the tick it is raised, and
         # an unconsumed request stands until it can hand a message over.
@@ -225,7 +220,7 @@ def tick_system(
         encoders.append(enc)
         llayers.append(ll)
         decoders.append(dec)
-        req_line.append(line)
+        raised_all.append(raised)
     columns.rows.append(tuple(rows))
     return SystemState(
         buffers=None if buffers is None else tuple(new_buffers),
@@ -233,7 +228,7 @@ def tick_system(
         decoders=tuple(decoders),
         llayers=tuple(llayers),
         wire=wire_latch(ws_all, t),
-        req_line=tuple(req_line),
+        raised=tuple(raised_all),
         req_pending=state.req_pending if buffers is None else tuple(pending),
     )
 
@@ -267,7 +262,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     inputs = (arrivals.get(t, quiet) for t in range(scenario.horizon))
-    state = initial_state(n, scenario.options.req_delay)
+    state = initial_state(n)
     return _run(scenario, state, inputs, scenario.options)
 
 
@@ -304,7 +299,7 @@ def run_can_only(
             problems.append(f"duplicate identifiers offered at tick {t}: {sorted(ids)}")
     if problems:
         raise ScenarioError("; ".join(problems))
-    state = replace(initial_state(n, options.req_delay), buffers=None)
+    state = replace(initial_state(n), buffers=None)
     return _run(None, state, zip(*(s.cells for s in as_streams)), options)
 
 

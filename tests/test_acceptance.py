@@ -36,7 +36,8 @@ from canstream.components import (
     decoder_step,
     encoder_step,
     logical_layer_step,
-    wire_step,
+    wire_emission,
+    wire_latch,
 )
 from canstream.fuzzing import seeded_scenario
 from canstream.primitives import broadcast, collect_elements, min_nat_list, pr_add, take_ids
@@ -123,11 +124,9 @@ def test_criterion_1_axiom_unit_suite():
         assert out == (amsg(5, b"p"),) and nxt == DecoderState()
 
         # wire guarantees 2-3
-        assert wire_step(WireState(latch=(IdSym(1),)), [()], 0)[0] == ()
-        _, w = wire_step(WireState(), [(IdSym(5),), (IdSym(3),)], 1)
-        assert wire_step(w, [(), ()], 2)[0] == (IdSym(3),)
-        _, w = wire_step(WireState(), [(), (DataSym(b"p"),)], 1)
-        assert wire_step(w, [(), ()], 2)[0] == (DataSym(b"p"),)
+        assert wire_emission(WireState(latch=(IdSym(1),)), 0) == ()
+        assert wire_emission(wire_latch([(IdSym(5),), (IdSym(3),)], 1), 2) == (IdSym(3),)
+        assert wire_emission(wire_latch([(), (DataSym(b"p"),)], 1), 2) == (DataSym(b"p"),)
 
         # bus-access table rows 1-5
         ll = LogicalLayerState()
@@ -162,7 +161,7 @@ def test_criterion_3_transmission_sweep():
     with criterion(3, "transmission sweep (1000 scenarios)"):
         started = time.perf_counter()
         for trace in _sweep_corpus():
-            report = check_all(trace, latency=2)
+            report = check_all(trace)
             assert not report.violations, report.violations[:3]
             assert not report.warnings, report.warnings[:3]
             assert check_row3_unreachable(trace) == []
@@ -221,7 +220,7 @@ def test_criterion_5_negative_controls(golden_scenario, two_node_scenario):
         tick3["ar"][0] = []
         lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
         mutated = trace_from_jsonl("\n".join(lines) + "\n")
-        found = check_message_transmission(mutated, 2)
+        found = check_message_transmission(mutated)
         assert any(v.streams == ("ar_1", "ar_2") for v in found), found
 
 

@@ -111,12 +111,12 @@ def test_wire_assumption_all_empty_ok():
 
 def test_transmission_on_real_race(two_node_scenario):
     t = run_scenario(two_node_scenario)
-    assert check_message_transmission(t, 2) == []
+    assert check_message_transmission(t) == []
 
 
 def test_transmission_quiescent():
     t = run_scenario(scenario(2, 6))
-    assert check_message_transmission(t, 2) == []
+    assert check_message_transmission(t) == []
 
 
 def test_transmission_catches_unequal_deliveries():
@@ -126,7 +126,7 @@ def test_transmission_catches_unequal_deliveries():
         "ar": [[(), (m,), (), ()], [(), (), (), ()]],
         "r": [[(), (), (), ()], [(), (), (), ()]],
     }, n=2)
-    found = check_message_transmission(t, 2)
+    found = check_message_transmission(t)
     assert any("ar_2" in v.streams for v in found)
 
 
@@ -138,7 +138,7 @@ def test_transmission_winner_must_be_acknowledged():
         "ar": [[(), (), (), ()]],
         "r": [[(), (), (), ()]],
     })
-    found = check_message_transmission(t, 2)
+    found = check_message_transmission(t)
     assert any(v.streams == ("r_1",) for v in found)
     assert any("ar_1" in v.streams for v in found)
 
@@ -150,7 +150,7 @@ def test_transmission_duplicate_min_id_is_warning():
         "ar": [[(), (), (), ()], [(), (), (), ()]],
         "r": [[(), (), (), ()], [(), (), (), ()]],
     }, n=2)
-    found = check_message_transmission(t, 2)
+    found = check_message_transmission(t)
     assert found and all(v.severity == "warning" for v in found)
 
 
@@ -161,7 +161,7 @@ def test_transmission_latency_must_fit_horizon():
         "r": [[(), ()]],
     })
     with pytest.raises(ValueError, match="too short"):
-        check_message_transmission(t, 5)
+        check_message_transmission(t)
 
 
 # -- row 3 -------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import canstream
 from canstream.checkers import ALL_PREDICATES
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
@@ -36,7 +40,16 @@ def test_run_then_check_passes(golden_file, tmp_path):
     out = tmp_path / "golden.trace"
     main(["run", "--scenario", str(golden_file), "--trace", str(out)])
     assert main(["check", "--trace", str(out)]) == 0
-    assert main(["check", "--trace", str(out), "--latency", "2", "--strict"]) == 0
+    assert main(["check", "--trace", str(out), "--strict"]) == 0
+
+
+def test_check_has_no_latency_flag(golden_file, tmp_path, capsys):
+    out = tmp_path / "golden.trace"
+    main(["run", "--scenario", str(golden_file), "--trace", str(out)])
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--trace", str(out), "--latency", "2"])
+    assert err.value.code == 64
+    assert "--latency" in capsys.readouterr().err
 
 
 def test_check_catches_corruption(golden_file, tmp_path):
@@ -80,6 +93,15 @@ def test_invalid_scenario_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodeCount": 0, "horizon": 4, "injections": []}))
     assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
+
+
+@pytest.mark.parametrize("key,rule,value", [("reqDelay", "req-delay", 0), ("mtLatency", "mt-latency", 3)])
+def test_run_rejects_a_fixed_option_at_another_value(tmp_path, capsys, key, rule, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GOLDEN, "options": {key: value}}))
+    assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
+    assert f"{rule}: {key} is fixed" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_zero_horizon_scenario_runs_clean(tmp_path):
@@ -176,6 +198,15 @@ def test_run_fidelity_produces_no_deliveries(golden_file, tmp_path, capsys):
     out = tmp_path / "stall.trace"
     assert main(["run", "--scenario", str(golden_file), "--trace", str(out), "--fidelity"]) == 0
     assert "0 deliveries" in capsys.readouterr().out
+
+
+def test_the_cli_imports_every_module_of_the_package():
+    package = Path(canstream.__file__).parent
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); import canstream.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('canstream.')))")
+    loaded = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True)
+    modules = {f"canstream.{p.stem}" for p in package.glob("*.py")} - {"canstream.__init__", "canstream.__main__"}
+    assert modules - set(loaded.stdout.split()) == set()
 
 
 def test_scenario_json_round_trips_via_cli_format(tmp_path):

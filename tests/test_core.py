@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from canstream import (
     AMessage,
-    RunOptions,
     Scenario,
     TimedStream,
     make_amessage,
@@ -68,8 +67,6 @@ def test_validate_node_range():
 def test_validate_degenerate_counts():
     assert any(v.rule == "node-count" for v in validate_scenario(Scenario(0, 4)))
     assert any(v.rule == "horizon" for v in validate_scenario(Scenario(1, -1)))
-    bad_opts = Scenario(1, 4, options=RunOptions(req_delay=-1))
-    assert any(v.rule == "req-delay" for v in validate_scenario(bad_opts))
 
 
 def test_validate_zero_horizon_is_fine():

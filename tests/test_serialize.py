@@ -13,6 +13,7 @@ from canstream import (
     RunError,
     RunOptions,
     Scenario,
+    ScenarioError,
     TimedStream,
     check_all,
     run_can_only,
@@ -96,10 +97,25 @@ def test_report_serializes(golden_scenario):
 
 def test_scenario_options_defaults():
     s = scenario_from_json('{"nodeCount": 1, "horizon": 4}')
-    assert s.options.bootstrap_request_tick == 0
-    assert s.options.req_delay == 1
-    assert s.options.mt_latency == 2
-    assert s.options.fidelity_row2 is False
+    assert s.options == RunOptions(bootstrap_request_tick=0, fidelity_row2=False)
+
+
+@pytest.mark.parametrize("key,rule,value", [
+    ("reqDelay", "req-delay", 0), ("reqDelay", "req-delay", 2),
+    ("mtLatency", "mt-latency", 1), ("mtLatency", "mt-latency", 3),
+])
+def test_fixed_options_reject_any_other_value(key, rule, value):
+    with pytest.raises(ScenarioError, match=f"^{rule}: {key} is fixed at .*, got {value}$"):
+        scenario_from_json(json.dumps({"nodeCount": 1, "horizon": 4, "options": {key: value}}))
+
+
+def test_fixed_options_load_explicit_or_missing_and_are_written():
+    explicit = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {"reqDelay": 1, "mtLatency": 2}}')
+    missing = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {}}')
+    assert explicit == missing == scenario_from_json('{"nodeCount": 1, "horizon": 4}')
+    assert json.loads(scenario_to_json(explicit))["options"] == {
+        "bootstrapRequestTick": 0, "fidelityMode": False, "mtLatency": 2, "reqDelay": 1,
+    }
 
 
 def test_scenario_null_bootstrap_survives():

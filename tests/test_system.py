@@ -181,8 +181,7 @@ def test_can_only_trace_passes_all_checkers():
         _stream(8, t1=amsg(7, b"p"), t5=amsg(9, b"q")),
         _stream(8, t1=amsg(2, b"r")),
     ])
-    report = check_all(t, latency=2,
-                       predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
+    report = check_all(t, predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
     assert report.ok(strict=True), report.violations[:3]
 
 
