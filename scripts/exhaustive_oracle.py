@@ -10,26 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import permutations
 
-from canstream import AMessage, Injection, Scenario
+from canstream.fuzzing import two_node_scenarios
 from canstream.oracle import compare_with_simulator
-
-
-def enumerate_scenarios(ids, ticks, horizon):
-    for k1 in range(3):
-        for k2 in range(3):
-            for id_sel in permutations(ids, k1 + k2):
-                for t1 in permutations(ticks, k1):
-                    for t2 in permutations(ticks, k2):
-                        inj = tuple(
-                            Injection(1, t1[j], AMessage(id_sel[j], bytes([0x10 + id_sel[j]])))
-                            for j in range(k1)
-                        ) + tuple(
-                            Injection(2, t2[j], AMessage(id_sel[k1 + j], bytes([0x10 + id_sel[k1 + j]])))
-                            for j in range(k2)
-                        )
-                        yield Scenario(2, horizon, inj)
 
 
 def main() -> int:
@@ -41,7 +24,7 @@ def main() -> int:
 
     started = time.perf_counter()
     count = divergent = 0
-    for scenario in enumerate_scenarios(tuple(args.ids), tuple(args.ticks), args.horizon):
+    for scenario in two_node_scenarios(tuple(args.ids), tuple(args.ticks), args.horizon):
         count += 1
         result = compare_with_simulator(scenario)
         if not result.equivalent:

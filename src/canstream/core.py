@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-# Default cap on payload size, mirroring the classic 8-octet CAN data field.
-# This is configuration, not semantics: nothing in the model inspects payload
-# contents beyond equality.
-PAYLOAD_CAP_DEFAULT = 8
+# Largest payload a scenario may carry: the 8-octet data field of CAN 2.0.
+# Nothing in the model inspects payload contents beyond equality.
+MAX_PAYLOAD = 8
 
 # The request token. Request cells carry this single constant value.
 REQ = 0
@@ -53,15 +52,6 @@ class AMessage:
 
     id: int
     data: bytes
-
-
-def make_amessage(id: int, data: bytes, *, max_payload: int = PAYLOAD_CAP_DEFAULT) -> AMessage:
-    """Construct an AMessage, enforcing the configured payload cap."""
-    if id < 0:
-        raise ValueError(f"identifier must be a natural number, got {id}")
-    if len(data) > max_payload:
-        raise ValueError(f"payload of {len(data)} octets exceeds cap of {max_payload}")
-    return AMessage(id, bytes(data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +156,9 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
         if inj.message.id < 0:
             out.append(ScenarioViolation("identifier", inj.node, inj.tick,
                                          f"identifier {inj.message.id} is negative"))
+        if len(inj.message.data) > MAX_PAYLOAD:
+            out.append(ScenarioViolation("payload", inj.node, inj.tick,
+                                         f"payload of {len(inj.message.data)} octets exceeds {MAX_PAYLOAD}"))
         key = (inj.node, inj.tick)
         if key in seen:
             out.append(ScenarioViolation("duplicate-injection", inj.node, inj.tick,
@@ -174,8 +167,8 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
     return out
 
 
-# Stream families recorded per node in a trace. "a" (raw injections) is only
-# present when the run includes buffers; the rest always are.
+# Stream families recorded per node in every trace: the application input a,
+# the buffer's offer as, the delivery ar, the request r, and the symbol streams.
 PER_NODE_FAMILIES = ("a", "as", "ar", "r", "ms", "mr", "ws")
 
 
@@ -189,7 +182,7 @@ class Trace:
     states[t] is the snapshot of every component state entering tick t.
     """
 
-    scenario: Scenario | None
+    scenario: Scenario
     node_count: int
     horizon: int
     streams: dict[str, tuple[TimedStream, ...]]

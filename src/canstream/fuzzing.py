@@ -1,6 +1,6 @@
-"""Seeded random scenario generation for fuzz sweeps.
+"""Scenario generation for sweeps: seeded random, and exhaustive for two nodes.
 
-Generated scenarios follow the discipline the acceptance properties assume:
+Random scenarios follow the discipline the acceptance properties assume:
 injections land on odd ticks, identifiers are globally distinct within a
 scenario (so arbitration is never ambiguous), and payloads are arbitrary
 bytes. Everything is driven by a caller-supplied seed, so a sweep is exactly
@@ -9,6 +9,8 @@ reproducible.
 from __future__ import annotations
 
 import random
+from itertools import permutations
+from typing import Iterator
 
 from .core import AMessage, Injection, Scenario
 
@@ -34,3 +36,17 @@ def seeded_scenario(seed: int | str, index: int, nodes: int, horizon: int) -> Sc
     """Scenario `index` of the sweep identified by `seed`; fully deterministic."""
     rng = random.Random(f"{seed}:{index}")
     return random_scenario(rng, nodes, horizon)
+
+
+def two_node_scenarios(ids=(1, 2, 3, 4), ticks=(0, 1, 2), horizon: int = 16) -> Iterator[Scenario]:
+    """Every two-node scenario of up to two messages per node, with distinct ids
+    and distinct ticks per node; the defaults give the 2005-case oracle sweep."""
+    for k1 in range(3):
+        for k2 in range(3):
+            for id_sel in permutations(ids, k1 + k2):
+                for t1 in permutations(ticks, k1):
+                    for t2 in permutations(ticks, k2):
+                        yield Scenario(2, horizon, tuple(
+                            Injection(node, tick, AMessage(ident, bytes([0x10 + ident])))
+                            for node, tick, ident in zip((1,) * k1 + (2,) * k2, t1 + t2, id_sel)
+                        ))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from operator import itemgetter
+from string import hexdigits
 from typing import Any
 
 from .checkers import Report
@@ -64,23 +65,44 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+# JSON value kinds a scenario field may take, as (test, description). A bool
+# is not an integer here, and nothing is coerced.
+_INT = (lambda v: type(v) is int, "an integer")
+_INT_OR_NULL = (lambda v: v is None or type(v) is int, "an integer or null")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and all(c in hexdigits for c in v), "a hex string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+
+
+def _checked(name: str, value, kind: tuple):
+    """value if it is of the given kind, else a ScenarioError naming the field."""
+    accepts, expected = kind
+    if not accepts(value):
+        raise ScenarioError(f"{name} must be {expected}, got {json.dumps(value)}")
+    return value
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
-    opts = obj.get("options", {})
+    """The scenario of a parsed JSON document; a field of the wrong kind raises ScenarioError."""
+    _checked("scenario", obj, _OBJECT)
+    opts = _checked("options", obj.get("options", {}), _OBJECT)
     for key, rule, value in _FIXED_OPTIONS:
-        if opts.get(key, value) != value:
-            raise ScenarioError(f"{rule}: {key} is fixed at {value}, got {opts[key]!r}")
-    boot = opts.get("bootstrapRequestTick", 0)
+        given = opts.get(key, value)
+        if type(given) is not int or given != value:
+            raise ScenarioError(f"{rule}: {key} is fixed at {value}, got {json.dumps(given)}")
+    injections = []
+    for k, inj in enumerate(obj.get("injections", ())):
+        where = f"injections[{k}]"
+        node, tick, ident = (_checked(f"{where}.{key}", inj[key], _INT) for key in ("node", "tick", "id"))
+        data = bytes.fromhex(_checked(f"{where}.data", inj["data"], _HEX))
+        injections.append(Injection(node, tick, AMessage(ident, data)))
+    boot = _checked("bootstrapRequestTick", opts.get("bootstrapRequestTick", 0), _INT_OR_NULL)
+    fidelity = _checked("fidelityMode", opts.get("fidelityMode", False), _BOOL)
     return Scenario(
-        node_count=int(obj["nodeCount"]),
-        horizon=int(obj["horizon"]),
-        injections=tuple(
-            Injection(int(i["node"]), int(i["tick"]), AMessage(int(i["id"]), bytes.fromhex(i["data"])))
-            for i in obj.get("injections", ())
-        ),
-        options=RunOptions(
-            bootstrap_request_tick=None if boot is None else int(boot),
-            fidelity_row2=bool(opts.get("fidelityMode", False)),
-        ),
+        node_count=_checked("nodeCount", obj["nodeCount"], _INT),
+        horizon=_checked("horizon", obj["horizon"], _INT),
+        injections=tuple(injections),
+        options=RunOptions(bootstrap_request_tick=boot, fidelity_row2=fidelity),
     )
 
 
@@ -123,9 +145,8 @@ def _snapshot_to_obj(snap: dict, memo: dict[int, str]) -> str:
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    scenario = None if trace.scenario is None else scenario_to_dict(trace.scenario)
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
-              "horizon": trace.horizon, "scenario": scenario}
+              "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
     memo: dict[int, str] = {}
     fields = {
         family: ["[%s]" % ",".join(cells) for cells in zip(*[_texts(s.cells, memo) for s in per_node])]
@@ -184,8 +205,7 @@ def _snapshot_from_obj(obj: dict, read: dict) -> dict:
     """One tick's component states from their parsed JSON."""
     snap = {key: read[key](obj[key]) for key in ("encoders", "decoders", "llayers")}
     snap["wire"] = WireState(read["wr"](obj["wire"]["latch"]), tuple(obj["wire"]["sources"]))
-    if "buffers" in obj:
-        snap["buffers"] = tuple(BufferState(read["a"](b["buf"]), read["a"](b["b"])) for b in obj["buffers"])
+    snap["buffers"] = tuple(BufferState(read["a"](b["buf"]), read["a"](b["b"])) for b in obj["buffers"])
     return snap
 
 
@@ -198,15 +218,18 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     n = int(header["nodeCount"])
     horizon = int(header["horizon"])
-    scenario = None if header["scenario"] is None else scenario_from_dict(header["scenario"])
+    try:
+        scenario = scenario_from_dict(header["scenario"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"header field 'scenario': {exc}") from exc
     ticks = [json.loads(line) for line in lines[1:]]
     error = ticks.pop()["error"] if ticks and "error" in ticks[-1] else None
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
 
     read = _readers()
-    # Each tick has one entry per node in every family ("a" only with buffers) and in rows.
-    columns = {f: [] for f in PER_NODE_FAMILIES + ("rows",) if f != "a" or scenario is not None}
+    # Each tick has one entry per node in every family and in rows.
+    columns = {f: [] for f in PER_NODE_FAMILIES + ("rows",)}
     blank, blank_row = [[]] * n, ((),) * n
     wire, states, snap = [], [], None
     for t, tick in enumerate(ticks):

@@ -1,9 +1,9 @@
 """Composition of buffers, controllers, and the bus into one synchronous system.
 
-One kernel, `tick_system`, advances the system by one tick. `run_scenario`
-drives it with buffers fed from a scenario's injections; `run_can_only` drives
-the same kernel without buffers (`SystemState.buffers is None`), handing given
-offer streams straight to the encoders.
+One kernel, `tick_system`, advances the system by one tick, and one driver,
+`run_scenario`, steps it with each node's buffer fed from a scenario's
+injections. Every run therefore has buffers, and every trace records the
+application stream `a`, the buffer snapshots and the scenario it ran.
 
 Within a tick the bus first emits from its latch. Then each node in turn runs
 its whole chain: buffer emission, encoder, bus-access layer, decoder, request
@@ -31,8 +31,8 @@ ticks after the frame start, where the transmission contract looks for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .components import (
     REQ_CELL,
@@ -51,6 +51,7 @@ from .components import (
     wire_latch,
 )
 from .core import (
+    PER_NODE_FAMILIES,
     AMessage,
     Cell,
     ModelViolation,
@@ -67,14 +68,13 @@ from .core import (
 class SystemState:
     """All component states plus the executor's request bookkeeping.
 
-    buffers is None when the controllers are driven directly by offer
-    streams. raised holds each node's success request of the previous tick,
-    () or REQ_CELL, which the observable request stream shows this tick.
+    raised holds each node's success request of the previous tick, () or
+    REQ_CELL, which the observable request stream shows this tick.
     req_pending marks nodes whose last request is still waiting for a message
     to hand over.
     """
 
-    buffers: tuple[BufferState, ...] | None
+    buffers: tuple[BufferState, ...]
     encoders: tuple[EncoderState, ...]
     decoders: tuple[DecoderState, ...]
     llayers: tuple[LogicalLayerState, ...]
@@ -98,8 +98,7 @@ class Columns:
 
     @classmethod
     def for_state(cls, state: SystemState) -> "Columns":
-        families = ("as", "ar", "r", "ms", "mr", "ws") + (("a",) if state.buffers is not None else ())
-        return cls({family: [[] for _ in state.encoders] for family in families})
+        return cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES})
 
     def truncate(self, horizon: int) -> None:
         """Drop everything from tick `horizon` on, including a half-written tick."""
@@ -108,7 +107,7 @@ class Columns:
                 del column[horizon:]
         del self.wire[horizon:], self.rows[horizon:], self.states[horizon:]
 
-    def trace(self, scenario: Scenario | None, error: dict | None = None) -> Trace:
+    def trace(self, scenario: Scenario, error: dict | None = None) -> Trace:
         return Trace(
             scenario=scenario,
             node_count=len(self.streams["as"]),
@@ -153,9 +152,9 @@ def tick_system(
 ) -> SystemState:
     """Advance the system by one tick, appending every stream cell to columns.
 
-    cells[i] is node i+1's input at tick t: its application cell a when the
-    system has buffers, else its offer cell as. Returns the next state. If a
-    component raises, columns may hold part of tick t (see Columns.truncate).
+    cells[i] is node i+1's application cell a at tick t, which its buffer
+    takes in. Returns the next state. If a component raises, columns may hold
+    part of tick t (see Columns.truncate).
 
     All decoders read the same wire cell and start from one idle state, so
     their states stay one shared value. decoder_step therefore runs for the
@@ -164,31 +163,26 @@ def tick_system(
     because the step is a pure function.
     """
     buffers = state.buffers
-    snapshot = {
+    columns.states.append({
+        "buffers": buffers,
         "encoders": state.encoders,
         "decoders": state.decoders,
         "llayers": state.llayers,
         "wire": state.wire,
-    }
-    if buffers is not None:
-        snapshot["buffers"] = buffers
-    columns.states.append(snapshot)
+    })
     wr = wire_emission(state.wire, t)
     columns.wire.append(wr)
 
     streams = columns.streams
-    a_col, as_col, ar_col, r_col = streams.get("a"), streams["as"], streams["ar"], streams["r"]
+    a_col, as_col, ar_col, r_col = streams["a"], streams["as"], streams["ar"], streams["r"]
     ms_col, mr_col, ws_col = streams["ms"], streams["mr"], streams["ws"]
-    boot = buffers is not None and t == options.bootstrap_request_tick
+    boot = t == options.bootstrap_request_tick
     literal_row2 = options.fidelity_row2
     rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers, pending = [], [], [], [], [], [], [], []
     decoded_from, decoded = (None, None), None
     for i, enc in enumerate(state.encoders):
-        if buffers is None:
-            as_cell = cells[i]
-        else:
-            a_col[i].append(cells[i])
-            as_cell = buffer_emission(buffers[i], t)
+        a_col[i].append(cells[i])
+        as_cell = buffer_emission(buffers[i], t)
         ms, enc = encoder_step(enc, as_cell, t)
         ll = state.llayers[i]
         rows.append(dispatch_row(ms, wr, ll.lid))
@@ -204,11 +198,10 @@ def tick_system(
 
         # Buffer update: a success request acts in the tick it is raised, and
         # an unconsumed request stands until it can hand a message over.
-        if buffers is not None:
-            has_req = boot or state.req_pending[i] or bool(raised)
-            _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
-            new_buffers.append(buf)
-            pending.append(has_req and not buf.b)
+        has_req = boot or state.req_pending[i] or bool(raised)
+        _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
+        new_buffers.append(buf)
+        pending.append(has_req and not buf.b)
 
         as_col[i].append(as_cell)
         ms_col[i].append(ms)
@@ -223,36 +216,21 @@ def tick_system(
         raised_all.append(raised)
     columns.rows.append(tuple(rows))
     return SystemState(
-        buffers=None if buffers is None else tuple(new_buffers),
+        buffers=tuple(new_buffers),
         encoders=tuple(encoders),
         decoders=tuple(decoders),
         llayers=tuple(llayers),
         wire=wire_latch(ws_all, t),
         raised=tuple(raised_all),
-        req_pending=state.req_pending if buffers is None else tuple(pending),
+        req_pending=tuple(pending),
     )
 
 
-def _run(
-    scenario: Scenario | None,
-    state: SystemState,
-    inputs: Iterable[Sequence[Cell]],
-    options: RunOptions,
-) -> Trace:
-    """Step the kernel once per tick's input cells; a failure ends the trace at its tick."""
-    columns = Columns.for_state(state)
-    for t, cells in enumerate(inputs):
-        try:
-            state = tick_system(state, cells, t, options, columns)
-        except ModelViolation as exc:
-            columns.truncate(t)
-            partial = columns.trace(scenario, error={"tick": t, "message": str(exc)})
-            raise RunError(f"tick {t}: {exc}", partial) from exc
-    return columns.trace(scenario)
-
-
 def run_scenario(scenario: Scenario) -> Trace:
-    """Run a validated scenario to completion; identical inputs give identical traces."""
+    """Run a validated scenario to completion; identical inputs give identical traces.
+
+    A component failure raises RunError carrying the trace up to the failing tick.
+    """
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError("; ".join(v.detail for v in problems))
@@ -261,46 +239,16 @@ def run_scenario(scenario: Scenario) -> Trace:
     arrivals: dict[int, list[Cell]] = {}
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
-    inputs = (arrivals.get(t, quiet) for t in range(scenario.horizon))
     state = initial_state(n)
-    return _run(scenario, state, inputs, scenario.options)
-
-
-def run_can_only(
-    as_streams: Sequence[TimedStream],
-    options: RunOptions | None = None,
-) -> Trace:
-    """Drive controllers and bus directly from given offer streams (no buffers).
-
-    The streams must follow the discipline buffers establish: at most one
-    message per cell, offers only at odd ticks, and distinct identifiers among
-    simultaneous offers. Anything else is rejected up front rather than run
-    into undefined behaviour. There is no buffer to prime, so the request
-    stream r carries no bootstrap request.
-    """
-    options = options or RunOptions()
-    n = len(as_streams)
-    if n < 1:
-        raise ScenarioError("need at least one offer stream")
-    horizon = as_streams[0].horizon
-    problems: list[str] = []
-    for i, s in enumerate(as_streams, start=1):
-        if s.horizon != horizon:
-            problems.append(f"as_{i} horizon {s.horizon} != {horizon}")
-            continue
-        for t, cell in enumerate(s.cells):
-            if len(cell) > 1:
-                problems.append(f"as_{i} carries {len(cell)} messages at tick {t}")
-            if cell and t % 2 == 0:
-                problems.append(f"as_{i} offers at even tick {t}")
-    for t in range(horizon):
-        ids = [s.cells[t][0].id for s in as_streams if t < s.horizon and s.cells[t]]
-        if len(ids) != len(set(ids)):
-            problems.append(f"duplicate identifiers offered at tick {t}: {sorted(ids)}")
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    state = replace(initial_state(n), buffers=None)
-    return _run(None, state, zip(*(s.cells for s in as_streams)), options)
+    columns = Columns.for_state(state)
+    for t in range(scenario.horizon):
+        try:
+            state = tick_system(state, arrivals.get(t, quiet), t, scenario.options, columns)
+        except ModelViolation as exc:
+            columns.truncate(t)
+            partial = columns.trace(scenario, error={"tick": t, "message": str(exc)})
+            raise RunError(f"tick {t}: {exc}", partial) from exc
+    return columns.trace(scenario)
 
 
 def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from itertools import permutations
 from pathlib import Path
 
 from canstream import (
@@ -16,7 +15,6 @@ from canstream import (
     AMessage,
     DataSym,
     IdSym,
-    Injection,
     RunOptions,
     Scenario,
     check_all,
@@ -39,7 +37,7 @@ from canstream.components import (
     wire_emission,
     wire_latch,
 )
-from canstream.fuzzing import seeded_scenario
+from canstream.fuzzing import seeded_scenario, two_node_scenarios
 from canstream.primitives import broadcast, collect_elements, min_nat_list, pr_add, take_ids
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log
@@ -172,23 +170,11 @@ def test_criterion_3_transmission_sweep():
 def test_criterion_4_oracle_equivalence_exhaustive():
     with criterion(4, "oracle equivalence (exhaustive small scale)"):
         started = time.perf_counter()
-        ids, ticks = (1, 2, 3, 4), (0, 1, 2)
         count = 0
-        for k1 in range(3):
-            for k2 in range(3):
-                for id_sel in permutations(ids, k1 + k2):
-                    for t1 in permutations(ticks, k1):
-                        for t2 in permutations(ticks, k2):
-                            inj = tuple(
-                                Injection(1, t1[j], AMessage(id_sel[j], bytes([0x10 + id_sel[j]])))
-                                for j in range(k1)
-                            ) + tuple(
-                                Injection(2, t2[j], AMessage(id_sel[k1 + j], bytes([0x10 + id_sel[k1 + j]])))
-                                for j in range(k2)
-                            )
-                            result = compare_with_simulator(Scenario(2, 16, inj))
-                            assert result.equivalent, (inj, result.simulator_log, result.oracle_log)
-                            count += 1
+        for scenario in two_node_scenarios():
+            result = compare_with_simulator(scenario)
+            assert result.equivalent, (scenario.injections, result.simulator_log, result.oracle_log)
+            count += 1
         elapsed = time.perf_counter() - started
         assert count == 2005
         assert elapsed < 30.0, f"enumeration took {elapsed:.1f}s"

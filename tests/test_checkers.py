@@ -5,6 +5,7 @@ import pytest
 from canstream import (
     DataSym,
     IdSym,
+    Scenario,
     TimedStream,
     Trace,
     check_all,
@@ -31,7 +32,7 @@ def make_trace(families, n=1, wr=(), rows=(), states=()) -> Trace:
         return TimedStream.of(list(cells) + [()] * (horizon - len(cells)))
 
     return Trace(
-        scenario=None,
+        scenario=Scenario(n, horizon),
         node_count=n,
         horizon=horizon,
         streams={name: tuple(pad(s) for s in per_node) for name, per_node in families.items()},
@@ -155,13 +156,14 @@ def test_transmission_duplicate_min_id_is_warning():
 
 
 def test_transmission_latency_must_fit_horizon():
-    t = make_trace({
-        "as": [[(), ()]],
-        "ar": [[(), ()]],
-        "r": [[(), ()]],
-    })
-    with pytest.raises(ValueError, match="too short"):
-        check_message_transmission(t)
+    """Below FRAME_LATENCY + 1 ticks clauses 1 and 3 fit nowhere; clause 2 is still checked."""
+    m = amsg(3, b"x")
+    equal = make_trace({"as": [[(), ()]] * 2, "ar": [[(), (m,)]] * 2, "r": [[(), ()]] * 2}, n=2)
+    assert check_message_transmission(equal) == []
+    unequal = make_trace({"as": [[(), ()]] * 2, "ar": [[(), (m,)], [(), ()]], "r": [[(), ()]] * 2}, n=2)
+    found = check_message_transmission(unequal)
+    assert [(v.tick, v.streams) for v in found] == [(1, ("ar_1", "ar_2"))]
+    assert "clause 2" in found[0].expected
 
 
 # -- row 3 -------------------------------------------------------------------------

@@ -104,6 +104,53 @@ def test_run_rejects_a_fixed_option_at_another_value(tmp_path, capsys, key, rule
     assert not (tmp_path / "t").exists()
 
 
+def _with_option(key, value):
+    return {**GOLDEN, "options": {key: value}}
+
+
+def _with_injection_field(key, value):
+    return {**GOLDEN, "injections": [{**GOLDEN["injections"][0], key: value}]}
+
+
+# Scenario documents the loader rejects, by case: (document, what stderr names).
+MISTYPED = {
+    "fidelityMode string": (_with_option("fidelityMode", "false"), 'fidelityMode must be true or false, got "false"'),
+    "fidelityMode int": (_with_option("fidelityMode", 0), "fidelityMode must be true or false, got 0"),
+    "bootstrap string": (_with_option("bootstrapRequestTick", "0"),
+                         'bootstrapRequestTick must be an integer or null, got "0"'),
+    "bootstrap bool": (_with_option("bootstrapRequestTick", True),
+                       "bootstrapRequestTick must be an integer or null, got true"),
+    "reqDelay bool": (_with_option("reqDelay", True), "req-delay: reqDelay is fixed at 1, got true"),
+    "nodeCount bool": ({**GOLDEN, "nodeCount": True}, "nodeCount must be an integer, got true"),
+    "horizon string": ({**GOLDEN, "horizon": "6"}, 'horizon must be an integer, got "6"'),
+    "tick float": (_with_injection_field("tick", 0.9), "injections[0].tick must be an integer, got 0.9"),
+    "node float": (_with_injection_field("node", 1.0), "injections[0].node must be an integer, got 1.0"),
+    "id string": (_with_injection_field("id", "5"), 'injections[0].id must be an integer, got "5"'),
+    "data int": (_with_injection_field("data", 171), "injections[0].data must be a hex string, got 171"),
+    "data spaced": (_with_injection_field("data", "a b"), 'injections[0].data must be a hex string, got "a b"'),
+    "payload 9 octets": (_with_injection_field("data", "00" * 9), "payload: payload of 9 octets exceeds 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_run_rejects_a_field_of_the_wrong_type_or_size(tmp_path, capsys, case):
+    document, message = MISTYPED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2])
+def test_short_horizon_runs_then_checks_clean(tmp_path, horizon):
+    src = tmp_path / "short.json"
+    src.write_text(json.dumps({"nodeCount": 1, "horizon": horizon}))
+    out = tmp_path / "short.trace"
+    assert main(["run", "--scenario", str(src), "--trace", str(out)]) == 0
+    assert main(["check", "--trace", str(out), "--strict"]) == 0
+
+
 def test_zero_horizon_scenario_runs_clean(tmp_path):
     src = tmp_path / "empty.json"
     src.write_text(json.dumps({"nodeCount": 2, "horizon": 0, "injections": []}))

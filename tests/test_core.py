@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,34 +7,39 @@ from canstream import (
     AMessage,
     Scenario,
     TimedStream,
-    make_amessage,
     validate_scenario,
 )
+from canstream.core import MAX_PAYLOAD
+from canstream.serialize import scenario_from_json, scenario_to_json
 from .conftest import scenario
 
 
 def test_constructor_selector_identity():
-    m = make_amessage(5, b"\xab")
+    m = AMessage(5, b"\xab")
     assert m == AMessage(5, b"\xab")
     assert m.id == 5
     assert m.data == b"\xab"
 
 
-@given(st.integers(min_value=0), st.binary(max_size=8))
+@given(st.integers(min_value=0), st.binary(max_size=MAX_PAYLOAD))
 def test_construct_destruct_round_trip(ident, payload):
-    m = make_amessage(ident, payload)
-    assert (m.id, m.data) == (ident, payload)
+    s = scenario(1, 2, (1, 1, ident, payload))
+    assert validate_scenario(s) == []
+    (inj,) = scenario_from_json(scenario_to_json(s)).injections
+    assert (inj.message.id, inj.message.data) == (ident, payload)
 
 
 def test_oversized_payload_rejected():
-    with pytest.raises(ValueError):
-        make_amessage(1, b"\x00" * 9)
-    make_amessage(1, b"\x00" * 9, max_payload=16)  # cap is configuration
+    assert MAX_PAYLOAD == 8  # the CAN 2.0 data field
+    assert validate_scenario(scenario(1, 4, (1, 1, 5, b"\x00" * 8))) == []
+    found = validate_scenario(scenario(1, 4, (1, 1, 5, b"\x00" * 9)))
+    assert [(v.rule, v.node, v.tick, v.detail) for v in found] == [
+        ("payload", 1, 1, "payload of 9 octets exceeds 8")]
 
 
 def test_negative_identifier_rejected():
-    with pytest.raises(ValueError):
-        make_amessage(-1, b"")
+    found = validate_scenario(scenario(1, 4, (1, 1, -1, b"")))
+    assert [(v.rule, v.detail) for v in found] == [("identifier", "identifier -1 is negative")]
 
 
 def test_timed_stream_cell_access():

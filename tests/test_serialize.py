@@ -14,9 +14,7 @@ from canstream import (
     RunOptions,
     Scenario,
     ScenarioError,
-    TimedStream,
     check_all,
-    run_can_only,
     run_scenario,
 )
 from canstream.cli import EXIT_INPUT, main
@@ -30,7 +28,7 @@ from canstream.serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .conftest import amsg, scenario
+from .conftest import scenario
 from .test_system import _fail_second_call_at
 
 
@@ -48,12 +46,6 @@ def test_scenario_round_trip_random(rng):
 
 def test_trace_round_trip(two_node_scenario):
     t = run_scenario(two_node_scenario)
-    assert trace_from_jsonl(trace_to_jsonl(t)) == t
-
-
-def test_trace_round_trip_protocol_only():
-    streams = [TimedStream.of([[], [amsg(7, b"p")], [], [], [], []])]
-    t = run_can_only(streams)
     assert trace_from_jsonl(trace_to_jsonl(t)) == t
 
 
@@ -152,18 +144,14 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
     traces = [run_scenario(seeded_scenario("codec", i, nodes=1 + i % 6, horizon=rng.choice([4, 16, 64])))
               for i in range(60)]
     traces += [run_scenario(_any_scenario(rng, 1 + i % 6, rng.choice([0, 1, 2, 5, 16, 40]))) for i in range(100)]
-    traces += [run_can_only(t.streams["as"]) for t in traces[:30] if t.horizon]
     for i in range(10):
         s = seeded_scenario("partial", i, nodes=2 + i % 3, horizon=16)
-        as_streams = run_scenario(s).streams["as"]
         traces.append(_partial(monkeypatch, lambda: run_scenario(s), i))
-        traces.append(_partial(monkeypatch, lambda: run_can_only(as_streams), i + 4))
-    kinds = {(t.node_count, t.horizon == 0, t.scenario is None, t.error is not None) for t in traces}
-    assert {k[0] for k in kinds} == set(range(1, 7)) and any(k[1] for k in kinds)
-    assert any(k[2] and k[3] for k in kinds) and any(not k[2] and k[3] for k in kinds)
-    options = [t.scenario.options for t in traces if t.scenario is not None]
+    kinds = {(t.node_count, t.horizon == 0, t.error is not None) for t in traces}
+    assert {k[0] for k in kinds} == set(range(1, 7)) and any(k[1] for k in kinds) and any(k[2] for k in kinds)
+    options = [t.scenario.options for t in traces]
     assert any(o.fidelity_row2 for o in options) and any(o.bootstrap_request_tick not in (0, None) for o in options)
-    assert any(i.tick % 2 == 0 and i.tick for t in traces if t.scenario for i in t.scenario.injections)
+    assert any(i.tick % 2 == 0 and i.tick for t in traces for i in t.scenario.injections)
     for trace in traces:
         text = trace_to_jsonl(trace)
         for line in text.splitlines():
@@ -190,7 +178,14 @@ def _unknown_symbol_kind(lines):
     _edit_tick(t - 1, lambda tick: tick["ws"][0][0].update(sym="bogus"))(lines)
 
 
+def _null_scenario(lines):
+    header = json.loads(lines[0])
+    header["scenario"] = None
+    lines[0] = _dumps(header)
+
+
 MALFORMED = {
+    "null scenario": (_null_scenario, r"^header field 'scenario': scenario must be an object, got null$"),
     "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
     "extra node entry": (_edit_tick(3, lambda tick: tick["as"].append([])), r"tick 3: field 'as'"),
     "short family list": (_edit_tick(3, lambda tick: tick["ms"].pop()), r"tick 3: field 'ms'"),

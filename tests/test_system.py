@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
-    REQ,
     DataSym,
     IdSym,
     ModelViolation,
     RunError,
     ScenarioError,
-    TimedStream,
-    run_can_only,
     run_scenario,
 )
 from canstream.fuzzing import random_scenario, seeded_scenario
@@ -129,79 +126,6 @@ def test_seeded_scenarios_are_reproducible():
     assert a == b
 
 
-# -- driving the protocol layer directly -------------------------------------------
-
-def _stream(horizon, **at):
-    out = [[] for _ in range(horizon)]
-    for tick, msg in at.items():
-        out[int(tick[1:])] = [msg]
-    return TimedStream.of(out)
-
-
-def test_can_only_single_offer():
-    a1 = _stream(6, t1=amsg(7, b"p"))
-    a2 = _stream(6)
-    t = run_can_only([a1, a2])
-    for node in (1, 2):
-        assert delivery_log(t, node) == [(3, amsg(7, b"p"))]
-    assert cells(t, "r", 1)[3] == [0]
-    assert cells(t, "r", 2)[3] == []
-
-
-def test_can_only_empty_streams_deliver_nothing():
-    t = run_can_only([_stream(6), _stream(6)])
-    assert delivery_log(t, 1) == [] and delivery_log(t, 2) == []
-
-
-def test_can_only_arbitration_picks_min_id():
-    t = run_can_only([_stream(6, t1=amsg(4, b"p")), _stream(6, t1=amsg(2, b"q"))])
-    assert delivery_log(t, 1) == [(3, amsg(2, b"q"))]
-
-
-def test_can_only_rejects_even_tick_offers():
-    with pytest.raises(ScenarioError, match="even tick"):
-        run_can_only([_stream(4, t2=amsg(1, b""))])
-
-
-def test_can_only_rejects_duplicate_simultaneous_ids():
-    with pytest.raises(ScenarioError, match="duplicate identifiers"):
-        run_can_only([_stream(4, t1=amsg(3, b"a")), _stream(4, t1=amsg(3, b"b"))])
-
-
-def test_can_only_trace_has_no_application_streams():
-    t = run_can_only([_stream(4)])
-    assert "a" not in t.streams
-    assert "buffers" not in t.states[0]
-
-
-def test_can_only_trace_passes_all_checkers():
-    from canstream import check_all
-
-    t = run_can_only([
-        _stream(8, t1=amsg(7, b"p"), t5=amsg(9, b"q")),
-        _stream(8, t1=amsg(2, b"r")),
-    ])
-    report = check_all(t, predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
-    assert report.ok(strict=True), report.violations[:3]
-
-
-def test_can_only_reproduces_the_controller_half_of_a_full_run():
-    """Both entry points drive the one kernel; only buffers and bootstrap differ."""
-    for i in range(300):
-        s = seeded_scenario("kernel", i, nodes=1 + i % 6, horizon=32)
-        full = run_scenario(s)
-        can = run_can_only(full.streams["as"])
-        for family in ("as", "ms", "mr", "ws", "ar"):
-            assert can.streams[family] == full.streams[family], (i, family)
-        assert (can.wire, can.rows) == (full.wire, full.rows), i
-        assert can.states == tuple(
-            {k: v for k, v in snap.items() if k != "buffers"} for snap in full.states
-        ), i
-        for can_r, full_r in zip(can.streams["r"], full.streams["r"]):
-            assert full_r.cells[0] == (REQ,) + can_r.cells[0], i  # the bootstrap priming
-            assert can_r.cells[1:] == full_r.cells[1:], i
-
-
 # -- a component failing mid-run ------------------------------------------------
 
 def _fail_second_call_at(monkeypatch, k):
@@ -222,19 +146,13 @@ def _fail_second_call_at(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 6, 11])
-@pytest.mark.parametrize("entry", ["run_scenario", "run_can_only"])
+@pytest.mark.parametrize("entry", ["run_scenario"])
 def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, entry, k):
     s = seeded_scenario("partial", 3, nodes=3, horizon=16)
     full = run_scenario(s)
-    if entry == "run_scenario":
-        run = lambda: run_scenario(s)  # noqa: E731
-    else:
-        as_streams = full.streams["as"]
-        run = lambda: run_can_only(as_streams)  # noqa: E731
-        full = run()
     _fail_second_call_at(monkeypatch, k)
     with pytest.raises(RunError, match=f"tick {k}:") as info:
-        run()
+        run_scenario(s)
     trace = info.value.trace
     assert trace.horizon == k
     assert trace.error == {"tick": k, "message": f"synthetic failure at tick {k}"}
