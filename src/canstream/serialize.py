@@ -5,15 +5,25 @@ header line followed by one line per tick. All dumps are canonical (sorted
 keys, fixed separators, integers and hex strings only), so a given run always
 serializes to identical bytes.
 
-Trace lines are canonical JSON text written by hand. Within one dump each
-cell, message and state becomes text once and is then found by its id(), which
-is exact: the values are immutable and the trace keeps them all alive for the
-call, so no id is reused. A load builds each distinct message and state once,
-and a run of equal snapshots is decoded (and encoded) once.
+A version 2 tick line holds only what is non-empty or changed. Each stream
+family lists a [node index, cell] pair per non-empty cell. The state lists, per
+component family, a [node index, state] pair per node whose state differs from
+the previous tick's (tick 0 lists them all), and the wire state only when it
+changed. A state counts as changed unless it is the same object as before or
+equal to it, so the bytes depend on the trace's values alone. Version 1 lines
+list every node's entry; the loader reads such a list as the pairs
+enumerate(list), on the same path.
+
+Tick lines are canonical JSON text written by hand. Within one dump each cell,
+message and state becomes text once and is then found by its id(), which is
+exact: the values are immutable and the trace keeps them all alive for the
+call, so no id is reused. A load builds each distinct message and symbol once,
+and a tick whose state did not change shares the previous tick's snapshot.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from operator import itemgetter
 from string import hexdigits
 from typing import Any
@@ -35,7 +45,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 def _dumps(obj: Any) -> str:
@@ -45,7 +55,7 @@ def _dumps(obj: Any) -> str:
 # -- scenarios ---------------------------------------------------------------
 
 # Options that scenario files once let vary, as (key, rule, only value): every
-# other value broke the run. They are still read, for older files, and written.
+# other value broke the run. They are still read, for older files, but no longer written.
 _FIXED_OPTIONS = (("reqDelay", "req-delay", 1), ("mtLatency", "mt-latency", FRAME_LATENCY))
 
 
@@ -60,7 +70,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "options": {
             "bootstrapRequestTick": s.options.bootstrap_request_tick,
             "fidelityMode": s.options.fidelity_row2,
-            **{key: value for key, _, value in _FIXED_OPTIONS},
         },
     }
 
@@ -131,6 +140,9 @@ _FRAGMENTS = {
     WireState: lambda v, memo: '{"latch":%s,"sources":%s}' % tuple(_texts((v.latch, v.latch_sources), memo)),
 }
 
+# The per-node component families of a state snapshot, in key order; "wire" is one state.
+_COMPONENTS = ("buffers", "decoders", "encoders", "llayers")
+
 
 def _texts(values, memo: dict[int, str]) -> list[str]:
     """Each value's canonical JSON text, made once per dump and then found by id."""
@@ -138,25 +150,49 @@ def _texts(values, memo: dict[int, str]) -> list[str]:
     return [get(id(v)) or made(id(v), _FRAGMENTS[type(v)](v, memo)) for v in values]
 
 
-def _snapshot_to_obj(snap: dict, memo: dict[int, str]) -> str:
-    """One tick's component states as canonical JSON text."""
-    keys = sorted(snap)
-    return "{%s}" % ",".join('"%s":%s' % kv for kv in zip(keys, _texts([snap[k] for k in keys], memo)))
+def _sparse(per_node: tuple, horizon: int, memo: dict[int, str]) -> list[str]:
+    """Per tick, one family's [node index, cell] pair for each non-empty cell, as JSON text."""
+    ticks: list[list[str]] = [[] for _ in range(horizon)]
+    for i, stream in enumerate(per_node):
+        for t, cell in enumerate(stream.cells):
+            if cell:
+                ticks[t].append("[%d,%s]" % (i, _texts((cell,), memo)[0]))
+    return ["[%s]" % ",".join(pairs) for pairs in ticks]
+
+
+def _unset(n: int) -> dict:
+    """The snapshot before tick 0: every state unknown, so tick 0 gives them all."""
+    return {**dict.fromkeys(_COMPONENTS, (None,) * n), "wire": None}
+
+
+def _snapshot_to_obj(prev: dict, snap: dict, memo: dict[int, str]) -> str:
+    """The component states of one tick that differ from `prev`, as canonical JSON text.
+
+    Each family lists a [node index, state] pair per node whose state changed
+    and is left out if none did; wire is written only when it changed. A state
+    counts as changed unless it is the same object as before or equal to it, so
+    the text depends on the values alone.
+    """
+    parts = []
+    for key in _COMPONENTS:
+        old, new = prev[key], snap[key]
+        if old != new:  # a tuple compare tests each pair of entries for identity, then equality
+            changed = [i for i, (o, s) in enumerate(zip(old, new)) if not (o is s or o == s)]
+            texts = _texts([new[i] for i in changed], memo)
+            parts.append('"%s":[%s]' % (key, ",".join(map("[%d,%s]".__mod__, zip(changed, texts)))))
+    old, new = prev["wire"], snap["wire"]
+    if not (old is new or old == new):
+        parts.append('"wire":%s' % _texts((new,), memo)[0])
+    return "{%s}" % ",".join(parts)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
     memo: dict[int, str] = {}
-    fields = {
-        family: ["[%s]" % ",".join(cells) for cells in zip(*[_texts(s.cells, memo) for s in per_node])]
-        for family, per_node in trace.streams.items()
-    }
-    states, snap = [], None
-    for state in trace.states:  # runs of equal snapshots are common: encode each run once
-        if state != snap:
-            snap, text = state, _snapshot_to_obj(state, memo)
-        states.append(text)
+    fields = {family: _sparse(per_node, trace.horizon, memo) for family, per_node in trace.streams.items()}
+    prevs = (_unset(trace.node_count),) + trace.states
+    states = ["{}" if snap == prev else _snapshot_to_obj(prev, snap, memo) for prev, snap in zip(prevs, trace.states)]
     fields.update(rows=_texts(trace.rows, memo), state=states, t=range(trace.horizon),
                   wr=_texts(trace.wire.cells, memo))
     keys = sorted(fields)
@@ -170,12 +206,8 @@ def trace_to_jsonl(trace: Trace) -> str:
 def _memo_reader(key, make):
     """A reader for one load: JSON list -> tuple, making each distinct key's value once."""
     memo: dict = {}
-
-    def made(k):
-        value = memo[k] = make(k)
-        return value
-
-    return lambda objs: () if objs == [] else tuple([memo.get(k) or made(k) for k in map(key, objs)])
+    get, made = memo.get, memo.setdefault
+    return lambda objs: () if objs == [] else tuple([get(k) or made(k, make(k)) for k in map(key, objs)])
 
 
 def _symbol(key: tuple):
@@ -186,26 +218,46 @@ def _symbol(key: tuple):
 
 
 def _readers() -> dict:
-    """Fresh readers for one load, by field name."""
+    """Fresh readers for one load, by field name: a cell, or one node's component state."""
     amessages = _memo_reader(itemgetter("id", "data"), lambda k: AMessage(int(k[0]), bytes.fromhex(k[1])))
     symbols = _memo_reader(itemgetter("sym", "value"), _symbol)
     return {
         **dict.fromkeys(("a", "as", "ar"), amessages),
         **dict.fromkeys(("ms", "mr", "ws", "wr"), symbols),
         "r": lambda cell: tuple(map(int, cell)),
-        "rows": int,
-        "encoders": _memo_reader(
-            itemgetter("e", "pending"), lambda k: EncoderState(k[0], None if k[1] is None else bytes.fromhex(k[1]))),
-        "decoders": _memo_reader(itemgetter("d", "lastId"), lambda k: DecoderState(*k)),
-        "llayers": _memo_reader(itemgetter("lid"), LogicalLayerState),
+        "buffers": lambda obj: BufferState(amessages(obj["buf"]), amessages(obj["b"])),
+        "decoders": lambda obj: DecoderState(obj["d"], obj["lastId"]),
+        "encoders": lambda obj: EncoderState(
+            obj["e"], None if obj["pending"] is None else bytes.fromhex(obj["pending"])),
+        "llayers": lambda obj: LogicalLayerState(obj["lid"]),
+        "wire": lambda obj: WireState(symbols(obj["latch"]), tuple(obj["sources"])),
     }
 
 
-def _snapshot_from_obj(obj: dict, read: dict) -> dict:
-    """One tick's component states from their parsed JSON."""
-    snap = {key: read[key](obj[key]) for key in ("encoders", "decoders", "llayers")}
-    snap["wire"] = WireState(read["wr"](obj["wire"]["latch"]), tuple(obj["wire"]["sources"]))
-    snap["buffers"] = tuple(BufferState(read["a"](b["buf"]), read["a"](b["b"])) for b in obj["buffers"])
+def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
+    """`old` with each [node index, value] pair's entry replaced by its read value.
+
+    Indices rise strictly within `old`. A line that lists every node's entry
+    (`listed`, as version 1 does) reads as the pairs enumerate(list).
+    """
+    if listed and len(pairs) != len(old):
+        raise ValueError(f"{len(pairs)} entries for {len(old)} nodes")
+    new, last = list(old), -1
+    for i, value in enumerate(pairs) if listed else pairs:
+        if type(i) is not int or not last < i < len(new):
+            raise ValueError(f"node index {_dumps(i)} out of order or out of range")
+        new[i], last = read(value), i
+    return tuple(new)
+
+
+def _snapshot_from_obj(obj: dict, prev: dict, read: dict, listed: bool) -> dict:
+    """`prev` with one tick line's state changes applied; `prev` itself if there are none."""
+    if not isinstance(obj, dict):
+        raise ValueError("not an object")
+    if not obj:
+        return prev
+    snap = {key: _applied(prev[key], obj[key], read[key], listed) if key in obj else prev[key] for key in _COMPONENTS}
+    snap["wire"] = read["wire"](obj["wire"]) if "wire" in obj else prev["wire"]
     return snap
 
 
@@ -214,24 +266,33 @@ def trace_from_jsonl(text: str) -> Trace:
     if not lines:
         raise ValueError("empty trace file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"header must be a JSON object, got a {type(header).__name__}")
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
-    n = int(header["nodeCount"])
-    horizon = int(header["horizon"])
+    version = header.get("version")
+    if type(version) is not int or version not in (1, TRACE_VERSION):
+        raise ValueError(f"header field 'version': expected 1 or {TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
+    n, horizon = header.get("nodeCount"), header.get("horizon")
+    if type(n) is not int or n != scenario.node_count:
+        raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
     ticks = [json.loads(line) for line in lines[1:]]
     error = ticks.pop()["error"] if ticks and "error" in ticks[-1] else None
+    # A run that failed stops early; one that did not runs the scenario's whole horizon.
+    if type(horizon) is not int or horizon > scenario.horizon or (error is None and horizon < scenario.horizon):
+        bound = "expected" if error is None else "at most"
+        raise ValueError(f"header field 'horizon': {bound} the scenario's {scenario.horizon}, got {_dumps(horizon)}")
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
 
-    read = _readers()
-    # Each tick has one entry per node in every family and in rows.
-    columns = {f: [] for f in PER_NODE_FAMILIES + ("rows",)}
-    blank, blank_row = [[]] * n, ((),) * n
-    wire, states, snap = [], [], None
+    read, listed = _readers(), version == 1
+    columns = {f: [] for f in PER_NODE_FAMILIES}
+    blank_row = ((),) * n
+    rows, wire, states, snap = [], [], [], _unset(n)
     for t, tick in enumerate(ticks):
         field = "t"
         try:
@@ -239,49 +300,32 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"expected {t}, found {tick['t']!r}")
             for field, column in columns.items():
                 cells = tick[field]
-                if len(cells) != n:
-                    raise ValueError(f"{len(cells)} entries for {n} nodes")
-                column.append(blank_row if cells == blank else tuple(map(read[field], cells)))
+                column.append(blank_row if cells == [] else _applied(blank_row, cells, read[field], listed))
+            field = "rows"
+            if len(tick["rows"]) != n:
+                raise ValueError(f"{len(tick['rows'])} entries for {n} nodes")
+            rows.append(tuple(map(int, tick["rows"])))
             field = "wr"
             wire.append(read["wr"](tick["wr"]))
             field = "state"
-            if snap is None or tick["state"] != ticks[t - 1]["state"]:  # decode each run of equal ones once
-                snap = _snapshot_from_obj(tick["state"], read)
+            snap = _snapshot_from_obj(tick["state"], snap, read, listed)
+            if t == 0 and (snap["wire"] is None or any(None in snap[key] for key in _COMPONENTS)):
+                raise ValueError("tick 0 must give every component state")
             states.append(snap)
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
 
-    rows = tuple(columns.pop("rows"))
     streams = {f: tuple(map(TimedStream, zip(*column))) or (TimedStream(()),) * n for f, column in columns.items()}
     return Trace(scenario=scenario, node_count=n, horizon=horizon, streams=streams, wire=TimedStream(tuple(wire)),
-                 rows=rows, states=tuple(states), error=error)
+                 rows=tuple(rows), states=tuple(states), error=error)
 
 
 # -- reports ------------------------------------------------------------------
 
 def report_to_dict(report: Report) -> dict:
-    def finding(v) -> dict:
-        return {
-            "predicate": v.predicate,
-            "tick": v.tick,
-            "streams": list(v.streams),
-            "expected": v.expected,
-            "observed": v.observed,
-            "severity": v.severity,
-        }
-
-    return {
-        "ok": report.ok(),
-        "predicates": [
-            {
-                "predicate": e.predicate,
-                "violations": [finding(v) for v in e.violations],
-                "warnings": [finding(w) for w in e.warnings],
-            }
-            for e in report.entries
-        ],
-    }
+    """The report as JSON-ready values: each entry's findings with every field of a Violation."""
+    return {"ok": report.ok(), "predicates": asdict(report)["entries"]}
 
 
 def report_to_json(report: Report) -> str:

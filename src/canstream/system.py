@@ -36,6 +36,9 @@ from typing import Sequence
 
 from .components import (
     REQ_CELL,
+    _EMPTY_WIRE,
+    _IDLE_DECODER,
+    _IDLE_ENCODER,
     BufferState,
     DecoderState,
     EncoderState,
@@ -132,12 +135,13 @@ class RunError(ModelViolation):
 
 
 def initial_state(node_count: int) -> SystemState:
+    """Every node idle: the components' shared idle values, so a state that stays idle stays the same object."""
     return SystemState(
         buffers=(BufferState(),) * node_count,
-        encoders=(EncoderState(),) * node_count,
-        decoders=(DecoderState(),) * node_count,
+        encoders=(_IDLE_ENCODER,) * node_count,
+        decoders=(_IDLE_DECODER,) * node_count,
         llayers=(LogicalLayerState(),) * node_count,
-        wire=WireState(),
+        wire=_EMPTY_WIRE,
         raised=((),) * node_count,
         req_pending=(False,) * node_count,
     )

@@ -57,8 +57,8 @@ def test_check_catches_corruption(golden_file, tmp_path):
     main(["run", "--scenario", str(golden_file), "--trace", str(out)])
     lines = out.read_text().splitlines()
     tick3 = json.loads(lines[4])
-    assert tick3["t"] == 3
-    tick3["ar"] = [[]]  # erase the delivery
+    assert tick3["t"] == 3 and tick3["ar"]
+    tick3["ar"] = []  # erase the delivery
     lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")
     assert main(["check", "--trace", str(out)]) == 1
@@ -76,7 +76,7 @@ def test_check_json_prints_the_report_with_the_same_exit_codes(golden_file, tmp_
 
     lines = out.read_text().splitlines()
     tick3 = json.loads(lines[4])
-    tick3["ar"] = [[]]  # erase the delivery
+    tick3["ar"] = []  # erase the delivery
     lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")
     assert main(["check", "--trace", str(out), "--json"]) == 1

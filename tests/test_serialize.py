@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from canstream.serialize import (
 )
 from .conftest import scenario
 from .test_system import _fail_second_call_at
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_scenario_round_trip(two_node_scenario):
@@ -101,13 +105,11 @@ def test_fixed_options_reject_any_other_value(key, rule, value):
         scenario_from_json(json.dumps({"nodeCount": 1, "horizon": 4, "options": {key: value}}))
 
 
-def test_fixed_options_load_explicit_or_missing_and_are_written():
+def test_fixed_options_load_explicit_or_missing_and_are_not_written():
     explicit = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {"reqDelay": 1, "mtLatency": 2}}')
     missing = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {}}')
     assert explicit == missing == scenario_from_json('{"nodeCount": 1, "horizon": 4}')
-    assert json.loads(scenario_to_json(explicit))["options"] == {
-        "bootstrapRequestTick": 0, "fidelityMode": False, "mtLatency": 2, "reqDelay": 1,
-    }
+    assert json.loads(scenario_to_json(explicit))["options"] == {"bootstrapRequestTick": 0, "fidelityMode": False}
 
 
 def test_scenario_null_bootstrap_survives():
@@ -161,6 +163,41 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
         assert trace_to_jsonl(loaded) == text
 
 
+def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
+    trace = run_scenario(seeded_scenario("copies", 3, nodes=3, horizon=32))
+    copied = tuple(
+        {key: replace(value) if key == "wire" else tuple(map(replace, value)) for key, value in snap.items()}
+        for snap in trace.states
+    )
+    assert copied == trace.states and copied[1]["wire"] is not trace.states[1]["wire"]
+    assert trace_to_jsonl(replace(trace, states=copied)) == trace_to_jsonl(trace)
+
+
+# Version 1 traces, written before tick lines held only changes, and the scenarios they ran.
+V1_GOLDENS = {
+    "single_node.jsonl": scenario(1, 6, (1, 0, 5, b"\xab")),
+    "three_node.v1.jsonl": seeded_scenario("v1-fixture", 2, nodes=3, horizon=24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V1_GOLDENS))
+def test_version_1_traces_load_to_the_trace_of_a_fresh_run(name):
+    text = (GOLDENS / name).read_text()
+    assert json.loads(text.splitlines()[0])["version"] == 1
+    trace = run_scenario(V1_GOLDENS[name])
+    assert any(trace.streams["ar"][0].cells)
+    loaded = trace_from_jsonl(text)
+    assert loaded == trace
+    assert trace_to_jsonl(loaded) == trace_to_jsonl(trace)
+
+
+def test_a_version_1_line_lists_every_node():
+    lines = (GOLDENS / "three_node.v1.jsonl").read_text().splitlines()
+    _edit_tick(5, lambda tick: tick["ms"].pop())(lines)
+    with pytest.raises(ValueError, match=r"^tick 5: field 'ms': 2 entries for 3 nodes$"):
+        trace_from_jsonl("\n".join(lines) + "\n")
+
+
 def _swap_ticks_1_and_2(lines):
     lines[2], lines[3] = lines[3], lines[2]
 
@@ -174,21 +211,50 @@ def _edit_tick(t, edit):
 
 
 def _unknown_symbol_kind(lines):
-    t = next(t for t in range(1, len(lines)) if json.loads(lines[t])["ws"][0])
-    _edit_tick(t - 1, lambda tick: tick["ws"][0][0].update(sym="bogus"))(lines)
+    t = next(t for t in range(1, len(lines)) if json.loads(lines[t])["ws"])
+    _edit_tick(t - 1, lambda tick: tick["ws"][0][1][0].update(sym="bogus"))(lines)
 
 
-def _null_scenario(lines):
-    header = json.loads(lines[0])
-    header["scenario"] = None
-    lines[0] = _dumps(header)
+def _edit_header(edit):
+    def mutate(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = _dumps(header)
+    return mutate
+
+
+def _error_line_after_scenario_horizon(lines):
+    """A failed run's trace whose header horizon exceeds its scenario's."""
+    _edit_header(lambda header: header["scenario"].update(horizon=header["horizon"] - 1))(lines)
+    lines.append(_dumps({"error": {"tick": 8, "message": "stop"}}))
+
+
+def _header_not_an_object(lines):
+    lines[0] = "[1]"
 
 
 MALFORMED = {
-    "null scenario": (_null_scenario, r"^header field 'scenario': scenario must be an object, got null$"),
+    "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
+                      r"^header field 'scenario': scenario must be an object, got null$"),
+    "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
+    "unknown version": (_edit_header(lambda header: header.update(version=3)),
+                        r"^header field 'version': expected 1 or 2, got 3$"),
+    "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
+                                             r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
+    "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
+                                          r"^header field 'horizon': expected the scenario's 99, got 8$"),
+    "horizon beyond the scenario with an error line": (_error_line_after_scenario_horizon,
+                                                       r"^header field 'horizon': at most the scenario's 7, got 8$"),
     "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
-    "extra node entry": (_edit_tick(3, lambda tick: tick["as"].append([])), r"tick 3: field 'as'"),
-    "short family list": (_edit_tick(3, lambda tick: tick["ms"].pop()), r"tick 3: field 'ms'"),
+    "extra node entry": (_edit_tick(3, lambda tick: tick["rows"].append(1)), r"tick 3: field 'rows'"),
+    "short family list": (_edit_tick(0, lambda tick: tick["state"]["encoders"].pop()),
+                          r"tick 0: field 'state': tick 0 must give every component state"),
+    "node index out of range": (_edit_tick(1, lambda tick: tick["as"].append([2, []])),
+                                r"tick 1: field 'as': node index 2 out of order or out of range"),
+    "negative node index": (_edit_tick(1, lambda tick: tick["as"][0].__setitem__(0, -1)),
+                            r"tick 1: field 'as': node index -1 out of order or out of range"),
+    "node indices out of order": (_edit_tick(0, lambda tick: tick["a"].reverse()),
+                                  r"tick 0: field 'a': node index 0 out of order or out of range"),
     "missing family": (_edit_tick(4, lambda tick: tick.pop("mr")), r"tick 4: field 'mr'"),
     "unknown symbol kind": (_unknown_symbol_kind, r"tick \d+: field 'ws': unknown symbol kind 'bogus'"),
 }

@@ -120,6 +120,17 @@ def test_internal_guarantees_on_random_runs(rng):
         assert cells(t, "mr", node) == cells(t, "wr")
 
 
+def test_a_state_that_does_not_change_stays_the_same_object():
+    """Between ticks, every component state is the previous object or a different value."""
+    for i in range(40):
+        states = run_scenario(seeded_scenario("identity", i, nodes=1 + i % 5, horizon=64)).states
+        for prev, snap in zip(states, states[1:]):
+            pairs = [(prev["wire"], snap["wire"])]
+            for key in ("buffers", "encoders", "decoders", "llayers"):
+                pairs += zip(prev[key], snap[key])
+            assert all(old is new or old != new for old, new in pairs), (i, snap)
+
+
 def test_seeded_scenarios_are_reproducible():
     a = seeded_scenario(42, 7, nodes=3, horizon=64)
     b = seeded_scenario(42, 7, nodes=3, horizon=64)
