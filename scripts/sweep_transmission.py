@@ -11,6 +11,7 @@ import sys
 import time
 
 from canstream import check_all
+from canstream.checkers import ALL_PREDICATES
 from canstream.fuzzing import seeded_scenario
 from canstream.system import run_scenario
 
@@ -28,7 +29,7 @@ def main() -> int:
     for i in range(args.count):
         scenario = seeded_scenario(args.seed, i, nodes=2 + (i % 4), horizon=args.horizon)
         trace = run_scenario(scenario)
-        report = check_all(trace, predicates=("msg1", "format", "wire", "transmission", "row3", "structural"))
+        report = check_all(trace, predicates=ALL_PREDICATES)
         for entry in report.entries:
             totals[entry.predicate] = totals.get(entry.predicate, 0) + len(entry.violations)
         if not report.ok():

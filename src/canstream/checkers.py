@@ -9,7 +9,7 @@ inside the horizon; boundary ticks are skipped, never assumed to pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import FRAME_LATENCY, AMessage, DataSym, IdSym, Trace
 from .primitives import collect_elements, min_of_list, take_ids
@@ -25,7 +25,6 @@ class Violation:
     streams: tuple[str, ...]
     expected: str
     observed: str
-    severity: str = "violation"
 
 
 def render_cell(cell: Sequence) -> str:
@@ -122,9 +121,9 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
     (3) The minimum-identifier offer of a tick is acknowledged to its sender
         and delivered to every node FRAME_LATENCY ticks later.
 
-    Ticks where several nodes offer the same minimal identifier make (3)
-    ambiguous; those are reported as warnings and skipped. (1) and (3) are
-    checked for the ticks whose delivery tick lies inside the horizon.
+    Each identifier belongs to one sender, so several nodes offering the same
+    minimal identifier break (3) outright. (1) and (3) are checked for the
+    ticks whose delivery tick lies inside the horizon.
     """
     n = trace.node_count
     as_streams = trace.streams["as"]
@@ -164,7 +163,6 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
                 "transmission", t, tuple(f"as_{i + 1}" for i in winners),
                 "a unique minimal identifier (clause 3)",
                 f"identifier {best} offered by nodes {[i + 1 for i in winners]}",
-                severity="warning",
             ))
             continue
         w = winners[0]
@@ -246,7 +244,6 @@ def check_structural(trace: Trace) -> list[Violation]:
 class ReportEntry:
     predicate: str
     violations: tuple[Violation, ...]
-    warnings: tuple[Violation, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,20 +254,8 @@ class Report:
     def violations(self) -> tuple[Violation, ...]:
         return tuple(v for e in self.entries for v in e.violations)
 
-    @property
-    def warnings(self) -> tuple[Violation, ...]:
-        return tuple(w for e in self.entries for w in e.warnings)
-
-    def ok(self, strict: bool = False) -> bool:
-        if self.violations:
-            return False
-        return not (strict and self.warnings)
-
-
-def _split(findings: Iterable[Violation]) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
-    violations = tuple(f for f in findings if f.severity == "violation")
-    warnings = tuple(f for f in findings if f.severity == "warning")
-    return violations, warnings
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def check_all(trace: Trace, predicates: Sequence[str] = DEFAULT_PREDICATES) -> Report:
@@ -287,7 +272,7 @@ def check_all(trace: Trace, predicates: Sequence[str] = DEFAULT_PREDICATES) -> R
                 for node in range(1, trace.node_count + 1):
                     findings += check_msg1(trace, f"{family}_{node}")
         findings += check_msg1(trace, "wr")
-        entries.append(ReportEntry("msg1", *_split(findings)))
+        entries.append(ReportEntry("msg1", tuple(findings)))
 
     if "format" in predicates:
         findings = []
@@ -295,18 +280,18 @@ def check_all(trace: Trace, predicates: Sequence[str] = DEFAULT_PREDICATES) -> R
             for node in range(1, trace.node_count + 1):
                 findings += check_msg_can_format(trace, f"{family}_{node}")
         findings += check_msg_can_format(trace, "wr")
-        entries.append(ReportEntry("format", *_split(findings)))
+        entries.append(ReportEntry("format", tuple(findings)))
 
     if "wire" in predicates:
-        entries.append(ReportEntry("wire", *_split(check_wire_assumptions(trace))))
+        entries.append(ReportEntry("wire", tuple(check_wire_assumptions(trace))))
 
     if "transmission" in predicates:
-        entries.append(ReportEntry("transmission", *_split(check_message_transmission(trace))))
+        entries.append(ReportEntry("transmission", tuple(check_message_transmission(trace))))
 
     if "row3" in predicates:
-        entries.append(ReportEntry("row3", *_split(check_row3_unreachable(trace))))
+        entries.append(ReportEntry("row3", tuple(check_row3_unreachable(trace))))
 
     if "structural" in predicates:
-        entries.append(ReportEntry("structural", *_split(check_structural(trace))))
+        entries.append(ReportEntry("structural", tuple(check_structural(trace))))
 
     return Report(tuple(entries))

@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checkers import ALL_PREDICATES, Report, check_all
-from .core import ScenarioError, validate_scenario
+from .core import ScenarioError, require_valid
 from .fuzzing import seeded_scenario
 from .oracle import compare_with_simulator
 from .serialize import (
@@ -55,29 +55,26 @@ def _load_scenario(path: str, fidelity: bool):
             scenario,
             options=replace(scenario.options, fidelity_row2=True, bootstrap_request_tick=None),
         )
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError("; ".join(f"{v.rule}: {v.detail}" for v in problems))
+    require_valid(scenario)
     return scenario
 
 
 def _print_report(report: Report) -> None:
     for entry in report.entries:
-        status = "FAIL" if entry.violations else ("WARN" if entry.warnings else "PASS")
-        print(f"{status} {entry.predicate}: {len(entry.violations)} violations, {len(entry.warnings)} warnings")
-        for v in entry.violations + entry.warnings:
+        status = "FAIL" if entry.violations else "PASS"
+        print(f"{status} {entry.predicate}: {len(entry.violations)} violations")
+        for v in entry.violations:
             where = f"tick {v.tick}" if v.tick is not None else "global"
-            print(f"  [{v.severity}] {where} {','.join(v.streams)}: expected {v.expected}; observed {v.observed}")
+            print(f"  {where} {','.join(v.streams)}: expected {v.expected}; observed {v.observed}")
 
 
 def _cmd_run(args) -> int:
     try:
         scenario = _load_scenario(args.scenario, args.fidelity)
+        trace = run_scenario(scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        trace = run_scenario(scenario)
     except RunError as exc:
         Path(args.trace).write_text(trace_to_jsonl(exc.trace))
         print(f"component error: {exc}", file=sys.stderr)
@@ -108,7 +105,7 @@ def _cmd_check(args) -> int:
         print(report_to_json(report), end="")
     else:
         _print_report(report)
-    return EXIT_OK if report.ok(strict=args.strict) else EXIT_VIOLATIONS
+    return EXIT_OK if report.ok() else EXIT_VIOLATIONS
 
 
 def _cmd_fuzz(args) -> int:
@@ -146,17 +143,13 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_oracle_diff(args) -> int:
     try:
-        scenario = _load_scenario(args.scenario, args.fidelity)
+        result = compare_with_simulator(_load_scenario(args.scenario, args.fidelity))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        result = compare_with_simulator(scenario)
     except RunError as exc:
         print(f"component error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if result.flagged_ticks:
-        print(f"warning: ambiguous arbitration (duplicate identifiers) at ticks {list(result.flagged_ticks)}")
     if result.equivalent:
         print(f"equivalent: {len(result.simulator_log)} deliveries match the oracle")
         return EXIT_OK
@@ -180,7 +173,6 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="check a trace against the protocol predicates")
     p_check.add_argument("--trace", required=True)
-    p_check.add_argument("--strict", action="store_true", help="treat warnings as failures")
     p_check.add_argument("--only", default=None, help=f"comma-separated subset of {','.join(ALL_PREDICATES)}")
     p_check.add_argument("--json", action="store_true", help="print the report as one JSON object")
     p_check.set_defaults(func=_cmd_check)

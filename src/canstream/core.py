@@ -146,6 +146,7 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
     if boot is not None and boot < 0:
         out.append(ScenarioViolation("bootstrap", None, None, f"bootstrapRequestTick must be >= 0, got {boot}"))
     seen: set[tuple[int, int]] = set()
+    senders: dict[int, int] = {}  # identifier -> the node that first injects it
     for inj in s.injections:
         if not 1 <= inj.node <= s.node_count:
             out.append(ScenarioViolation("node-range", inj.node, inj.tick,
@@ -164,7 +165,20 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
             out.append(ScenarioViolation("duplicate-injection", inj.node, inj.tick,
                                          f"two injections at node {inj.node}, tick {inj.tick}"))
         seen.add(key)
+        # Arbitration lets the smallest identifier win, so each identifier
+        # belongs to one sender (CAN 2.0); one node may repeat it.
+        sender = senders.setdefault(inj.message.id, inj.node)
+        if sender != inj.node:
+            out.append(ScenarioViolation("duplicate-identifier", inj.node, inj.tick,
+                                         f"identifier {inj.message.id} is injected at nodes {sender} and {inj.node}"))
     return out
+
+
+def require_valid(s: Scenario) -> None:
+    """Raise a ScenarioError naming each broken rule, if the scenario breaks any."""
+    problems = validate_scenario(s)
+    if problems:
+        raise ScenarioError("; ".join(f"{v.rule}: {v.detail}" for v in problems))
 
 
 # Stream families recorded per node in every trace: the application input a,

@@ -1,10 +1,10 @@
 """Scenario generation for sweeps: seeded random, and exhaustive for two nodes.
 
 Random scenarios follow the discipline the acceptance properties assume:
-injections land on odd ticks, identifiers are globally distinct within a
-scenario (so arbitration is never ambiguous), and payloads are arbitrary
-bytes. Everything is driven by a caller-supplied seed, so a sweep is exactly
-reproducible.
+injections land on odd ticks, identifiers are distinct within a scenario
+(each identifier has one sender, as the `duplicate-identifier` rule
+requires), and payloads are arbitrary bytes. Everything is driven by a
+caller-supplied seed, so a sweep is exactly reproducible.
 """
 from __future__ import annotations
 

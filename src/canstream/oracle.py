@@ -10,9 +10,11 @@ and commits an arriving message immediately.
 
 It deliberately shares no machinery with the simulator (its own insertion and
 minimum handling via the bisect module), so agreement between the two is
-evidence rather than tautology. Stalling configurations (no priming, literal
-row 2) are ignored here on purpose: the oracle states what a correct bus would
-deliver, which is exactly what makes the stalls visible in a comparison.
+evidence rather than tautology. Each identifier belongs to one sender (the
+scenario's `duplicate-identifier` rule), so the smallest committed identifier
+is always unique. Stalling configurations (no priming, literal row 2) are
+ignored here on purpose: the oracle states what a correct bus would deliver,
+which is exactly what makes the stalls visible in a comparison.
 """
 from __future__ import annotations
 
@@ -20,14 +22,13 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 
-from .core import FRAME_LATENCY, AMessage, Scenario, ScenarioError, Trace, validate_scenario
+from .core import FRAME_LATENCY, AMessage, Scenario, Trace, require_valid
 from .system import delivery_log, run_scenario
 
 
-def _run(scenario: Scenario) -> tuple[list[tuple[int, AMessage]], list[int]]:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError("; ".join(v.detail for v in problems))
+def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
+    """Expected delivery log [(tick, message), ...] for a scenario."""
+    require_valid(scenario)
     n = scenario.node_count
     horizon = scenario.horizon
     boot = scenario.options.bootstrap_request_tick
@@ -42,17 +43,12 @@ def _run(scenario: Scenario) -> tuple[list[tuple[int, AMessage]], list[int]]:
     ready = [False] * n
     handoff_due = [-1] * n  # tick at which a winner commits its next message
     log: list[tuple[int, AMessage]] = []
-    flagged: list[int] = []
 
     for t in range(horizon):
         if t % 2 == 1:
             contenders = [i for i in range(n) if committed[i] is not None]
             if contenders:
-                best = min(committed[i].id for i in contenders)
-                winners = [i for i in contenders if committed[i].id == best]
-                if len(winners) > 1:
-                    flagged.append(t)
-                w = winners[0]
+                w = min(contenders, key=lambda i: committed[i].id)
                 if t + FRAME_LATENCY < horizon:
                     log.append((t + FRAME_LATENCY, committed[w]))
                 handoff_due[w] = t + 1
@@ -71,12 +67,6 @@ def _run(scenario: Scenario) -> tuple[list[tuple[int, AMessage]], list[int]]:
                 ready[i] = committed[i] is None
             elif arrived is not None:
                 insort(backlog[i], (arrived.id, next(counter), arrived))
-    return log, flagged
-
-
-def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
-    """Expected delivery log [(tick, message), ...] for a scenario."""
-    log, _ = _run(scenario)
     return log
 
 
@@ -93,7 +83,6 @@ class CompareResult:
     simulator_log: tuple[tuple[int, AMessage], ...]
     oracle_log: tuple[tuple[int, AMessage], ...]
     first_divergence: int | None
-    flagged_ticks: tuple[int, ...]
     trace: Trace
     divergent_node: int | None = None
 
@@ -101,8 +90,7 @@ class CompareResult:
 def compare_with_simulator(scenario: Scenario) -> CompareResult:
     """Run both models and compare every node's delivery sequence exactly."""
     trace = run_scenario(scenario)
-    log, flagged = _run(scenario)
-    expected = tuple(log)
+    expected = tuple(oracle_run(scenario))
     logs = [tuple(delivery_log(trace, node)) for node in range(1, trace.node_count + 1)]
     node = next((k for k, sim in enumerate(logs, start=1) if sim != expected), None)
     sim = logs[0 if node is None else node - 1]
@@ -117,7 +105,6 @@ def compare_with_simulator(scenario: Scenario) -> CompareResult:
         simulator_log=sim,
         oracle_log=expected,
         first_divergence=divergence,
-        flagged_ticks=tuple(flagged),
         trace=trace,
         divergent_node=node,
     )

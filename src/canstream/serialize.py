@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from operator import itemgetter
 from string import hexdigits
 from typing import Any
 
@@ -42,6 +41,7 @@ from .core import (
     ScenarioError,
     TimedStream,
     Trace,
+    require_valid,
 )
 
 TRACE_FORMAT = "canstream-trace"
@@ -74,9 +74,10 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-# JSON value kinds a scenario field may take, as (test, description). A bool
-# is not an integer here, and nothing is coerced.
+# JSON value kinds a scenario or trace field may take, as (test, description).
+# A bool is not an integer here, and nothing is coerced.
 _INT = (lambda v: type(v) is int, "an integer")
+_INTS = (lambda v: type(v) is list and {int}.issuperset(map(type, v)), "a list of integers")
 _INT_OR_NULL = (lambda v: v is None or type(v) is int, "an integer or null")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and all(c in hexdigits for c in v), "a hex string")
@@ -211,20 +212,22 @@ def _memo_reader(key, make):
 
 
 def _symbol(key: tuple):
-    kind, value = key
+    kind, value, _ = key
     if kind not in ("id", "data"):
         raise ValueError(f"unknown symbol kind {kind!r}")
-    return IdSym(int(value)) if kind == "id" else DataSym(bytes.fromhex(value))
+    return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(bytes.fromhex(value))
 
 
 def _readers() -> dict:
     """Fresh readers for one load, by field name: a cell, or one node's component state."""
-    amessages = _memo_reader(itemgetter("id", "data"), lambda k: AMessage(int(k[0]), bytes.fromhex(k[1])))
-    symbols = _memo_reader(itemgetter("sym", "value"), _symbol)
+    # A key holds the type of its number too: 1, 1.0 and true are one dict key.
+    amessages = _memo_reader(lambda o: (o["id"], o["data"], type(o["id"])),
+                             lambda k: AMessage(_checked("id", k[0], _INT), bytes.fromhex(k[1])))
+    symbols = _memo_reader(lambda o: (o["sym"], o["value"], type(o["value"])), _symbol)
     return {
         **dict.fromkeys(("a", "as", "ar"), amessages),
         **dict.fromkeys(("ms", "mr", "ws", "wr"), symbols),
-        "r": lambda cell: tuple(map(int, cell)),
+        "r": lambda cell: tuple(_checked("request cell", cell, _INTS)),
         "buffers": lambda obj: BufferState(amessages(obj["buf"]), amessages(obj["b"])),
         "decoders": lambda obj: DecoderState(obj["d"], obj["lastId"]),
         "encoders": lambda obj: EncoderState(
@@ -275,6 +278,7 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError(f"header field 'version': expected 1 or {TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
+        require_valid(scenario)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
     n, horizon = header.get("nodeCount"), header.get("horizon")
@@ -304,7 +308,7 @@ def trace_from_jsonl(text: str) -> Trace:
             field = "rows"
             if len(tick["rows"]) != n:
                 raise ValueError(f"{len(tick['rows'])} entries for {n} nodes")
-            rows.append(tuple(map(int, tick["rows"])))
+            rows.append(tuple(_checked("rows", tick["rows"], _INTS)))
             field = "wr"
             wire.append(read["wr"](tick["wr"]))
             field = "state"

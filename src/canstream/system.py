@@ -60,10 +60,9 @@ from .core import (
     ModelViolation,
     RunOptions,
     Scenario,
-    ScenarioError,
     TimedStream,
     Trace,
-    validate_scenario,
+    require_valid,
 )
 
 
@@ -235,9 +234,7 @@ def run_scenario(scenario: Scenario) -> Trace:
 
     A component failure raises RunError carrying the trace up to the failing tick.
     """
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError("; ".join(v.detail for v in problems))
+    require_valid(scenario)
     n = scenario.node_count
     quiet: tuple[Cell, ...] = ((),) * n
     arrivals: dict[int, list[Cell]] = {}

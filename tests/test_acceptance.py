@@ -163,7 +163,6 @@ def test_criterion_3_transmission_sweep():
         for trace in _sweep_corpus():
             report = check_all(trace)
             assert not report.violations, report.violations[:3]
-            assert not report.warnings, report.warnings[:3]
             assert check_row3_unreachable(trace) == []
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"

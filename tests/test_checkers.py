@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from canstream import (
+    Columns,
     DataSym,
     IdSym,
+    RunOptions,
     Scenario,
     TimedStream,
     Trace,
@@ -16,8 +18,10 @@ from canstream import (
     check_structural,
     check_wire_assumptions,
     run_scenario,
+    tick_system,
 )
 from canstream.components import BufferState, DecoderState, EncoderState
+from canstream.system import initial_state
 from .conftest import amsg, scenario
 
 
@@ -144,7 +148,7 @@ def test_transmission_winner_must_be_acknowledged():
     assert any("ar_1" in v.streams for v in found)
 
 
-def test_transmission_duplicate_min_id_is_warning():
+def test_transmission_duplicate_min_id_is_a_violation():
     m1, m2 = amsg(3, b"a"), amsg(3, b"b")
     t = make_trace({
         "as": [[(), (m1,), (), ()], [(), (m2,), (), ()]],
@@ -152,7 +156,22 @@ def test_transmission_duplicate_min_id_is_warning():
         "r": [[(), (), (), ()], [(), (), (), ()]],
     }, n=2)
     found = check_message_transmission(t)
-    assert found and all(v.severity == "warning" for v in found)
+    assert [(v.tick, v.streams) for v in found] == [(1, ("as_1", "as_2"))]
+    assert "nodes [1, 2]" in found[0].observed
+    assert not check_all(t, ("transmission",)).ok()
+
+
+def test_a_tie_in_a_trace_stepped_outside_run_scenario_fails_the_checks():
+    # run_scenario rejects an identifier shared by two nodes; stepping the kernel directly does not
+    state = initial_state(2)
+    columns = Columns.for_state(state)
+    tie = (amsg(3, b"\xaa"),), (amsg(3, b"\xbb"),)
+    for t in range(8):
+        state = tick_system(state, tie if t == 1 else ((), ()), t, RunOptions(), columns)
+    report = check_all(columns.trace(Scenario(2, 8)), ("transmission",))
+    assert not report.ok()
+    assert [(v.tick, v.streams, v.observed) for v in report.violations] == [
+        (3, ("as_1", "as_2"), "identifier 3 offered by nodes [1, 2]")]
 
 
 def test_transmission_latency_must_fit_horizon():

@@ -40,7 +40,6 @@ def test_run_then_check_passes(golden_file, tmp_path):
     out = tmp_path / "golden.trace"
     main(["run", "--scenario", str(golden_file), "--trace", str(out)])
     assert main(["check", "--trace", str(out)]) == 0
-    assert main(["check", "--trace", str(out), "--strict"]) == 0
 
 
 def test_check_has_no_latency_flag(golden_file, tmp_path, capsys):
@@ -50,6 +49,33 @@ def test_check_has_no_latency_flag(golden_file, tmp_path, capsys):
         main(["check", "--trace", str(out), "--latency", "2"])
     assert err.value.code == 64
     assert "--latency" in capsys.readouterr().err
+
+
+def test_check_has_no_strict_flag(golden_file, tmp_path, capsys):
+    out = tmp_path / "golden.trace"
+    main(["run", "--scenario", str(golden_file), "--trace", str(out)])
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--trace", str(out), "--strict"])
+    assert err.value.code == 64
+    assert "--strict" in capsys.readouterr().err
+
+
+# Two nodes send identifier 3: arbitration could not tell them apart.
+SHARED_ID = {**GOLDEN, "nodeCount": 2, "horizon": 8, "injections": [
+    {"node": 1, "tick": 1, "id": 3, "data": "aa"}, {"node": 2, "tick": 1, "id": 3, "data": "bb"}]}
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-diff"])
+def test_a_shared_identifier_is_an_input_error_that_names_the_rule(tmp_path, capsys, command):
+    bad = tmp_path / "shared.json"
+    bad.write_text(json.dumps(SHARED_ID))
+    out = tmp_path / "t"
+    trace_args = ["--trace", str(out)] if command == "run" else []
+    assert main([command, "--scenario", str(bad), *trace_args]) == 2
+    captured = capsys.readouterr()
+    assert "scenario error: duplicate-identifier: identifier 3 is injected at nodes 1 and 2" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_check_catches_corruption(golden_file, tmp_path):
@@ -148,7 +174,7 @@ def test_short_horizon_runs_then_checks_clean(tmp_path, horizon):
     src.write_text(json.dumps({"nodeCount": 1, "horizon": horizon}))
     out = tmp_path / "short.trace"
     assert main(["run", "--scenario", str(src), "--trace", str(out)]) == 0
-    assert main(["check", "--trace", str(out), "--strict"]) == 0
+    assert main(["check", "--trace", str(out)]) == 0
 
 
 def test_zero_horizon_scenario_runs_clean(tmp_path):
@@ -191,8 +217,7 @@ def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, monkeypatch, capsys)
         result = real(scenario)
         return type(result)(
             equivalent=False, simulator_log=result.simulator_log,
-            oracle_log=result.oracle_log, first_divergence=0,
-            flagged_ticks=(), trace=result.trace,
+            oracle_log=result.oracle_log, first_divergence=0, trace=result.trace,
         )
 
     monkeypatch.setattr(cli, "compare_with_simulator", always_diverges)

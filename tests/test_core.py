@@ -58,6 +58,14 @@ def test_validate_duplicate_injection():
     assert any(v.rule == "duplicate-injection" and v.tick == 3 for v in found)
 
 
+def test_validate_identifier_sent_by_two_nodes():
+    found = validate_scenario(scenario(3, 8, (1, 1, 3, b"a"), (1, 3, 3, b"b"), (3, 1, 3, b"c"), (2, 1, 4, b"")))
+    assert [(v.rule, v.node, v.tick, v.detail) for v in found] == [
+        ("duplicate-identifier", 3, 1, "identifier 3 is injected at nodes 1 and 3")]
+    # one node may repeat an identifier, at any ticks
+    assert validate_scenario(scenario(2, 8, (1, 1, 3, b"a"), (1, 3, 3, b"b"), (2, 1, 4, b""))) == []
+
+
 def test_validate_out_of_horizon():
     found = validate_scenario(scenario(1, 4, (1, 9, 5, b"")))
     assert any(v.rule == "out-of-horizon" for v in found)

@@ -1,9 +1,25 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canstream import RunOptions, compare_with_simulator, oracle_run
+from canstream import (
+    AMessage,
+    Injection,
+    RunOptions,
+    Scenario,
+    ScenarioError,
+    check_all,
+    compare_with_simulator,
+    oracle_run,
+    run_scenario,
+    validate_scenario,
+)
+from canstream.checkers import ALL_PREDICATES
 from canstream.fuzzing import random_scenario
 from .conftest import amsg, scenario
 
@@ -37,10 +53,53 @@ def test_deliveries_beyond_horizon_are_dropped():
     assert oracle_run(scenario(1, 3, (1, 0, 5, b"x"))) == []
 
 
-def test_duplicate_min_ids_are_flagged():
-    s = scenario(2, 8, (1, 0, 3, b"\xaa"), (2, 0, 3, b"\xbb"))
+@pytest.mark.parametrize("entry", [run_scenario, oracle_run, compare_with_simulator], ids=lambda f: f.__name__)
+def test_an_identifier_sent_by_two_nodes_is_rejected(entry):
+    s = scenario(2, 8, (1, 1, 3, b"\xaa"), (2, 1, 3, b"\xbb"))
+    with pytest.raises(ScenarioError, match=r"^duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"):
+        entry(s)
+
+
+def test_a_node_that_repeats_an_identifier_sends_both_in_arrival_order():
+    # node 1 commits id 4 at once; its two id-3 messages wait behind it, in arrival order
+    s = scenario(2, 12, (1, 0, 4, b"\x04"), (1, 1, 3, b"\xaa"), (1, 2, 3, b"\xbb"), (2, 0, 5, b"\x05"))
     result = compare_with_simulator(s)
-    assert result.flagged_ticks
+    assert result.equivalent, (result.simulator_log, result.oracle_log)
+    assert list(result.simulator_log) == [
+        (3, amsg(4, b"\x04")), (5, amsg(3, b"\xaa")), (7, amsg(3, b"\xbb")), (9, amsg(5, b"\x05"))]
+
+
+def _sweep_scenario(rng: random.Random) -> Scenario:
+    """Up to 3 messages per node at any distinct (node, tick), even ticks too, with ids from range(6)."""
+    nodes, horizon = rng.randint(1, 4), rng.randint(0, 40)
+    slots = [(node, tick) for node in range(1, nodes + 1) for tick in range(horizon)]
+    chosen = sorted(rng.sample(slots, min(len(slots), rng.randint(0, 3 * nodes))))
+    return Scenario(nodes, horizon, tuple(
+        Injection(node, tick, AMessage(rng.randrange(6), rng.randbytes(rng.randint(0, 8))))
+        for node, tick in chosen))
+
+
+def test_each_scenario_is_rejected_for_a_shared_identifier_or_agrees_with_the_oracle_and_checks():
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(1500):
+        s = _sweep_scenario(rng)
+        senders: dict[int, set[int]] = {}
+        for inj in s.injections:
+            senders.setdefault(inj.message.id, set()).add(inj.node)
+        shared = any(len(nodes) > 1 for nodes in senders.values())
+        try:
+            result = compare_with_simulator(s)
+        except ScenarioError as exc:
+            assert shared and {v.rule for v in validate_scenario(s)} == {"duplicate-identifier"}, (s, exc)
+            outcomes["rejected"] += 1
+            continue
+        assert result.equivalent, (s, result.divergent_node, result.simulator_log, result.oracle_log)
+        report = check_all(result.trace, ALL_PREDICATES)
+        assert report.ok(), (s, report.violations[:3])
+        assert not shared, s
+        outcomes["ran"] += 1
+    assert outcomes["rejected"] > 100 and outcomes["ran"] > 100, outcomes
 
 
 def test_compare_equivalent_on_nominal_scenario(two_node_scenario):

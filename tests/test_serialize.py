@@ -121,11 +121,12 @@ def test_scenario_null_bootstrap_survives():
 
 
 def _any_scenario(rng: random.Random, nodes: int, horizon: int) -> Scenario:
-    """Anything validation accepts: any tick, repeated ids, empty payloads, all options."""
+    """Anything validation accepts: any tick, ids repeated by one node, empty payloads, all options."""
     slots = rng.sample([(n, t) for n in range(1, nodes + 1) for t in range(horizon)],
                        min(nodes * horizon, rng.randint(0, 2 * nodes)))
+    # each node draws from its own identifiers, so an identifier repeats within one node only
     injections = tuple(
-        Injection(node, tick, AMessage(rng.randrange(16), rng.randbytes(rng.randint(0, 8))))
+        Injection(node, tick, AMessage(nodes * rng.randrange(4) + node - 1, rng.randbytes(rng.randint(0, 8))))
         for node, tick in sorted(slots)
     )
     options = RunOptions(bootstrap_request_tick=rng.choice([0, 0, 1, 4, None]), fidelity_row2=rng.random() < 0.2)
@@ -233,10 +234,37 @@ def _header_not_an_object(lines):
     lines[0] = "[1]"
 
 
+def _add_header_injection(injection):
+    return _edit_header(lambda header: header["scenario"]["injections"].append(injection))
+
+
+def _set_id(t, family, k, value):
+    """Set the identifier of the message in tick t's k-th pair of a family."""
+    return _edit_tick(t, lambda tick: tick[family][k][1][0].update(id=value))
+
+
 MALFORMED = {
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
     "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
+    "scenario that breaks the rules": (
+        _add_header_injection({"node": 7, "tick": 99, "id": -4, "data": "00" * 12}),
+        r"^header field 'scenario': node-range: node 7 outside \[1..2\]; "
+        r"out-of-horizon: injection tick 99 outside \[0..7\]; identifier: identifier -4 is negative; "
+        r"payload: payload of 12 octets exceeds 8$"),
+    "scenario with an identifier at two nodes": (
+        _add_header_injection({"node": 2, "tick": 2, "id": 3, "data": "cc"}),
+        r"^header field 'scenario': duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"),
+    "float identifier": (_set_id(0, "a", 1, 5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
+    "string identifier": (_set_id(0, "a", 1, "5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
+    "float copy of an identifier read before": (_set_id(1, "as", 0, 3.0),
+                                                r"^tick 1: field 'as': id must be an integer, got 3.0$"),
+    "float identifier symbol": (_edit_tick(1, lambda tick: tick["ms"][0][1][0].update(value=3.5)),
+                                r"^tick 1: field 'ms': value must be an integer, got 3.5$"),
+    "bool row": (_edit_tick(0, lambda tick: tick["rows"].__setitem__(0, True)),
+                 r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
+    "bool request token": (_edit_tick(0, lambda tick: tick["r"][0].__setitem__(1, [False])),
+                           r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
     "unknown version": (_edit_header(lambda header: header.update(version=3)),
                         r"^header field 'version': expected 1 or 2, got 3$"),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
