@@ -23,7 +23,7 @@ from .core import (
     Message,
     MixingViolation,
 )
-from .primitives import broadcast, collect_elements, pr_add
+from .primitives import broadcast, pr_add
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +205,19 @@ def wire_emission(state: WireState, t: int) -> Cell:
 
 
 def wire_latch(ws_all: Sequence[Sequence[Message]], t: int) -> WireState:
-    """Collect this tick's per-node bus offers for emission next tick."""
-    n = len(ws_all)
+    """Collect this tick's per-node bus offers for emission next tick.
+
+    One pass over the offers, lowest node first, so an over-long cell is
+    reported for the lowest such node; the latch then lists the offers highest
+    node first, as collect_elements(n, ws_all) does.
+    """
+    latch, sources = [], []
     for i, cell in enumerate(ws_all, start=1):
-        if len(cell) > 1:
-            raise _not_unary(cell, f"ws_{i}", t)
-    latch = collect_elements(n, ws_all)
+        if cell:
+            if len(cell) > 1:
+                raise _not_unary(cell, f"ws_{i}", t)
+            latch.append(cell[0])
+            sources.append(i)
     if not latch:
         return _EMPTY_WIRE
-    sources = tuple(i for i in range(n, 0, -1) if ws_all[i - 1])
-    return WireState(latch=latch, latch_sources=sources)
+    return WireState(latch=tuple(latch[::-1]), latch_sources=tuple(sources[::-1]))

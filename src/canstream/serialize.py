@@ -211,6 +211,13 @@ def _memo_reader(key, make):
     return lambda objs: () if objs == [] else tuple([get(k) or made(k, make(k)) for k in map(key, objs)])
 
 
+def _memo_state(key, make):
+    """A reader for one load: JSON object -> component state, making each distinct key's state once."""
+    memo: dict = {}
+    get, made = memo.get, memo.setdefault
+    return lambda obj: get(k := key(obj)) or made(k, make(k))
+
+
 def _symbol(key: tuple):
     kind, value, _ = key
     if kind not in ("id", "data"):
@@ -220,7 +227,7 @@ def _symbol(key: tuple):
 
 def _readers() -> dict:
     """Fresh readers for one load, by field name: a cell, or one node's component state."""
-    # A key holds the type of its number too: 1, 1.0 and true are one dict key.
+    # A key holds the type of its number or flag too: 1, 1.0 and true are one dict key.
     amessages = _memo_reader(lambda o: (o["id"], o["data"], type(o["id"])),
                              lambda k: AMessage(_checked("id", k[0], _INT), bytes.fromhex(k[1])))
     symbols = _memo_reader(lambda o: (o["sym"], o["value"], type(o["value"])), _symbol)
@@ -229,11 +236,17 @@ def _readers() -> dict:
         **dict.fromkeys(("ms", "mr", "ws", "wr"), symbols),
         "r": lambda cell: tuple(_checked("request cell", cell, _INTS)),
         "buffers": lambda obj: BufferState(amessages(obj["buf"]), amessages(obj["b"])),
-        "decoders": lambda obj: DecoderState(obj["d"], obj["lastId"]),
-        "encoders": lambda obj: EncoderState(
-            obj["e"], None if obj["pending"] is None else bytes.fromhex(obj["pending"])),
-        "llayers": lambda obj: LogicalLayerState(obj["lid"]),
-        "wire": lambda obj: WireState(symbols(obj["latch"]), tuple(obj["sources"])),
+        "decoders": _memo_state(
+            lambda o: (o["d"], type(o["d"]), o["lastId"], type(o["lastId"])),
+            lambda k: DecoderState(_checked("d", k[0], _BOOL), _checked("lastId", k[2], _INT_OR_NULL))),
+        "encoders": _memo_state(
+            lambda o: (o["e"], type(o["e"]), o["pending"]),
+            lambda k: EncoderState(_checked("e", k[0], _BOOL),
+                                   None if k[2] is None else bytes.fromhex(_checked("pending", k[2], _HEX)))),
+        "llayers": _memo_state(
+            lambda o: (o["lid"], type(o["lid"])),
+            lambda k: LogicalLayerState(_checked("lid", k[0], _INT))),
+        "wire": lambda obj: WireState(symbols(obj["latch"]), tuple(_checked("sources", obj["sources"], _INTS))),
     }
 
 

@@ -87,20 +87,24 @@ class SystemState:
 
 @dataclass(slots=True)
 class Columns:
-    """The trace under construction: one list of cells per node and family.
+    """The trace under construction, and the run's record of its last steps.
 
     tick_system appends one cell per node to every family, plus the wire
-    cell, the row tuple and the state snapshot of the tick it runs.
+    cell, the row tuple and the state snapshot of the tick it runs. It reuses
+    the step calls kept in last_steps while their inputs repeat; an empty
+    record gives the same run without reuse across ticks.
     """
 
     streams: dict[str, list[list[Cell]]]
     wire: list[Cell] = field(default_factory=list)
     rows: list[tuple[int, ...]] = field(default_factory=list)
     states: list[dict] = field(default_factory=list)
+    last_steps: list[tuple] = field(default_factory=list)
 
     @classmethod
     def for_state(cls, state: SystemState) -> "Columns":
-        return cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES})
+        return cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES},
+                   last_steps=[(None, None, None)] * (2 * len(state.encoders) + 1))
 
     def truncate(self, horizon: int) -> None:
         """Drop everything from tick `horizon` on, including a half-written tick."""
@@ -159,11 +163,12 @@ def tick_system(
     takes in. Returns the next state. If a component raises, columns may hold
     part of tick t (see Columns.truncate).
 
-    All decoders read the same wire cell and start from one idle state, so
-    their states stay one shared value. decoder_step therefore runs for the
-    first node only, and each later node whose (state, mr) pair is the same
-    two objects as the node before it reuses that result, which is exact
-    because the step is a pure function.
+    Slot 2*i + p of columns.last_steps keeps node i's last encoder_step call at
+    tick parity p as (state, cell, result), the last slot the last decoder_step
+    call. A call with the same state and cell objects as its slot takes the
+    slot's result: a node re-offering a lost frame repeats its calls of two
+    ticks before, and all decoders share one state and one wire cell. This is
+    exact: the steps are pure and the record keeps the objects it compares alive.
     """
     buffers = state.buffers
     columns.states.append({
@@ -182,18 +187,23 @@ def tick_system(
     boot = t == options.bootstrap_request_tick
     literal_row2 = options.fidelity_row2
     rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers, pending = [], [], [], [], [], [], [], []
-    decoded_from, decoded = (None, None), None
+    last = columns.last_steps or [(None, None, None)] * (2 * len(buffers) + 1)
+    parity = t & 1
     for i, enc in enumerate(state.encoders):
         a_col[i].append(cells[i])
         as_cell = buffer_emission(buffers[i], t)
-        ms, enc = encoder_step(enc, as_cell, t)
+        seen = last[2 * i + parity]
+        if seen[0] is not enc or seen[1] is not as_cell:
+            seen = last[2 * i + parity] = (enc, as_cell, encoder_step(enc, as_cell, t))
+        ms, enc = seen[2]
         ll = state.llayers[i]
         rows.append(dispatch_row(ms, wr, ll.lid))
         mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t, literal_row2=literal_row2)
         dec = state.decoders[i]
-        if dec is not decoded_from[0] or mr is not decoded_from[1]:
-            decoded_from, decoded = (dec, mr), decoder_step(dec, mr, t)
-        ar, dec = decoded
+        seen = last[-1]
+        if seen[0] is not dec or seen[1] is not mr:
+            seen = last[-1] = (dec, mr, decoder_step(dec, mr, t))
+        ar, dec = seen[2]
 
         # Observable request stream: bootstrap priming plus the success
         # request raised in the previous tick.

@@ -27,6 +27,7 @@ from canstream.components import (
     wire_emission,
     wire_latch,
 )
+from canstream.primitives import collect_elements
 from .conftest import amsg
 from .test_primitives import amessages
 
@@ -249,3 +250,16 @@ def test_wire_data_head_hides_trailing_identifier():
 def test_wire_rejects_wide_cell():
     with pytest.raises(AssumptionViolation):
         wire_latch([(IdSym(1), IdSym(2))], 1)
+
+
+def test_wire_names_the_lowest_node_with_a_wide_cell():
+    wide = (IdSym(1), IdSym(2))
+    with pytest.raises(AssumptionViolation, match=r"^ws_2 carries 2 messages at tick 5$"):
+        wire_latch([(IdSym(3),), wide, (), wide + (IdSym(4),)], 5)
+
+
+@given(st.lists(st.sampled_from([(), (IdSym(1),), (IdSym(7),), (DataSym(b"p"),)]), max_size=8))
+def test_wire_latch_collects_offers_highest_node_first(ws_all):
+    state = wire_latch(ws_all, 1)
+    assert state.latch == collect_elements(len(ws_all), ws_all)
+    assert state.latch_sources == tuple(i for i in range(len(ws_all), 0, -1) if ws_all[i - 1])

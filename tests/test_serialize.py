@@ -243,6 +243,14 @@ def _set_id(t, family, k, value):
     return _edit_tick(t, lambda tick: tick[family][k][1][0].update(id=value))
 
 
+def _set_state(family, k, key, value):
+    """Set one field of tick 0's k-th state of a component family ("wire" has one state)."""
+    def edit(tick):
+        state = tick["state"][family]
+        (state if family == "wire" else state[k][1])[key] = value
+    return _edit_tick(0, edit)
+
+
 MALFORMED = {
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
@@ -285,6 +293,19 @@ MALFORMED = {
                                   r"tick 0: field 'a': node index 0 out of order or out of range"),
     "missing family": (_edit_tick(4, lambda tick: tick.pop("mr")), r"tick 4: field 'mr'"),
     "unknown symbol kind": (_unknown_symbol_kind, r"tick \d+: field 'ws': unknown symbol kind 'bogus'"),
+    "string decoding flag": (_set_state("decoders", 0, "d", "yes"),
+                             r'^tick 0: field \'state\': d must be true or false, got "yes"$'),
+    "float last identifier": (_set_state("decoders", 1, "lastId", 1.5),
+                              r"^tick 0: field 'state': lastId must be an integer or null, got 1.5$"),
+    "integer encoding flag": (_set_state("encoders", 0, "e", 0),
+                              r"^tick 0: field 'state': e must be true or false, got 0$"),
+    "pending payload not hex": (_set_state("encoders", 1, "pending", "xyz"),
+                                r'^tick 0: field \'state\': pending must be a hex string, got "xyz"$'),
+    "float lid": (_set_state("llayers", 0, "lid", 1.5), r"^tick 0: field 'state': lid must be an integer, got 1.5$"),
+    "bool copy of a lid read before": (_set_state("llayers", 1, "lid", False),
+                                       r"^tick 0: field 'state': lid must be an integer, got false$"),
+    "string wire source": (_set_state("wire", 0, "sources", ["1"]),
+                           r'^tick 0: field \'state\': sources must be a list of integers, got \["1"\]$'),
 }
 
 

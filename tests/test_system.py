@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
+    AMessage,
     DataSym,
     IdSym,
+    Injection,
     ModelViolation,
     RunError,
+    Scenario,
     ScenarioError,
     run_scenario,
 )
-from canstream.fuzzing import random_scenario, seeded_scenario
+from canstream.components import decoder_step, encoder_step
+from canstream.core import PER_NODE_FAMILIES
+from canstream.fuzzing import ID_POOL, random_scenario, seeded_scenario
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log
 from .conftest import amsg, scenario
@@ -129,6 +136,63 @@ def test_a_state_that_does_not_change_stays_the_same_object():
             for key in ("buffers", "encoders", "decoders", "llayers"):
                 pairs += zip(prev[key], snap[key])
             assert all(old is new or old != new for old, new in pairs), (i, snap)
+
+
+def _saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4) -> Scenario:
+    """Every node gets per_node messages on its first odd ticks, so the bus stays busy to the end."""
+    rng = random.Random(f"saturated:{seed}")
+    ids = rng.sample(range(ID_POOL), nodes * per_node)
+    return Scenario(nodes, horizon, tuple(
+        Injection(node, 2 * k + 1, AMessage(ids[(node - 1) * per_node + k], rng.randbytes(rng.randint(1, 8))))
+        for node in range(1, nodes + 1) for k in range(per_node)
+    ))
+
+
+@pytest.mark.parametrize("s", [_saturated(seed) for seed in range(3)]
+                         + [seeded_scenario("accept3", i, nodes=2 + i % 4, horizon=64) for i in range(12)])
+def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
+    """The kernel may reuse a step's result; each one must equal the step called afresh."""
+    trace = run_scenario(s)
+    stream = {family: [trace.node_stream(family, i + 1).cells for i in range(s.node_count)]
+              for family in ("as", "ms", "mr", "ar")}
+    for t, (before, after) in enumerate(zip(trace.states, trace.states[1:])):
+        for i in range(s.node_count):
+            assert encoder_step(before["encoders"][i], stream["as"][i][t], t) == (
+                stream["ms"][i][t], after["encoders"][i]), (t, i)
+            assert decoder_step(before["decoders"][i], stream["mr"][i][t], t) == (
+                stream["ar"][i][t], after["decoders"][i]), (t, i)
+
+
+def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
+    import canstream.system as system
+
+    calls = {"encoder_step": 0, "decoder_step": 0}
+
+    def counted(name):
+        real = getattr(system, name)
+
+        def step(*args):
+            calls[name] += 1
+            return real(*args)
+        return step
+
+    for name in calls:
+        monkeypatch.setattr(system, name, counted(name))
+    s = _saturated(0)
+    trace = run_scenario(s)
+    assert sum(map(bool, trace.wire.cells)) > 0.9 * s.horizon  # saturated: losers re-offer on every frame
+    assert calls["encoder_step"] < 0.1 * s.node_count * s.horizon
+    assert calls["decoder_step"] <= s.horizon
+
+
+def test_columns_without_the_step_record_give_the_same_run(monkeypatch):
+    import canstream.system as system
+
+    s = _saturated(1, nodes=6, horizon=48)
+    full = run_scenario(s)
+    bare = classmethod(lambda cls, state: cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES}))
+    monkeypatch.setattr(system.Columns, "for_state", bare)
+    assert run_scenario(s) == full
 
 
 def test_seeded_scenarios_are_reproducible():
