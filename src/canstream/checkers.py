@@ -15,7 +15,6 @@ from .core import FRAME_LATENCY, AMessage, DataSym, IdSym, Trace
 from .primitives import collect_elements, min_of_list, take_ids
 
 ALL_PREDICATES = ("msg1", "format", "wire", "transmission", "row3", "structural")
-DEFAULT_PREDICATES = ("msg1", "format", "wire", "transmission", "row3")
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +257,7 @@ class Report:
         return not self.violations
 
 
-def check_all(trace: Trace, predicates: Sequence[str] = DEFAULT_PREDICATES) -> Report:
+def check_all(trace: Trace, predicates: Sequence[str] = ALL_PREDICATES) -> Report:
     """Run the selected checkers over every applicable stream of a trace."""
     unknown = set(predicates) - set(ALL_PREDICATES)
     if unknown:

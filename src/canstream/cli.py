@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .checkers import ALL_PREDICATES, Report, check_all
@@ -39,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_scenario(path: str, fidelity: bool):
+def _load_scenario(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -48,13 +47,6 @@ def _load_scenario(path: str, fidelity: bool):
         scenario = scenario_from_json(text)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
-    if fidelity:
-        # Literal table variants: the non-transmitting identifier row and
-        # no buffer priming. Both stall by construction.
-        scenario = replace(
-            scenario,
-            options=replace(scenario.options, fidelity_row2=True, bootstrap_request_tick=None),
-        )
     require_valid(scenario)
     return scenario
 
@@ -70,7 +62,7 @@ def _print_report(report: Report) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        scenario = _load_scenario(args.scenario, args.fidelity)
+        scenario = _load_scenario(args.scenario)
         trace = run_scenario(scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -86,7 +78,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    predicates = tuple(ALL_PREDICATES) if args.only is None else tuple(args.only.split(","))
+    predicates = ALL_PREDICATES if args.only is None else tuple(args.only.split(","))
     unknown = set(predicates) - set(ALL_PREDICATES)
     if unknown:
         print(f"unknown predicate(s): {', '.join(sorted(unknown))} "
@@ -123,7 +115,7 @@ def _cmd_fuzz(args) -> int:
     for i in range(args.count):
         scenario = seeded_scenario(args.seed, i, args.nodes, args.horizon)
         result = compare_with_simulator(scenario)
-        report = check_all(result.trace, predicates=ALL_PREDICATES)
+        report = check_all(result.trace)
         reasons = []
         if not result.equivalent:
             reasons.append(f"oracle divergence at node {result.divergent_node}, "
@@ -143,7 +135,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_oracle_diff(args) -> int:
     try:
-        result = compare_with_simulator(_load_scenario(args.scenario, args.fidelity))
+        result = compare_with_simulator(_load_scenario(args.scenario))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -167,8 +159,6 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run a scenario and write its trace")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--trace", required=True)
-    p_run.add_argument("--fidelity", action="store_true",
-                       help="literal table row 2 and no buffer priming (stalls by design)")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="check a trace against the protocol predicates")
@@ -187,7 +177,6 @@ def build_parser() -> _Parser:
 
     p_diff = sub.add_parser("oracle-diff", help="compare a scenario's run against the reference oracle")
     p_diff.add_argument("--scenario", required=True)
-    p_diff.add_argument("--fidelity", action="store_true")
     p_diff.set_defaults(func=_cmd_oracle_diff)
     return parser
 

@@ -6,7 +6,6 @@ mutable state, so traces and states can be passed around freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
 
 # Largest payload a scenario may carry: the 8-octet data field of CAN 2.0.
 # Nothing in the model inspects payload contents beyond equality.
@@ -82,10 +81,6 @@ class TimedStream:
     """Map from tick to the finite list of messages observed in that interval."""
 
     cells: tuple[Cell, ...]
-
-    @staticmethod
-    def of(cells: Iterable[Sequence[Any]]) -> "TimedStream":
-        return TimedStream(tuple(tuple(c) for c in cells))
 
     @property
     def horizon(self) -> int:
@@ -213,6 +208,3 @@ class Trace:
         if not 1 <= node <= self.node_count:
             raise ValueError(f"node {node} outside [1..{self.node_count}]")
         return self.streams[family][node - 1]
-
-    def cell(self, family: str, node: int, t: int) -> Cell:
-        return self.node_stream(family, node).cells[t]

@@ -204,18 +204,34 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A key holding a list or an object cannot be a memo key; such a value is made
+# without the memo, so that `make` rejects it and names its field.
+
 def _memo_reader(key, make):
     """A reader for one load: JSON list -> tuple, making each distinct key's value once."""
     memo: dict = {}
     get, made = memo.get, memo.setdefault
-    return lambda objs: () if objs == [] else tuple([get(k) or made(k, make(k)) for k in map(key, objs)])
+
+    def read(objs):
+        try:
+            return () if objs == [] else tuple([get(k) or made(k, make(k)) for k in map(key, objs)])
+        except TypeError:
+            return tuple(map(make, map(key, objs)))
+    return read
 
 
 def _memo_state(key, make):
     """A reader for one load: JSON object -> component state, making each distinct key's state once."""
     memo: dict = {}
     get, made = memo.get, memo.setdefault
-    return lambda obj: get(k := key(obj)) or made(k, make(k))
+
+    def read(obj):
+        k = key(obj)
+        try:
+            return get(k) or made(k, make(k))
+        except TypeError:
+            return make(k)
+    return read
 
 
 def _symbol(key: tuple):
@@ -225,8 +241,8 @@ def _symbol(key: tuple):
     return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(bytes.fromhex(value))
 
 
-def _readers() -> dict:
-    """Fresh readers for one load, by field name: a cell, or one node's component state."""
+def _readers(n: int) -> dict:
+    """Fresh readers for one load of an n-node trace, by field name: a cell, or one node's component state."""
     # A key holds the type of its number or flag too: 1, 1.0 and true are one dict key.
     amessages = _memo_reader(lambda o: (o["id"], o["data"], type(o["id"])),
                              lambda k: AMessage(_checked("id", k[0], _INT), bytes.fromhex(k[1])))
@@ -246,8 +262,17 @@ def _readers() -> dict:
         "llayers": _memo_state(
             lambda o: (o["lid"], type(o["lid"])),
             lambda k: LogicalLayerState(_checked("lid", k[0], _INT))),
-        "wire": lambda obj: WireState(symbols(obj["latch"]), tuple(_checked("sources", obj["sources"], _INTS))),
+        "wire": lambda obj: _wire_state(symbols(obj["latch"]), _checked("sources", obj["sources"], _INTS), n),
     }
+
+
+def _wire_state(latch: tuple, sources: list, n: int) -> WireState:
+    """The wire state, if `sources` lists one node of 1..n per latch symbol, highest first."""
+    bounds = (n + 1, *sources, 0)
+    if len(sources) != len(latch) or any(a <= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"sources must list one node of 1..{n} per latch symbol, highest first, "
+                         f"got {_dumps(sources)} for {len(latch)} symbols")
+    return WireState(latch, tuple(sources))
 
 
 def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
@@ -306,7 +331,7 @@ def trace_from_jsonl(text: str) -> Trace:
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
 
-    read, listed = _readers(), version == 1
+    read, listed = _readers(n), version == 1
     columns = {f: [] for f in PER_NODE_FAMILIES}
     blank_row = ((),) * n
     rows, wire, states, snap = [], [], [], _unset(n)

@@ -20,7 +20,9 @@ from canstream import (
     run_scenario,
     tick_system,
 )
+from canstream.checkers import ALL_PREDICATES
 from canstream.components import BufferState, DecoderState, EncoderState
+from canstream.core import PER_NODE_FAMILIES
 from canstream.system import initial_state
 from .conftest import amsg, scenario
 
@@ -33,7 +35,7 @@ def make_trace(families, n=1, wr=(), rows=(), states=()) -> Trace:
     )
 
     def pad(cells):
-        return TimedStream.of(list(cells) + [()] * (horizon - len(cells)))
+        return TimedStream(tuple(map(tuple, cells)) + ((),) * (horizon - len(cells)))
 
     return Trace(
         scenario=Scenario(n, horizon),
@@ -241,6 +243,14 @@ def test_check_all_golden_passes(golden_scenario):
     assert {e.predicate for e in report.entries} == {
         "msg1", "format", "wire", "transmission", "row3", "structural"
     }
+
+
+def test_check_all_checks_every_predicate_by_default():
+    # a hand-built trace has {} snapshots: the structural checks find no states, not a fault
+    t = make_trace({family: [[(), (), ()]] * 2 for family in PER_NODE_FAMILIES}, n=2)
+    report = check_all(t)
+    assert [e.predicate for e in report.entries] == list(ALL_PREDICATES)
+    assert report.ok()
 
 
 def test_check_all_rejects_unknown_predicate(golden_scenario):

@@ -32,7 +32,7 @@ def test_run_writes_trace_with_delivery(golden_file, tmp_path, capsys):
     out = tmp_path / "golden.trace"
     assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 0
     trace = trace_from_jsonl(out.read_text())
-    assert list(trace.cell("ar", 1, 3)) == [trace.cell("a", 1, 0)[0]]
+    assert trace.node_stream("ar", 1).cells[3] == trace.node_stream("a", 1).cells[0]
     assert "1 deliveries" in capsys.readouterr().out
 
 
@@ -191,11 +191,18 @@ def test_unknown_predicate_is_usage_error(golden_file, tmp_path):
     assert main(["check", "--trace", str(out), "--only", "bogus"]) == 64
 
 
-def test_bad_flags_are_usage_errors(capsys):
+def test_bad_flags_are_usage_errors(golden_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 64
     capsys.readouterr()
+    # the literal variants are scenario options, not flags
+    for command in (["run", "--trace", str(tmp_path / "t")], ["oracle-diff"]):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--scenario", str(golden_file), "--fidelity"])
+        assert err.value.code == 64
+        assert "unrecognized arguments: --fidelity" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_fuzz_passes_and_is_quietly_deterministic(tmp_path, capsys):
@@ -261,15 +268,24 @@ def test_oracle_diff_equivalent(golden_file):
     assert main(["oracle-diff", "--scenario", str(golden_file)]) == 0
 
 
-def test_oracle_diff_flags_fidelity_stall(golden_file, capsys):
-    assert main(["oracle-diff", "--scenario", str(golden_file), "--fidelity"]) == 1
-    assert "inequivalent" in capsys.readouterr().out
+def test_oracle_diff_flags_fidelity_stall(tmp_path, capsys):
+    # each of the two options that stall the golden scenario
+    for key, value in (("fidelityMode", True), ("bootstrapRequestTick", None)):
+        stalled = tmp_path / f"{key}.json"
+        stalled.write_text(json.dumps(_with_option(key, value)))
+        assert main(["oracle-diff", "--scenario", str(stalled)]) == 1, key
+        assert "inequivalent" in capsys.readouterr().out
 
 
-def test_run_fidelity_produces_no_deliveries(golden_file, tmp_path, capsys):
+def test_run_fidelity_produces_no_deliveries(tmp_path, capsys):
+    stalled = tmp_path / "stall.json"
+    stalled.write_text(json.dumps(_with_option("fidelityMode", True)))
     out = tmp_path / "stall.trace"
-    assert main(["run", "--scenario", str(golden_file), "--trace", str(out), "--fidelity"]) == 0
+    assert main(["run", "--scenario", str(stalled), "--trace", str(out)]) == 0
     assert "0 deliveries" in capsys.readouterr().out
+    # the row-3 monitor diagnoses the literal row 2: identifiers never reach the bus
+    assert main(["check", "--trace", str(out), "--only", "row3"]) == 1
+    assert "FAIL row3: 2 violations" in capsys.readouterr().out
 
 
 def test_the_cli_imports_every_module_of_the_package():

@@ -86,7 +86,7 @@ def test_report_serializes(golden_scenario):
     obj = report_to_dict(report)
     assert obj["ok"] is True
     assert {e["predicate"] for e in obj["predicates"]} == {
-        "msg1", "format", "wire", "transmission", "row3"
+        "msg1", "format", "wire", "transmission", "row3", "structural"
     }
     json.loads(report_to_json(report))
 
@@ -251,6 +251,15 @@ def _set_state(family, k, key, value):
     return _edit_tick(0, edit)
 
 
+def _edit_wire_sources(edit):
+    """Edit the sources of the first wire state written with a two-symbol latch."""
+    def mutate(lines):
+        wires = [json.loads(line)["state"].get("wire", {}) for line in lines[1:]]
+        t = next(t for t, wire in enumerate(wires) if len(wire.get("latch", ())) == 2)
+        _edit_tick(t, lambda tick: edit(tick["state"]["wire"]["sources"]))(lines)
+    return mutate
+
+
 MALFORMED = {
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
@@ -306,6 +315,20 @@ MALFORMED = {
                                        r"^tick 0: field 'state': lid must be an integer, got false$"),
     "string wire source": (_set_state("wire", 0, "sources", ["1"]),
                            r'^tick 0: field \'state\': sources must be a list of integers, got \["1"\]$'),
+    "list lid": (_set_state("llayers", 0, "lid", [1]), r"^tick 0: field 'state': lid must be an integer, got \[1\]$"),
+    "list identifier": (_set_id(0, "a", 1, [5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
+    "wire sources without a latch": (
+        _set_state("wire", 0, "sources", [7, 9]),
+        r"^tick 0: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
+        r"got \[7,9\] for 0 symbols$"),
+    "wire sources lowest first": (
+        _edit_wire_sources(lambda sources: sources.reverse()),
+        r"^tick \d+: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
+        r"got \[1,2\] for 2 symbols$"),
+    "wire source beyond the node count": (
+        _edit_wire_sources(lambda sources: sources.__setitem__(0, 3)),
+        r"^tick \d+: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
+        r"got \[3,1\] for 2 symbols$"),
 }
 
 

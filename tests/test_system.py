@@ -221,8 +221,7 @@ def _fail_second_call_at(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 6, 11])
-@pytest.mark.parametrize("entry", ["run_scenario"])
-def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, entry, k):
+def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, k):
     s = seeded_scenario("partial", 3, nodes=3, horizon=16)
     full = run_scenario(s)
     _fail_second_call_at(monkeypatch, k)
