@@ -189,16 +189,24 @@ class Trace:
     TimedStream per node (index 0 is node 1). wire is the shared bus stream.
     rows[t][i] is the bus-access table row that fired for node i+1 at tick t.
     states[t] is the snapshot of every component state entering tick t.
+    The node count is the scenario's, and the horizon the number of ticks
+    recorded, which is fewer than the scenario's when the run failed.
     """
 
     scenario: Scenario
-    node_count: int
-    horizon: int
     streams: dict[str, tuple[TimedStream, ...]]
     wire: TimedStream
     rows: tuple[tuple[int, ...], ...]
     states: tuple[dict, ...]
     error: dict | None = None
+
+    @property
+    def node_count(self) -> int:
+        return self.scenario.node_count
+
+    @property
+    def horizon(self) -> int:
+        return len(self.wire.cells)
 
     def node_stream(self, family: str, node: int) -> TimedStream:
         if family == "wr":

@@ -38,15 +38,16 @@ def seeded_scenario(seed: int | str, index: int, nodes: int, horizon: int) -> Sc
     return random_scenario(rng, nodes, horizon)
 
 
-def two_node_scenarios(ids=(1, 2, 3, 4), ticks=(0, 1, 2), horizon: int = 16) -> Iterator[Scenario]:
-    """Every two-node scenario of up to two messages per node, with distinct ids
-    and distinct ticks per node; the defaults give the 2005-case oracle sweep."""
+def two_node_scenarios() -> Iterator[Scenario]:
+    """The 2005 two-node scenarios of the exhaustive oracle sweep: up to two
+    messages per node, distinct identifiers 1-4, distinct ticks 0-2 per node,
+    horizon 16."""
     for k1 in range(3):
         for k2 in range(3):
-            for id_sel in permutations(ids, k1 + k2):
-                for t1 in permutations(ticks, k1):
-                    for t2 in permutations(ticks, k2):
-                        yield Scenario(2, horizon, tuple(
+            for id_sel in permutations((1, 2, 3, 4), k1 + k2):
+                for t1 in permutations((0, 1, 2), k1):
+                    for t2 in permutations((0, 1, 2), k2):
+                        yield Scenario(2, 16, tuple(
                             Injection(node, tick, AMessage(ident, bytes([0x10 + ident])))
                             for node, tick, ident in zip((1,) * k1 + (2,) * k2, t1 + t2, id_sel)
                         ))

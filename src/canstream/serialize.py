@@ -92,6 +92,11 @@ def _checked(name: str, value, kind: tuple):
     return value
 
 
+def _hex(name: str, value) -> bytes:
+    """The bytes of a hex-string payload field; any other value raises a ScenarioError naming the field."""
+    return bytes.fromhex(_checked(name, value, _HEX))
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
     """The scenario of a parsed JSON document; a field of the wrong kind raises ScenarioError."""
     _checked("scenario", obj, _OBJECT)
@@ -104,7 +109,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     for k, inj in enumerate(obj.get("injections", ())):
         where = f"injections[{k}]"
         node, tick, ident = (_checked(f"{where}.{key}", inj[key], _INT) for key in ("node", "tick", "id"))
-        data = bytes.fromhex(_checked(f"{where}.data", inj["data"], _HEX))
+        data = _hex(f"{where}.data", inj["data"])
         injections.append(Injection(node, tick, AMessage(ident, data)))
     boot = _checked("bootstrapRequestTick", opts.get("bootstrapRequestTick", 0), _INT_OR_NULL)
     fidelity = _checked("fidelityMode", opts.get("fidelityMode", False), _BOOL)
@@ -238,14 +243,14 @@ def _symbol(key: tuple):
     kind, value, _ = key
     if kind not in ("id", "data"):
         raise ValueError(f"unknown symbol kind {kind!r}")
-    return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(bytes.fromhex(value))
+    return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(_hex("value", value))
 
 
 def _readers(n: int) -> dict:
     """Fresh readers for one load of an n-node trace, by field name: a cell, or one node's component state."""
     # A key holds the type of its number or flag too: 1, 1.0 and true are one dict key.
     amessages = _memo_reader(lambda o: (o["id"], o["data"], type(o["id"])),
-                             lambda k: AMessage(_checked("id", k[0], _INT), bytes.fromhex(k[1])))
+                             lambda k: AMessage(_checked("id", k[0], _INT), _hex("data", k[1])))
     symbols = _memo_reader(lambda o: (o["sym"], o["value"], type(o["value"])), _symbol)
     return {
         **dict.fromkeys(("a", "as", "ar"), amessages),
@@ -258,7 +263,7 @@ def _readers(n: int) -> dict:
         "encoders": _memo_state(
             lambda o: (o["e"], type(o["e"]), o["pending"]),
             lambda k: EncoderState(_checked("e", k[0], _BOOL),
-                                   None if k[2] is None else bytes.fromhex(_checked("pending", k[2], _HEX)))),
+                                   None if k[2] is None else _hex("pending", k[2]))),
         "llayers": _memo_state(
             lambda o: (o["lid"], type(o["lid"])),
             lambda k: LogicalLayerState(_checked("lid", k[0], _INT))),
@@ -359,7 +364,7 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
 
     streams = {f: tuple(map(TimedStream, zip(*column))) or (TimedStream(()),) * n for f, column in columns.items()}
-    return Trace(scenario=scenario, node_count=n, horizon=horizon, streams=streams, wire=TimedStream(tuple(wire)),
+    return Trace(scenario=scenario, streams=streams, wire=TimedStream(tuple(wire)),
                  rows=tuple(rows), states=tuple(states), error=error)
 
 

@@ -22,12 +22,13 @@ is causally well defined.
 Request flow: a controller raises its transmit-success request during the data
 phase of a won frame; the owning buffer consumes it in that same tick's state
 update, which releases the offer slot before the next odd tick (otherwise the
-frame would be re-offered and delivered twice). A request that finds nothing
-to hand over stays pending until a message arrives, so nodes wake up when new
-traffic appears. One bootstrap request primes each node's buffer; without it
-nothing ever flows. The externally recorded request stream r_i shows each
-success request one tick after it is raised, which places it FRAME_LATENCY
-ticks after the frame start, where the transmission contract looks for it.
+frame would be re-offered and delivered twice). A primed node requests while
+its offer slot is empty, so nodes wake up when new traffic appears; no
+separate record of pending requests is kept. One bootstrap request primes each
+node's buffer; without it nothing ever flows. The externally recorded request
+stream r_i shows each success request one tick after it is raised, which
+places it FRAME_LATENCY ticks after the frame start, where the transmission
+contract looks for it.
 """
 from __future__ import annotations
 
@@ -72,8 +73,6 @@ class SystemState:
 
     raised holds each node's success request of the previous tick, () or
     REQ_CELL, which the observable request stream shows this tick.
-    req_pending marks nodes whose last request is still waiting for a message
-    to hand over.
     """
 
     buffers: tuple[BufferState, ...]
@@ -82,7 +81,6 @@ class SystemState:
     llayers: tuple[LogicalLayerState, ...]
     wire: WireState
     raised: tuple[Cell, ...]
-    req_pending: tuple[bool, ...]
 
 
 @dataclass(slots=True)
@@ -116,8 +114,6 @@ class Columns:
     def trace(self, scenario: Scenario, error: dict | None = None) -> Trace:
         return Trace(
             scenario=scenario,
-            node_count=len(self.streams["as"]),
-            horizon=len(self.wire),
             streams={
                 family: tuple(TimedStream(tuple(column)) for column in per_node)
                 for family, per_node in self.streams.items()
@@ -146,7 +142,6 @@ def initial_state(node_count: int) -> SystemState:
         llayers=(LogicalLayerState(),) * node_count,
         wire=_EMPTY_WIRE,
         raised=((),) * node_count,
-        req_pending=(False,) * node_count,
     )
 
 
@@ -184,9 +179,11 @@ def tick_system(
     streams = columns.streams
     a_col, as_col, ar_col, r_col = streams["a"], streams["as"], streams["ar"], streams["r"]
     ms_col, mr_col, ws_col = streams["ms"], streams["mr"], streams["ws"]
-    boot = t == options.bootstrap_request_tick
+    boot_tick = options.bootstrap_request_tick
+    boot = t == boot_tick
+    primed = boot_tick is not None and t >= boot_tick
     literal_row2 = options.fidelity_row2
-    rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers, pending = [], [], [], [], [], [], [], []
+    rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers = [], [], [], [], [], [], []
     last = columns.last_steps or [(None, None, None)] * (2 * len(buffers) + 1)
     parity = t & 1
     for i, enc in enumerate(state.encoders):
@@ -205,16 +202,15 @@ def tick_system(
             seen = last[-1] = (dec, mr, decoder_step(dec, mr, t))
         ar, dec = seen[2]
 
-        # Observable request stream: bootstrap priming plus the success
-        # request raised in the previous tick.
-        r = REQ_CELL + state.raised[i] if boot else state.raised[i]
+        # Observable request stream: the bootstrap priming, or the success
+        # request raised in the previous tick (none is raised before priming).
+        r = REQ_CELL if boot else state.raised[i]
 
         # Buffer update: a success request acts in the tick it is raised, and
-        # an unconsumed request stands until it can hand a message over.
-        has_req = boot or state.req_pending[i] or bool(raised)
+        # a primed node requests while its offer slot is empty.
+        has_req = raised or (primed and not buffers[i].b)
         _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
         new_buffers.append(buf)
-        pending.append(has_req and not buf.b)
 
         as_col[i].append(as_cell)
         ms_col[i].append(ms)
@@ -235,7 +231,6 @@ def tick_system(
         llayers=tuple(llayers),
         wire=wire_latch(ws_all, t),
         raised=tuple(raised_all),
-        req_pending=tuple(pending),
     )
 
 

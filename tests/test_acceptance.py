@@ -45,10 +45,6 @@ from .conftest import amsg, scenario
 
 GOLDENS = Path(__file__).parent / "goldens"
 
-# Criterion 3's corpus is reused by criterion 6; built once on first use.
-_corpus: list = []
-
-
 @contextmanager
 def criterion(number: int, name: str):
     started = time.perf_counter()
@@ -58,14 +54,6 @@ def criterion(number: int, name: str):
         print(f"ACCEPTANCE {number} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {number} {name}: PASS ({time.perf_counter() - started:.2f}s)")
-
-
-def _sweep_corpus():
-    if not _corpus:
-        for i in range(1000):
-            s = seeded_scenario("accept3", i, nodes=2 + (i % 4), horizon=64)
-            _corpus.append(run_scenario(s))
-    return _corpus
 
 
 def test_criterion_1_axiom_unit_suite():
@@ -160,10 +148,9 @@ def test_criterion_2_golden_trace(golden_scenario):
 def test_criterion_3_transmission_sweep():
     with criterion(3, "transmission sweep (1000 scenarios)"):
         started = time.perf_counter()
-        for trace in _sweep_corpus():
-            report = check_all(trace)
+        for i in range(1000):
+            report = check_all(run_scenario(seeded_scenario("accept3", i, nodes=2 + (i % 4), horizon=64)))
             assert not report.violations, report.violations[:3]
-            assert check_row3_unreachable(trace) == []
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"
 
@@ -213,5 +200,6 @@ def test_criterion_5_negative_controls(golden_scenario, two_node_scenario):
 
 def test_criterion_6_structural_invariants():
     with criterion(6, "structural invariants under fuzzing"):
-        for trace in _sweep_corpus():
+        for i in range(300):
+            trace = run_scenario(seeded_scenario("accept6", i, nodes=1 + i % 8, horizon=64))
             assert check_structural(trace) == []

@@ -39,8 +39,6 @@ def make_trace(families, n=1, wr=(), rows=(), states=()) -> Trace:
 
     return Trace(
         scenario=Scenario(n, horizon),
-        node_count=n,
-        horizon=horizon,
         streams={name: tuple(pad(s) for s in per_node) for name, per_node in families.items()},
         wire=pad(wr),
         rows=tuple(rows) + tuple(((1,) * n,) * (horizon - len(rows))),

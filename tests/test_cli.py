@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import canstream
-from canstream.checkers import ALL_PREDICATES
+from canstream.checkers import ALL_PREDICATES, check_all
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
 from .conftest import scenario
@@ -88,6 +88,19 @@ def test_check_catches_corruption(golden_file, tmp_path):
     lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")
     assert main(["check", "--trace", str(out)]) == 1
+
+
+def test_check_finds_two_messages_in_one_application_cell(tmp_path):
+    lines = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text().splitlines()
+    tick0 = json.loads(lines[1])
+    [[node, cell]] = tick0["a"]
+    tick0["a"] = [[node, cell + [{"data": "cd", "id": 6}]]]
+    lines[1] = json.dumps(tick0, sort_keys=True, separators=(",", ":"))
+    out = tmp_path / "wide_a.trace"
+    out.write_text("\n".join(lines) + "\n")
+    report = check_all(trace_from_jsonl(out.read_text()))
+    assert [(v.predicate, v.tick, v.streams) for v in report.violations] == [("msg1", 0, ("a_1",))]
+    assert main(["check", "--trace", str(out), "--only", "msg1"]) == 1
 
 
 def test_check_json_prints_the_report_with_the_same_exit_codes(golden_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from canstream import (
     validate_scenario,
 )
 from canstream.checkers import ALL_PREDICATES
-from canstream.fuzzing import random_scenario
+from canstream.fuzzing import random_scenario, seeded_scenario
 from .conftest import amsg, scenario
 
 
@@ -102,6 +103,17 @@ def test_each_scenario_is_rejected_for_a_shared_identifier_or_agrees_with_the_or
     assert outcomes["rejected"] > 100 and outcomes["ran"] > 100, outcomes
 
 
+@pytest.mark.parametrize("boot", range(7))
+def test_a_delayed_bootstrap_agrees_with_the_oracle_and_checks(boot):
+    for i in range(40):
+        s = seeded_scenario("boot", i, nodes=1 + i % 5, horizon=48)
+        s = replace(s, options=RunOptions(bootstrap_request_tick=boot))
+        result = compare_with_simulator(s)
+        assert result.equivalent, (s, result.divergent_node, result.simulator_log, result.oracle_log)
+        report = check_all(result.trace)
+        assert report.ok(), (s, report.violations[:3])
+
+
 def test_compare_equivalent_on_nominal_scenario(two_node_scenario):
     result = compare_with_simulator(two_node_scenario)
     assert result.equivalent
@@ -116,8 +128,6 @@ def test_compare_empty_scenario():
 
 
 def test_compare_detects_stall_without_priming(golden_scenario):
-    from dataclasses import replace
-
     stalled = replace(golden_scenario, options=RunOptions(bootstrap_request_tick=None))
     result = compare_with_simulator(stalled)
     assert not result.equivalent
@@ -127,8 +137,6 @@ def test_compare_detects_stall_without_priming(golden_scenario):
 
 
 def test_compare_detects_stall_in_literal_row2_mode(golden_scenario):
-    from dataclasses import replace
-
     stalled = replace(golden_scenario, options=RunOptions(fidelity_row2=True))
     result = compare_with_simulator(stalled)
     assert not result.equivalent and result.simulator_log == ()
@@ -143,8 +151,6 @@ def test_equivalence_on_random_scenarios(rng):
 
 
 def test_compare_checks_every_node_not_only_node_1(monkeypatch, two_node_scenario):
-    from dataclasses import replace
-
     import canstream.oracle as oracle
     from canstream import TimedStream
 

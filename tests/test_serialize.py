@@ -238,9 +238,9 @@ def _add_header_injection(injection):
     return _edit_header(lambda header: header["scenario"]["injections"].append(injection))
 
 
-def _set_id(t, family, k, value):
-    """Set the identifier of the message in tick t's k-th pair of a family."""
-    return _edit_tick(t, lambda tick: tick[family][k][1][0].update(id=value))
+def _set_message(t, family, k, **fields):
+    """Set fields of the message in tick t's k-th pair of a family."""
+    return _edit_tick(t, lambda tick: tick[family][k][1][0].update(fields))
 
 
 def _set_state(family, k, key, value):
@@ -272,10 +272,16 @@ MALFORMED = {
     "scenario with an identifier at two nodes": (
         _add_header_injection({"node": 2, "tick": 2, "id": 3, "data": "cc"}),
         r"^header field 'scenario': duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"),
-    "float identifier": (_set_id(0, "a", 1, 5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
-    "string identifier": (_set_id(0, "a", 1, "5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
-    "float copy of an identifier read before": (_set_id(1, "as", 0, 3.0),
+    "float identifier": (_set_message(0, "a", 1, id=5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
+    "string identifier": (_set_message(0, "a", 1, id="5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
+    "float copy of an identifier read before": (_set_message(1, "as", 0, id=3.0),
                                                 r"^tick 1: field 'as': id must be an integer, got 3.0$"),
+    "payload with a space": (_set_message(0, "a", 1, data=" ab"),
+                             r'^tick 0: field \'a\': data must be a hex string, got " ab"$'),
+    "payload as a list of octets": (_set_message(0, "a", 1, data=[171]),
+                                    r"^tick 0: field 'a': data must be a hex string, got \[171\]$"),
+    "data symbol with a space": (_edit_tick(2, lambda tick: tick["ms"][0][1][0].update(value=" ab")),
+                                 r'^tick 2: field \'ms\': value must be a hex string, got " ab"$'),
     "float identifier symbol": (_edit_tick(1, lambda tick: tick["ms"][0][1][0].update(value=3.5)),
                                 r"^tick 1: field 'ms': value must be an integer, got 3.5$"),
     "bool row": (_edit_tick(0, lambda tick: tick["rows"].__setitem__(0, True)),
@@ -316,7 +322,7 @@ MALFORMED = {
     "string wire source": (_set_state("wire", 0, "sources", ["1"]),
                            r'^tick 0: field \'state\': sources must be a list of integers, got \["1"\]$'),
     "list lid": (_set_state("llayers", 0, "lid", [1]), r"^tick 0: field 'state': lid must be an integer, got \[1\]$"),
-    "list identifier": (_set_id(0, "a", 1, [5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
+    "list identifier": (_set_message(0, "a", 1, id=[5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
     "wire sources without a latch": (
         _set_state("wire", 0, "sources", [7, 9]),
         r"^tick 0: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
@@ -344,3 +350,10 @@ def test_malformed_tick_lines_name_the_tick_and_field(case, two_node_scenario, t
     path.write_text(text)
     assert main(["check", "--trace", str(path)]) == EXIT_INPUT
     assert "malformed trace" in capsys.readouterr().err
+
+
+def test_uppercase_hex_payloads_load_as_in_scenario_files():
+    # the header's scenario and every message and data symbol of the golden spell 0xab
+    text = (GOLDENS / "single_node.v2.jsonl").read_text()
+    assert text.count('"ab"') > 4
+    assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
