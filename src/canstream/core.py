@@ -216,3 +216,17 @@ class Trace:
         if not 1 <= node <= self.node_count:
             raise ValueError(f"node {node} outside [1..{self.node_count}]")
         return self.streams[family][node - 1]
+
+
+def assemble_trace(scenario: Scenario, records, states, error: dict | None = None) -> Trace:
+    """The Trace of a run's per-tick records and the state snapshots entering those ticks.
+
+    A record holds, per family of PER_NODE_FAMILIES in that order, one cell
+    per node, then the wire cell and the tuple of rows (see system.tick_system).
+    """
+    if not records:
+        return Trace(scenario, {f: (TimedStream(()),) * scenario.node_count for f in PER_NODE_FAMILIES},
+                     TimedStream(()), (), tuple(states), error)
+    *families, wire, rows = zip(*records)
+    streams = {f: tuple(map(TimedStream, zip(*ticks))) for f, ticks in zip(PER_NODE_FAMILIES, families)}
+    return Trace(scenario, streams, TimedStream(wire), rows, tuple(states), error)

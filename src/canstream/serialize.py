@@ -39,8 +39,8 @@ from .core import (
     RunOptions,
     Scenario,
     ScenarioError,
-    TimedStream,
     Trace,
+    assemble_trace,
     require_valid,
 )
 
@@ -307,6 +307,21 @@ def _snapshot_from_obj(obj: dict, prev: dict, read: dict, listed: bool) -> dict:
     return snap
 
 
+def _error_record(line, ticks: int, horizon: int) -> dict:
+    """The error record of a failed run's last line, which follows its `ticks` tick lines.
+
+    A run fails at a tick within its horizon and records the ticks before it,
+    so the record's tick is `ticks`, below the scenario's `horizon`.
+    """
+    error = line.get("error") if isinstance(line, dict) and line.keys() == {"error"} else None
+    if not (isinstance(error, dict) and error.keys() == {"message", "tick"} and isinstance(error["message"], str)
+            and type(error["tick"]) is int and error["tick"] == ticks and ticks < horizon):
+        raise ValueError(f'error line: expected {{"error":{{"message":<a string>,"tick":{ticks}}}}}, the number '
+                         f"of tick lines, which a failed run keeps below the scenario's horizon of {horizon}; "
+                         f"got {_dumps(line)}")
+    return error
+
+
 def trace_from_jsonl(text: str) -> Trace:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -328,44 +343,45 @@ def trace_from_jsonl(text: str) -> Trace:
     if type(n) is not int or n != scenario.node_count:
         raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
     ticks = [json.loads(line) for line in lines[1:]]
-    error = ticks.pop()["error"] if ticks and "error" in ticks[-1] else None
+    # A last line that is not a tick object is the error line of a failed run.
+    error_line = ticks.pop() if ticks and not (isinstance(ticks[-1], dict) and "error" not in ticks[-1]) else None
+    failed = error_line is not None
     # A run that failed stops early; one that did not runs the scenario's whole horizon.
-    if type(horizon) is not int or horizon > scenario.horizon or (error is None and horizon < scenario.horizon):
-        bound = "expected" if error is None else "at most"
+    if type(horizon) is not int or horizon > scenario.horizon or (not failed and horizon < scenario.horizon):
+        bound = "at most" if failed else "expected"
         raise ValueError(f"header field 'horizon': {bound} the scenario's {scenario.horizon}, got {_dumps(horizon)}")
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
+    error = _error_record(error_line, horizon, scenario.horizon) if failed else None
 
     read, listed = _readers(n), version == 1
-    columns = {f: [] for f in PER_NODE_FAMILIES}
     blank_row = ((),) * n
-    rows, wire, states, snap = [], [], [], _unset(n)
+    records, states, snap = [], [], _unset(n)
     for t, tick in enumerate(ticks):
         field = "t"
         try:
             if tick["t"] != t:
                 raise ValueError(f"expected {t}, found {tick['t']!r}")
-            for field, column in columns.items():
+            record = []
+            for field in PER_NODE_FAMILIES:
                 cells = tick[field]
-                column.append(blank_row if cells == [] else _applied(blank_row, cells, read[field], listed))
+                record.append(blank_row if cells == [] else _applied(blank_row, cells, read[field], listed))
             field = "rows"
             if len(tick["rows"]) != n:
                 raise ValueError(f"{len(tick['rows'])} entries for {n} nodes")
-            rows.append(tuple(_checked("rows", tick["rows"], _INTS)))
+            rows = tuple(_checked("rows", tick["rows"], _INTS))
             field = "wr"
-            wire.append(read["wr"](tick["wr"]))
+            record += (read["wr"](tick["wr"]), rows)
             field = "state"
             snap = _snapshot_from_obj(tick["state"], snap, read, listed)
             if t == 0 and (snap["wire"] is None or any(None in snap[key] for key in _COMPONENTS)):
                 raise ValueError("tick 0 must give every component state")
+            records.append(record)
             states.append(snap)
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
-
-    streams = {f: tuple(map(TimedStream, zip(*column))) or (TimedStream(()),) * n for f, column in columns.items()}
-    return Trace(scenario=scenario, streams=streams, wire=TimedStream(tuple(wire)),
-                 rows=tuple(rows), states=tuple(states), error=error)
+    return assemble_trace(scenario, records, states, error)
 
 
 # -- reports ------------------------------------------------------------------

@@ -5,6 +5,12 @@ One kernel, `tick_system`, advances the system by one tick, and one driver,
 injections. Every run therefore has buffers, and every trace records the
 application stream `a`, the buffer snapshots and the scenario it ran.
 
+Like each component, the kernel maps a state and the inputs of tick t to the
+outputs of tick t and the next state: it returns the next state and the
+tick's record of every stream cell. `run_scenario` keeps the records of the
+ticks that finished, and `core.assemble_trace` turns them into the Trace, so
+a tick that fails leaves nothing to cut back.
+
 Within a tick the bus first emits from its latch. Then each node in turn runs
 its whole chain: buffer emission, encoder, bus-access layer, decoder, request
 stream and buffer update. Last, the bus latches every node's offer. This
@@ -32,7 +38,7 @@ contract looks for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .components import (
@@ -55,14 +61,13 @@ from .components import (
     wire_latch,
 )
 from .core import (
-    PER_NODE_FAMILIES,
     AMessage,
     Cell,
     ModelViolation,
     RunOptions,
     Scenario,
-    TimedStream,
     Trace,
+    assemble_trace,
     require_valid,
 )
 
@@ -83,46 +88,8 @@ class SystemState:
     raised: tuple[Cell, ...]
 
 
-@dataclass(slots=True)
-class Columns:
-    """The trace under construction, and the run's record of its last steps.
-
-    tick_system appends one cell per node to every family, plus the wire
-    cell, the row tuple and the state snapshot of the tick it runs. It reuses
-    the step calls kept in last_steps while their inputs repeat; an empty
-    record gives the same run without reuse across ticks.
-    """
-
-    streams: dict[str, list[list[Cell]]]
-    wire: list[Cell] = field(default_factory=list)
-    rows: list[tuple[int, ...]] = field(default_factory=list)
-    states: list[dict] = field(default_factory=list)
-    last_steps: list[tuple] = field(default_factory=list)
-
-    @classmethod
-    def for_state(cls, state: SystemState) -> "Columns":
-        return cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES},
-                   last_steps=[(None, None, None)] * (2 * len(state.encoders) + 1))
-
-    def truncate(self, horizon: int) -> None:
-        """Drop everything from tick `horizon` on, including a half-written tick."""
-        for per_node in self.streams.values():
-            for column in per_node:
-                del column[horizon:]
-        del self.wire[horizon:], self.rows[horizon:], self.states[horizon:]
-
-    def trace(self, scenario: Scenario, error: dict | None = None) -> Trace:
-        return Trace(
-            scenario=scenario,
-            streams={
-                family: tuple(TimedStream(tuple(column)) for column in per_node)
-                for family, per_node in self.streams.items()
-            },
-            wire=TimedStream(tuple(self.wire)),
-            rows=tuple(self.rows),
-            states=tuple(self.states),
-            error=error,
-        )
+# A reuse-record slot before its first call: no state or cell is None.
+_UNSEEN = (None, None, None)
 
 
 class RunError(ModelViolation):
@@ -150,51 +117,42 @@ def tick_system(
     cells: Sequence[Cell],
     t: int,
     options: RunOptions,
-    columns: Columns,
-) -> SystemState:
-    """Advance the system by one tick, appending every stream cell to columns.
+    last: list[tuple] | None = None,
+) -> tuple[SystemState, tuple]:
+    """Advance the system by one tick: the next state and the tick's record.
 
     cells[i] is node i+1's application cell a at tick t, which its buffer
-    takes in. Returns the next state. If a component raises, columns may hold
-    part of tick t (see Columns.truncate).
+    takes in. The record holds, per family of PER_NODE_FAMILIES in that order,
+    one cell per node, then the wire cell wr and the tuple of rows that fired;
+    assemble_trace turns a run's records into its Trace.
 
-    Slot 2*i + p of columns.last_steps keeps node i's last encoder_step call at
-    tick parity p as (state, cell, result), the last slot the last decoder_step
-    call. A call with the same state and cell objects as its slot takes the
-    slot's result: a node re-offering a lost frame repeats its calls of two
-    ticks before, and all decoders share one state and one wire cell. This is
-    exact: the steps are pure and the record keeps the objects it compares alive.
+    Slot 2*i + p of `last` keeps node i's last encoder_step call at tick parity
+    p as (state, cell, result), the last slot the last decoder_step call. A call
+    with the same state and cell objects as its slot takes the slot's result: a
+    node re-offering a lost frame repeats its calls of two ticks before, and all
+    decoders share one state and one wire cell. This is exact: the steps are
+    pure and the record keeps the objects it compares alive. A caller that keeps
+    one `last` across its ticks reuses steps across them; without one, steps
+    are reused within the tick only. `last` is the only thing this writes to.
     """
     buffers = state.buffers
-    columns.states.append({
-        "buffers": buffers,
-        "encoders": state.encoders,
-        "decoders": state.decoders,
-        "llayers": state.llayers,
-        "wire": state.wire,
-    })
     wr = wire_emission(state.wire, t)
-    columns.wire.append(wr)
-
-    streams = columns.streams
-    a_col, as_col, ar_col, r_col = streams["a"], streams["as"], streams["ar"], streams["r"]
-    ms_col, mr_col, ws_col = streams["ms"], streams["mr"], streams["ws"]
     boot_tick = options.bootstrap_request_tick
     boot = t == boot_tick
     primed = boot_tick is not None and t >= boot_tick
     literal_row2 = options.fidelity_row2
-    rows, ws_all, encoders, decoders, llayers, raised_all, new_buffers = [], [], [], [], [], [], []
-    last = columns.last_steps or [(None, None, None)] * (2 * len(buffers) + 1)
+    if last is None:
+        last = [_UNSEEN] * (2 * len(buffers) + 1)
     parity = t & 1
+    nodes = []
     for i, enc in enumerate(state.encoders):
-        a_col[i].append(cells[i])
         as_cell = buffer_emission(buffers[i], t)
         seen = last[2 * i + parity]
         if seen[0] is not enc or seen[1] is not as_cell:
             seen = last[2 * i + parity] = (enc, as_cell, encoder_step(enc, as_cell, t))
         ms, enc = seen[2]
         ll = state.llayers[i]
-        rows.append(dispatch_row(ms, wr, ll.lid))
+        row = dispatch_row(ms, wr, ll.lid)
         mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t, literal_row2=literal_row2)
         dec = state.decoders[i]
         seen = last[-1]
@@ -210,34 +168,17 @@ def tick_system(
         # a primed node requests while its offer slot is empty.
         has_req = raised or (primed and not buffers[i].b)
         _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
-        new_buffers.append(buf)
-
-        as_col[i].append(as_cell)
-        ms_col[i].append(ms)
-        mr_col[i].append(mr)
-        ws_col[i].append(ws)
-        ar_col[i].append(ar)
-        r_col[i].append(r)
-        ws_all.append(ws)
-        encoders.append(enc)
-        llayers.append(ll)
-        decoders.append(dec)
-        raised_all.append(raised)
-    columns.rows.append(tuple(rows))
-    return SystemState(
-        buffers=tuple(new_buffers),
-        encoders=tuple(encoders),
-        decoders=tuple(decoders),
-        llayers=tuple(llayers),
-        wire=wire_latch(ws_all, t),
-        raised=tuple(raised_all),
-    )
+        nodes.append((cells[i], as_cell, ar, r, ms, mr, ws, row, buf, enc, dec, ll, raised))
+    a, as_, ar, r, ms, mr, ws, rows, buffers, encoders, decoders, llayers, raised = zip(*nodes)
+    next_state = SystemState(buffers=buffers, encoders=encoders, decoders=decoders, llayers=llayers,
+                             wire=wire_latch(ws, t), raised=raised)
+    return next_state, (a, as_, ar, r, ms, mr, ws, wr, rows)
 
 
 def run_scenario(scenario: Scenario) -> Trace:
     """Run a validated scenario to completion; identical inputs give identical traces.
 
-    A component failure raises RunError carrying the trace up to the failing tick.
+    A component failure raises RunError carrying the trace of the ticks before the failing one.
     """
     require_valid(scenario)
     n = scenario.node_count
@@ -246,15 +187,19 @@ def run_scenario(scenario: Scenario) -> Trace:
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     state = initial_state(n)
-    columns = Columns.for_state(state)
+    last = [_UNSEEN] * (2 * n + 1)
+    records, states = [], []
     for t in range(scenario.horizon):
+        snapshot = {"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
+                    "llayers": state.llayers, "wire": state.wire}
         try:
-            state = tick_system(state, arrivals.get(t, quiet), t, scenario.options, columns)
+            state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
         except ModelViolation as exc:
-            columns.truncate(t)
-            partial = columns.trace(scenario, error={"tick": t, "message": str(exc)})
+            partial = assemble_trace(scenario, records, states, error={"tick": t, "message": str(exc)})
             raise RunError(f"tick {t}: {exc}", partial) from exc
-    return columns.trace(scenario)
+        records.append(record)
+        states.append(snapshot)
+    return assemble_trace(scenario, records, states)
 
 
 def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:

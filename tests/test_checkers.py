@@ -3,13 +3,13 @@ from __future__ import annotations
 import pytest
 
 from canstream import (
-    Columns,
     DataSym,
     IdSym,
     RunOptions,
     Scenario,
     TimedStream,
     Trace,
+    assemble_trace,
     check_all,
     check_message_transmission,
     check_msg1,
@@ -163,12 +163,12 @@ def test_transmission_duplicate_min_id_is_a_violation():
 
 def test_a_tie_in_a_trace_stepped_outside_run_scenario_fails_the_checks():
     # run_scenario rejects an identifier shared by two nodes; stepping the kernel directly does not
-    state = initial_state(2)
-    columns = Columns.for_state(state)
+    state, records = initial_state(2), []
     tie = (amsg(3, b"\xaa"),), (amsg(3, b"\xbb"),)
     for t in range(8):
-        state = tick_system(state, tie if t == 1 else ((), ()), t, RunOptions(), columns)
-    report = check_all(columns.trace(Scenario(2, 8)), ("transmission",))
+        state, record = tick_system(state, tie if t == 1 else ((), ()), t, RunOptions())
+        records.append(record)
+    report = check_all(assemble_trace(Scenario(2, 8), records, ()), ("transmission",))
     assert not report.ok()
     assert [(v.tick, v.streams, v.observed) for v in report.violations] == [
         (3, ("as_1", "as_2"), "identifier 3 offered by nodes [1, 2]")]

@@ -230,6 +230,15 @@ def _error_line_after_scenario_horizon(lines):
     lines.append(_dumps({"error": {"tick": 8, "message": "stop"}}))
 
 
+def _error_line(line, ticks=8):
+    """Keep the first `ticks` tick lines, as a run that failed at tick `ticks` would, then append `line`."""
+    def mutate(lines):
+        del lines[1 + ticks:]
+        _edit_header(lambda header: header.update(horizon=ticks))(lines)
+        lines.append(line)
+    return mutate
+
+
 def _header_not_an_object(lines):
     lines[0] = "[1]"
 
@@ -296,6 +305,16 @@ MALFORMED = {
                                           r"^header field 'horizon': expected the scenario's 99, got 8$"),
     "horizon beyond the scenario with an error line": (_error_line_after_scenario_horizon,
                                                        r"^header field 'horizon': at most the scenario's 7, got 8$"),
+    "error line after the whole horizon": (
+        _error_line('{"error":{"message":"forged","tick":8}}'),
+        r'^error line: expected \{"error":\{"message":<a string>,"tick":8\}\}, the number of tick lines, '
+        r"which a failed run keeps below the scenario's horizon of 8; got \{\"error\":\{\"message\":\"forged\",\"tick\":8\}\}$"),
+    "error line that is a number": (_error_line("5"), r"^error line: .* got 5$"),
+    "error that is a number": (_error_line('{"error":5}', ticks=3), r'^error line: .*"tick":3\}\}.* got \{"error":5\}$'),
+    "error tick other than the tick lines": (_error_line('{"error":{"message":"stop","tick":4}}', ticks=3),
+                                             r'^error line: expected .*"tick":3\}\}.*horizon of 8; got'),
+    "error without a message": (_error_line('{"error":{"tick":3}}', ticks=3), r"^error line: "),
+    "error line with a tick": (_error_line('{"error":{"message":"stop","tick":3},"t":3}', ticks=3), r"^error line: "),
     "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
     "extra node entry": (_edit_tick(3, lambda tick: tick["rows"].append(1)), r"tick 3: field 'rows'"),
     "short family list": (_edit_tick(0, lambda tick: tick["state"]["encoders"].pop()),

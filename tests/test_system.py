@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +14,17 @@ from canstream import (
     Injection,
     ModelViolation,
     RunError,
+    RunOptions,
     Scenario,
     ScenarioError,
+    assemble_trace,
     run_scenario,
+    tick_system,
 )
 from canstream.components import decoder_step, encoder_step
-from canstream.core import PER_NODE_FAMILIES
 from canstream.fuzzing import ID_POOL, random_scenario, seeded_scenario
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
-from canstream.system import delivery_log
+from canstream.system import delivery_log, initial_state
 from .conftest import amsg, scenario
 
 
@@ -185,14 +188,37 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
     assert calls["decoder_step"] <= s.horizon
 
 
-def test_columns_without_the_step_record_give_the_same_run(monkeypatch):
+def test_the_kernel_without_the_step_record_gives_the_same_run(monkeypatch):
     import canstream.system as system
 
     s = _saturated(1, nodes=6, horizon=48)
     full = run_scenario(s)
-    bare = classmethod(lambda cls, state: cls({family: [[] for _ in state.encoders] for family in PER_NODE_FAMILIES}))
-    monkeypatch.setattr(system.Columns, "for_state", bare)
+    real = system.tick_system
+    monkeypatch.setattr(system, "tick_system", lambda state, cells, t, options, last: real(state, cells, t, options))
     assert run_scenario(s) == full
+
+
+def _stepped_by_hand(s: Scenario):
+    """The trace of stepping tick_system from the initial state, one call per tick and no reuse record."""
+    state, records, states = initial_state(s.node_count), [], []
+    for t in range(s.horizon):
+        cells = [()] * s.node_count
+        for inj in s.injections:
+            if inj.tick == t:
+                cells[inj.node - 1] = (inj.message,)
+        states.append({"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
+                       "llayers": state.llayers, "wire": state.wire})
+        state, record = tick_system(state, cells, t, s.options)
+        records.append(record)
+    return assemble_trace(s, records, states)
+
+
+@pytest.mark.parametrize("s", [
+    replace(seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32),
+            options=RunOptions(bootstrap_request_tick=(0, None, 5)[i % 3], fidelity_row2=i % 4 == 3))
+    for i in range(12)] + [_saturated(2), scenario(3, 0)])
+def test_stepping_the_kernel_by_hand_gives_the_run(s):
+    assert _stepped_by_hand(s) == run_scenario(s)
 
 
 def test_seeded_scenarios_are_reproducible():
@@ -220,22 +246,42 @@ def _fail_second_call_at(monkeypatch, k):
     monkeypatch.setattr(system, "logical_layer_step", failing)
 
 
+def _fail_first_call_at(monkeypatch, name, k):
+    """Make canstream.system's `name` step, which takes the tick last, raise at its first call at tick k."""
+    import canstream.system as system
+
+    real = getattr(system, name)
+
+    def failing(*args, **kwargs):
+        if args[-1] == k:
+            raise ModelViolation(f"synthetic failure at tick {k}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(system, name, failing)
+
+
 @pytest.mark.parametrize("k", [0, 1, 6, 11])
 def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, k):
+    """A failure at a tick's first step, in its node loop, or at its last step records ticks 0..k-1."""
     s = seeded_scenario("partial", 3, nodes=3, horizon=16)
     full = run_scenario(s)
-    _fail_second_call_at(monkeypatch, k)
-    with pytest.raises(RunError, match=f"tick {k}:") as info:
-        run_scenario(s)
-    trace = info.value.trace
-    assert trace.horizon == k
-    assert trace.error == {"tick": k, "message": f"synthetic failure at tick {k}"}
-    assert set(trace.streams) == set(full.streams)
-    for family, per_node in trace.streams.items():
-        assert len(per_node) == 3
-        for partial, whole in zip(per_node, full.streams[family]):
-            assert partial.cells == whole.cells[:k], family
-    assert trace.wire.cells == full.wire.cells[:k]
-    assert trace.rows == full.rows[:k]
-    assert trace.states == full.states[:k]
-    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+    failures = [lambda patch: _fail_first_call_at(patch, "wire_emission", k),
+                lambda patch: _fail_second_call_at(patch, k),
+                lambda patch: _fail_first_call_at(patch, "wire_latch", k)]
+    for fail in failures:
+        with monkeypatch.context() as patch:
+            fail(patch)
+            with pytest.raises(RunError, match=f"tick {k}:") as info:
+                run_scenario(s)
+        trace = info.value.trace
+        assert trace.horizon == k
+        assert trace.error == {"tick": k, "message": f"synthetic failure at tick {k}"}
+        assert set(trace.streams) == set(full.streams)
+        for family, per_node in trace.streams.items():
+            assert len(per_node) == 3
+            for partial, whole in zip(per_node, full.streams[family]):
+                assert partial.cells == whole.cells[:k], family
+        assert trace.wire.cells == full.wire.cells[:k]
+        assert trace.rows == full.rows[:k]
+        assert trace.states == full.states[:k]
+        assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
