@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from canstream import AMessage, Injection, RunOptions, Scenario
+from canstream.fuzzing import ID_POOL
 
 
 def amsg(ident: int, data: bytes = b"\x00") -> AMessage:
@@ -16,6 +19,16 @@ def scenario(node_count, horizon, *injections, **options) -> Scenario:
         injections=tuple(Injection(n, t, amsg(i, d)) for n, t, i, d in injections),
         options=RunOptions(**options),
     )
+
+
+def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4) -> Scenario:
+    """Every node gets per_node messages on its first odd ticks, so the bus stays busy to the end."""
+    rng = random.Random(f"saturated:{seed}")
+    ids = rng.sample(range(ID_POOL), nodes * per_node)
+    return Scenario(nodes, horizon, tuple(
+        Injection(node, 2 * k + 1, AMessage(ids[(node - 1) * per_node + k], rng.randbytes(rng.randint(1, 8))))
+        for node in range(1, nodes + 1) for k in range(per_node)
+    ))
 
 
 @pytest.fixture

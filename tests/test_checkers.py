@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import random
+from dataclasses import replace
+
 import pytest
 
 from canstream import (
+    AMessage,
     DataSym,
     IdSym,
     RunOptions,
@@ -23,8 +28,10 @@ from canstream import (
 from canstream.checkers import ALL_PREDICATES
 from canstream.components import BufferState, DecoderState, EncoderState
 from canstream.core import PER_NODE_FAMILIES
+from canstream.fuzzing import ID_POOL, seeded_scenario
+from canstream.serialize import report_to_json, trace_from_jsonl, trace_to_jsonl
 from canstream.system import initial_state
-from .conftest import amsg, scenario
+from .conftest import amsg, saturated, scenario
 
 
 def make_trace(families, n=1, wr=(), rows=(), states=()) -> Trace:
@@ -260,3 +267,93 @@ def test_check_all_rejects_unknown_predicate(golden_scenario):
 def test_check_all_is_read_only(golden_scenario):
     t = run_scenario(golden_scenario)
     assert check_all(t) == check_all(t)
+
+
+# -- pinned reports of faulty traces --------------------------------------------------
+
+# What a cell of each family may be swapped for, as (kind, make); a swap whose
+# value the family's trace reader accepts keeps the trace loadable.
+_MESSAGE = ("message", lambda rng: (AMessage(rng.randrange(ID_POOL), rng.randbytes(2)),))
+_ID = ("id", lambda rng: (IdSym(rng.randrange(ID_POOL)),))
+_DATA = ("data", lambda rng: (DataSym(rng.randbytes(2)),))
+# The transmission check reads an offer's identifier, so `as` cells keep messages.
+_SWAPS = {"a": (_MESSAGE, _ID, _DATA), "as": (_MESSAGE,), "ar": (_MESSAGE, _ID, _DATA),
+          "r": (_ID,), "ms": (_ID, _DATA), "mr": (_ID, _DATA), "ws": (_ID, _DATA), "wr": (_ID, _DATA)}
+_LOADABLE = {"a": "message", "as": "message", "ar": "message", "ms": "id data", "mr": "id data",
+             "ws": "id data", "wr": "id data", "r": ""}
+_BAD_STATES = (
+    ("buffers", lambda s: BufferState((amsg(9), amsg(2)) + s.buf, s.b)),  # unsorted buf
+    ("buffers", lambda s: BufferState(s.buf, (amsg(7), amsg(8)))),  # two entries in b
+    ("encoders", lambda s: EncoderState(True, None)),  # e without pending
+    ("decoders", lambda s: DecoderState(True, None)),  # d without last_id
+)
+
+
+def _mutated(trace: Trace, rng: random.Random) -> tuple[Trace, bool]:
+    """The trace with one seeded fault, and whether the trace reader can load it back."""
+    n, horizon = trace.node_count, trace.horizon
+    i, t = rng.randrange(n), rng.randrange(horizon)
+    kind = rng.choice(("cell", "cell", "cell", "wire", "row", "state", "state"))
+    if kind in ("cell", "wire"):
+        # The families whose copies are compared as whole streams, and ws for mixing, come up twice as often.
+        family = rng.choice(PER_NODE_FAMILIES + ("ar", "mr", "ws")) if kind == "cell" else "wr"
+        per_node = (trace.wire,) if family == "wr" else trace.streams[family]
+        stream = per_node[0] if family == "wr" else per_node[i]
+        # A tick where this stream, or for mixing some other node's, is busy.
+        looked_at = (stream,) if rng.random() < 0.5 else per_node
+        busy = [u for u in range(horizon) if any(s.cells[u] for s in looked_at)]
+        t = rng.choice(busy) if busy and rng.random() < 0.8 else t
+        old, how = stream.cells[t], rng.choice(("empty", "double", "swap", "swap"))
+        swap_kind, make = rng.choice(_SWAPS[family])
+        new = () if how == "empty" else (old or make(rng)) * 2 if how == "double" else make(rng)
+        loadable = how == "empty" or (how == "double" and bool(old)) or swap_kind in _LOADABLE[family]
+        cells = TimedStream(stream.cells[:t] + (new,) + stream.cells[t + 1:])
+        if family == "wr":
+            return replace(trace, wire=cells), loadable
+        streams = {**trace.streams, family: per_node[:i] + (cells,) + per_node[i + 1:]}
+        return replace(trace, streams=streams), loadable
+    if kind == "row":
+        row = trace.rows[t][:i] + (rng.choice((3, 3, 2, 5)),) + trace.rows[t][i + 1:]
+        return replace(trace, rows=trace.rows[:t] + (row,) + trace.rows[t + 1:]), True
+    key, bad = rng.choice(_BAD_STATES)
+    old = trace.states[t][key][i]
+    new = bad(old)
+    # The faulty state replaces this one entry, or every entry that is the same object.
+    everywhere = rng.random() < 0.5
+    states = []
+    for u, snap in enumerate(trace.states):
+        entries = tuple(new if s is old and (everywhere or (u, j) == (t, i)) else s
+                        for j, s in enumerate(snap[key]))
+        states.append({**snap, key: entries})
+    return replace(trace, states=tuple(states)), True
+
+
+def _pinned_traces() -> list[Trace]:
+    """About 330 traces with seeded faults: corpus-shaped runs, a 16-node saturated run, JSONL copies."""
+    rng = random.Random("report pin")
+    bases = [run_scenario(seeded_scenario("report pin", k, nodes=2 + k % 4, horizon=64)) for k in range(8)]
+    bases.append(run_scenario(saturated(5, nodes=16, horizon=96)))
+    traces = list(bases)
+    for k in range(288):
+        trace, loadable = _mutated(bases[k % len(bases)], rng)
+        traces.append(trace)
+        if loadable and k % 6 == 0:
+            traces.append(trace_from_jsonl(trace_to_jsonl(trace)))
+    return traces + [trace_from_jsonl(trace_to_jsonl(trace)) for trace in bases]
+
+
+# SHA-256 of every pinned trace's report_to_json(check_all(...)), in order, and
+# the number of findings; computed before the checks judged distinct objects once.
+PINNED_REPORTS = "a0727be8d773c9a0c5e467ef4888accdc42de7feb44337541f431906d51bcfc8"
+PINNED_FINDINGS = 6980
+
+
+def test_the_reports_on_faulty_traces_are_pinned():
+    digest, findings, predicates = hashlib.sha256(), 0, set()
+    for trace in _pinned_traces():
+        report = check_all(trace)
+        digest.update(report_to_json(report).encode())
+        findings += len(report.violations)
+        predicates.update(v.predicate for v in report.violations)
+    assert predicates == set(ALL_PREDICATES)
+    assert (digest.hexdigest(), findings) == (PINNED_REPORTS, PINNED_FINDINGS)

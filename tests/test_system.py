@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -8,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
-    AMessage,
     DataSym,
     IdSym,
-    Injection,
     ModelViolation,
     RunError,
     RunOptions,
@@ -22,10 +19,10 @@ from canstream import (
     tick_system,
 )
 from canstream.components import decoder_step, encoder_step
-from canstream.fuzzing import ID_POOL, random_scenario, seeded_scenario
+from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log, initial_state
-from .conftest import amsg, scenario
+from .conftest import amsg, saturated, scenario
 
 
 def cells(trace, family, node=1):
@@ -141,17 +138,7 @@ def test_a_state_that_does_not_change_stays_the_same_object():
             assert all(old is new or old != new for old, new in pairs), (i, snap)
 
 
-def _saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4) -> Scenario:
-    """Every node gets per_node messages on its first odd ticks, so the bus stays busy to the end."""
-    rng = random.Random(f"saturated:{seed}")
-    ids = rng.sample(range(ID_POOL), nodes * per_node)
-    return Scenario(nodes, horizon, tuple(
-        Injection(node, 2 * k + 1, AMessage(ids[(node - 1) * per_node + k], rng.randbytes(rng.randint(1, 8))))
-        for node in range(1, nodes + 1) for k in range(per_node)
-    ))
-
-
-@pytest.mark.parametrize("s", [_saturated(seed) for seed in range(3)]
+@pytest.mark.parametrize("s", [saturated(seed) for seed in range(3)]
                          + [seeded_scenario("accept3", i, nodes=2 + i % 4, horizon=64) for i in range(12)])
 def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
     """The kernel may reuse a step's result; each one must equal the step called afresh."""
@@ -181,7 +168,7 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(system, name, counted(name))
-    s = _saturated(0)
+    s = saturated(0)
     trace = run_scenario(s)
     assert sum(map(bool, trace.wire.cells)) > 0.9 * s.horizon  # saturated: losers re-offer on every frame
     assert calls["encoder_step"] < 0.1 * s.node_count * s.horizon
@@ -191,7 +178,7 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
 def test_the_kernel_without_the_step_record_gives_the_same_run(monkeypatch):
     import canstream.system as system
 
-    s = _saturated(1, nodes=6, horizon=48)
+    s = saturated(1, nodes=6, horizon=48)
     full = run_scenario(s)
     real = system.tick_system
     monkeypatch.setattr(system, "tick_system", lambda state, cells, t, options, last: real(state, cells, t, options))
@@ -216,7 +203,7 @@ def _stepped_by_hand(s: Scenario):
 @pytest.mark.parametrize("s", [
     replace(seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32),
             options=RunOptions(bootstrap_request_tick=(0, None, 5)[i % 3], fidelity_row2=i % 4 == 3))
-    for i in range(12)] + [_saturated(2), scenario(3, 0)])
+    for i in range(12)] + [saturated(2), scenario(3, 0)])
 def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
 
