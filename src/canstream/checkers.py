@@ -5,10 +5,19 @@ bad content, they report it. Each finding carries the predicate name, the tick,
 the streams involved, and a rendered expected/observed pair. Guarantees that
 refer to neighbouring ticks are only checked where all referenced ticks fall
 inside the horizon; boundary ticks are skipped, never assumed to pass.
+
+Each check first makes a test at C speed that can only conclude that there is
+nothing to report; only where it fails does the per-tick loop that makes the
+findings run. The kernel hands on an unchanged value as the same object and the
+trace keeps every value alive, so the tests judge each distinct state once, by
+id(), and compare a stream that copies another (mr the wire, ar node 1's) whole.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
+from itertools import chain, compress
+from operator import is_not, itemgetter
 from typing import Sequence
 
 from .core import FRAME_LATENCY, PER_NODE_FAMILIES, AMessage, DataSym, IdSym, TimedStream, Trace
@@ -48,10 +57,13 @@ def _stream_by_name(trace: Trace, name: str) -> TimedStream:
 
 def check_msg1(trace: Trace, stream_name: str) -> list[Violation]:
     """At most one message per tick on the named stream."""
-    stream = _stream_by_name(trace, stream_name)
+    cells = _stream_by_name(trace, stream_name).cells
+    busy = list(filter(None, cells))
+    if sum(map(len, busy)) == len(busy):  # each non-empty cell holds one message
+        return []
     return [
         Violation("msg1", t, (stream_name,), "at most 1 message", render_cell(cell))
-        for t, cell in enumerate(stream.cells)
+        for t, cell in enumerate(cells)
         if len(cell) > 1
     ]
 
@@ -63,12 +75,18 @@ def check_msg_can_format(trace: Trace, stream_name: str) -> list[Violation]:
     and a data symbol must be preceded by an identifier in the previous tick
     (which also rules out data at tick 0).
     """
-    stream = _stream_by_name(trace, stream_name)
-    cells = stream.cells
+    cells = _stream_by_name(trace, stream_name).cells
+    # Nothing to report if the heads alternate identifier, data and each run of
+    # non-empty ticks has even length, but for an identifier at the horizon.
+    kinds = list(map(type, map(itemgetter(0), filter(None, cells))))
+    unchecked = bool(kinds) and kinds[-1] is IdSym and bool(cells[-1])
+    paired, runs = len(kinds) - unchecked, bytes(map(bool, cells[:len(cells) - unchecked]))
+    if kinds[:paired:2].count(IdSym) == paired // 2 == kinds[1:paired:2].count(DataSym) \
+            and 1 not in runs.replace(b"\1\1", b""):
+        return []
     out: list[Violation] = []
-    for t, cell in enumerate(cells):
-        if not cell:
-            continue
+    for t in compress(range(len(cells)), cells):
+        cell = cells[t]
         head = cell[0]
         if isinstance(head, IdSym):
             if t + 1 >= len(cells):
@@ -93,8 +111,11 @@ def check_msg_can_format(trace: Trace, stream_name: str) -> list[Violation]:
 
 def check_wire_assumptions(trace: Trace) -> list[Violation]:
     """No tick may mix identifier and data symbols across the nodes' bus offers."""
-    out: list[Violation] = []
     ws = trace.streams["ws"]
+    kinds = (set(map(type, map(itemgetter(0), filter(None, offers)))) for offers in zip(*(s.cells for s in ws)))
+    if all(k <= {IdSym} or k <= {DataSym} for k in kinds):  # each tick's offers are all of one kind
+        return []
+    out: list[Violation] = []
     for t in range(trace.horizon):
         id_nodes = [i + 1 for i in range(trace.node_count) if ws[i].cells[t] and isinstance(ws[i].cells[t][0], IdSym)]
         data_nodes = [i + 1 for i in range(trace.node_count) if ws[i].cells[t] and isinstance(ws[i].cells[t][0], DataSym)]
@@ -120,15 +141,16 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
     ticks whose delivery tick lies inside the horizon.
     """
     n = trace.node_count
-    as_streams = trace.streams["as"]
-    ar_streams = trace.streams["ar"]
     r_streams = trace.streams["r"]
+    offer_rows = list(zip(*(stream.cells for stream in trace.streams["as"])))
+    delivery_rows = list(zip(*(stream.cells for stream in trace.streams["ar"])))
     out: list[Violation] = []
 
-    for t in range(trace.horizon):
-        first = ar_streams[0].cells[t]
-        for j in range(1, n):
-            other = ar_streams[j].cells[t]
+    uniform = [row.count(row[0]) == n for row in delivery_rows]  # every node receives the same cell
+    for t, delivered in enumerate(delivery_rows):
+        first = delivered[0]
+        for j in range(1, n) if not uniform[t] else ():
+            other = delivered[j]
             if other != first:
                 out.append(Violation(
                     "transmission", t, ("ar_1", f"ar_{j + 1}"),
@@ -138,15 +160,14 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
 
     for t in range(trace.horizon - FRAME_LATENCY):
         later = t + FRAME_LATENCY
-        offers = [as_streams[i].cells[t] for i in range(n)]
+        offers, delivered = offer_rows[t], delivery_rows[later]
         if not any(offers):
-            for j in range(n):
-                delivered = ar_streams[j].cells[later]
-                if delivered:
+            for j in range(n) if any(delivered) else ():
+                if delivered[j]:
                     out.append(Violation(
                         "transmission", t, (f"ar_{j + 1}",),
                         f"empty delivery at tick {later} (clause 1, no offers at {t})",
-                        render_cell(delivered),
+                        render_cell(delivered[j]),
                     ))
             continue
         ids = take_ids(collect_elements(n, offers))
@@ -166,19 +187,20 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
                 f"request at tick {later} for winner node {w + 1} (clause 3)",
                 "[]",
             ))
-        for j in range(n):
-            delivered = ar_streams[j].cells[later]
-            if delivered != offers[w]:
+        for j in range(n) if not (uniform[later] and delivered[0] == offers[w]) else ():
+            if delivered[j] != offers[w]:
                 out.append(Violation(
                     "transmission", t, (f"as_{w + 1}", f"ar_{j + 1}"),
                     f"delivery of {render_cell(offers[w])} at tick {later} (clause 3)",
-                    render_cell(delivered),
+                    render_cell(delivered[j]),
                 ))
     return out
 
 
 def check_row3_unreachable(trace: Trace) -> list[Violation]:
     """Row 3 of the bus-access table must never fire in a composed run."""
+    if not any(3 in per_node for per_node in trace.rows):
+        return []
     out: list[Violation] = []
     for t, per_node in enumerate(trace.rows):
         for i, row in enumerate(per_node):
@@ -195,6 +217,18 @@ def _is_sorted_by_id(msgs: Sequence[AMessage]) -> bool:
     return all(msgs[k].id <= msgs[k + 1].id for k in range(len(msgs) - 1))
 
 
+# Per component family: its snapshot key, its stream name, and the (expected,
+# observed) pair of each invariant a state breaks.
+_INVARIANTS = (
+    ("buffers", "buffer", lambda s: ([] if _is_sorted_by_id(s.buf) else [("buf sorted by id", render_cell(s.buf))])
+                                    + ([("|b| <= 1", render_cell(s.b))] if len(s.b) > 1 else [])),
+    ("encoders", "encoder", lambda s: [("pending present iff e", f"e={s.e}, pending={s.pending!r}")]
+                                      if s.e != (s.pending is not None) else []),
+    ("decoders", "decoder", lambda s: [("last_id present iff d", f"d={s.d}, last_id={s.last_id!r}")]
+                                      if s.d != (s.last_id is not None) else []),
+)
+
+
 def check_structural(trace: Trace) -> list[Violation]:
     """Component-state invariants, checked on every per-tick snapshot.
 
@@ -203,31 +237,28 @@ def check_structural(trace: Trace) -> list[Violation]:
     mirrors the bus; all nodes decode identical deliveries.
     """
     out: list[Violation] = []
-    for t, snap in enumerate(trace.states):
-        for i, buf_state in enumerate(snap.get("buffers", ()), start=1):
-            if not _is_sorted_by_id(buf_state.buf):
-                out.append(Violation("structural", t, (f"buffer_{i}",),
-                                     "buf sorted by id", render_cell(buf_state.buf)))
-            if len(buf_state.b) > 1:
-                out.append(Violation("structural", t, (f"buffer_{i}",),
-                                     "|b| <= 1", render_cell(buf_state.b)))
-        for i, enc in enumerate(snap.get("encoders", ()), start=1):
-            if enc.e != (enc.pending is not None):
-                out.append(Violation("structural", t, (f"encoder_{i}",),
-                                     "pending present iff e", f"e={enc.e}, pending={enc.pending!r}"))
-        for i, dec in enumerate(snap.get("decoders", ()), start=1):
-            if dec.d != (dec.last_id is not None):
-                out.append(Violation("structural", t, (f"decoder_{i}",),
-                                     "last_id present iff d", f"d={dec.d}, last_id={dec.last_id!r}"))
-    for i in range(trace.node_count):
-        mr = trace.streams["mr"][i]
-        for t in range(trace.horizon):
-            if mr.cells[t] != trace.wire.cells[t]:
-                out.append(Violation("structural", t, (f"mr_{i + 1}", "wr"),
-                                     render_cell(trace.wire.cells[t]), render_cell(mr.cells[t])))
+    broken = {}  # id() of each distinct state that breaks an invariant -> its (expected, observed) pairs
+    for key, _, judge in _INVARIANTS:
+        # Each distinct state once: pass over, at C speed, an entry that is the same
+        # object as the one two ticks before it, then as the entry before it.
+        states = list(chain.from_iterable(snap.get(key, ()) for snap in trace.states))
+        for lag in (max(2 * trace.node_count, 1), 1):
+            states = states[:lag] + list(compress(states[lag:], map(is_not, states[lag:], states)))
+        broken.update((id(s), faults) for s in {id(s): s for s in states}.values() if (faults := judge(s)))
+    for t, snap in enumerate(trace.states if broken else ()):
+        for key, name, _ in _INVARIANTS:
+            for i, state in enumerate(snap.get(key, ()), start=1):
+                for expected, observed in broken.get(id(state), ()):
+                    out.append(Violation("structural", t, (f"{name}_{i}",), expected, observed))
+    wr = trace.wire.cells
+    for i, mr in enumerate(trace.streams["mr"], start=1):
+        for t in range(trace.horizon) if mr.cells != wr else ():
+            if mr.cells[t] != wr[t]:
+                out.append(Violation("structural", t, (f"mr_{i}", "wr"), render_cell(wr[t]), render_cell(mr.cells[t])))
     ar = trace.streams["ar"]
-    for t in range(trace.horizon):
-        for i in range(1, trace.node_count):
+    differing = [i for i in range(1, trace.node_count) if ar[i].cells != ar[0].cells]
+    for t in range(trace.horizon) if differing else ():
+        for i in differing:
             if ar[i].cells[t] != ar[0].cells[t]:
                 out.append(Violation("structural", t, ("ar_1", f"ar_{i + 1}"),
                                      render_cell(ar[0].cells[t]), render_cell(ar[i].cells[t])))
@@ -253,9 +284,18 @@ class Report:
 
 
 def _each_stream(trace: Trace, check, families: tuple[str, ...]) -> list[Violation]:
-    """`check` on every node's stream of each family, then on the wire."""
+    """`check` on every node's stream of each family, then on the wire. A stream whose cells
+    equal those of the stream it copies takes that stream's findings under its own name."""
     names = [f"{family}_{node}" for family in families for node in range(1, trace.node_count + 1)]
-    return [v for name in names + ["wr"] for v in check(trace, name)]
+    copied = {"mr": "wr", "ar": "ar_1"}  # the stream each family's streams copy in a run
+    findings = cache(lambda name: check(trace, name))
+    out: list[Violation] = []
+    for name in names + ["wr"]:
+        source = copied.get(name.rpartition("_")[0], name)
+        if source != name and _stream_by_name(trace, source).cells != _stream_by_name(trace, name).cells:
+            source = name
+        out += findings(name) if source == name else [replace(v, streams=(name,)) for v in findings(source)]
+    return out
 
 
 # Each predicate's whole-trace check, in report order. The checks are looked up

@@ -322,11 +322,19 @@ def _error_record(line, ticks: int, horizon: int) -> dict:
     return error
 
 
+def _json_line(number: int, line: str, holds: str):
+    """The JSON value of one line of a trace file; a decode error names the line and what it holds."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {number} ({holds}): {exc}") from exc
+
+
 def trace_from_jsonl(text: str) -> Trace:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError("empty trace file")
-    header = json.loads(lines[0])
+    header = _json_line(*lines[0], "header")
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got a {type(header).__name__}")
     if header.get("format") != TRACE_FORMAT:
@@ -342,7 +350,7 @@ def trace_from_jsonl(text: str) -> Trace:
     n, horizon = header.get("nodeCount"), header.get("horizon")
     if type(n) is not int or n != scenario.node_count:
         raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
-    ticks = [json.loads(line) for line in lines[1:]]
+    ticks = [_json_line(number, line, f"tick {t}") for t, (number, line) in enumerate(lines[1:])]
     # A last line that is not a tick object is the error line of a failed run.
     error_line = ticks.pop() if ticks and not (isinstance(ticks[-1], dict) and "error" not in ticks[-1]) else None
     failed = error_line is not None

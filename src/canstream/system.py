@@ -39,6 +39,7 @@ contract looks for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .components import (
@@ -187,8 +188,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     state = initial_state(n)
-    last = [_UNSEEN] * (2 * n + 1)
-    records, states = [], []
+    last, records, states = [_UNSEEN] * (2 * n + 1), [], []
     for t in range(scenario.horizon):
         snapshot = {"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
                     "llayers": state.llayers, "wire": state.wire}
@@ -204,5 +204,5 @@ def run_scenario(scenario: Scenario) -> Trace:
 
 def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:
     """The (tick, message) sequence delivered to one node's application."""
-    stream = trace.node_stream("ar", node)
-    return [(t, cell[0]) for t, cell in enumerate(stream.cells) if cell]
+    cells = trace.node_stream("ar", node).cells
+    return [(t, cell[0]) for t, cell in compress(enumerate(cells), cells)]

@@ -103,6 +103,14 @@ def test_check_finds_two_messages_in_one_application_cell(tmp_path):
     assert main(["check", "--trace", str(out), "--only", "msg1"]) == 1
 
 
+def test_check_names_the_line_of_a_truncated_tick(tmp_path, capsys):
+    lines = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text().splitlines()
+    out = tmp_path / "truncated.trace"
+    out.write_text("\n".join(lines[:3] + ['{"t":2,"a":[']) + "\n")
+    assert main(["check", "--trace", str(out)]) == 2
+    assert "malformed trace: line 4 (tick 2): Expecting value" in capsys.readouterr().err
+
+
 def test_check_json_prints_the_report_with_the_same_exit_codes(golden_file, tmp_path, capsys):
     out = tmp_path / "golden.trace"
     main(["run", "--scenario", str(golden_file), "--trace", str(out)])

@@ -269,7 +269,19 @@ def _edit_wire_sources(edit):
     return mutate
 
 
+def _truncated_tick_line(blank_lines: int):
+    """Keep the header and ticks 0 and 1, then blank lines and a tick 2 line cut short."""
+    def mutate(lines):
+        lines[3:] = [""] * blank_lines + ['{"t":2,"a":[']
+    return mutate
+
+
 MALFORMED = {
+    "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
+                                r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
+    "truncated tick line": (_truncated_tick_line(0),
+                            r"^line 4 \(tick 2\): Expecting value: line 1 column 13 \(char 12\)$"),
+    "truncated tick line after blank lines": (_truncated_tick_line(2), r"^line 6 \(tick 2\): Expecting value"),
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
     "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
