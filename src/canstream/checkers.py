@@ -81,8 +81,8 @@ def check_msg_can_format(trace: Trace, stream_name: str) -> list[Violation]:
     kinds = list(map(type, map(itemgetter(0), filter(None, cells))))
     unchecked = bool(kinds) and kinds[-1] is IdSym and bool(cells[-1])
     paired, runs = len(kinds) - unchecked, bytes(map(bool, cells[:len(cells) - unchecked]))
-    if kinds[:paired:2].count(IdSym) == paired // 2 == kinds[1:paired:2].count(DataSym) \
-            and 1 not in runs.replace(b"\1\1", b""):
+    if (kinds[:paired:2].count(IdSym) == paired // 2 == kinds[1:paired:2].count(DataSym)
+            and 1 not in runs.replace(b"\1\1", b"")):
         return []
     out: list[Violation] = []
     for t in compress(range(len(cells)), cells):

@@ -271,16 +271,16 @@ def test_check_all_is_read_only(golden_scenario):
 
 # -- pinned reports of faulty traces --------------------------------------------------
 
-# What a cell of each family may be swapped for, as (kind, make); a swap whose
-# value the family's trace reader accepts keeps the trace loadable.
+# What a cell of each family may be swapped for, as (kind, make), and the kinds
+# each family's trace reader accepts, so that a swap keeps the trace loadable.
 _MESSAGE = ("message", lambda rng: (AMessage(rng.randrange(ID_POOL), rng.randbytes(2)),))
 _ID = ("id", lambda rng: (IdSym(rng.randrange(ID_POOL)),))
 _DATA = ("data", lambda rng: (DataSym(rng.randbytes(2)),))
 # The transmission check reads an offer's identifier, so `as` cells keep messages.
 _SWAPS = {"a": (_MESSAGE, _ID, _DATA), "as": (_MESSAGE,), "ar": (_MESSAGE, _ID, _DATA),
           "r": (_ID,), "ms": (_ID, _DATA), "mr": (_ID, _DATA), "ws": (_ID, _DATA), "wr": (_ID, _DATA)}
-_LOADABLE = {"a": "message", "as": "message", "ar": "message", "ms": "id data", "mr": "id data",
-             "ws": "id data", "wr": "id data", "r": ""}
+_LOADABLE = {**dict.fromkeys(("a", "as", "ar"), {"message"}), **dict.fromkeys(("ms", "mr", "ws", "wr"), {"id", "data"}),
+             "r": set()}
 _BAD_STATES = (
     ("buffers", lambda s: BufferState((amsg(9), amsg(2)) + s.buf, s.b)),  # unsorted buf
     ("buffers", lambda s: BufferState(s.buf, (amsg(7), amsg(8)))),  # two entries in b
@@ -329,7 +329,7 @@ def _mutated(trace: Trace, rng: random.Random) -> tuple[Trace, bool]:
 
 
 def _pinned_traces() -> list[Trace]:
-    """About 330 traces with seeded faults: corpus-shaped runs, a 16-node saturated run, JSONL copies."""
+    """About 350 traces with seeded faults: corpus-shaped runs, a 16-node saturated run, JSONL copies."""
     rng = random.Random("report pin")
     bases = [run_scenario(seeded_scenario("report pin", k, nodes=2 + k % 4, horizon=64)) for k in range(8)]
     bases.append(run_scenario(saturated(5, nodes=16, horizon=96)))
