@@ -23,7 +23,7 @@ from .core import (
     Message,
     MixingViolation,
 )
-from .primitives import broadcast, pr_add
+from .primitives import broadcast, collect_elements, pr_add
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,21 +57,8 @@ class LogicalLayerState:
     lid: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class WireState:
-    """latch holds the previous tick's collected bus offers (unit delay).
-
-    latch_sources records which nodes contributed, in latch order, purely for
-    diagnostics when a mixing violation surfaces one tick later.
-    """
-
-    latch: tuple[Message, ...] = ()
-    latch_sources: tuple[int, ...] = ()
-
-
 _IDLE_ENCODER = EncoderState()
 _IDLE_DECODER = DecoderState()
-_EMPTY_WIRE = WireState()
 REQ_CELL: Cell = (REQ,)
 
 
@@ -191,33 +178,21 @@ def logical_layer_step(
     return mr, (), (), state
 
 
-def wire_emission(state: WireState, t: int) -> Cell:
-    """Bus output at tick t: empty at t=0, else the latched offers resolved."""
-    if t == 0:
-        return ()
+def wire_emission(offers: Sequence[Cell], t: int) -> Cell:
+    """Bus output at tick t: the previous tick's ws row, collected and resolved (unit delay).
+
+    Before tick 0 every offer is empty, so the bus is silent at tick 0. A cell
+    of more than one symbol is reported for the lowest such node; a mix of
+    symbol kinds names the offering nodes, highest first, in collection order.
+    """
+    latch = collect_elements(len(offers), offers)
+    if len(latch) > len(offers) - offers.count(()):
+        i = next(i for i, cell in enumerate(offers, start=1) if len(cell) > 1)
+        raise _not_unary(offers[i - 1], f"ws_{i}", t - 1)
     try:
-        return broadcast(state.latch)
+        return broadcast(latch)
     except MixingViolation as exc:
         raise MixingViolation(
             f"bus offers from tick {t - 1} mix identifier and data symbols "
-            f"(nodes {list(state.latch_sources)})"
+            f"(nodes {[i for i in range(len(offers), 0, -1) if offers[i - 1]]})"
         ) from exc
-
-
-def wire_latch(ws_all: Sequence[Sequence[Message]], t: int) -> WireState:
-    """Collect this tick's per-node bus offers for emission next tick.
-
-    One pass over the offers, lowest node first, so an over-long cell is
-    reported for the lowest such node; the latch then lists the offers highest
-    node first, as collect_elements(n, ws_all) does.
-    """
-    latch, sources = [], []
-    for i, cell in enumerate(ws_all, start=1):
-        if cell:
-            if len(cell) > 1:
-                raise _not_unary(cell, f"ws_{i}", t)
-            latch.append(cell[0])
-            sources.append(i)
-    if not latch:
-        return _EMPTY_WIRE
-    return WireState(latch=tuple(latch[::-1]), latch_sources=tuple(sources[::-1]))

@@ -28,7 +28,7 @@ from string import hexdigits
 from typing import Any
 
 from .checkers import Report
-from .components import BufferState, DecoderState, EncoderState, LogicalLayerState, WireState
+from .components import BufferState, DecoderState, EncoderState, LogicalLayerState
 from .core import (
     FRAME_LATENCY,
     PER_NODE_FAMILIES,
@@ -143,7 +143,6 @@ _FRAGMENTS = {
     EncoderState: lambda v, memo: '{"e":%s,"pending":%s}' % (
         _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
     LogicalLayerState: lambda v, memo: '{"lid":%d}' % v.lid,
-    WireState: lambda v, memo: '{"latch":%s,"sources":%s}' % tuple(_texts((v.latch, v.latch_sources), memo)),
 }
 
 # The per-node component families of a state snapshot, in key order; "wire" is one state.
@@ -166,6 +165,16 @@ def _sparse(per_node: tuple, horizon: int, memo: dict[int, str]) -> list[str]:
     return ["[%s]" % ",".join(pairs) for pairs in ticks]
 
 
+def _sources(row: tuple) -> tuple:
+    """The nodes whose cell of a ws row is non-empty, highest first, as the latch collects them."""
+    return tuple(i for i in range(len(row), 0, -1) if row[i - 1])
+
+
+def _wire_text(latch: tuple, sources: tuple, memo: dict[int, str]) -> str:
+    """A version 1 or 2 wire state as canonical JSON text."""
+    return '{"latch":[%s],"sources":%s}' % (",".join(_texts(latch, memo)), _dumps(sources))
+
+
 def _unset(n: int) -> dict:
     """The snapshot before tick 0: every state unknown, so tick 0 gives them all."""
     return {**dict.fromkeys(_COMPONENTS, (None,) * n), "wire": None}
@@ -186,9 +195,8 @@ def _snapshot_to_obj(prev: dict, snap: dict, memo: dict[int, str]) -> str:
             changed = [i for i, (o, s) in enumerate(zip(old, new)) if not (o is s or o == s)]
             texts = _texts([new[i] for i in changed], memo)
             parts.append('"%s":[%s]' % (key, ",".join(map("[%d,%s]".__mod__, zip(changed, texts)))))
-    old, new = prev["wire"], snap["wire"]
-    if not (old is new or old == new):
-        parts.append('"wire":%s' % _texts((new,), memo)[0])
+    if prev["wire"] != snap["wire"]:
+        parts.append('"wire":%s' % snap["wire"])
     return "{%s}" % ",".join(parts)
 
 
@@ -197,8 +205,11 @@ def trace_to_jsonl(trace: Trace) -> str:
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
     memo: dict[int, str] = {}
     fields = {family: _sparse(per_node, trace.horizon, memo) for family, per_node in trace.streams.items()}
-    prevs = (_unset(trace.node_count),) + trace.states
-    states = ["{}" if snap == prev else _snapshot_to_obj(prev, snap, memo) for prev, snap in zip(prevs, trace.states)]
+    n, ws = trace.node_count, list(zip(*(stream.cells for stream in trace.streams["ws"])))
+    wires = [_wire_text(tuple(cell[0] for cell in row[::-1] if cell), _sources(row), memo) for row in [((),) * n] + ws]
+    snaps = [{**snap, "wire": wire} for snap, wire in zip(trace.states, wires)]
+    prevs = (_unset(n),) + tuple(snaps)
+    states = ["{}" if snap == prev else _snapshot_to_obj(prev, snap, memo) for prev, snap in zip(prevs, snaps)]
     fields.update(rows=_texts(trace.rows, memo), state=states, t=range(trace.horizon),
                   wr=_texts(trace.wire.cells, memo))
     keys = sorted(fields)
@@ -271,13 +282,13 @@ def _readers(n: int) -> dict:
     }
 
 
-def _wire_state(latch: tuple, sources: list, n: int) -> WireState:
-    """The wire state, if `sources` lists one node of 1..n per latch symbol, highest first."""
+def _wire_state(latch: tuple, sources: list, n: int) -> tuple:
+    """The wire state as (latch, sources), if `sources` lists one node of 1..n per latch symbol, highest first."""
     bounds = (n + 1, *sources, 0)
     if len(sources) != len(latch) or any(a <= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"sources must list one node of 1..{n} per latch symbol, highest first, "
                          f"got {_dumps(sources)} for {len(latch)} symbols")
-    return WireState(latch, tuple(sources))
+    return latch, tuple(sources)
 
 
 def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
@@ -385,7 +396,7 @@ def trace_from_jsonl(text: str) -> Trace:
             if t == 0 and (snap["wire"] is None or any(None in snap[key] for key in _COMPONENTS)):
                 raise ValueError("tick 0 must give every component state")
             records.append(record)
-            states.append(snap)
+            states.append({key: snap[key] for key in _COMPONENTS})
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc

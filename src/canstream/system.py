@@ -11,9 +11,10 @@ tick's record of every stream cell. `run_scenario` keeps the records of the
 ticks that finished, and `core.assemble_trace` turns them into the Trace, so
 a tick that fails leaves nothing to cut back.
 
-Within a tick the bus first emits from its latch. Then each node in turn runs
-its whole chain: buffer emission, encoder, bus-access layer, decoder, request
-stream and buffer update. Last, the bus latches every node's offer. This
+Within a tick the bus first emits from its latch, the previous tick's ws row.
+Then each node in turn runs its whole chain: buffer emission, encoder,
+bus-access layer, decoder, request stream and buffer update. Last, this tick's
+ws row becomes the latch of the next state. This
 gives the same values as the phase order (all buffers emit, then all
 encoders, then the bus, then all bus-access layers, all decoders, and finally
 all state updates), because the components are pure and nodes interact within
@@ -44,14 +45,12 @@ from typing import Sequence
 
 from .components import (
     REQ_CELL,
-    _EMPTY_WIRE,
     _IDLE_DECODER,
     _IDLE_ENCODER,
     BufferState,
     DecoderState,
     EncoderState,
     LogicalLayerState,
-    WireState,
     buffer_emission,
     buffer_step,
     decoder_step,
@@ -59,7 +58,6 @@ from .components import (
     encoder_step,
     logical_layer_step,
     wire_emission,
-    wire_latch,
 )
 from .core import (
     AMessage,
@@ -77,7 +75,8 @@ from .core import (
 class SystemState:
     """All component states plus the executor's request bookkeeping.
 
-    raised holds each node's success request of the previous tick, () or
+    wire is the previous tick's ws row, which the bus emits from this tick
+    (all empty before tick 0). raised holds each node's success request of the previous tick, () or
     REQ_CELL, which the observable request stream shows this tick.
     """
 
@@ -85,7 +84,7 @@ class SystemState:
     encoders: tuple[EncoderState, ...]
     decoders: tuple[DecoderState, ...]
     llayers: tuple[LogicalLayerState, ...]
-    wire: WireState
+    wire: tuple[Cell, ...]
     raised: tuple[Cell, ...]
 
 
@@ -108,7 +107,7 @@ def initial_state(node_count: int) -> SystemState:
         encoders=(_IDLE_ENCODER,) * node_count,
         decoders=(_IDLE_DECODER,) * node_count,
         llayers=(LogicalLayerState(),) * node_count,
-        wire=_EMPTY_WIRE,
+        wire=((),) * node_count,
         raised=((),) * node_count,
     )
 
@@ -172,7 +171,7 @@ def tick_system(
         nodes.append((cells[i], as_cell, ar, r, ms, mr, ws, row, buf, enc, dec, ll, raised))
     a, as_, ar, r, ms, mr, ws, rows, buffers, encoders, decoders, llayers, raised = zip(*nodes)
     next_state = SystemState(buffers=buffers, encoders=encoders, decoders=decoders, llayers=llayers,
-                             wire=wire_latch(ws, t), raised=raised)
+                             wire=ws, raised=raised)
     return next_state, (a, as_, ar, r, ms, mr, ws, wr, rows)
 
 
@@ -191,7 +190,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     last, records, states = [_UNSEEN] * (2 * n + 1), [], []
     for t in range(scenario.horizon):
         snapshot = {"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
-                    "llayers": state.llayers, "wire": state.wire}
+                    "llayers": state.llayers}
         try:
             state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
         except ModelViolation as exc:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,16 +20,15 @@ from canstream.components import (
     DecoderState,
     EncoderState,
     LogicalLayerState,
-    WireState,
     buffer_step,
     decoder_step,
     dispatch_row,
     encoder_step,
     logical_layer_step,
     wire_emission,
-    wire_latch,
 )
-from canstream.primitives import collect_elements
+from canstream.primitives import broadcast, collect_elements
+from canstream.system import initial_state
 from .conftest import amsg
 from .test_primitives import amessages
 
@@ -218,48 +219,49 @@ def test_mr_always_mirrors_wr():
 # -- wire -------------------------------------------------------------------------
 
 def test_wire_silent_at_zero():
-    assert wire_emission(WireState(latch=(IdSym(1),)), 0) == ()
+    assert wire_emission(initial_state(3).wire, 0) == ()
 
 
 def test_wire_unit_delay_arbitration():
-    state = wire_latch([(IdSym(5),), (IdSym(3),)], 1)
-    assert wire_emission(state, 2) == (IdSym(3),)
+    assert wire_emission([(IdSym(5),), (IdSym(3),)], 2) == (IdSym(3),)
 
 
 def test_wire_single_data_passes():
-    state = wire_latch([(), (DataSym(b"p"),)], 1)
-    assert wire_emission(state, 2) == (DataSym(b"p"),)
+    assert wire_emission([(), (DataSym(b"p"),)], 2) == (DataSym(b"p"),)
 
 
 def test_wire_mixing_names_tick_and_nodes():
     # collection is descending by node, so node 2's identifier heads the latch
-    state = wire_latch([(DataSym(b"p"),), (IdSym(5),)], 3)
-    with pytest.raises(MixingViolation) as err:
-        wire_emission(state, 4)
-    assert "tick 3" in str(err.value)
+    with pytest.raises(MixingViolation, match=r"from tick 3 .* \(nodes \[2, 1\]\)$"):
+        wire_emission([(DataSym(b"p"),), (IdSym(5),)], 4)
 
 
 def test_wire_data_head_hides_trailing_identifier():
     # with the identifier from the lower-indexed node, the data symbol heads
     # the latch and passes through; the stream-level checker catches this kind
     # of tick separately
-    state = wire_latch([(IdSym(5),), (DataSym(b"p"),)], 3)
-    assert wire_emission(state, 4) == (DataSym(b"p"),)
+    assert wire_emission([(IdSym(5),), (DataSym(b"p"),)], 4) == (DataSym(b"p"),)
 
 
 def test_wire_rejects_wide_cell():
     with pytest.raises(AssumptionViolation):
-        wire_latch([(IdSym(1), IdSym(2))], 1)
+        wire_emission([(IdSym(1), IdSym(2))], 2)
 
 
 def test_wire_names_the_lowest_node_with_a_wide_cell():
     wide = (IdSym(1), IdSym(2))
     with pytest.raises(AssumptionViolation, match=r"^ws_2 carries 2 messages at tick 5$"):
-        wire_latch([(IdSym(3),), wide, (), wide + (IdSym(4),)], 5)
+        wire_emission([(IdSym(3),), wide, (), wide + (IdSym(4),)], 6)
 
 
 @given(st.lists(st.sampled_from([(), (IdSym(1),), (IdSym(7),), (DataSym(b"p"),)]), max_size=8))
 def test_wire_latch_collects_offers_highest_node_first(ws_all):
-    state = wire_latch(ws_all, 1)
-    assert state.latch == collect_elements(len(ws_all), ws_all)
-    assert state.latch_sources == tuple(i for i in range(len(ws_all), 0, -1) if ws_all[i - 1])
+    latch = collect_elements(len(ws_all), ws_all)
+    nodes = [i for i in range(len(ws_all), 0, -1) if ws_all[i - 1]]
+    try:
+        expected = broadcast(latch)
+    except MixingViolation:
+        with pytest.raises(MixingViolation, match=re.escape(f"(nodes {nodes})")):
+            wire_emission(ws_all, 1)
+    else:
+        assert wire_emission(ws_all, 1) == expected

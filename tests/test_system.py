@@ -132,7 +132,7 @@ def test_a_state_that_does_not_change_stays_the_same_object():
     for i in range(40):
         states = run_scenario(seeded_scenario("identity", i, nodes=1 + i % 5, horizon=64)).states
         for prev, snap in zip(states, states[1:]):
-            pairs = [(prev["wire"], snap["wire"])]
+            pairs = []
             for key in ("buffers", "encoders", "decoders", "llayers"):
                 pairs += zip(prev[key], snap[key])
             assert all(old is new or old != new for old, new in pairs), (i, snap)
@@ -194,7 +194,7 @@ def _stepped_by_hand(s: Scenario):
             if inj.tick == t:
                 cells[inj.node - 1] = (inj.message,)
         states.append({"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
-                       "llayers": state.llayers, "wire": state.wire})
+                       "llayers": state.llayers})
         state, record = tick_system(state, cells, t, s.options)
         records.append(record)
     return assemble_trace(s, records, states)
@@ -233,15 +233,18 @@ def _fail_second_call_at(monkeypatch, k):
     monkeypatch.setattr(system, "logical_layer_step", failing)
 
 
-def _fail_first_call_at(monkeypatch, name, k):
-    """Make canstream.system's `name` step, which takes the tick last, raise at its first call at tick k."""
+def _fail_call_at(monkeypatch, name, k, nth=1):
+    """Make canstream.system's `name` step, which takes the tick last, raise at its nth call at tick k."""
     import canstream.system as system
 
     real = getattr(system, name)
+    calls_at_k = []
 
     def failing(*args, **kwargs):
         if args[-1] == k:
-            raise ModelViolation(f"synthetic failure at tick {k}")
+            calls_at_k.append(k)
+            if len(calls_at_k) == nth:
+                raise ModelViolation(f"synthetic failure at tick {k}")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(system, name, failing)
@@ -252,9 +255,9 @@ def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, k):
     """A failure at a tick's first step, in its node loop, or at its last step records ticks 0..k-1."""
     s = seeded_scenario("partial", 3, nodes=3, horizon=16)
     full = run_scenario(s)
-    failures = [lambda patch: _fail_first_call_at(patch, "wire_emission", k),
+    failures = [lambda patch: _fail_call_at(patch, "wire_emission", k),
                 lambda patch: _fail_second_call_at(patch, k),
-                lambda patch: _fail_first_call_at(patch, "wire_latch", k)]
+                lambda patch: _fail_call_at(patch, "buffer_step", k, nth=3)]
     for fail in failures:
         with monkeypatch.context() as patch:
             fail(patch)
