@@ -5,27 +5,32 @@ header line followed by one line per tick. All dumps are canonical (sorted
 keys, fixed separators, integers and hex strings only), so a given run always
 serializes to identical bytes.
 
-A version 2 tick line holds only what is non-empty or changed. Each stream
-family lists a [node index, cell] pair per non-empty cell. The state lists, per
-component family, a [node index, state] pair per node whose state differs from
-the previous tick's (tick 0 lists them all), and the wire state only when it
-changed. A state counts as changed unless it is the same object as before or
-equal to it, so the bytes depend on the trace's values alone. Version 1 lines
-list every node's entry; the loader reads such a list as the pairs
-enumerate(list), on the same path.
+A version 3 tick line writes each distinct value once. Its "new" list holds the
+JSON of each cell, row tuple and component state first seen at that tick. The
+entries of all lines so far are the value table, numbered in order of first
+appearance, and every other field is an integer reference into it. A stream
+family whose cell is the same at every node is one reference, else a [node
+index, reference] pair per non-empty cell. The state gives each component family
+whose states changed since the previous tick (at tick 0, all) as one reference
+if every node's state is the same, else a pair per node whose state changed.
+Values count as the same when equal, so the bytes depend on the values alone.
 
-Tick lines are canonical JSON text written by hand. Within one dump each cell,
-message and state becomes text once and is then found by its id(), which is
-exact: the values are immutable and the trace keeps them all alive for the
-call, so no id is reused. A load builds each distinct message and symbol once,
-and a tick whose state did not change shares the previous tick's snapshot.
+The loader also reads versions 1 and 2, which wrote each value in place, as
+[node index, value] pairs (version 2) or every node's entry (version 1, read as
+enumerate(list)), plus a wire state that must latch the previous ws row.
+
+Within one dump each value becomes text once and is then found by its id(),
+which is exact: the values are immutable and the trace keeps them alive for the
+call, so no id is reused. A load builds each table entry once for each kind it
+is read as, so a loaded trace shares its values as a run does.
 """
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import asdict
+from itertools import compress
 from string import hexdigits
-from typing import Any
 
 from .checkers import Report
 from .components import BufferState, DecoderState, EncoderState, LogicalLayerState
@@ -43,13 +48,13 @@ from .core import (
     assemble_trace,
     require_valid,
 )
+from .primitives import collect_elements
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -80,7 +85,7 @@ _INT = (lambda v: type(v) is int, "an integer")
 _INTS = (lambda v: type(v) is list and {int}.issuperset(map(type, v)), "a list of integers")
 _INT_OR_NULL = (lambda v: v is None or type(v) is int, "an integer or null")
 _BOOL = (lambda v: type(v) is bool, "true or false")
-_HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and all(c in hexdigits for c in v), "a hex string")
+_HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and not v.strip(hexdigits), "a hex string")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
@@ -145,8 +150,10 @@ _FRAGMENTS = {
     LogicalLayerState: lambda v, memo: '{"lid":%d}' % v.lid,
 }
 
-# The per-node component families of a state snapshot, in key order; "wire" is one state.
+# The per-node component families of a state snapshot, in key order.
 _COMPONENTS = ("buffers", "decoders", "encoders", "llayers")
+# A tick line's fields, in key order, that hold one cell per node.
+_FAMILY_KEYS = sorted(PER_NODE_FAMILIES)
 
 
 def _texts(values, memo: dict[int, str]) -> list[str]:
@@ -155,48 +162,24 @@ def _texts(values, memo: dict[int, str]) -> list[str]:
     return [get(id(v)) or made(id(v), _FRAGMENTS[type(v)](v, memo)) for v in values]
 
 
-def _sparse(per_node: tuple, horizon: int, memo: dict[int, str]) -> list[str]:
-    """Per tick, one family's [node index, cell] pair for each non-empty cell, as JSON text."""
-    ticks: list[list[str]] = [[] for _ in range(horizon)]
-    for i, stream in enumerate(per_node):
-        for t, cell in enumerate(stream.cells):
-            if cell:
-                ticks[t].append("[%d,%s]" % (i, _texts((cell,), memo)[0]))
-    return ["[%s]" % ",".join(pairs) for pairs in ticks]
+def _per_node(entries: tuple, ref, changed=None) -> str:
+    """One reference if every node's entry is the same, else a [node index, reference] pair per index in `changed`."""
+    first, last = entries[0], entries[-1]
+    # A tuple count tests each entry for identity, then equality; the last entry is tested first.
+    if (last is first or last == first) and entries.count(first) == len(entries):
+        return "%d" % ref(first)
+    indices = compress(range(len(entries)), entries) if changed is None else changed
+    return "[%s]" % ",".join(["[%d,%d]" % (i, ref(entries[i])) for i in indices])
 
 
-def _sources(row: tuple) -> tuple:
-    """The nodes whose cell of a ws row is non-empty, highest first, as the latch collects them."""
-    return tuple(i for i in range(len(row), 0, -1) if row[i - 1])
-
-
-def _wire_text(latch: tuple, sources: tuple, memo: dict[int, str]) -> str:
-    """A version 1 or 2 wire state as canonical JSON text."""
-    return '{"latch":[%s],"sources":%s}' % (",".join(_texts(latch, memo)), _dumps(sources))
-
-
-def _unset(n: int) -> dict:
-    """The snapshot before tick 0: every state unknown, so tick 0 gives them all."""
-    return {**dict.fromkeys(_COMPONENTS, (None,) * n), "wire": None}
-
-
-def _snapshot_to_obj(prev: dict, snap: dict, memo: dict[int, str]) -> str:
-    """The component states of one tick that differ from `prev`, as canonical JSON text.
-
-    Each family lists a [node index, state] pair per node whose state changed
-    and is left out if none did; wire is written only when it changed. A state
-    counts as changed unless it is the same object as before or equal to it, so
-    the text depends on the values alone.
-    """
+def _snapshot_to_obj(prev: dict, snap: dict, ref) -> str:
+    """The component states of one tick that differ from `prev` (are neither the same object nor equal), as text."""
     parts = []
     for key in _COMPONENTS:
         old, new = prev[key], snap[key]
-        if old != new:  # a tuple compare tests each pair of entries for identity, then equality
+        if old != new:
             changed = [i for i, (o, s) in enumerate(zip(old, new)) if not (o is s or o == s)]
-            texts = _texts([new[i] for i in changed], memo)
-            parts.append('"%s":[%s]' % (key, ",".join(map("[%d,%s]".__mod__, zip(changed, texts)))))
-    if prev["wire"] != snap["wire"]:
-        parts.append('"wire":%s' % snap["wire"])
+            parts.append('"%s":%s' % (key, _per_node(new, ref, changed)))
     return "{%s}" % ",".join(parts)
 
 
@@ -204,91 +187,66 @@ def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
     memo: dict[int, str] = {}
-    fields = {family: _sparse(per_node, trace.horizon, memo) for family, per_node in trace.streams.items()}
-    n, ws = trace.node_count, list(zip(*(stream.cells for stream in trace.streams["ws"])))
-    wires = [_wire_text(tuple(cell[0] for cell in row[::-1] if cell), _sources(row), memo) for row in [((),) * n] + ws]
-    snaps = [{**snap, "wire": wire} for snap, wire in zip(trace.states, wires)]
-    prevs = (_unset(n),) + tuple(snaps)
-    states = ["{}" if snap == prev else _snapshot_to_obj(prev, snap, memo) for prev, snap in zip(prevs, snaps)]
-    fields.update(rows=_texts(trace.rows, memo), state=states, t=range(trace.horizon),
-                  wr=_texts(trace.wire.cells, memo))
-    keys = sorted(fields)
-    line = "{%s}" % ",".join('"%s":%%s' % key for key in keys)
-    lines = [_dumps(header), *(line % values for values in zip(*[fields[key] for key in keys]))]
+    refs: dict[int, int] = {}  # id() of each value met -> its table number
+    numbers: dict[str, int] = {}  # text -> table number; its keys are the table, in order
+    table: list[str] = []
+
+    def ref(value) -> int:
+        k = refs.get(id(value))
+        if k is None:
+            text = _texts((value,), memo)[0]
+            k = refs[id(value)] = numbers.setdefault(text, len(numbers))
+            if k == len(table):
+                table.append(text)
+        return k
+
+    columns = [list(zip(*(stream.cells for stream in trace.streams[family]))) for family in _FAMILY_KEYS]
+    one = lambda value, ref: "%d" % ref(value)  # noqa: E731
+    # The fields in key order, without "new" and "t", as (value per tick, writer); None stands for the state.
+    fields = [(column, _per_node) for column in columns[:-1]] + [(trace.rows, one), None, (trace.wire.cells, one),
+                                                                (columns[-1], _per_node)]
+    texts = [""] * len(fields)
+    line = '{"a":%s,"ar":%s,"as":%s,"mr":%s,"ms":%s,"new":[%s],"r":%s,"rows":%s,"state":%s,"t":%d,"wr":%s,"ws":%s}'
+    lines, prev = [_dumps(header)], dict.fromkeys(_COMPONENTS, (None,) * trace.node_count)  # tick 0 gives all
+    for t, snap in enumerate(trace.states):
+        first = len(table)  # the fields take their references in key order, so the table numbers them so
+        for j, field in enumerate(fields):
+            if field is None:
+                texts[j] = "{}" if snap == prev else _snapshot_to_obj(prev, snap, ref)
+            elif not t or field[0][t] != field[0][t - 1]:  # an equal value keeps the previous tick's text
+                texts[j] = field[1](field[0][t], ref)
+        lines.append(line % (*texts[:5], ",".join(table[first:]), *texts[5:8], t, *texts[8:]))
+        prev = snap
     if trace.error is not None:
         lines.append(_dumps({"error": trace.error}))
     return "\n".join(lines) + "\n"
 
 
-# A key holding a list or an object cannot be a memo key; such a value is made
-# without the memo, so that `make` rejects it and names its field.
-
-def _memo_reader(key, make):
-    """A reader for one load: JSON list -> tuple, making each distinct key's value once."""
-    memo: dict = {}
-    get, made = memo.get, memo.setdefault
-
-    def read(objs):
-        try:
-            return () if objs == [] else tuple([get(k) or made(k, make(k)) for k in map(key, objs)])
-        except TypeError:
-            return tuple(map(make, map(key, objs)))
-    return read
-
-
-def _memo_state(key, make):
-    """A reader for one load: JSON object -> component state, making each distinct key's state once."""
-    memo: dict = {}
-    get, made = memo.get, memo.setdefault
-
-    def read(obj):
-        k = key(obj)
-        try:
-            return get(k) or made(k, make(k))
-        except TypeError:
-            return make(k)
-    return read
-
-
-def _symbol(key: tuple):
-    kind, value, _ = key
+def _symbol(obj):
+    kind, value = obj["sym"], obj["value"]
     if kind not in ("id", "data"):
         raise ValueError(f"unknown symbol kind {kind!r}")
     return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(_hex("value", value))
 
 
-def _readers(n: int) -> dict:
-    """Fresh readers for one load of an n-node trace, by field name: a cell, or one node's component state."""
-    # A key holds the type of its number or flag too: 1, 1.0 and true are one dict key.
-    amessages = _memo_reader(lambda o: (o["id"], o["data"], type(o["id"])),
-                             lambda k: AMessage(_checked("id", k[0], _INT), _hex("data", k[1])))
-    symbols = _memo_reader(lambda o: (o["sym"], o["value"], type(o["value"])), _symbol)
-    return {
-        **dict.fromkeys(("a", "as", "ar"), amessages),
-        **dict.fromkeys(("ms", "mr", "ws", "wr"), symbols),
-        "r": lambda cell: tuple(_checked("request cell", cell, _INTS)),
-        "buffers": lambda obj: BufferState(amessages(obj["buf"]), amessages(obj["b"])),
-        "decoders": _memo_state(
-            lambda o: (o["d"], type(o["d"]), o["lastId"], type(o["lastId"])),
-            lambda k: DecoderState(_checked("d", k[0], _BOOL), _checked("lastId", k[2], _INT_OR_NULL))),
-        "encoders": _memo_state(
-            lambda o: (o["e"], type(o["e"]), o["pending"]),
-            lambda k: EncoderState(_checked("e", k[0], _BOOL),
-                                   None if k[2] is None else _hex("pending", k[2]))),
-        "llayers": _memo_state(
-            lambda o: (o["lid"], type(o["lid"])),
-            lambda k: LogicalLayerState(_checked("lid", k[0], _INT))),
-        "wire": lambda obj: _wire_state(symbols(obj["latch"]), _checked("sources", obj["sources"], _INTS), n),
-    }
+def _amessages(cell) -> tuple:
+    return tuple([AMessage(_checked("id", m["id"], _INT), _hex("data", m["data"])) for m in cell])
 
 
-def _wire_state(latch: tuple, sources: list, n: int) -> tuple:
-    """The wire state as (latch, sources), if `sources` lists one node of 1..n per latch symbol, highest first."""
-    bounds = (n + 1, *sources, 0)
-    if len(sources) != len(latch) or any(a <= b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError(f"sources must list one node of 1..{n} per latch symbol, highest first, "
-                         f"got {_dumps(sources)} for {len(latch)} symbols")
-    return latch, tuple(sources)
+def _symbols(cell) -> tuple:
+    return tuple(map(_symbol, cell))
+
+
+# How a JSON value is read as each kind of value: a cell of each family, or one node's component state.
+_CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _symbols),
+          "r": lambda cell: tuple(_checked("request cell", cell, _INTS))}
+_STATES = {
+    "buffers": lambda o: BufferState(_amessages(o["buf"]), _amessages(o["b"])),
+    "decoders": lambda o: DecoderState(_checked("d", o["d"], _BOOL), _checked("lastId", o["lastId"], _INT_OR_NULL)),
+    "encoders": lambda o: EncoderState(_checked("e", o["e"], _BOOL),
+                                       None if o["pending"] is None else _hex("pending", o["pending"])),
+    "llayers": lambda o: LogicalLayerState(_checked("lid", o["lid"], _INT)),
+}
 
 
 def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
@@ -307,15 +265,59 @@ def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
     return tuple(new)
 
 
-def _snapshot_from_obj(obj: dict, prev: dict, read: dict, listed: bool) -> dict:
+def _table_readers(n: int, table: list):
+    """One version 3 load's readers of a reference and of a family's references; each entry is read once per kind."""
+    built = defaultdict(dict)  # per reader: table number -> the entry as read
+    rows = defaultdict(dict)  # per reader: table number -> n copies of the entry as read
+
+    def entry(k, read):
+        value = built[read].get(k) if type(k) is int else None
+        if value is None:
+            if type(k) is not int or not 0 <= k < len(table):
+                raise ValueError(f"expected a reference to one of the value table's {len(table)} entries, "
+                                 f"got {_dumps(k)}")
+            value = built[read][k] = read(table[k])
+        return value
+
+    def entries(value, read, old: tuple) -> tuple:
+        if type(value) is not int:
+            return _applied(old, value, lambda k: entry(k, read), False)
+        row = rows[read].get(value)
+        if row is None:
+            row = rows[read][value] = (entry(value, read),) * n
+        return row
+    return entry, entries
+
+
+def _snapshot_from_obj(obj: dict, prev: dict, entries) -> dict:
     """`prev` with one tick line's state changes applied; `prev` itself if there are none."""
     if not isinstance(obj, dict):
         raise ValueError("not an object")
-    if not obj:
+    if obj.keys().isdisjoint(_COMPONENTS):
         return prev
-    snap = {key: _applied(prev[key], obj[key], read[key], listed) if key in obj else prev[key] for key in _COMPONENTS}
-    snap["wire"] = read["wire"](obj["wire"]) if "wire" in obj else prev["wire"]
-    return snap
+    return {key: entries(obj[key], _STATES[key], prev[key]) if key in obj else prev[key] for key in _COMPONENTS}
+
+
+def _latch(obj: dict, latch: tuple | None, offers: tuple) -> tuple:
+    """A version 1 or 2 line's wire state as (latch, sources), or `latch` if the line gives none.
+
+    `sources` must list one node of 1..n per latch symbol, highest first, and
+    the state must be the latch of `offers`, the previous tick's ws row.
+    """
+    if "wire" in obj:
+        symbols, sources = _symbols(obj["wire"]["latch"]), _checked("sources", obj["wire"]["sources"], _INTS)
+        bounds = (len(offers) + 1, *sources, 0)
+        if len(sources) != len(symbols) or any(a <= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"sources must list one node of 1..{len(offers)} per latch symbol, highest first, "
+                             f"got {_dumps(sources)} for {len(symbols)} symbols")
+        latch = symbols, tuple(sources)
+    if latch is None:
+        raise ValueError("tick 0 must give every component state")
+    expected = collect_elements(len(offers), offers), tuple(i for i in range(len(offers), 0, -1) if offers[i - 1])
+    if latch != expected:
+        text = lambda pair: '{"latch":[%s],"sources":%s}' % (",".join(_texts(pair[0], {})), _dumps(pair[1]))
+        raise ValueError(f"wire must be the latch of the previous tick's ws row, {text(expected)}, got {text(latch)}")
+    return latch
 
 
 def _error_record(line, ticks: int, horizon: int) -> dict:
@@ -351,8 +353,8 @@ def trace_from_jsonl(text: str) -> Trace:
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     version = header.get("version")
-    if type(version) is not int or version not in (1, TRACE_VERSION):
-        raise ValueError(f"header field 'version': expected 1 or {TRACE_VERSION}, got {_dumps(version)}")
+    if type(version) is not int or version not in (1, 2, TRACE_VERSION):
+        raise ValueError(f"header field 'version': expected 1, 2 or {TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
         require_valid(scenario)
@@ -373,30 +375,41 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
     error = _error_record(error_line, horizon, scenario.horizon) if failed else None
 
-    read, listed = _readers(n), version == 1
+    def read_rows(value) -> tuple:
+        if len(value) != n:
+            raise ValueError(f"{len(value)} entries for {n} nodes")
+        return tuple(_checked("rows", value, _INTS))
+
+    table: list = []  # version 3's value table
+    entry, entries = _table_readers(n, table) if version == 3 else (
+        lambda value, read: read(value), lambda value, read, old: _applied(old, value, read, version == 1))
     blank_row = ((),) * n
-    records, states, snap = [], [], _unset(n)
+    records, states, snap, latch = [], [], dict.fromkeys(_COMPONENTS, (None,) * n), None
     for t, tick in enumerate(ticks):
         field = "t"
         try:
             if tick["t"] != t:
                 raise ValueError(f"expected {t}, found {tick['t']!r}")
+            if version == 3:
+                field = "new"
+                if type(tick["new"]) is not list:
+                    raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
+                table += tick["new"]
             record = []
             for field in PER_NODE_FAMILIES:
-                cells = tick[field]
-                record.append(blank_row if cells == [] else _applied(blank_row, cells, read[field], listed))
+                record.append(entries(tick[field], _CELLS[field], blank_row))
             field = "rows"
-            if len(tick["rows"]) != n:
-                raise ValueError(f"{len(tick['rows'])} entries for {n} nodes")
-            rows = tuple(_checked("rows", tick["rows"], _INTS))
+            rows = entry(tick["rows"], read_rows)
             field = "wr"
-            record += (read["wr"](tick["wr"]), rows)
+            record += (entry(tick["wr"], _CELLS["wr"]), rows)
             field = "state"
-            snap = _snapshot_from_obj(tick["state"], snap, read, listed)
-            if t == 0 and (snap["wire"] is None or any(None in snap[key] for key in _COMPONENTS)):
+            snap = _snapshot_from_obj(tick["state"], snap, entries)
+            if t == 0 and any(None in snap[key] for key in _COMPONENTS):
                 raise ValueError("tick 0 must give every component state")
+            if version < 3:  # the wire state must latch the ws row, the 7th cell of the previous record
+                latch = _latch(tick["state"], latch, records[-1][6] if records else blank_row)
             records.append(record)
-            states.append({key: snap[key] for key in _COMPONENTS})
+            states.append(snap)
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc

@@ -83,7 +83,7 @@ def test_check_catches_corruption(golden_file, tmp_path):
     main(["run", "--scenario", str(golden_file), "--trace", str(out)])
     lines = out.read_text().splitlines()
     tick3 = json.loads(lines[4])
-    assert tick3["t"] == 3 and tick3["ar"]
+    assert tick3["t"] == 3 and trace_from_jsonl(out.read_text()).streams["ar"][0].cells[3]
     tick3["ar"] = []  # erase the delivery
     lines[4] = json.dumps(tick3, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ from canstream import (
     RunOptions,
     Scenario,
     ScenarioError,
+    TimedStream,
     check_all,
     run_scenario,
 )
@@ -30,7 +31,7 @@ from canstream.serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .conftest import scenario
+from .conftest import saturated, scenario
 from .test_system import _fail_second_call_at
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -171,6 +172,17 @@ def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
     assert trace_to_jsonl(replace(trace, states=copied)) == trace_to_jsonl(trace)
 
 
+def test_equal_cells_dump_the_same_whether_or_not_they_are_the_same_objects():
+    trace = run_scenario(saturated(1, nodes=6, horizon=48))
+    fresh = lambda cells: tuple(tuple(list(cell)) for cell in cells)  # noqa: E731
+    copied = replace(trace, wire=TimedStream(fresh(trace.wire.cells)), rows=fresh(trace.rows), streams={
+        family: tuple(TimedStream(fresh(stream.cells)) for stream in per_node)
+        for family, per_node in trace.streams.items()})
+    t = next(t for t, cell in enumerate(trace.wire.cells) if cell)
+    assert copied == trace and copied.wire.cells[t] is not trace.wire.cells[t]
+    assert trace_to_jsonl(copied) == trace_to_jsonl(trace)
+
+
 # Version 1 traces, written before tick lines held only changes, and the scenarios they ran.
 V1_GOLDENS = {
     "single_node.jsonl": scenario(1, 6, (1, 0, 5, b"\xab")),
@@ -266,6 +278,12 @@ def _edit_wire_sources(edit):
     return mutate
 
 
+def _golden_latch_5_to_6(lines):
+    """The single-node golden with its tick-2 latch identifier changed from 5 to 6."""
+    golden = (GOLDENS / "single_node.v2.jsonl").read_text()
+    lines[:] = golden.replace('"latch":[{"sym":"id","value":5}]', '"latch":[{"sym":"id","value":6}]').splitlines()
+
+
 def _truncated_tick_line(blank_lines: int):
     """Keep the header and ticks 0 and 1, then blank lines and a tick 2 line cut short."""
     def mutate(lines):
@@ -273,6 +291,7 @@ def _truncated_tick_line(blank_lines: int):
     return mutate
 
 
+# Hand edits of the version 2 file of two_node_scenario, and the error each must raise.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
@@ -306,8 +325,8 @@ MALFORMED = {
                  r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
     "bool request token": (_edit_tick(0, lambda tick: tick["r"][0].__setitem__(1, [False])),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
-    "unknown version": (_edit_header(lambda header: header.update(version=3)),
-                        r"^header field 'version': expected 1 or 2, got 3$"),
+    "unknown version": (_edit_header(lambda header: header.update(version=4)),
+                        r"^header field 'version': expected 1, 2 or 3, got 4$"),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
                                              r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
@@ -363,15 +382,15 @@ MALFORMED = {
         _edit_wire_sources(lambda sources: sources.__setitem__(0, 3)),
         r"^tick \d+: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
         r"got \[3,1\] for 2 symbols$"),
+    "wire latch other than the previous ws row": (
+        _golden_latch_5_to_6,
+        r"^tick 2: field 'state': wire must be the latch of the previous tick's ws row, "
+        r'\{"latch":\[\{"sym":"id","value":5\}\],"sources":\[1\]\}, '
+        r'got \{"latch":\[\{"sym":"id","value":6\}\],"sources":\[1\]\}$'),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_tick_lines_name_the_tick_and_field(case, tmp_path, capsys):
-    mutate, message = MALFORMED[case]
-    lines = (GOLDENS / "two_node.v2.jsonl").read_text().splitlines()
-    mutate(lines)
-    text = "\n".join(lines) + "\n"
+def _assert_rejected(text: str, message: str, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         trace_from_jsonl(text)
     path = tmp_path / "bad.trace"
@@ -380,8 +399,70 @@ def test_malformed_tick_lines_name_the_tick_and_field(case, tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_tick_lines_name_the_tick_and_field(case, tmp_path, capsys):
+    mutate, message = MALFORMED[case]
+    lines = (GOLDENS / "two_node.v2.jsonl").read_text().splitlines()
+    mutate(lines)
+    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+def _set_field(t, key, value):
+    return _edit_tick(t, lambda tick: tick.__setitem__(key, value))
+
+
+# Hand edits of the version 3 file of two_node_scenario, whose value table has 23 entries after tick 3.
+MALFORMED_V3 = {
+    "reference beyond the table": (
+        _set_field(3, "wr", 23),
+        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
+    "reference to an entry of a later tick": (
+        _set_field(1, "mr", 14),
+        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
+    "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
+    "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
+                                     r"^tick 1: field 'as': missing key 'id'$"),
+    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
+                                    r"^tick 0: field 'state': list indices must be integers"),
+    "new that is not a list": (_set_field(2, "new", {"x": 1}),
+                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
+    "missing new": (_edit_tick(4, lambda tick: tick.pop("new")), r"^tick 4: field 'new': missing key 'new'$"),
+    "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
+                                               r"^tick 1: field 'as': node index 2 out of order or out of range$"),
+    "pairs of a state family out of order": (
+        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
+        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
+    "short uniform row": (_edit_tick(0, lambda tick: tick["new"].__setitem__(4, [1])),
+                          r"^tick 0: field 'rows': 1 entries for 2 nodes$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V3))
+def test_malformed_version_3_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    mutate, message = MALFORMED_V3[case]
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    assert json.loads(lines[0])["version"] == 3
+    mutate(lines)
+    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+def test_older_versions_of_the_two_node_file_load_to_its_run(two_node_scenario):
+    trace = run_scenario(two_node_scenario)
+    assert trace_from_jsonl((GOLDENS / "two_node.v2.jsonl").read_text()) == trace
+
+
+def test_a_loaded_trace_shares_its_values_as_the_run_does():
+    trace = trace_from_jsonl(trace_to_jsonl(run_scenario(saturated(0))))
+    wire, ar = trace.wire.cells, trace.streams["ar"]
+    busy = [(t, cell) for stream in trace.streams["mr"] for t, cell in enumerate(stream.cells) if cell]
+    assert len(busy) > 0.9 * trace.node_count * trace.horizon
+    assert all(cell is wire[t] for t, cell in busy)
+    assert all(c is d for stream in ar[1:] for c, d in zip(stream.cells, ar[0].cells))
+
+
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
     # the header's scenario and every message and data symbol of the golden spell 0xab
     text = (GOLDENS / "single_node.v2.jsonl").read_text()
     assert text.count('"ab"') > 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
+
