@@ -21,7 +21,6 @@ from operator import is_not, itemgetter
 from typing import Sequence
 
 from .core import FRAME_LATENCY, PER_NODE_FAMILIES, AMessage, DataSym, IdSym, TimedStream, Trace
-from .primitives import collect_elements, min_of_list, take_ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,13 +76,15 @@ def check_msg_can_format(trace: Trace, stream_name: str) -> list[Violation]:
     """
     cells = _stream_by_name(trace, stream_name).cells
     # Nothing to report if the heads alternate identifier, data and each run of
-    # non-empty ticks has even length, but for an identifier at the horizon.
-    kinds = list(map(type, map(itemgetter(0), filter(None, cells))))
-    unchecked = bool(kinds) and kinds[-1] is IdSym and bool(cells[-1])
-    paired, runs = len(kinds) - unchecked, bytes(map(bool, cells[:len(cells) - unchecked]))
-    if (kinds[:paired:2].count(IdSym) == paired // 2 == kinds[1:paired:2].count(DataSym)
-            and 1 not in runs.replace(b"\1\1", b"")):
-        return []
+    # non-empty ticks has even length, but for an identifier at the horizon. A
+    # stream of few non-empty cells goes straight to the loop, which costs less.
+    if len(cells) - cells.count(()) > 8:
+        kinds = list(map(type, map(itemgetter(0), filter(None, cells))))
+        unchecked = kinds[-1] is IdSym and bool(cells[-1])
+        paired, runs = len(kinds) - unchecked, bytes(map(bool, cells[:len(cells) - unchecked]))
+        if (kinds[:paired:2].count(IdSym) == paired // 2 == kinds[1:paired:2].count(DataSym)
+                and 1 not in runs.replace(b"\1\1", b"")):
+            return []
     out: list[Violation] = []
     for t in compress(range(len(cells)), cells):
         cell = cells[t]
@@ -137,8 +138,9 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
         and delivered to every node FRAME_LATENCY ticks later.
 
     Each identifier belongs to one sender, so several nodes offering the same
-    minimal identifier break (3) outright. (1) and (3) are checked for the
-    ticks whose delivery tick lies inside the horizon.
+    minimal identifier break (3) outright. (3) reads each offer cell's head, and
+    skips a head that is not a message. (1) and (3) are checked for the ticks
+    whose delivery tick lies inside the horizon.
     """
     n = trace.node_count
     r_streams = trace.streams["r"]
@@ -170,9 +172,12 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
                         render_cell(delivered[j]),
                     ))
             continue
-        ids = take_ids(collect_elements(n, offers))
-        best = min_of_list(ids)
-        winners = [i for i in range(n) if offers[i] and offers[i][0].id == best]
+        # The smallest identifier among the heads that are messages; msg1 and the kind rules report the rest.
+        heads = {i: cell[0].id for i, cell in enumerate(offers) if cell and type(cell[0]) is AMessage}
+        best = min(heads.values(), default=None)
+        winners = [i for i, ident in heads.items() if ident == best]
+        if not winners:
+            continue
         if len(winners) > 1:
             out.append(Violation(
                 "transmission", t, tuple(f"as_{i + 1}" for i in winners),

@@ -199,6 +199,15 @@ def test_row3_clean_run(golden_scenario):
     assert check_row3_unreachable(t) == []
 
 
+def test_transmission_passes_over_an_offer_head_that_is_not_a_message():
+    # node 1 offers an identifier symbol, which no run makes and the loader refuses; msg1 and the kind rules judge it
+    t = make_trace({"as": [[(), (IdSym(1),)], [(), (amsg(5),)]], "ar": [[(), (), (), (amsg(5),)]] * 2,
+                    "r": [[(), (), (), ()], [(), (), (), (0,)]]}, n=2)
+    assert check_message_transmission(t) == []
+    t = make_trace({"as": [[(), (IdSym(1),)]], "ar": [[(), (), ()]], "r": [[(), (), ()]]})
+    assert check_message_transmission(t) == []
+
+
 def test_row3_flagged_when_marked():
     t = make_trace({"ms": [[(), ()]]}, rows=((1,), (3,)))
     found = check_row3_unreachable(t)

@@ -103,6 +103,18 @@ def test_check_finds_two_messages_in_one_application_cell(tmp_path):
     assert main(["check", "--trace", str(out), "--only", "msg1"]) == 1
 
 
+def test_check_reports_an_offer_whose_smallest_identifier_is_not_its_head(tmp_path, capsys):
+    golden = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text()
+    offer = '"as":[[0,[{"data":"ab","id":5}]]]'
+    assert golden.count(offer) == 1
+    out = tmp_path / "two_offers.trace"
+    out.write_text(golden.replace(offer, '"as":[[0,[{"data":"ab","id":5},{"data":"cd","id":2}]]]'))
+    report = check_all(trace_from_jsonl(out.read_text()))
+    assert {(v.predicate, v.tick) for v in report.violations} == {("msg1", 1), ("transmission", 1)}
+    assert main(["check", "--trace", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_names_the_line_of_a_truncated_tick(tmp_path, capsys):
     lines = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text().splitlines()
     out = tmp_path / "truncated.trace"

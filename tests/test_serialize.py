@@ -20,7 +20,9 @@ from canstream import (
     check_all,
     run_scenario,
 )
+from canstream.checkers import Report
 from canstream.cli import EXIT_INPUT, main
+from canstream.core import PER_NODE_FAMILIES
 from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.serialize import (
     _dumps,
@@ -35,6 +37,7 @@ from .conftest import saturated, scenario
 from .test_system import _fail_second_call_at
 
 GOLDENS = Path(__file__).parent / "goldens"
+STATE_KEYS = ("buffers", "decoders", "encoders", "llayers")
 
 
 def test_scenario_round_trip(two_node_scenario):
@@ -466,3 +469,42 @@ def test_uppercase_hex_payloads_load_as_in_scenario_files():
     assert text.count('"ab"') > 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
+
+# JSON values of the shapes a version 3 file holds: cells of messages or symbols, rows, state fields.
+_MESSAGE = st.fixed_dictionaries({"data": st.sampled_from(["", "ab", "0c0d"]), "id": st.integers(0, 9)})
+_SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.integers(0, 9)}),
+                    st.fixed_dictionaries({"sym": st.just("data"), "value": st.sampled_from(["", "ab"])}))
+_LISTS = {"message": st.lists(_MESSAGE, max_size=3), "symbol": st.lists(_SYMBOL, max_size=3),
+          "int": st.lists(st.integers(0, 5), max_size=3)}
+_FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from(["", "ab"]), st.lists(_MESSAGE, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, data):
+    s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
+    lines = trace_to_jsonl(run_scenario(s)).splitlines()
+    ticks = [json.loads(line) for line in lines[1:]]
+    entries = data.draw(st.booleans(), label="edit a table entry")
+    t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick["new"] or not entries]), label="tick")
+    tick, table = ticks[t], sum(len(tick["new"]) for tick in ticks[:t + 1])
+    if entries:
+        k = data.draw(st.integers(0, len(tick["new"]) - 1))
+        entry = tick["new"][k]
+        if isinstance(entry, dict):
+            entry[data.draw(st.sampled_from(sorted(entry)))] = data.draw(_FIELD)
+        else:  # a cell or a row: elements of its kind, or any kind for an empty cell
+            kind = "int" if entry and type(entry[0]) is int else "message" if entry and "id" in entry[0] else "symbol"
+            tick["new"][k] = data.draw(_LISTS[kind] if entry else st.one_of(*_LISTS.values()))
+    else:
+        key = data.draw(st.sampled_from([*PER_NODE_FAMILIES, "wr", "rows", *STATE_KEYS]), label="field")
+        ref = st.integers(-1, table + 1)
+        value = data.draw(st.one_of(ref, st.lists(st.tuples(st.integers(-1, s.node_count), ref).map(list),
+                                                  max_size=s.node_count + 1)))
+        (tick["state"] if key in STATE_KEYS else tick)[key] = value
+    lines[1 + t] = _dumps(tick)
+    try:
+        trace = trace_from_jsonl("\n".join(lines) + "\n")
+    except ValueError:
+        return
+    assert isinstance(check_all(trace), Report)
