@@ -177,7 +177,7 @@ def _snapshot_to_obj(prev: dict, snap: dict, ref) -> str:
     parts = []
     for key in _COMPONENTS:
         old, new = prev[key], snap[key]
-        if old != new:
+        if old != new:  # a tuple compare tests each pair of entries for identity, then equality
             changed = [i for i, (o, s) in enumerate(zip(old, new)) if not (o is s or o == s)]
             parts.append('"%s":%s' % (key, _per_node(new, ref, changed)))
     return "{%s}" % ",".join(parts)
@@ -201,7 +201,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         return k
 
     columns = [list(zip(*(stream.cells for stream in trace.streams[family]))) for family in _FAMILY_KEYS]
-    one = lambda value, ref: "%d" % ref(value)  # noqa: E731
+    one = lambda value, ref: "%d" % ref(value)
     # The fields in key order, without "new" and "t", as (value per tick, writer); None stands for the state.
     fields = [(column, _per_node) for column in columns[:-1]] + [(trace.rows, one), None, (trace.wire.cells, one),
                                                                 (columns[-1], _per_node)]

@@ -14,17 +14,16 @@ a tick that fails leaves nothing to cut back.
 Within a tick the bus first emits from its latch, the previous tick's ws row.
 Then each node in turn runs its whole chain: buffer emission, encoder,
 bus-access layer, decoder, request stream and buffer update. Last, this tick's
-ws row becomes the latch of the next state. This
-gives the same values as the phase order (all buffers emit, then all
-encoders, then the bus, then all bus-access layers, all decoders, and finally
-all state updates), because the components are pure and nodes interact within
-a tick only through the wire's unit-delayed latch and the update phase of the
-buffers. Every node reads the latch of the previous tick, emitted once before
-the first node runs, and this tick's offers are latched only after the last
-node. A buffer's update consumes only its own node's request and comes after
-that node's emission. These are also the only feedback cycles (bus-access ->
-wire -> bus-access, and the request path back into the buffers), so the order
-is causally well defined.
+ws row becomes the latch of the next state. This gives the same values as the
+phase order (all buffers emit, then all encoders, then the bus, then all
+bus-access layers, all decoders, and finally all state updates), because the
+components are pure and nodes interact within a tick only through the wire's
+unit-delayed latch and the update phase of the buffers. Every node reads the
+latch of the previous tick, emitted once before the first node runs, and this
+tick's offers are latched only after the last node. A buffer's update consumes
+only its own node's request and comes after that node's emission. These are
+also the only feedback cycles (bus-access -> wire -> bus-access, and the
+request path back into the buffers), so the order is causally well defined.
 
 Request flow: a controller raises its transmit-success request during the data
 phase of a won frame; the owning buffer consumes it in that same tick's state
@@ -76,8 +75,9 @@ class SystemState:
     """All component states plus the executor's request bookkeeping.
 
     wire is the previous tick's ws row, which the bus emits from this tick
-    (all empty before tick 0). raised holds each node's success request of the previous tick, () or
-    REQ_CELL, which the observable request stream shows this tick.
+    (all empty before tick 0). raised holds each node's success request of the
+    previous tick, () or REQ_CELL, which the observable request stream shows
+    this tick.
     """
 
     buffers: tuple[BufferState, ...]

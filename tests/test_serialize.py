@@ -177,7 +177,7 @@ def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
 
 def test_equal_cells_dump_the_same_whether_or_not_they_are_the_same_objects():
     trace = run_scenario(saturated(1, nodes=6, horizon=48))
-    fresh = lambda cells: tuple(tuple(list(cell)) for cell in cells)  # noqa: E731
+    fresh = lambda cells: tuple(tuple(list(cell)) for cell in cells)
     copied = replace(trace, wire=TimedStream(fresh(trace.wire.cells)), rows=fresh(trace.rows), streams={
         family: tuple(TimedStream(fresh(stream.cells)) for stream in per_node)
         for family, per_node in trace.streams.items()})
