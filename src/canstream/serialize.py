@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import asdict
-from itertools import compress
+from itertools import chain, compress
+from operator import ne
 from string import hexdigits
 
 from .checkers import Report
@@ -152,8 +153,6 @@ _FRAGMENTS = {
 
 # The per-node component families of a state snapshot, in key order.
 _COMPONENTS = ("buffers", "decoders", "encoders", "llayers")
-# A tick line's fields, in key order, that hold one cell per node.
-_FAMILY_KEYS = sorted(PER_NODE_FAMILIES)
 
 
 def _texts(values, memo: dict[int, str]) -> list[str]:
@@ -163,7 +162,8 @@ def _texts(values, memo: dict[int, str]) -> list[str]:
 
 
 def _per_node(entries: tuple, ref, changed=None) -> str:
-    """One reference if every node's entry is the same, else a [node index, reference] pair per index in `changed`."""
+    """One reference if every node's entry is the same, else a [node index, reference] pair per index in
+    `changed`, or by default per non-empty entry."""
     first, last = entries[0], entries[-1]
     # A tuple count tests each entry for identity, then equality; the last entry is tested first.
     if (last is first or last == first) and entries.count(first) == len(entries):
@@ -186,10 +186,8 @@ def _snapshot_to_obj(prev: dict, snap: dict, ref) -> str:
 def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
-    memo: dict[int, str] = {}
-    refs: dict[int, int] = {}  # id() of each value met -> its table number
-    numbers: dict[str, int] = {}  # text -> table number; its keys are the table, in order
-    table: list[str] = []
+    # memo: id() -> text of each value met; refs: id() -> its table number; numbers: text -> table number
+    memo, refs, numbers, table = {}, {}, {}, []
 
     def ref(value) -> int:
         k = refs.get(id(value))
@@ -200,23 +198,29 @@ def trace_to_jsonl(trace: Trace) -> str:
                 table.append(text)
         return k
 
-    columns = [list(zip(*(stream.cells for stream in trace.streams[family]))) for family in _FAMILY_KEYS]
-    one = lambda value, ref: "%d" % ref(value)
-    # The fields in key order, without "new" and "t", as (value per tick, writer); None stands for the state.
-    fields = [(column, _per_node) for column in columns[:-1]] + [(trace.rows, one), None, (trace.wire.cells, one),
-                                                                (columns[-1], _per_node)]
-    texts = [""] * len(fields)
+    prevs = (dict.fromkeys(_COMPONENTS, (None,) * trace.node_count),) + trace.states  # tick 0 gives all states
+    columns = [list(zip(*(stream.cells for stream in trace.streams[family]))) for family in sorted(PER_NODE_FAMILIES)]
+    cells = lambda column, t: _per_node(column[t], ref)
+    one = lambda values, t: "%d" % ref(values[t])
+    # The line's fields as (slot in `line`, value per tick, writer), in key order, so that the table numbers its
+    # entries in order of first appearance. "new" and "t" are made at every tick, the others where their value
+    # differs from the previous tick's, and a field keeps its text in between; a state with no change is {}.
+    fields = [*((j, column, cells) for j, column in enumerate(columns[:5])), (6, columns[5], cells),
+              (7, trace.rows, one), (8, trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], ref)),
+              (10, trace.wire.cells, one), (11, columns[6], cells)]
+    changes = [[] for _ in trace.states]
+    for field in fields:
+        for t in compress(range(len(changes)), chain((True,), map(ne, field[1][1:], field[1]))):
+            changes[t].append(field)
+    texts: list = [""] * 12
     line = '{"a":%s,"ar":%s,"as":%s,"mr":%s,"ms":%s,"new":[%s],"r":%s,"rows":%s,"state":%s,"t":%d,"wr":%s,"ws":%s}'
-    lines, prev = [_dumps(header)], dict.fromkeys(_COMPONENTS, (None,) * trace.node_count)  # tick 0 gives all
-    for t, snap in enumerate(trace.states):
-        first = len(table)  # the fields take their references in key order, so the table numbers them so
-        for j, field in enumerate(fields):
-            if field is None:
-                texts[j] = "{}" if snap == prev else _snapshot_to_obj(prev, snap, ref)
-            elif not t or field[0][t] != field[0][t - 1]:  # an equal value keeps the previous tick's text
-                texts[j] = field[1](field[0][t], ref)
-        lines.append(line % (*texts[:5], ",".join(table[first:]), *texts[5:8], t, *texts[8:]))
-        prev = snap
+    lines = [_dumps(header)]
+    for t, changed in enumerate(changes):
+        first, texts[8] = len(table), "{}"
+        for j, values, write in changed:
+            texts[j] = write(values, t)
+        texts[5], texts[9] = ",".join(table[first:]), t
+        lines.append(line % tuple(texts))
     if trace.error is not None:
         lines.append(_dumps({"error": trace.error}))
     return "\n".join(lines) + "\n"

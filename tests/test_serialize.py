@@ -449,7 +449,7 @@ def test_malformed_version_3_lines_name_the_tick_and_field(case, two_node_scenar
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
 
 
-def test_older_versions_of_the_two_node_file_load_to_its_run(two_node_scenario):
+def test_the_version_2_file_of_the_two_node_scenario_loads_to_its_run(two_node_scenario):
     trace = run_scenario(two_node_scenario)
     assert trace_from_jsonl((GOLDENS / "two_node.v2.jsonl").read_text()) == trace
 
@@ -476,7 +476,8 @@ _SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.int
                     st.fixed_dictionaries({"sym": st.just("data"), "value": st.sampled_from(["", "ab"])}))
 _LISTS = {"message": st.lists(_MESSAGE, max_size=3), "symbol": st.lists(_SYMBOL, max_size=3),
           "int": st.lists(st.integers(0, 5), max_size=3)}
-_FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from(["", "ab"]), st.lists(_MESSAGE, max_size=3))
+_FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from(["", "ab"]),
+                   st.lists(_MESSAGE, max_size=3))
 
 
 @settings(max_examples=200, deadline=None)

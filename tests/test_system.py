@@ -132,9 +132,7 @@ def test_a_state_that_does_not_change_stays_the_same_object():
     for i in range(40):
         states = run_scenario(seeded_scenario("identity", i, nodes=1 + i % 5, horizon=64)).states
         for prev, snap in zip(states, states[1:]):
-            pairs = []
-            for key in ("buffers", "encoders", "decoders", "llayers"):
-                pairs += zip(prev[key], snap[key])
+            pairs = [pair for key in ("buffers", "encoders", "decoders", "llayers") for pair in zip(prev[key], snap[key])]
             assert all(old is new or old != new for old, new in pairs), (i, snap)
 
 
