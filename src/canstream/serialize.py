@@ -5,24 +5,29 @@ header line followed by one line per tick. All dumps are canonical (sorted
 keys, fixed separators, integers and hex strings only), so a given run always
 serializes to identical bytes.
 
-A version 3 tick line writes each distinct value once. Its "new" list holds the
-JSON of each cell, row tuple and component state first seen at that tick. The
-entries of all lines so far are the value table, numbered in order of first
-appearance, and every other field is an integer reference into it. A stream
-family whose cell is the same at every node is one reference, else a [node
-index, reference] pair per non-empty cell. The state gives each component family
-whose states changed since the previous tick (at tick 0, all) as one reference
-if every node's state is the same, else a pair per node whose state changed.
-Values count as the same when equal, so the bytes depend on the values alone.
+A tick line writes each distinct value once. Its "new" list holds the JSON of
+each cell, row tuple and component state first seen at that tick. The entries
+of all lines so far are the value table, numbered in order of first appearance,
+and every other field is an integer reference into it. A stream family whose
+cell is the same at every node is one reference, else a [node index, reference]
+pair per non-empty cell. The state gives each component family whose states
+changed since the previous tick as one reference if every node's state is the
+same, else a pair per node whose state changed. Values count as the same when
+equal, so the bytes depend on the values alone.
 
-The loader also reads versions 1 and 2, which wrote each value in place, as
-[node index, value] pairs (version 2) or every node's entry (version 1, read as
-enumerate(list)), plus a wire state that must latch the previous ws row.
+Version 4 lines give "t" and only the fields whose value differs from the
+previous tick's, and "new" only when it has entries, so a quiet tick is
+{"t":N}; tick 0 gives every field. A version 3 line gives every field, with
+"new":[] and "state":{} when nothing is new or changed, and is otherwise the
+same. The loader also reads versions 1 and 2, which wrote each value in place,
+as [node index, value] pairs (version 2) or every node's entry (version 1, read
+as enumerate(list)), plus a wire state that must latch the previous ws row.
 
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
 call, so no id is reused. A load builds each table entry once for each kind it
-is read as, so a loaded trace shares its values as a run does.
+is read as, and a field that a version 4 line leaves out keeps the previous
+tick's object, so a loaded trace shares its values as a run does.
 """
 from __future__ import annotations
 
@@ -52,7 +57,7 @@ from .core import (
 from .primitives import collect_elements
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -199,28 +204,30 @@ def trace_to_jsonl(trace: Trace) -> str:
         return k
 
     prevs = (dict.fromkeys(_COMPONENTS, (None,) * trace.node_count),) + trace.states  # tick 0 gives all states
-    columns = [list(zip(*(stream.cells for stream in trace.streams[family]))) for family in sorted(PER_NODE_FAMILIES)]
     cells = lambda column, t: _per_node(column[t], ref)
     one = lambda values, t: "%d" % ref(values[t])
-    # The line's fields as (slot in `line`, value per tick, writer), in key order, so that the table numbers its
-    # entries in order of first appearance. "new" and "t" are made at every tick, the others where their value
-    # differs from the previous tick's, and a field keeps its text in between; a state with no change is {}.
-    fields = [*((j, column, cells) for j, column in enumerate(columns[:5])), (6, columns[5], cells),
-              (7, trace.rows, one), (8, trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], ref)),
-              (10, trace.wire.cells, one), (11, columns[6], cells)]
+    # key -> (value per tick, writer); a family's value is its column of per-node cells
+    series = {family: (list(zip(*(stream.cells for stream in trace.streams[family]))), cells)
+              for family in PER_NODE_FAMILIES}
+    series.update(rows=(trace.rows, one), wr=(trace.wire.cells, one),
+                  state=(trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], ref)))
+    # The line's fields as (quoted key and colon, value per tick, writer), in key order, so that the table numbers
+    # its entries in order of first appearance. A line gives each field whose value differs from the previous
+    # tick's (at tick 0, all of them), "new" if it has entries, and "t".
+    fields = [('"%s":' % key, *series[key]) for key in sorted(series)]
     changes = [[] for _ in trace.states]
     for field in fields:
         for t in compress(range(len(changes)), chain((True,), map(ne, field[1][1:], field[1]))):
             changes[t].append(field)
-    texts: list = [""] * 12
-    line = '{"a":%s,"ar":%s,"as":%s,"mr":%s,"ms":%s,"new":[%s],"r":%s,"rows":%s,"state":%s,"t":%d,"wr":%s,"ws":%s}'
     lines = [_dumps(header)]
     for t, changed in enumerate(changes):
-        first, texts[8] = len(table), "{}"
-        for j, values, write in changed:
-            texts[j] = write(values, t)
-        texts[5], texts[9] = ",".join(table[first:]), t
-        lines.append(line % tuple(texts))
+        first = len(table)
+        parts = [key + write(values, t) for key, values, write in changed]
+        if len(table) > first:
+            parts.append('"new":[%s]' % ",".join(table[first:]))
+        parts.append('"t":%d' % t)
+        # Each part starts with its quoted key, and a quote sorts before any letter, so the parts sort by key.
+        lines.append("{%s}" % ",".join(sorted(parts)))
     if trace.error is not None:
         lines.append(_dumps({"error": trace.error}))
     return "\n".join(lines) + "\n"
@@ -253,14 +260,17 @@ _STATES = {
 }
 
 
-def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
+def _applied(old: tuple, pairs, read, listed: bool, shape: str = "a list of [node index, value] pairs") -> tuple:
     """`old` with each [node index, value] pair's entry replaced by its read value.
 
     Indices rise strictly within `old`. A line that lists every node's entry
-    (`listed`, as version 1 does) reads as the pairs enumerate(list).
+    (`listed`, as version 1 does) reads as the pairs enumerate(list). Any
+    other form raises an error that names `shape`, the form expected.
     """
     if listed and len(pairs) != len(old):
         raise ValueError(f"{len(pairs)} entries for {len(old)} nodes")
+    if not listed and not (type(pairs) is list and all(type(pair) is list and len(pair) == 2 for pair in pairs)):
+        raise ValueError(f"expected {shape}, got {_dumps(pairs)}")
     new, last = list(old), -1
     for i, value in enumerate(pairs) if listed else pairs:
         if type(i) is not int or not last < i < len(new):
@@ -270,7 +280,7 @@ def _applied(old: tuple, pairs: list, read, listed: bool) -> tuple:
 
 
 def _table_readers(n: int, table: list):
-    """One version 3 load's readers of a reference and of a family's references; each entry is read once per kind."""
+    """A value-table load's readers of a reference and of a family's references; each entry is read once per kind."""
     built = defaultdict(dict)  # per reader: table number -> the entry as read
     rows = defaultdict(dict)  # per reader: table number -> n copies of the entry as read
 
@@ -285,7 +295,8 @@ def _table_readers(n: int, table: list):
 
     def entries(value, read, old: tuple) -> tuple:
         if type(value) is not int:
-            return _applied(old, value, lambda k: entry(k, read), False)
+            return _applied(old, value, lambda k: entry(k, read), False,
+                            "a reference or a list of [node index, reference] pairs")
         row = rows[read].get(value)
         if row is None:
             row = rows[read][value] = (entry(value, read),) * n
@@ -357,8 +368,8 @@ def trace_from_jsonl(text: str) -> Trace:
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     version = header.get("version")
-    if type(version) is not int or version not in (1, 2, TRACE_VERSION):
-        raise ValueError(f"header field 'version': expected 1, 2 or {TRACE_VERSION}, got {_dumps(version)}")
+    if type(version) is not int or not 1 <= version <= TRACE_VERSION:
+        raise ValueError(f"header field 'version': expected 1, 2, 3 or {TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
         require_valid(scenario)
@@ -384,30 +395,33 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"{len(value)} entries for {n} nodes")
         return tuple(_checked("rows", value, _INTS))
 
-    table: list = []  # version 3's value table
-    entry, entries = _table_readers(n, table) if version == 3 else (
+    table: list = []  # the value table of versions 3 and 4
+    entry, entries = _table_readers(n, table) if version >= 3 else (
         lambda value, read: read(value), lambda value, read, old: _applied(old, value, read, version == 1))
     blank_row = ((),) * n
+    # A record's fields, in its order, each with its reader.
+    fields = [(family, lambda value, read=_CELLS[family]: entries(value, read, blank_row))
+              for family in PER_NODE_FAMILIES]
+    fields += [("wr", lambda value: entry(value, _CELLS["wr"])), ("rows", lambda value: entry(value, read_rows))]
     records, states, snap, latch = [], [], dict.fromkeys(_COMPONENTS, (None,) * n), None
     for t, tick in enumerate(ticks):
         field = "t"
         try:
-            if tick["t"] != t:
-                raise ValueError(f"expected {t}, found {tick['t']!r}")
-            if version == 3:
+            if type(tick["t"]) is not int or tick["t"] != t:
+                raise ValueError(f"expected {t}, found {_dumps(tick['t'])}")
+            # After tick 0, a version 4 line leaves out each field whose value did not change.
+            kept = records[-1] if version == 4 and records else None
+            if version >= 3 and (kept is None or "new" in tick):
                 field = "new"
                 if type(tick["new"]) is not list:
                     raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
                 table += tick["new"]
             record = []
-            for field in PER_NODE_FAMILIES:
-                record.append(entries(tick[field], _CELLS[field], blank_row))
-            field = "rows"
-            rows = entry(tick["rows"], read_rows)
-            field = "wr"
-            record += (entry(tick["wr"], _CELLS["wr"]), rows)
+            for k, (field, read) in enumerate(fields):
+                record.append(kept[k] if kept is not None and field not in tick else read(tick[field]))
             field = "state"
-            snap = _snapshot_from_obj(tick["state"], snap, entries)
+            if kept is None or "state" in tick:
+                snap = _snapshot_from_obj(tick["state"], snap, entries)
             if t == 0 and any(None in snap[key] for key in _COMPONENTS):
                 raise ValueError("tick 0 must give every component state")
             if version < 3:  # the wire state must latch the ws row, the 7th cell of the previous record

@@ -166,6 +166,7 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
         loaded = trace_from_jsonl(text)
         assert loaded == trace
         assert trace_to_jsonl(loaded) == text
+        assert trace_from_jsonl(_expanded(text)) == trace
 
 
 def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
@@ -328,8 +329,8 @@ MALFORMED = {
                  r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
     "bool request token": (_edit_tick(0, lambda tick: tick["r"][0].__setitem__(1, [False])),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
-    "unknown version": (_edit_header(lambda header: header.update(version=4)),
-                        r"^header field 'version': expected 1, 2 or 3, got 4$"),
+    "unknown version": (_edit_header(lambda header: header.update(version=5)),
+                        r"^header field 'version': expected 1, 2, 3 or 4, got 5$"),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
                                              r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
@@ -347,6 +348,9 @@ MALFORMED = {
     "error without a message": (_error_line('{"error":{"tick":3}}', ticks=3), r"^error line: "),
     "error line with a tick": (_error_line('{"error":{"message":"stop","tick":3},"t":3}', ticks=3), r"^error line: "),
     "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
+    "flag as the tick": (_edit_tick(1, lambda tick: tick.update(t=True)),
+                         r"^tick 1: field 't': expected 1, found true$"),
+    "float tick": (_edit_tick(2, lambda tick: tick.update(t=2.0)), r"^tick 2: field 't': expected 2, found 2.0$"),
     "extra node entry": (_edit_tick(3, lambda tick: tick["rows"].append(1)), r"tick 3: field 'rows'"),
     "short family list": (_edit_tick(0, lambda tick: tick["state"]["encoders"].pop()),
                           r"tick 0: field 'state': tick 0 must give every component state"),
@@ -414,6 +418,43 @@ def _set_field(t, key, value):
     return _edit_tick(t, lambda tick: tick.__setitem__(key, value))
 
 
+def _drop_field(t, key):
+    return _edit_tick(t, lambda tick: tick.pop(key))
+
+
+def _expanded(text: str) -> str:
+    """A version 4 dump as version 3 wrote it: each line gives every field, the previous line's where it left one
+    out, and "new" and "state" are [] and {} where it left them out."""
+    header, *lines = text.splitlines()
+    expanded, tick = [_dumps({**json.loads(header), "version": 3})], {}
+    for line in lines:
+        given = json.loads(line)
+        tick = given if "error" in given else {**tick, "new": [], "state": {}, **given}
+        expanded.append(_dumps(tick))
+    return "\n".join(expanded) + "\n"
+
+
+def test_expanding_the_version_4_golden_gives_the_version_3_golden(golden_scenario):
+    text = trace_to_jsonl(run_scenario(golden_scenario))
+    assert text == (GOLDENS / "single_node.v4.jsonl").read_text()
+    assert _expanded(text) == (GOLDENS / "single_node.v3.jsonl").read_text()
+
+
+# Edits that give a stream family and a state family a value of neither form, shared by versions 3 and 4.
+_BAD_SHAPES = {
+    "flag as a stream family": (_set_field(0, "ar", True), "ar", "true"),
+    "string as a stream family": (_set_field(0, "ar", "x"), "ar", '"x"'),
+    "flag as a state family": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)), "state",
+                               "true"),
+    "pair of three as a state family": (
+        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])), "state", r"\[\[0,5,6\]\]"),
+}
+_BAD_SHAPE_CASES = {
+    case: (mutate, rf"^tick 0: field '{field}': expected a reference or a list of \[node index, reference\] pairs, "
+                   rf"got {value}$")
+    for case, (mutate, field, value) in _BAD_SHAPES.items()}
+
+
 # Hand edits of the version 3 file of two_node_scenario, whose value table has 23 entries after tick 3.
 MALFORMED_V3 = {
     "reference beyond the table": (
@@ -430,6 +471,8 @@ MALFORMED_V3 = {
     "new that is not a list": (_set_field(2, "new", {"x": 1}),
                                r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
     "missing new": (_edit_tick(4, lambda tick: tick.pop("new")), r"^tick 4: field 'new': missing key 'new'$"),
+    "missing family": (_drop_field(4, "mr"), r"^tick 4: field 'mr': missing key 'mr'$"),
+    "missing state": (_drop_field(5, "state"), r"^tick 5: field 'state': missing key 'state'$"),
     "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
                                                r"^tick 1: field 'as': node index 2 out of order or out of range$"),
     "pairs of a state family out of order": (
@@ -437,16 +480,59 @@ MALFORMED_V3 = {
         r"^tick 2: field 'state': node index 0 out of order or out of range$"),
     "short uniform row": (_edit_tick(0, lambda tick: tick["new"].__setitem__(4, [1])),
                           r"^tick 0: field 'rows': 1 entries for 2 nodes$"),
+    **_BAD_SHAPE_CASES,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_V3))
 def test_malformed_version_3_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
     mutate, message = MALFORMED_V3[case]
-    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    lines = _expanded(trace_to_jsonl(run_scenario(two_node_scenario))).splitlines()
     assert json.loads(lines[0])["version"] == 3
     mutate(lines)
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+# Hand edits of the version 4 file of two_node_scenario.
+MALFORMED_V4 = {
+    "tick 0 without a family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
+    "tick 0 without the wire": (_drop_field(0, "wr"), r"^tick 0: field 'wr': missing key 'wr'$"),
+    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
+    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
+    "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
+    "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
+    "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
+    "reference beyond the table on a quiet tick": (
+        _set_field(7, "wr", 25),
+        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
+    "new that is not a list": (_set_field(2, "new", {"x": 1}),
+                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
+    **_BAD_SHAPE_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V4))
+def test_malformed_version_4_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    mutate, message = MALFORMED_V4[case]
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    assert json.loads(lines[0])["version"] == 4
+    mutate(lines)
+    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+def test_a_field_a_version_4_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
+    text = trace_to_jsonl(run_scenario(two_node_scenario))
+    ticks = [json.loads(line) for line in text.splitlines()[1:]]
+    trace = trace_from_jsonl(text)
+    kept = {key: [t for t, tick in enumerate(ticks) if t and key not in tick]
+            for key in (*PER_NODE_FAMILIES, "wr", "rows", "state")}
+    assert all(kept.values()) and any(tick.keys() == {"t"} for tick in ticks)
+    for family in PER_NODE_FAMILIES:
+        for stream in trace.streams[family]:
+            assert all(stream.cells[t] is stream.cells[t - 1] for t in kept[family])
+    assert all(trace.wire.cells[t] is trace.wire.cells[t - 1] for t in kept["wr"])
+    assert all(trace.rows[t] is trace.rows[t - 1] for t in kept["rows"])
+    assert all(trace.states[t] is trace.states[t - 1] for t in kept["state"])
 
 
 def test_the_version_2_file_of_the_two_node_scenario_loads_to_its_run(two_node_scenario):
@@ -470,7 +556,7 @@ def test_uppercase_hex_payloads_load_as_in_scenario_files():
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
-# JSON values of the shapes a version 3 file holds: cells of messages or symbols, rows, state fields.
+# JSON values of the shapes a version 3 or 4 file holds: cells of messages or symbols, rows, state fields.
 _MESSAGE = st.fixed_dictionaries({"data": st.sampled_from(["", "ab", "0c0d"]), "id": st.integers(0, 9)})
 _SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.integers(0, 9)}),
                     st.fixed_dictionaries({"sym": st.just("data"), "value": st.sampled_from(["", "ab"])}))
@@ -480,15 +566,16 @@ _FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from
                    st.lists(_MESSAGE, max_size=3))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.data())
-def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, data):
+def _edit_and_load(rng, data, expand) -> None:
+    """Edit one table entry or field of a random run's dump (expanded to version 3 by `expand`), then load and check
+    it; the load must raise a ValueError or give a trace that the checks report on without raising."""
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
-    lines = trace_to_jsonl(run_scenario(s)).splitlines()
+    lines = expand(trace_to_jsonl(run_scenario(s))).splitlines()
     ticks = [json.loads(line) for line in lines[1:]]
     entries = data.draw(st.booleans(), label="edit a table entry")
-    t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick["new"] or not entries]), label="tick")
-    tick, table = ticks[t], sum(len(tick["new"]) for tick in ticks[:t + 1])
+    t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick.get("new") or not entries]),
+                  label="tick")
+    tick, table = ticks[t], sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
     if entries:
         k = data.draw(st.integers(0, len(tick["new"]) - 1))
         entry = tick["new"][k]
@@ -502,10 +589,22 @@ def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, dat
         ref = st.integers(-1, table + 1)
         value = data.draw(st.one_of(ref, st.lists(st.tuples(st.integers(-1, s.node_count), ref).map(list),
                                                   max_size=s.node_count + 1)))
-        (tick["state"] if key in STATE_KEYS else tick)[key] = value
+        (tick.setdefault("state", {}) if key in STATE_KEYS else tick)[key] = value
     lines[1 + t] = _dumps(tick)
     try:
         trace = trace_from_jsonl("\n".join(lines) + "\n")
     except ValueError:
         return
     assert isinstance(check_all(trace), Report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, data):
+    _edit_and_load(rng, data, _expanded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_edited_version_4_file_is_rejected_or_checks_without_raising(rng, data):
+    _edit_and_load(rng, data, lambda text: text)
