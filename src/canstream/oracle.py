@@ -27,8 +27,13 @@ from .system import delivery_log, run_scenario
 
 
 def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
-    """Expected delivery log [(tick, message), ...] for a scenario."""
+    """Expected delivery log [(tick, message), ...] for a scenario; an invalid one raises ScenarioError."""
     require_valid(scenario)
+    return _delivery_log(scenario)
+
+
+def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
+    """oracle_run's log of a scenario already validated."""
     n = scenario.node_count
     horizon = scenario.horizon
     boot = scenario.options.bootstrap_request_tick
@@ -89,8 +94,8 @@ class CompareResult:
 
 def compare_with_simulator(scenario: Scenario) -> CompareResult:
     """Run both models and compare every node's delivery sequence exactly."""
-    trace = run_scenario(scenario)
-    expected = tuple(oracle_run(scenario))
+    trace = run_scenario(scenario)  # validates the scenario
+    expected = tuple(_delivery_log(scenario))
     logs = [tuple(delivery_log(trace, node)) for node in range(1, trace.node_count + 1)]
     node = next((k for k, sim in enumerate(logs, start=1) if sim != expected), None)
     sim = logs[0 if node is None else node - 1]

@@ -8,26 +8,30 @@ serializes to identical bytes.
 A tick line writes each distinct value once. Its "new" list holds the JSON of
 each cell, row tuple and component state first seen at that tick. The entries
 of all lines so far are the value table, numbered in order of first appearance,
-and every other field is an integer reference into it. A stream family whose
-cell is the same at every node is one reference, else a [node index, reference]
-pair per non-empty cell. The state gives each component family whose states
-changed since the previous tick as one reference if every node's state is the
-same, else a pair per node whose state changed. Values count as the same when
-equal, so the bytes depend on the values alone.
+and every other field is an integer reference into it. A per-node field, a
+stream family or a component family of the state, is one reference if every
+node's entry is the same, else a [node index, reference] pair per node whose
+entry differs from its own entry two ticks before: a frame takes two ticks, so
+a node that loses arbitration repeats its cells and states two ticks later.
+Before tick 0 every cell is empty and no state is known. Values count as the
+same when equal, so the bytes depend on the values alone.
 
-Version 4 lines give "t" and only the fields whose value differs from the
-previous tick's, and "new" only when it has entries, so a quiet tick is
-{"t":N}; tick 0 gives every field. A version 3 line gives every field, with
-"new":[] and "state":{} when nothing is new or changed, and is otherwise the
-same. The loader also reads versions 1 and 2, which wrote each value in place,
-as [node index, value] pairs (version 2) or every node's entry (version 1, read
-as enumerate(list)), plus a wire state that must latch the previous ws row.
+Version 5 lines give "t" and only the fields whose value differs from the
+previous tick's (in "state", only the families that changed), and "new" only
+when it has entries, so a quiet tick is {"t":N}; tick 0 gives every field.
+Version 4 is the same except that its pairs name the non-empty cells of a
+stream family and the nodes whose state changed since the previous tick. A
+version 3 line gives every field, with "new":[] and "state":{} when nothing is
+new or changed, and is otherwise version 4. The loader also reads versions 1
+and 2, which wrote each value in place, as [node index, value] pairs (version
+2) or every node's entry (version 1, read as enumerate(list)), plus a wire
+state that must latch the previous ws row.
 
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
 call, so no id is reused. A load builds each table entry once for each kind it
-is read as, and a field that a version 4 line leaves out keeps the previous
-tick's object, so a loaded trace shares its values as a run does.
+is read as, and a field that a line leaves out keeps the previous tick's
+object, so a loaded trace shares its values as a run does.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from .core import (
 from .primitives import collect_elements
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -166,25 +170,23 @@ def _texts(values, memo: dict[int, str]) -> list[str]:
     return [get(id(v)) or made(id(v), _FRAGMENTS[type(v)](v, memo)) for v in values]
 
 
-def _per_node(entries: tuple, ref, changed=None) -> str:
-    """One reference if every node's entry is the same, else a [node index, reference] pair per index in
-    `changed`, or by default per non-empty entry."""
+def _per_node(entries: tuple, ref, base: tuple) -> str:
+    """One reference if every node's entry is the same, else a [node index, reference] pair per node whose entry
+    differs from its entry in `base`, the entries of two ticks before."""
     first, last = entries[0], entries[-1]
     # A tuple count tests each entry for identity, then equality; the last entry is tested first.
     if (last is first or last == first) and entries.count(first) == len(entries):
         return "%d" % ref(first)
-    indices = compress(range(len(entries)), entries) if changed is None else changed
-    return "[%s]" % ",".join(["[%d,%d]" % (i, ref(entries[i])) for i in indices])
+    return "[%s]" % ",".join(["[%d,%d]" % (i, ref(entries[i]))
+                              for i in compress(range(len(entries)), map(ne, entries, base))])
 
 
-def _snapshot_to_obj(prev: dict, snap: dict, ref) -> str:
-    """The component states of one tick that differ from `prev` (are neither the same object nor equal), as text."""
+def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
+    """The component families of one tick that differ from `prev`, each written against `base`, as text."""
     parts = []
     for key in _COMPONENTS:
-        old, new = prev[key], snap[key]
-        if old != new:  # a tuple compare tests each pair of entries for identity, then equality
-            changed = [i for i, (o, s) in enumerate(zip(old, new)) if not (o is s or o == s)]
-            parts.append('"%s":%s' % (key, _per_node(new, ref, changed)))
+        if prev[key] != snap[key]:  # a tuple compare tests each pair of entries for identity, then equality
+            parts.append('"%s":%s' % (key, _per_node(snap[key], ref, base[key])))
     return "{%s}" % ",".join(parts)
 
 
@@ -203,14 +205,16 @@ def trace_to_jsonl(trace: Trace) -> str:
                 table.append(text)
         return k
 
-    prevs = (dict.fromkeys(_COMPONENTS, (None,) * trace.node_count),) + trace.states  # tick 0 gives all states
-    cells = lambda column, t: _per_node(column[t], ref)
+    # Before tick 0 every cell is empty and no state is known, so tick 0 gives every state.
+    blank, unknown = ((),) * trace.node_count, dict.fromkeys(_COMPONENTS, (None,) * trace.node_count)
+    prevs, bases = (unknown,) + trace.states, (unknown, unknown) + trace.states
+    cells = lambda column, t: _per_node(column[t], ref, column[t - 2] if t > 1 else blank)
     one = lambda values, t: "%d" % ref(values[t])
     # key -> (value per tick, writer); a family's value is its column of per-node cells
     series = {family: (list(zip(*(stream.cells for stream in trace.streams[family]))), cells)
               for family in PER_NODE_FAMILIES}
     series.update(rows=(trace.rows, one), wr=(trace.wire.cells, one),
-                  state=(trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], ref)))
+                  state=(trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], bases[t], ref)))
     # The line's fields as (quoted key and colon, value per tick, writer), in key order, so that the table numbers
     # its entries in order of first appearance. A line gives each field whose value differs from the previous
     # tick's (at tick 0, all of them), "new" if it has entries, and "t".
@@ -267,6 +271,8 @@ def _applied(old: tuple, pairs, read, listed: bool, shape: str = "a list of [nod
     (`listed`, as version 1 does) reads as the pairs enumerate(list). Any
     other form raises an error that names `shape`, the form expected.
     """
+    if listed and type(pairs) is not list:
+        raise ValueError(f"expected a list of {len(old)} entries, got {_dumps(pairs)}")
     if listed and len(pairs) != len(old):
         raise ValueError(f"{len(pairs)} entries for {len(old)} nodes")
     if not listed and not (type(pairs) is list and all(type(pair) is list and len(pair) == 2 for pair in pairs)):
@@ -304,13 +310,14 @@ def _table_readers(n: int, table: list):
     return entry, entries
 
 
-def _snapshot_from_obj(obj: dict, prev: dict, entries) -> dict:
-    """`prev` with one tick line's state changes applied; `prev` itself if there are none."""
+def _snapshot_from_obj(obj: dict, prev: dict, base: dict, entries) -> dict:
+    """`prev` with each family one tick line gives read against that family in `base`; `prev` itself if it gives
+    none."""
     if not isinstance(obj, dict):
         raise ValueError("not an object")
     if obj.keys().isdisjoint(_COMPONENTS):
         return prev
-    return {key: entries(obj[key], _STATES[key], prev[key]) if key in obj else prev[key] for key in _COMPONENTS}
+    return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
 
 
 def _latch(obj: dict, latch: tuple | None, offers: tuple) -> tuple:
@@ -369,7 +376,8 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     version = header.get("version")
     if type(version) is not int or not 1 <= version <= TRACE_VERSION:
-        raise ValueError(f"header field 'version': expected 1, 2, 3 or {TRACE_VERSION}, got {_dumps(version)}")
+        raise ValueError(f"header field 'version': expected {', '.join(map(str, range(1, TRACE_VERSION)))} or "
+                         f"{TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
         require_valid(scenario)
@@ -395,43 +403,54 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"{len(value)} entries for {n} nodes")
         return tuple(_checked("rows", value, _INTS))
 
-    table: list = []  # the value table of versions 3 and 4
+    table: list = []  # the value table of versions 3 to 5
     entry, entries = _table_readers(n, table) if version >= 3 else (
         lambda value, read: read(value), lambda value, read, old: _applied(old, value, read, version == 1))
-    blank_row = ((),) * n
-    # A record's fields, in its order, each with its reader.
-    fields = [(family, lambda value, read=_CELLS[family]: entries(value, read, blank_row))
-              for family in PER_NODE_FAMILIES]
-    fields += [("wr", lambda value: entry(value, _CELLS["wr"])), ("rows", lambda value: entry(value, read_rows))]
-    records, states, snap, latch = [], [], dict.fromkeys(_COMPONENTS, (None,) * n), None
+    # A record's fields, in its order, each with its reader and whether it has an entry per node.
+    fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
+    fields += [("wr", _CELLS["wr"], False), ("rows", read_rows, False)]
+    # Two ticks of empty cells and unknown states come before tick 0.
+    blank, unknown = [((),) * n] * len(fields), dict.fromkeys(_COMPONENTS, (None,) * n)
+    records, states, latch = [blank] * 2, [unknown] * 2, None
     for t, tick in enumerate(ticks):
         field = "t"
         try:
             if type(tick["t"]) is not int or tick["t"] != t:
                 raise ValueError(f"expected {t}, found {_dumps(tick['t'])}")
-            # After tick 0, a version 4 line leaves out each field whose value did not change.
-            kept = records[-1] if version == 4 and records else None
+            # After tick 0, a line of version 4 or 5 leaves out each field whose value did not change.
+            kept = records[-1] if version >= 4 and t else None
+            if kept is not None and len(tick) == 1:  # a quiet tick, {"t":N}, repeats the previous one
+                records.append(kept)
+                states.append(states[-1])
+                continue
+            # Version 5 lists the entries that differ from two ticks before; earlier versions list the non-empty
+            # cells and the states that changed since the previous tick.
+            old_cells, old_states = (records[-2], states[-2]) if version == 5 else (blank, states[-1])
             if version >= 3 and (kept is None or "new" in tick):
                 field = "new"
                 if type(tick["new"]) is not list:
                     raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
                 table += tick["new"]
             record = []
-            for k, (field, read) in enumerate(fields):
-                record.append(kept[k] if kept is not None and field not in tick else read(tick[field]))
-            field = "state"
+            for k, (field, read, per_node) in enumerate(fields):
+                if kept is not None and field not in tick:
+                    record.append(kept[k])
+                else:
+                    record.append(entries(tick[field], read, old_cells[k]) if per_node else entry(tick[field], read))
+            field, snap = "state", states[-1]
             if kept is None or "state" in tick:
-                snap = _snapshot_from_obj(tick["state"], snap, entries)
-            if t == 0 and any(None in snap[key] for key in _COMPONENTS):
-                raise ValueError("tick 0 must give every component state")
+                snap = _snapshot_from_obj(tick["state"], snap, old_states, entries)
+            if t < 2 and any(None in snap[key] for key in _COMPONENTS):
+                raise ValueError("tick 0 must give every component state" if t == 0 else
+                                 "tick 1 must give every node's state in each family it gives")
             if version < 3:  # the wire state must latch the ws row, the 7th cell of the previous record
-                latch = _latch(tick["state"], latch, records[-1][6] if records else blank_row)
+                latch = _latch(tick["state"], latch, records[-1][6])
             records.append(record)
             states.append(snap)
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
-    return assemble_trace(scenario, records, states, error)
+    return assemble_trace(scenario, records[2:], states[2:], error)
 
 
 # -- reports ------------------------------------------------------------------

@@ -136,11 +136,11 @@ def test_criterion_2_golden_trace(golden_scenario):
         first = trace_to_jsonl(trace)
         second = trace_to_jsonl(run_scenario(golden_scenario))
         assert first == second
-        frozen = (GOLDENS / "single_node.v4.jsonl").read_text()
+        frozen = (GOLDENS / "single_node.v5.jsonl").read_text()
         assert first == frozen
         assert trace_from_jsonl(frozen) == trace
-        # the version 1, 2 and 3 goldens, kept as they were written, load to the same trace
-        for older in ("single_node.jsonl", "single_node.v2.jsonl", "single_node.v3.jsonl"):
+        # the version 1 to 4 goldens, kept as they were written, load to the same trace
+        for older in ("single_node.jsonl", "single_node.v2.jsonl", "single_node.v3.jsonl", "single_node.v4.jsonl"):
             assert trace_from_jsonl((GOLDENS / older).read_text()) == trace
 
 

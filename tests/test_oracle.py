@@ -61,6 +61,23 @@ def test_an_identifier_sent_by_two_nodes_is_rejected(entry):
         entry(s)
 
 
+def test_a_comparison_validates_its_scenario_once(monkeypatch, two_node_scenario):
+    import canstream.core as core
+
+    calls = Counter()
+    real = core.validate_scenario
+
+    def counted(s):
+        calls[s] += 1
+        return real(s)
+
+    monkeypatch.setattr(core, "validate_scenario", counted)
+    assert compare_with_simulator(two_node_scenario).equivalent
+    assert calls == {two_node_scenario: 1}
+    assert oracle_run(two_node_scenario) == list(compare_with_simulator(two_node_scenario).oracle_log)
+    assert calls == {two_node_scenario: 3}
+
+
 def test_a_node_that_repeats_an_identifier_sends_both_in_arrival_order():
     # node 1 commits id 4 at once; its two id-3 messages wait behind it, in arrival order
     s = scenario(2, 12, (1, 0, 4, b"\x04"), (1, 1, 3, b"\xaa"), (1, 2, 3, b"\xbb"), (2, 0, 5, b"\x05"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,8 +155,11 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
     for i in range(10):
         s = seeded_scenario("partial", i, nodes=2 + i % 3, horizon=16)
         traces.append(_partial(monkeypatch, lambda: run_scenario(s), i))
+    # Saturated buses, where each node that loses arbitration offers its frame again two ticks later.
+    saturated_traces = [run_scenario(saturated(i, nodes=nodes)) for i, nodes in enumerate((8, 16))]
+    traces += saturated_traces
     kinds = {(t.node_count, t.horizon == 0, t.error is not None) for t in traces}
-    assert {k[0] for k in kinds} == set(range(1, 7)) and any(k[1] for k in kinds) and any(k[2] for k in kinds)
+    assert {k[0] for k in kinds} == {*range(1, 7), 8, 16} and any(k[1] for k in kinds) and any(k[2] for k in kinds)
     options = [t.scenario.options for t in traces]
     assert any(o.fidelity_row2 for o in options) and any(o.bootstrap_request_tick not in (0, None) for o in options)
     assert any(i.tick % 2 == 0 and i.tick for t in traces for i in t.scenario.injections)
@@ -166,7 +170,30 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
         loaded = trace_from_jsonl(text)
         assert loaded == trace
         assert trace_to_jsonl(loaded) == text
-        assert trace_from_jsonl(_expanded(text)) == trace
+        listed = _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text, trace)
+        # Most re-offered cells repeat those of two ticks before, so few of them are listed.
+        if any(trace is s for s in saturated_traces):
+            assert listed["ms"] < 0.25 * sum(bool(cell) for stream in trace.streams["ms"] for cell in stream.cells)
+        version_4 = _downgraded(text)
+        assert trace_from_jsonl(version_4) == trace
+        assert trace_from_jsonl(_expanded(version_4)) == trace
+
+
+def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, trace) -> Counter:
+    """Check that each list of pairs in a dump names exactly the nodes whose entry differs from two ticks before
+    (before tick 0 every cell is empty and no state is known); the number of pairs per field."""
+    n, listed = trace.node_count, Counter()
+    columns = {family: list(zip(*(stream.cells for stream in trace.streams[family]))) for family in PER_NODE_FAMILIES}
+    columns.update({key: [snap[key] for snap in trace.states] for key in STATE_KEYS})
+    for t, line in enumerate(text.splitlines()[1:1 + trace.horizon]):
+        tick = json.loads(line)
+        for key, column in columns.items():
+            value = (tick.get("state", {}) if key in STATE_KEYS else tick).get(key)
+            if type(value) is list:
+                before = column[t - 2] if t > 1 else ((None,) if key in STATE_KEYS else ((),)) * n
+                assert [i for i, _ in value] == [i for i in range(n) if column[t][i] != before[i]], (t, key)
+                listed[key] += len(value)
+    return listed
 
 
 def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
@@ -329,8 +356,8 @@ MALFORMED = {
                  r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
     "bool request token": (_edit_tick(0, lambda tick: tick["r"][0].__setitem__(1, [False])),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
-    "unknown version": (_edit_header(lambda header: header.update(version=5)),
-                        r"^header field 'version': expected 1, 2, 3 or 4, got 5$"),
+    "unknown version": (_edit_header(lambda header: header.update(version=6)),
+                        r"^header field 'version': expected 1, 2, 3, 4 or 5, got 6$"),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
                                              r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
@@ -422,6 +449,47 @@ def _drop_field(t, key):
     return _edit_tick(t, lambda tick: tick.pop(key))
 
 
+# Hand edits of the version 1 file three_node.v1.jsonl, whose lines list every node's entry.
+MALFORMED_V1 = {
+    "flag as a family": (_set_field(0, "ar", True), r"^tick 0: field 'ar': expected a list of 3 entries, got true$"),
+    "string as long as the node count": (_set_field(0, "ar", "xyz"),
+                                         r'^tick 0: field \'ar\': expected a list of 3 entries, got "xyz"$'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V1))
+def test_malformed_version_1_lines_name_the_shape_expected(case, tmp_path, capsys):
+    mutate, message = MALFORMED_V1[case]
+    lines = (GOLDENS / "three_node.v1.jsonl").read_text().splitlines()
+    mutate(lines)
+    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+def _downgraded(text: str) -> str:
+    """A version 5 dump as version 4 wrote it: a list of pairs names the non-empty cells of a stream family and the
+    nodes whose state changed since the previous tick, not the entries that differ from two ticks before."""
+    header, *lines = text.splitlines()
+    n, table = json.loads(header)["nodeCount"], []
+    refs = {key: [] for key in (*PER_NODE_FAMILIES, *STATE_KEYS)}  # key -> each tick's reference per node
+    downgraded = [_dumps({**json.loads(header), "version": 4})]
+    for t, line in enumerate(lines):
+        tick = json.loads(line)
+        table += tick.get("new", [])
+        for key, history in refs.items() if "error" not in tick else ():
+            given = tick.get("state", {}) if key in STATE_KEYS else tick
+            row = history[-1] if key not in given else [given[key]] * n if type(given[key]) is int else None
+            if row is None:  # pairs against two ticks before; None is an empty cell or an unknown state
+                row = list(history[t - 2]) if t > 1 else [None] * n
+                for i, k in given[key]:
+                    row[i] = k
+                state = key in STATE_KEYS
+                given[key] = [[i, k] for i, k in enumerate(row)
+                              if (t == 0 or k != history[t - 1][i] if state else k is not None and table[k] != [])]
+            history.append(row)
+        downgraded.append(_dumps(tick))
+    return "\n".join(downgraded) + "\n"
+
+
 def _expanded(text: str) -> str:
     """A version 4 dump as version 3 wrote it: each line gives every field, the previous line's where it left one
     out, and "new" and "state" are [] and {} where it left them out."""
@@ -434,13 +502,19 @@ def _expanded(text: str) -> str:
     return "\n".join(expanded) + "\n"
 
 
-def test_expanding_the_version_4_golden_gives_the_version_3_golden(golden_scenario):
-    text = trace_to_jsonl(run_scenario(golden_scenario))
-    assert text == (GOLDENS / "single_node.v4.jsonl").read_text()
+def test_expanding_the_version_4_golden_gives_the_version_3_golden():
+    text = (GOLDENS / "single_node.v4.jsonl").read_text()
     assert _expanded(text) == (GOLDENS / "single_node.v3.jsonl").read_text()
 
 
-# Edits that give a stream family and a state family a value of neither form, shared by versions 3 and 4.
+def test_downgrading_a_version_5_dump_gives_the_version_4_golden(golden_scenario, two_node_scenario):
+    for name, s in (("single_node.v4.jsonl", golden_scenario), ("two_node.v4.jsonl", two_node_scenario)):
+        text = trace_to_jsonl(run_scenario(s))
+        assert text != (GOLDENS / name).read_text()
+        assert _downgraded(text) == (GOLDENS / name).read_text()
+
+
+# Edits that give a stream family and a state family a value of neither form, shared by versions 3 to 5.
 _BAD_SHAPES = {
     "flag as a stream family": (_set_field(0, "ar", True), "ar", "true"),
     "string as a stream family": (_set_field(0, "ar", "x"), "ar", '"x"'),
@@ -454,6 +528,9 @@ _BAD_SHAPE_CASES = {
                    rf"got {value}$")
     for case, (mutate, field, value) in _BAD_SHAPES.items()}
 
+
+# The version 4 file of two_node_scenario, as version 4 wrote it.
+TWO_NODE_V4 = GOLDENS / "two_node.v4.jsonl"
 
 # Hand edits of the version 3 file of two_node_scenario, whose value table has 23 entries after tick 3.
 MALFORMED_V3 = {
@@ -485,9 +562,9 @@ MALFORMED_V3 = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_V3))
-def test_malformed_version_3_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+def test_malformed_version_3_lines_name_the_tick_and_field(case, tmp_path, capsys):
     mutate, message = MALFORMED_V3[case]
-    lines = _expanded(trace_to_jsonl(run_scenario(two_node_scenario))).splitlines()
+    lines = _expanded(TWO_NODE_V4.read_text()).splitlines()
     assert json.loads(lines[0])["version"] == 3
     mutate(lines)
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
@@ -512,16 +589,46 @@ MALFORMED_V4 = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_V4))
-def test_malformed_version_4_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+def test_malformed_version_4_lines_name_the_tick_and_field(case, tmp_path, capsys):
     mutate, message = MALFORMED_V4[case]
-    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    lines = TWO_NODE_V4.read_text().splitlines()
     assert json.loads(lines[0])["version"] == 4
     mutate(lines)
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
 
 
-def test_a_field_a_version_4_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
-    text = trace_to_jsonl(run_scenario(two_node_scenario))
+# Hand edits of the version 5 file of two_node_scenario, whose tick 1 gives both nodes' buffers.
+MALFORMED_V5 = {
+    "state family at tick 1 that leaves a node unknown": (
+        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
+        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
+    "node indices out of order": (_edit_tick(4, lambda tick: tick["ws"].reverse()),
+                                  r"^tick 4: field 'ws': node index 0 out of order or out of range$"),
+    "reference beyond the table in a pair": (
+        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
+        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
+    **_BAD_SHAPE_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V5))
+def test_malformed_version_5_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    mutate, message = MALFORMED_V5[case]
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    assert json.loads(lines[0])["version"] == 5
+    mutate(lines)
+    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+def test_a_field_a_version_4_line_leaves_out_is_the_previous_ticks_object():
+    _assert_left_out_fields_keep_the_previous_ticks_object(TWO_NODE_V4.read_text())
+
+
+def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
+    _assert_left_out_fields_keep_the_previous_ticks_object(trace_to_jsonl(run_scenario(two_node_scenario)))
+
+
+def _assert_left_out_fields_keep_the_previous_ticks_object(text: str) -> None:
     ticks = [json.loads(line) for line in text.splitlines()[1:]]
     trace = trace_from_jsonl(text)
     kept = {key: [t for t, tick in enumerate(ticks) if t and key not in tick]
@@ -567,8 +674,8 @@ _FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from
 
 
 def _edit_and_load(rng, data, expand) -> None:
-    """Edit one table entry or field of a random run's dump (expanded to version 3 by `expand`), then load and check
-    it; the load must raise a ValueError or give a trace that the checks report on without raising."""
+    """Edit one table entry or field of a random run's dump (rewritten in the version under test by `expand`), then
+    load and check it; the load must raise a ValueError or give a trace that the checks report on without raising."""
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
     lines = expand(trace_to_jsonl(run_scenario(s))).splitlines()
     ticks = [json.loads(line) for line in lines[1:]]
@@ -601,10 +708,16 @@ def _edit_and_load(rng, data, expand) -> None:
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.data())
 def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, data):
-    _edit_and_load(rng, data, _expanded)
+    _edit_and_load(rng, data, lambda text: _expanded(_downgraded(text)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.data())
 def test_an_edited_version_4_file_is_rejected_or_checks_without_raising(rng, data):
+    _edit_and_load(rng, data, _downgraded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_edited_version_5_file_is_rejected_or_checks_without_raising(rng, data):
     _edit_and_load(rng, data, lambda text: text)
