@@ -16,16 +16,11 @@ a node that loses arbitration repeats its cells and states two ticks later.
 Before tick 0 every cell is empty and no state is known. Values count as the
 same when equal, so the bytes depend on the values alone.
 
-Version 5 lines give "t" and only the fields whose value differs from the
-previous tick's (in "state", only the families that changed), and "new" only
-when it has entries, so a quiet tick is {"t":N}; tick 0 gives every field.
-Version 4 is the same except that its pairs name the non-empty cells of a
-stream family and the nodes whose state changed since the previous tick. A
-version 3 line gives every field, with "new":[] and "state":{} when nothing is
-new or changed, and is otherwise version 4. The loader also reads versions 1
-and 2, which wrote each value in place, as [node index, value] pairs (version
-2) or every node's entry (version 1, read as enumerate(list)), plus a wire
-state that must latch the previous ws row.
+A line gives "t" and only the fields whose value differs from the previous
+tick's (in "state", only the families that changed), and "new" only when it
+has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
+reads version 5 (TRACE_VERSION) only; an older trace is regenerated by running
+the scenario in its header.
 
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
@@ -58,7 +53,6 @@ from .core import (
     assemble_trace,
     require_valid,
 )
-from .primitives import collect_elements
 
 TRACE_FORMAT = "canstream-trace"
 TRACE_VERSION = 5
@@ -264,27 +258,6 @@ _STATES = {
 }
 
 
-def _applied(old: tuple, pairs, read, listed: bool, shape: str = "a list of [node index, value] pairs") -> tuple:
-    """`old` with each [node index, value] pair's entry replaced by its read value.
-
-    Indices rise strictly within `old`. A line that lists every node's entry
-    (`listed`, as version 1 does) reads as the pairs enumerate(list). Any
-    other form raises an error that names `shape`, the form expected.
-    """
-    if listed and type(pairs) is not list:
-        raise ValueError(f"expected a list of {len(old)} entries, got {_dumps(pairs)}")
-    if listed and len(pairs) != len(old):
-        raise ValueError(f"{len(pairs)} entries for {len(old)} nodes")
-    if not listed and not (type(pairs) is list and all(type(pair) is list and len(pair) == 2 for pair in pairs)):
-        raise ValueError(f"expected {shape}, got {_dumps(pairs)}")
-    new, last = list(old), -1
-    for i, value in enumerate(pairs) if listed else pairs:
-        if type(i) is not int or not last < i < len(new):
-            raise ValueError(f"node index {_dumps(i)} out of order or out of range")
-        new[i], last = read(value), i
-    return tuple(new)
-
-
 def _table_readers(n: int, table: list):
     """A value-table load's readers of a reference and of a family's references; each entry is read once per kind."""
     built = defaultdict(dict)  # per reader: table number -> the entry as read
@@ -300,13 +273,21 @@ def _table_readers(n: int, table: list):
         return value
 
     def entries(value, read, old: tuple) -> tuple:
-        if type(value) is not int:
-            return _applied(old, value, lambda k: entry(k, read), False,
-                            "a reference or a list of [node index, reference] pairs")
-        row = rows[read].get(value)
-        if row is None:
-            row = rows[read][value] = (entry(value, read),) * n
-        return row
+        """One reference's entry at every node, or `old` with the entry of each [node index, reference] pair replaced;
+        the indices rise strictly."""
+        if type(value) is int:
+            row = rows[read].get(value)
+            if row is None:
+                row = rows[read][value] = (entry(value, read),) * n
+            return row
+        if not (type(value) is list and all(type(pair) is list and len(pair) == 2 for pair in value)):
+            raise ValueError(f"expected a reference or a list of [node index, reference] pairs, got {_dumps(value)}")
+        new, last = list(old), -1
+        for i, k in value:
+            if type(i) is not int or not last < i < n:
+                raise ValueError(f"node index {_dumps(i)} out of order or out of range")
+            new[i], last = entry(k, read), i
+        return tuple(new)
     return entry, entries
 
 
@@ -314,32 +295,10 @@ def _snapshot_from_obj(obj: dict, prev: dict, base: dict, entries) -> dict:
     """`prev` with each family one tick line gives read against that family in `base`; `prev` itself if it gives
     none."""
     if not isinstance(obj, dict):
-        raise ValueError("not an object")
+        raise ValueError(f"expected an object, got {_dumps(obj)}")
     if obj.keys().isdisjoint(_COMPONENTS):
         return prev
     return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
-
-
-def _latch(obj: dict, latch: tuple | None, offers: tuple) -> tuple:
-    """A version 1 or 2 line's wire state as (latch, sources), or `latch` if the line gives none.
-
-    `sources` must list one node of 1..n per latch symbol, highest first, and
-    the state must be the latch of `offers`, the previous tick's ws row.
-    """
-    if "wire" in obj:
-        symbols, sources = _symbols(obj["wire"]["latch"]), _checked("sources", obj["wire"]["sources"], _INTS)
-        bounds = (len(offers) + 1, *sources, 0)
-        if len(sources) != len(symbols) or any(a <= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"sources must list one node of 1..{len(offers)} per latch symbol, highest first, "
-                             f"got {_dumps(sources)} for {len(symbols)} symbols")
-        latch = symbols, tuple(sources)
-    if latch is None:
-        raise ValueError("tick 0 must give every component state")
-    expected = collect_elements(len(offers), offers), tuple(i for i in range(len(offers), 0, -1) if offers[i - 1])
-    if latch != expected:
-        text = lambda pair: '{"latch":[%s],"sources":%s}' % (",".join(_texts(pair[0], {})), _dumps(pair[1]))
-        raise ValueError(f"wire must be the latch of the previous tick's ws row, {text(expected)}, got {text(latch)}")
-    return latch
 
 
 def _error_record(line, ticks: int, horizon: int) -> dict:
@@ -375,9 +334,8 @@ def trace_from_jsonl(text: str) -> Trace:
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} file")
     version = header.get("version")
-    if type(version) is not int or not 1 <= version <= TRACE_VERSION:
-        raise ValueError(f"header field 'version': expected {', '.join(map(str, range(1, TRACE_VERSION)))} or "
-                         f"{TRACE_VERSION}, got {_dumps(version)}")
+    if type(version) is not int or version != TRACE_VERSION:
+        raise ValueError(f"header field 'version': expected {TRACE_VERSION}, got {_dumps(version)}")
     try:
         scenario = scenario_from_dict(header["scenario"])
         require_valid(scenario)
@@ -399,52 +357,47 @@ def trace_from_jsonl(text: str) -> Trace:
     error = _error_record(error_line, horizon, scenario.horizon) if failed else None
 
     def read_rows(value) -> tuple:
-        if len(value) != n:
+        if len(_checked("rows", value, _INTS)) != n:
             raise ValueError(f"{len(value)} entries for {n} nodes")
-        return tuple(_checked("rows", value, _INTS))
+        return tuple(value)
 
-    table: list = []  # the value table of versions 3 to 5
-    entry, entries = _table_readers(n, table) if version >= 3 else (
-        lambda value, read: read(value), lambda value, read, old: _applied(old, value, read, version == 1))
+    table: list = []
+    entry, entries = _table_readers(n, table)
     # A record's fields, in its order, each with its reader and whether it has an entry per node.
     fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
     fields += [("wr", _CELLS["wr"], False), ("rows", read_rows, False)]
-    # Two ticks of empty cells and unknown states come before tick 0.
+    # Two ticks of empty cells and unknown states come before tick 0; a line's pairs apply to the entries of two
+    # ticks before.
     blank, unknown = [((),) * n] * len(fields), dict.fromkeys(_COMPONENTS, (None,) * n)
-    records, states, latch = [blank] * 2, [unknown] * 2, None
+    records, states = [blank] * 2, [unknown] * 2
     for t, tick in enumerate(ticks):
         field = "t"
         try:
             if type(tick["t"]) is not int or tick["t"] != t:
                 raise ValueError(f"expected {t}, found {_dumps(tick['t'])}")
-            # After tick 0, a line of version 4 or 5 leaves out each field whose value did not change.
-            kept = records[-1] if version >= 4 and t else None
-            if kept is not None and len(tick) == 1:  # a quiet tick, {"t":N}, repeats the previous one
-                records.append(kept)
+            # After tick 0, a line leaves out each field whose value did not change, so {"t":N} repeats the previous
+            # tick.
+            if t and len(tick) == 1:
+                records.append(records[-1])
                 states.append(states[-1])
                 continue
-            # Version 5 lists the entries that differ from two ticks before; earlier versions list the non-empty
-            # cells and the states that changed since the previous tick.
-            old_cells, old_states = (records[-2], states[-2]) if version == 5 else (blank, states[-1])
-            if version >= 3 and (kept is None or "new" in tick):
+            if not t or "new" in tick:
                 field = "new"
                 if type(tick["new"]) is not list:
                     raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
                 table += tick["new"]
             record = []
             for k, (field, read, per_node) in enumerate(fields):
-                if kept is not None and field not in tick:
-                    record.append(kept[k])
+                if t and field not in tick:
+                    record.append(records[-1][k])
                 else:
-                    record.append(entries(tick[field], read, old_cells[k]) if per_node else entry(tick[field], read))
+                    record.append(entries(tick[field], read, records[-2][k]) if per_node else entry(tick[field], read))
             field, snap = "state", states[-1]
-            if kept is None or "state" in tick:
-                snap = _snapshot_from_obj(tick["state"], snap, old_states, entries)
+            if not t or "state" in tick:
+                snap = _snapshot_from_obj(tick["state"], snap, states[-2], entries)
             if t < 2 and any(None in snap[key] for key in _COMPONENTS):
                 raise ValueError("tick 0 must give every component state" if t == 0 else
                                  "tick 1 must give every node's state in each family it gives")
-            if version < 3:  # the wire state must latch the ws row, the 7th cell of the previous record
-                latch = _latch(tick["state"], latch, records[-1][6])
             records.append(record)
             states.append(snap)
         except (KeyError, TypeError, ValueError) as exc:

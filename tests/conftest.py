@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -29,6 +30,20 @@ def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4)
         Injection(node, 2 * k + 1, AMessage(ids[(node - 1) * per_node + k], rng.randbytes(rng.randint(1, 8))))
         for node in range(1, nodes + 1) for k in range(per_node)
     ))
+
+
+def add_entry(lines: list[str], t: int, value) -> int:
+    """Append `value` to the value table at tick t of a trace file's lines, and renumber the later ticks' references
+    so that every other field reads what it read before; the new entry's table number."""
+    ticks = [json.loads(line) for line in lines[1:]]
+    k = sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
+    ticks[t].setdefault("new", []).append(value)
+    shift = lambda v: v + (v >= k) if type(v) is int else [[i, r + (r >= k)] for i, r in v]
+    for tick in ticks[t + 1:]:
+        for key in tick.keys() - {"t", "new"}:
+            tick[key] = {f: shift(v) for f, v in tick[key].items()} if key == "state" else shift(tick[key])
+    lines[1:] = [json.dumps(tick, sort_keys=True, separators=(",", ":")) for tick in ticks]
+    return k
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import canstream
 from canstream.checkers import ALL_PREDICATES, check_all
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
-from .conftest import scenario
+from .conftest import add_entry, scenario
 
 GOLDEN = {
     "nodeCount": 1,
@@ -19,6 +19,9 @@ GOLDEN = {
     "injections": [{"node": 1, "tick": 0, "id": 5, "data": "ab"}],
     "options": {},
 }
+
+
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v5.jsonl"
 
 
 @pytest.fixture
@@ -90,25 +93,28 @@ def test_check_catches_corruption(golden_file, tmp_path):
     assert main(["check", "--trace", str(out)]) == 1
 
 
+def _golden_with_cell(t: int, family: str, cell: list) -> str:
+    """The golden trace with tick t's `family` set to a fresh table entry holding `cell`, so that no other field
+    changes; the golden has one node, so one reference gives its cell."""
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    k = add_entry(lines, t, cell)
+    tick = json.loads(lines[1 + t])
+    tick[family] = k
+    lines[1 + t] = json.dumps(tick, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
 def test_check_finds_two_messages_in_one_application_cell(tmp_path):
-    lines = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text().splitlines()
-    tick0 = json.loads(lines[1])
-    [[node, cell]] = tick0["a"]
-    tick0["a"] = [[node, cell + [{"data": "cd", "id": 6}]]]
-    lines[1] = json.dumps(tick0, sort_keys=True, separators=(",", ":"))
     out = tmp_path / "wide_a.trace"
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(_golden_with_cell(0, "a", [{"data": "ab", "id": 5}, {"data": "cd", "id": 6}]))
     report = check_all(trace_from_jsonl(out.read_text()))
     assert [(v.predicate, v.tick, v.streams) for v in report.violations] == [("msg1", 0, ("a_1",))]
     assert main(["check", "--trace", str(out), "--only", "msg1"]) == 1
 
 
 def test_check_reports_an_offer_whose_smallest_identifier_is_not_its_head(tmp_path, capsys):
-    golden = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text()
-    offer = '"as":[[0,[{"data":"ab","id":5}]]]'
-    assert golden.count(offer) == 1
     out = tmp_path / "two_offers.trace"
-    out.write_text(golden.replace(offer, '"as":[[0,[{"data":"ab","id":5},{"data":"cd","id":2}]]]'))
+    out.write_text(_golden_with_cell(1, "as", [{"data": "ab", "id": 5}, {"data": "cd", "id": 2}]))
     report = check_all(trace_from_jsonl(out.read_text()))
     assert {(v.predicate, v.tick) for v in report.violations} == {("msg1", 1), ("transmission", 1)}
     assert main(["check", "--trace", str(out)]) == 1
@@ -116,7 +122,7 @@ def test_check_reports_an_offer_whose_smallest_identifier_is_not_its_head(tmp_pa
 
 
 def test_check_names_the_line_of_a_truncated_tick(tmp_path, capsys):
-    lines = (Path(__file__).parent / "goldens" / "single_node.v2.jsonl").read_text().splitlines()
+    lines = GOLDEN_TRACE.read_text().splitlines()
     out = tmp_path / "truncated.trace"
     out.write_text("\n".join(lines[:3] + ['{"t":2,"a":[']) + "\n")
     assert main(["check", "--trace", str(out)]) == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +35,7 @@ from canstream.serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .conftest import saturated, scenario
+from .conftest import add_entry, saturated, scenario
 from .test_system import _fail_second_call_at
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -174,9 +175,6 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
         # Most re-offered cells repeat those of two ticks before, so few of them are listed.
         if any(trace is s for s in saturated_traces):
             assert listed["ms"] < 0.25 * sum(bool(cell) for stream in trace.streams["ms"] for cell in stream.cells)
-        version_4 = _downgraded(text)
-        assert trace_from_jsonl(version_4) == trace
-        assert trace_from_jsonl(_expanded(version_4)) == trace
 
 
 def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, trace) -> Counter:
@@ -214,31 +212,6 @@ def test_equal_cells_dump_the_same_whether_or_not_they_are_the_same_objects():
     assert trace_to_jsonl(copied) == trace_to_jsonl(trace)
 
 
-# Version 1 traces, written before tick lines held only changes, and the scenarios they ran.
-V1_GOLDENS = {
-    "single_node.jsonl": scenario(1, 6, (1, 0, 5, b"\xab")),
-    "three_node.v1.jsonl": seeded_scenario("v1-fixture", 2, nodes=3, horizon=24),
-}
-
-
-@pytest.mark.parametrize("name", sorted(V1_GOLDENS))
-def test_version_1_traces_load_to_the_trace_of_a_fresh_run(name):
-    text = (GOLDENS / name).read_text()
-    assert json.loads(text.splitlines()[0])["version"] == 1
-    trace = run_scenario(V1_GOLDENS[name])
-    assert any(trace.streams["ar"][0].cells)
-    loaded = trace_from_jsonl(text)
-    assert loaded == trace
-    assert trace_to_jsonl(loaded) == trace_to_jsonl(trace)
-
-
-def test_a_version_1_line_lists_every_node():
-    lines = (GOLDENS / "three_node.v1.jsonl").read_text().splitlines()
-    _edit_tick(5, lambda tick: tick["ms"].pop())(lines)
-    with pytest.raises(ValueError, match=r"^tick 5: field 'ms': 2 entries for 3 nodes$"):
-        trace_from_jsonl("\n".join(lines) + "\n")
-
-
 def _swap_ticks_1_and_2(lines):
     lines[2], lines[3] = lines[3], lines[2]
 
@@ -251,9 +224,33 @@ def _edit_tick(t, edit):
     return mutate
 
 
-def _unknown_symbol_kind(lines):
-    t = next(t for t in range(1, len(lines)) if json.loads(lines[t])["ws"])
-    _edit_tick(t - 1, lambda tick: tick["ws"][0][1][0].update(sym="bogus"))(lines)
+def _set_field(t, key, value):
+    return _edit_tick(t, lambda tick: tick.__setitem__(key, value))
+
+
+def _drop_field(t, key):
+    return _edit_tick(t, lambda tick: tick.pop(key))
+
+
+def _set_entry(t, k, value):
+    """Set tick t's k-th new table entry."""
+    return _edit_tick(t, lambda tick: tick["new"].__setitem__(k, value))
+
+
+def _edit_entry(t, k, **fields):
+    """Set fields of tick t's k-th new table entry: a component state, or the first message or symbol of a cell."""
+    def edit(tick):
+        entry = tick["new"][k]
+        (entry if isinstance(entry, dict) else entry[0]).update(fields)
+    return _edit_tick(t, edit)
+
+
+def _fresh_entry(t, value, point):
+    """Add `value` to the table at tick t, where no field refers to it, then `point(tick, k)` a field at it, entry k."""
+    def mutate(lines):
+        k = add_entry(lines, t, value)
+        _edit_tick(t, lambda tick: point(tick, k))(lines)
+    return mutate
 
 
 def _edit_header(edit):
@@ -287,34 +284,6 @@ def _add_header_injection(injection):
     return _edit_header(lambda header: header["scenario"]["injections"].append(injection))
 
 
-def _set_message(t, family, k, **fields):
-    """Set fields of the message in tick t's k-th pair of a family."""
-    return _edit_tick(t, lambda tick: tick[family][k][1][0].update(fields))
-
-
-def _set_state(family, k, key, value):
-    """Set one field of tick 0's k-th state of a component family ("wire" has one state)."""
-    def edit(tick):
-        state = tick["state"][family]
-        (state if family == "wire" else state[k][1])[key] = value
-    return _edit_tick(0, edit)
-
-
-def _edit_wire_sources(edit):
-    """Edit the sources of the first wire state written with a two-symbol latch."""
-    def mutate(lines):
-        wires = [json.loads(line)["state"].get("wire", {}) for line in lines[1:]]
-        t = next(t for t, wire in enumerate(wires) if len(wire.get("latch", ())) == 2)
-        _edit_tick(t, lambda tick: edit(tick["state"]["wire"]["sources"]))(lines)
-    return mutate
-
-
-def _golden_latch_5_to_6(lines):
-    """The single-node golden with its tick-2 latch identifier changed from 5 to 6."""
-    golden = (GOLDENS / "single_node.v2.jsonl").read_text()
-    lines[:] = golden.replace('"latch":[{"sym":"id","value":5}]', '"latch":[{"sym":"id","value":6}]').splitlines()
-
-
 def _truncated_tick_line(blank_lines: int):
     """Keep the header and ticks 0 and 1, then blank lines and a tick 2 line cut short."""
     def mutate(lines):
@@ -322,13 +291,33 @@ def _truncated_tick_line(blank_lines: int):
     return mutate
 
 
-# Hand edits of the version 2 file of two_node_scenario, and the error each must raise.
+def _version(value):
+    return (_edit_header(lambda header: header.update(version=value)),
+            rf"^header field 'version': expected 5, got {re.escape(_dumps(value))}$")
+
+
+# Edits that give a stream family and a state family a value of neither form.
+_BAD_SHAPES = {
+    "flag as a stream family": (_set_field(0, "ar", True), "ar", "true"),
+    "string as a stream family": (_set_field(0, "ar", "x"), "ar", '"x"'),
+    "flag as a state family": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)), "state",
+                               "true"),
+    "pair of three as a state family": (
+        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])), "state", r"\[\[0,5,6\]\]"),
+}
+
+# Hand edits of the dump of two_node_scenario, and the error each must raise. Its table has entries 0 to 8 after
+# tick 0, to 13 after tick 1, to 20 after tick 2, to 22 after tick 3, to 23 after tick 4 and to 24 after tick 5.
+# Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the rows, and the buffer,
+# decoder, encoder and logical layer state; tick 1's first is node 1's `ms` cell, tick 2's first node 1's data
+# symbol, and tick 3's first the rows.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
     "truncated tick line": (_truncated_tick_line(0),
                             r"^line 4 \(tick 2\): Expecting value: line 1 column 13 \(char 12\)$"),
     "truncated tick line after blank lines": (_truncated_tick_line(2), r"^line 6 \(tick 2\): Expecting value"),
+    "missing tick line": (lambda lines: lines.pop(), r"^expected 8 tick lines, found 7$"),
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
     "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
@@ -340,24 +329,11 @@ MALFORMED = {
     "scenario with an identifier at two nodes": (
         _add_header_injection({"node": 2, "tick": 2, "id": 3, "data": "cc"}),
         r"^header field 'scenario': duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"),
-    "float identifier": (_set_message(0, "a", 1, id=5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
-    "string identifier": (_set_message(0, "a", 1, id="5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
-    "float copy of an identifier read before": (_set_message(1, "as", 0, id=3.0),
-                                                r"^tick 1: field 'as': id must be an integer, got 3.0$"),
-    "payload with a space": (_set_message(0, "a", 1, data=" ab"),
-                             r'^tick 0: field \'a\': data must be a hex string, got " ab"$'),
-    "payload as a list of octets": (_set_message(0, "a", 1, data=[171]),
-                                    r"^tick 0: field 'a': data must be a hex string, got \[171\]$"),
-    "data symbol with a space": (_edit_tick(2, lambda tick: tick["ms"][0][1][0].update(value=" ab")),
-                                 r'^tick 2: field \'ms\': value must be a hex string, got " ab"$'),
-    "float identifier symbol": (_edit_tick(1, lambda tick: tick["ms"][0][1][0].update(value=3.5)),
-                                r"^tick 1: field 'ms': value must be an integer, got 3.5$"),
-    "bool row": (_edit_tick(0, lambda tick: tick["rows"].__setitem__(0, True)),
-                 r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
-    "bool request token": (_edit_tick(0, lambda tick: tick["r"][0].__setitem__(1, [False])),
-                           r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
-    "unknown version": (_edit_header(lambda header: header.update(version=6)),
-                        r"^header field 'version': expected 1, 2, 3, 4 or 5, got 6$"),
+    "version 1": _version(1),
+    "version 4": _version(4),
+    "unknown version": _version(6),
+    "version as a string": _version("5"),
+    "version as a float": _version(5.0),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
                                              r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
@@ -374,53 +350,85 @@ MALFORMED = {
                                              r'^error line: expected .*"tick":3\}\}.*horizon of 8; got'),
     "error without a message": (_error_line('{"error":{"tick":3}}', ticks=3), r"^error line: "),
     "error line with a tick": (_error_line('{"error":{"message":"stop","tick":3},"t":3}', ticks=3), r"^error line: "),
-    "swapped ticks": (_swap_ticks_1_and_2, r"tick 1: field 't'"),
-    "flag as the tick": (_edit_tick(1, lambda tick: tick.update(t=True)),
-                         r"^tick 1: field 't': expected 1, found true$"),
-    "float tick": (_edit_tick(2, lambda tick: tick.update(t=2.0)), r"^tick 2: field 't': expected 2, found 2.0$"),
-    "extra node entry": (_edit_tick(3, lambda tick: tick["rows"].append(1)), r"tick 3: field 'rows'"),
-    "short family list": (_edit_tick(0, lambda tick: tick["state"]["encoders"].pop()),
-                          r"tick 0: field 'state': tick 0 must give every component state"),
-    "node index out of range": (_edit_tick(1, lambda tick: tick["as"].append([2, []])),
-                                r"tick 1: field 'as': node index 2 out of order or out of range"),
+    "swapped ticks": (_swap_ticks_1_and_2, r"^tick 1: field 't': expected 1, found 2$"),
+    "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
+    "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
+    "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
+    "missing family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
+    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
+    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
+    "new that is not a list": (_set_field(2, "new", {"x": 1}),
+                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
+    "state that is not an object": (_set_field(0, "state", 5), r"^tick 0: field 'state': expected an object, got 5$"),
+    "short family list": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", [[0, 7]])),
+                          r"^tick 0: field 'state': tick 0 must give every component state$"),
+    "state family at tick 1 that leaves a node unknown": (
+        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
+        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
+    "node index out of range": (_edit_tick(1, lambda tick: tick["as"].append([2, 0])),
+                                r"^tick 1: field 'as': node index 2 out of order or out of range$"),
     "negative node index": (_edit_tick(1, lambda tick: tick["as"][0].__setitem__(0, -1)),
-                            r"tick 1: field 'as': node index -1 out of order or out of range"),
+                            r"^tick 1: field 'as': node index -1 out of order or out of range$"),
     "node indices out of order": (_edit_tick(0, lambda tick: tick["a"].reverse()),
-                                  r"tick 0: field 'a': node index 0 out of order or out of range"),
-    "missing family": (_edit_tick(4, lambda tick: tick.pop("mr")), r"tick 4: field 'mr'"),
-    "unknown symbol kind": (_unknown_symbol_kind, r"tick \d+: field 'ws': unknown symbol kind 'bogus'"),
-    "string decoding flag": (_set_state("decoders", 0, "d", "yes"),
+                                  r"^tick 0: field 'a': node index 0 out of order or out of range$"),
+    "pairs of a state family out of order": (
+        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
+        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
+    **{case: (mutate, rf"^tick 0: field '{field}': expected a reference or a list of \[node index, reference\] "
+                      rf"pairs, got {value}$")
+       for case, (mutate, field, value) in _BAD_SHAPES.items()},
+    "reference beyond the table": (
+        _set_field(3, "wr", 23),
+        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
+    "reference to an entry of a later tick": (
+        _set_field(1, "mr", 14),
+        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
+    "reference beyond the table in a pair": (
+        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
+        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
+    "reference beyond the table on a quiet tick": (
+        _set_field(7, "wr", 25),
+        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
+    "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
+    "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
+                                     r"^tick 1: field 'as': missing key 'id'$"),
+    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
+                                    r"^tick 0: field 'state': list indices must be integers"),
+    "float identifier": (_edit_entry(0, 1, id=5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
+    "string identifier": (_edit_entry(0, 1, id="5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
+    "list identifier": (_edit_entry(0, 1, id=[5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
+    "float copy of an identifier read before": (
+        _fresh_entry(1, [{"data": "aa", "id": 3.0}], lambda tick, k: tick["as"][0].__setitem__(1, k)),
+        r"^tick 1: field 'as': id must be an integer, got 3.0$"),
+    "payload with a space": (_edit_entry(0, 1, data=" ab"),
+                             r'^tick 0: field \'a\': data must be a hex string, got " ab"$'),
+    "payload as a list of octets": (_edit_entry(0, 1, data=[171]),
+                                    r"^tick 0: field 'a': data must be a hex string, got \[171\]$"),
+    "data symbol with a space": (_edit_entry(2, 0, value=" ab"),
+                                 r'^tick 2: field \'ms\': value must be a hex string, got " ab"$'),
+    "float identifier symbol": (_edit_entry(1, 0, value=3.5),
+                                r"^tick 1: field 'ms': value must be an integer, got 3.5$"),
+    "unknown symbol kind": (_edit_entry(1, 0, sym="bogus"), r"^tick 1: field 'ms': unknown symbol kind 'bogus'$"),
+    "bool request token": (_set_entry(0, 3, [False]),
+                           r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
+    "bool row": (_set_entry(0, 4, [True, 1]),
+                 r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
+    "rows that are not a list": (_set_entry(0, 4, True),
+                                 r"^tick 0: field 'rows': rows must be a list of integers, got true$"),
+    "extra node entry": (_edit_tick(3, lambda tick: tick["new"][0].append(1)),
+                         r"^tick 3: field 'rows': 3 entries for 2 nodes$"),
+    "string decoding flag": (_edit_entry(0, 6, d="yes"),
                              r'^tick 0: field \'state\': d must be true or false, got "yes"$'),
-    "float last identifier": (_set_state("decoders", 1, "lastId", 1.5),
+    "float last identifier": (_edit_entry(0, 6, lastId=1.5),
                               r"^tick 0: field 'state': lastId must be an integer or null, got 1.5$"),
-    "integer encoding flag": (_set_state("encoders", 0, "e", 0),
-                              r"^tick 0: field 'state': e must be true or false, got 0$"),
-    "pending payload not hex": (_set_state("encoders", 1, "pending", "xyz"),
+    "integer encoding flag": (_edit_entry(0, 7, e=0), r"^tick 0: field 'state': e must be true or false, got 0$"),
+    "pending payload not hex": (_edit_entry(0, 7, pending="xyz"),
                                 r'^tick 0: field \'state\': pending must be a hex string, got "xyz"$'),
-    "float lid": (_set_state("llayers", 0, "lid", 1.5), r"^tick 0: field 'state': lid must be an integer, got 1.5$"),
-    "bool copy of a lid read before": (_set_state("llayers", 1, "lid", False),
-                                       r"^tick 0: field 'state': lid must be an integer, got false$"),
-    "string wire source": (_set_state("wire", 0, "sources", ["1"]),
-                           r'^tick 0: field \'state\': sources must be a list of integers, got \["1"\]$'),
-    "list lid": (_set_state("llayers", 0, "lid", [1]), r"^tick 0: field 'state': lid must be an integer, got \[1\]$"),
-    "list identifier": (_set_message(0, "a", 1, id=[5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
-    "wire sources without a latch": (
-        _set_state("wire", 0, "sources", [7, 9]),
-        r"^tick 0: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
-        r"got \[7,9\] for 0 symbols$"),
-    "wire sources lowest first": (
-        _edit_wire_sources(lambda sources: sources.reverse()),
-        r"^tick \d+: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
-        r"got \[1,2\] for 2 symbols$"),
-    "wire source beyond the node count": (
-        _edit_wire_sources(lambda sources: sources.__setitem__(0, 3)),
-        r"^tick \d+: field 'state': sources must list one node of 1..2 per latch symbol, highest first, "
-        r"got \[3,1\] for 2 symbols$"),
-    "wire latch other than the previous ws row": (
-        _golden_latch_5_to_6,
-        r"^tick 2: field 'state': wire must be the latch of the previous tick's ws row, "
-        r'\{"latch":\[\{"sym":"id","value":5\}\],"sources":\[1\]\}, '
-        r'got \{"latch":\[\{"sym":"id","value":6\}\],"sources":\[1\]\}$'),
+    "float lid": (_edit_entry(0, 8, lid=1.5), r"^tick 0: field 'state': lid must be an integer, got 1.5$"),
+    "list lid": (_edit_entry(0, 8, lid=[1]), r"^tick 0: field 'state': lid must be an integer, got \[1\]$"),
+    "bool copy of a lid read before": (
+        _fresh_entry(0, {"lid": False}, lambda tick, k: tick["state"].__setitem__("llayers", [[0, 8], [1, k]])),
+        r"^tick 0: field 'state': lid must be an integer, got false$"),
 }
 
 
@@ -434,201 +442,15 @@ def _assert_rejected(text: str, message: str, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_tick_lines_name_the_tick_and_field(case, tmp_path, capsys):
+def test_malformed_tick_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
     mutate, message = MALFORMED[case]
-    lines = (GOLDENS / "two_node.v2.jsonl").read_text().splitlines()
-    mutate(lines)
-    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
-
-
-def _set_field(t, key, value):
-    return _edit_tick(t, lambda tick: tick.__setitem__(key, value))
-
-
-def _drop_field(t, key):
-    return _edit_tick(t, lambda tick: tick.pop(key))
-
-
-# Hand edits of the version 1 file three_node.v1.jsonl, whose lines list every node's entry.
-MALFORMED_V1 = {
-    "flag as a family": (_set_field(0, "ar", True), r"^tick 0: field 'ar': expected a list of 3 entries, got true$"),
-    "string as long as the node count": (_set_field(0, "ar", "xyz"),
-                                         r'^tick 0: field \'ar\': expected a list of 3 entries, got "xyz"$'),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_V1))
-def test_malformed_version_1_lines_name_the_shape_expected(case, tmp_path, capsys):
-    mutate, message = MALFORMED_V1[case]
-    lines = (GOLDENS / "three_node.v1.jsonl").read_text().splitlines()
-    mutate(lines)
-    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
-
-
-def _downgraded(text: str) -> str:
-    """A version 5 dump as version 4 wrote it: a list of pairs names the non-empty cells of a stream family and the
-    nodes whose state changed since the previous tick, not the entries that differ from two ticks before."""
-    header, *lines = text.splitlines()
-    n, table = json.loads(header)["nodeCount"], []
-    refs = {key: [] for key in (*PER_NODE_FAMILIES, *STATE_KEYS)}  # key -> each tick's reference per node
-    downgraded = [_dumps({**json.loads(header), "version": 4})]
-    for t, line in enumerate(lines):
-        tick = json.loads(line)
-        table += tick.get("new", [])
-        for key, history in refs.items() if "error" not in tick else ():
-            given = tick.get("state", {}) if key in STATE_KEYS else tick
-            row = history[-1] if key not in given else [given[key]] * n if type(given[key]) is int else None
-            if row is None:  # pairs against two ticks before; None is an empty cell or an unknown state
-                row = list(history[t - 2]) if t > 1 else [None] * n
-                for i, k in given[key]:
-                    row[i] = k
-                state = key in STATE_KEYS
-                given[key] = [[i, k] for i, k in enumerate(row)
-                              if (t == 0 or k != history[t - 1][i] if state else k is not None and table[k] != [])]
-            history.append(row)
-        downgraded.append(_dumps(tick))
-    return "\n".join(downgraded) + "\n"
-
-
-def _expanded(text: str) -> str:
-    """A version 4 dump as version 3 wrote it: each line gives every field, the previous line's where it left one
-    out, and "new" and "state" are [] and {} where it left them out."""
-    header, *lines = text.splitlines()
-    expanded, tick = [_dumps({**json.loads(header), "version": 3})], {}
-    for line in lines:
-        given = json.loads(line)
-        tick = given if "error" in given else {**tick, "new": [], "state": {}, **given}
-        expanded.append(_dumps(tick))
-    return "\n".join(expanded) + "\n"
-
-
-def test_expanding_the_version_4_golden_gives_the_version_3_golden():
-    text = (GOLDENS / "single_node.v4.jsonl").read_text()
-    assert _expanded(text) == (GOLDENS / "single_node.v3.jsonl").read_text()
-
-
-def test_downgrading_a_version_5_dump_gives_the_version_4_golden(golden_scenario, two_node_scenario):
-    for name, s in (("single_node.v4.jsonl", golden_scenario), ("two_node.v4.jsonl", two_node_scenario)):
-        text = trace_to_jsonl(run_scenario(s))
-        assert text != (GOLDENS / name).read_text()
-        assert _downgraded(text) == (GOLDENS / name).read_text()
-
-
-# Edits that give a stream family and a state family a value of neither form, shared by versions 3 to 5.
-_BAD_SHAPES = {
-    "flag as a stream family": (_set_field(0, "ar", True), "ar", "true"),
-    "string as a stream family": (_set_field(0, "ar", "x"), "ar", '"x"'),
-    "flag as a state family": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)), "state",
-                               "true"),
-    "pair of three as a state family": (
-        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])), "state", r"\[\[0,5,6\]\]"),
-}
-_BAD_SHAPE_CASES = {
-    case: (mutate, rf"^tick 0: field '{field}': expected a reference or a list of \[node index, reference\] pairs, "
-                   rf"got {value}$")
-    for case, (mutate, field, value) in _BAD_SHAPES.items()}
-
-
-# The version 4 file of two_node_scenario, as version 4 wrote it.
-TWO_NODE_V4 = GOLDENS / "two_node.v4.jsonl"
-
-# Hand edits of the version 3 file of two_node_scenario, whose value table has 23 entries after tick 3.
-MALFORMED_V3 = {
-    "reference beyond the table": (
-        _set_field(3, "wr", 23),
-        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
-    "reference to an entry of a later tick": (
-        _set_field(1, "mr", 14),
-        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
-    "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
-    "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
-                                     r"^tick 1: field 'as': missing key 'id'$"),
-    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
-                                    r"^tick 0: field 'state': list indices must be integers"),
-    "new that is not a list": (_set_field(2, "new", {"x": 1}),
-                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
-    "missing new": (_edit_tick(4, lambda tick: tick.pop("new")), r"^tick 4: field 'new': missing key 'new'$"),
-    "missing family": (_drop_field(4, "mr"), r"^tick 4: field 'mr': missing key 'mr'$"),
-    "missing state": (_drop_field(5, "state"), r"^tick 5: field 'state': missing key 'state'$"),
-    "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
-                                               r"^tick 1: field 'as': node index 2 out of order or out of range$"),
-    "pairs of a state family out of order": (
-        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
-        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
-    "short uniform row": (_edit_tick(0, lambda tick: tick["new"].__setitem__(4, [1])),
-                          r"^tick 0: field 'rows': 1 entries for 2 nodes$"),
-    **_BAD_SHAPE_CASES,
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_V3))
-def test_malformed_version_3_lines_name_the_tick_and_field(case, tmp_path, capsys):
-    mutate, message = MALFORMED_V3[case]
-    lines = _expanded(TWO_NODE_V4.read_text()).splitlines()
-    assert json.loads(lines[0])["version"] == 3
-    mutate(lines)
-    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
-
-
-# Hand edits of the version 4 file of two_node_scenario.
-MALFORMED_V4 = {
-    "tick 0 without a family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
-    "tick 0 without the wire": (_drop_field(0, "wr"), r"^tick 0: field 'wr': missing key 'wr'$"),
-    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
-    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
-    "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
-    "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
-    "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
-    "reference beyond the table on a quiet tick": (
-        _set_field(7, "wr", 25),
-        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
-    "new that is not a list": (_set_field(2, "new", {"x": 1}),
-                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
-    **_BAD_SHAPE_CASES,
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_V4))
-def test_malformed_version_4_lines_name_the_tick_and_field(case, tmp_path, capsys):
-    mutate, message = MALFORMED_V4[case]
-    lines = TWO_NODE_V4.read_text().splitlines()
-    assert json.loads(lines[0])["version"] == 4
-    mutate(lines)
-    _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
-
-
-# Hand edits of the version 5 file of two_node_scenario, whose tick 1 gives both nodes' buffers.
-MALFORMED_V5 = {
-    "state family at tick 1 that leaves a node unknown": (
-        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
-        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
-    "node indices out of order": (_edit_tick(4, lambda tick: tick["ws"].reverse()),
-                                  r"^tick 4: field 'ws': node index 0 out of order or out of range$"),
-    "reference beyond the table in a pair": (
-        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
-        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
-    **_BAD_SHAPE_CASES,
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_V5))
-def test_malformed_version_5_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
-    mutate, message = MALFORMED_V5[case]
     lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
-    assert json.loads(lines[0])["version"] == 5
     mutate(lines)
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
-
-
-def test_a_field_a_version_4_line_leaves_out_is_the_previous_ticks_object():
-    _assert_left_out_fields_keep_the_previous_ticks_object(TWO_NODE_V4.read_text())
 
 
 def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
-    _assert_left_out_fields_keep_the_previous_ticks_object(trace_to_jsonl(run_scenario(two_node_scenario)))
-
-
-def _assert_left_out_fields_keep_the_previous_ticks_object(text: str) -> None:
+    text = trace_to_jsonl(run_scenario(two_node_scenario))
     ticks = [json.loads(line) for line in text.splitlines()[1:]]
     trace = trace_from_jsonl(text)
     kept = {key: [t for t, tick in enumerate(ticks) if t and key not in tick]
@@ -642,11 +464,6 @@ def _assert_left_out_fields_keep_the_previous_ticks_object(text: str) -> None:
     assert all(trace.states[t] is trace.states[t - 1] for t in kept["state"])
 
 
-def test_the_version_2_file_of_the_two_node_scenario_loads_to_its_run(two_node_scenario):
-    trace = run_scenario(two_node_scenario)
-    assert trace_from_jsonl((GOLDENS / "two_node.v2.jsonl").read_text()) == trace
-
-
 def test_a_loaded_trace_shares_its_values_as_the_run_does():
     trace = trace_from_jsonl(trace_to_jsonl(run_scenario(saturated(0))))
     wire, ar = trace.wire.cells, trace.streams["ar"]
@@ -657,13 +474,13 @@ def test_a_loaded_trace_shares_its_values_as_the_run_does():
 
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
-    # the header's scenario and every message and data symbol of the golden spell 0xab
-    text = (GOLDENS / "single_node.v2.jsonl").read_text()
-    assert text.count('"ab"') > 4
+    # the header's scenario and every message, data symbol and pending payload of the golden spell 0xab
+    text = (GOLDENS / "single_node.v5.jsonl").read_text()
+    assert text.count('"ab"') == 5
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
-# JSON values of the shapes a version 3 or 4 file holds: cells of messages or symbols, rows, state fields.
+# JSON values of the shapes a trace file holds: cells of messages or symbols, rows, state fields.
 _MESSAGE = st.fixed_dictionaries({"data": st.sampled_from(["", "ab", "0c0d"]), "id": st.integers(0, 9)})
 _SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.integers(0, 9)}),
                     st.fixed_dictionaries({"sym": st.just("data"), "value": st.sampled_from(["", "ab"])}))
@@ -673,11 +490,13 @@ _FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from
                    st.lists(_MESSAGE, max_size=3))
 
 
-def _edit_and_load(rng, data, expand) -> None:
-    """Edit one table entry or field of a random run's dump (rewritten in the version under test by `expand`), then
-    load and check it; the load must raise a ValueError or give a trace that the checks report on without raising."""
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_edited_version_5_file_is_rejected_or_checks_without_raising(rng, data):
+    """Edit one table entry or field of a random run's dump, then load and check it: the load must raise a
+    ValueError or give a trace that the checks report on without raising."""
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
-    lines = expand(trace_to_jsonl(run_scenario(s))).splitlines()
+    lines = trace_to_jsonl(run_scenario(s)).splitlines()
     ticks = [json.loads(line) for line in lines[1:]]
     entries = data.draw(st.booleans(), label="edit a table entry")
     t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick.get("new") or not entries]),
@@ -703,21 +522,3 @@ def _edit_and_load(rng, data, expand) -> None:
     except ValueError:
         return
     assert isinstance(check_all(trace), Report)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.data())
-def test_an_edited_version_3_file_is_rejected_or_checks_without_raising(rng, data):
-    _edit_and_load(rng, data, lambda text: _expanded(_downgraded(text)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.data())
-def test_an_edited_version_4_file_is_rejected_or_checks_without_raising(rng, data):
-    _edit_and_load(rng, data, _downgraded)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.data())
-def test_an_edited_version_5_file_is_rejected_or_checks_without_raising(rng, data):
-    _edit_and_load(rng, data, lambda text: text)
