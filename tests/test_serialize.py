@@ -296,16 +296,6 @@ def _version(value):
             rf"^header field 'version': expected 5, got {re.escape(_dumps(value))}$")
 
 
-# Edits that give a stream family and a state family a value of neither form.
-_BAD_SHAPES = {
-    "flag as a stream family": (_set_field(0, "ar", True), "ar", "true"),
-    "string as a stream family": (_set_field(0, "ar", "x"), "ar", '"x"'),
-    "flag as a state family": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)), "state",
-                               "true"),
-    "pair of three as a state family": (
-        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])), "state", r"\[\[0,5,6\]\]"),
-}
-
 # Hand edits of the dump of two_node_scenario, and the error each must raise. Its table has entries 0 to 8 after
 # tick 0, to 13 after tick 1, to 20 after tick 2, to 22 after tick 3, to 23 after tick 4 and to 24 after tick 5.
 # Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the rows, and the buffer,
@@ -353,47 +343,16 @@ MALFORMED = {
     "swapped ticks": (_swap_ticks_1_and_2, r"^tick 1: field 't': expected 1, found 2$"),
     "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
     "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
-    "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
-    "missing family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
-    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
-    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
-    "new that is not a list": (_set_field(2, "new", {"x": 1}),
-                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
+    "missing family": (_drop_field(0, "ws"), r"^tick 0: field 'ws': missing key 'ws'$"),
     "state that is not an object": (_set_field(0, "state", 5), r"^tick 0: field 'state': expected an object, got 5$"),
     "short family list": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", [[0, 7]])),
                           r"^tick 0: field 'state': tick 0 must give every component state$"),
-    "state family at tick 1 that leaves a node unknown": (
-        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
-        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
     "node index out of range": (_edit_tick(1, lambda tick: tick["as"].append([2, 0])),
                                 r"^tick 1: field 'as': node index 2 out of order or out of range$"),
     "negative node index": (_edit_tick(1, lambda tick: tick["as"][0].__setitem__(0, -1)),
                             r"^tick 1: field 'as': node index -1 out of order or out of range$"),
     "node indices out of order": (_edit_tick(0, lambda tick: tick["a"].reverse()),
                                   r"^tick 0: field 'a': node index 0 out of order or out of range$"),
-    "pairs of a state family out of order": (
-        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
-        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
-    **{case: (mutate, rf"^tick 0: field '{field}': expected a reference or a list of \[node index, reference\] "
-                      rf"pairs, got {value}$")
-       for case, (mutate, field, value) in _BAD_SHAPES.items()},
-    "reference beyond the table": (
-        _set_field(3, "wr", 23),
-        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
-    "reference to an entry of a later tick": (
-        _set_field(1, "mr", 14),
-        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
-    "reference beyond the table in a pair": (
-        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
-        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
-    "reference beyond the table on a quiet tick": (
-        _set_field(7, "wr", 25),
-        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
-    "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
-    "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
-                                     r"^tick 1: field 'as': missing key 'id'$"),
-    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
-                                    r"^tick 0: field 'state': list indices must be integers"),
     "float identifier": (_edit_entry(0, 1, id=5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
     "string identifier": (_edit_entry(0, 1, id="5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
     "list identifier": (_edit_entry(0, 1, id=[5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
@@ -432,6 +391,69 @@ MALFORMED = {
 }
 
 
+# Hand edits of the same dump that break a rule of the value table, which tick lines have had since version 3.
+MALFORMED_V3 = {
+    "reference beyond the table": (
+        _set_field(3, "wr", 23),
+        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
+    "reference to an entry of a later tick": (
+        _set_field(1, "mr", 14),
+        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
+    "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
+    "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
+                                     r"^tick 1: field 'as': missing key 'id'$"),
+    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
+                                    r"^tick 0: field 'state': list indices must be integers"),
+    "new that is not a list": (_set_field(2, "new", {"x": 1}),
+                               r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
+    "pairs of a state family out of order": (
+        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
+        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
+    "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
+                                               r"^tick 1: field 'as': node index 2 out of order or out of range$"),
+    "short uniform row": (_set_entry(0, 4, [1]), r"^tick 0: field 'rows': 1 entries for 2 nodes$"),
+}
+
+# Hand edits of the same dump that break a rule of the fields a line may leave out, which tick lines have had
+# since version 4: tick 0 gives every field, and a later line at least its `t`.
+MALFORMED_V4 = {
+    "tick 0 without a family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
+    "tick 0 without the wire": (_drop_field(0, "wr"), r"^tick 0: field 'wr': missing key 'wr'$"),
+    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
+    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
+    "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
+    "reference beyond the table on a quiet tick": (
+        _set_field(7, "wr", 25),
+        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
+}
+
+# Hand edits of the same dump that break a rule of the [node index, reference] pairs, which tick lines have had
+# since version 5. Its tick 1 gives both nodes' buffers.
+MALFORMED_V5 = {
+    "state family at tick 1 that leaves a node unknown": (
+        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
+        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
+    "reference beyond the table in a pair": (
+        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
+        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
+    "node indices out of order": (_edit_tick(4, lambda tick: tick["ws"].reverse()),
+                                  r"^tick 4: field 'ws': node index 0 out of order or out of range$"),
+    "flag as a stream family": (
+        _set_field(0, "ar", True),
+        r"^tick 0: field 'ar': expected a reference or a list of \[node index, reference\] pairs, got true$"),
+    "string as a stream family": (
+        _set_field(0, "ar", "x"),
+        r"^tick 0: field 'ar': expected a reference or a list of \[node index, reference\] pairs, got \"x\"$"),
+    "flag as a state family": (
+        _edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)),
+        r"^tick 0: field 'state': expected a reference or a list of \[node index, reference\] pairs, got true$"),
+    "pair of three as a state family": (
+        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])),
+        r"^tick 0: field 'state': expected a reference or a list of \[node index, reference\] pairs, "
+        r"got \[\[0,5,6\]\]$"),
+}
+
+
 def _assert_rejected(text: str, message: str, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         trace_from_jsonl(text)
@@ -441,12 +463,31 @@ def _assert_rejected(text: str, message: str, tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_tick_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
-    mutate, message = MALFORMED[case]
-    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+def _assert_edit_rejected(table, case, scenario, tmp_path, capsys):
+    mutate, message = table[case]
+    lines = trace_to_jsonl(run_scenario(scenario)).splitlines()
     mutate(lines)
     _assert_rejected("\n".join(lines) + "\n", message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_tick_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    _assert_edit_rejected(MALFORMED, case, two_node_scenario, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V3))
+def test_malformed_version_3_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    _assert_edit_rejected(MALFORMED_V3, case, two_node_scenario, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V4))
+def test_malformed_version_4_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    _assert_edit_rejected(MALFORMED_V4, case, two_node_scenario, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V5))
+def test_malformed_version_5_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
+    _assert_edit_rejected(MALFORMED_V5, case, two_node_scenario, tmp_path, capsys)
 
 
 def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
