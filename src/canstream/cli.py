@@ -49,6 +49,19 @@ def _load_scenario(path: str):
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
 
 
+def _written(path: Path, text: str, what: str, parents: bool = False) -> bool:
+    """Write `text` to `path`, making its directory first if `parents`; if the file system refuses, say so on stderr
+    and return False."""
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _print_report(report: Report) -> None:
     for entry in report.entries:
         status = "FAIL" if entry.violations else "PASS"
@@ -66,10 +79,10 @@ def _cmd_run(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RunError as exc:
-        Path(args.trace).write_text(trace_to_jsonl(exc.trace))
         print(f"component error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    Path(args.trace).write_text(trace_to_jsonl(trace))
+        return EXIT_RUNTIME if _written(Path(args.trace), trace_to_jsonl(exc.trace), "trace") else EXIT_INPUT
+    if not _written(Path(args.trace), trace_to_jsonl(trace), "trace"):
+        return EXIT_INPUT
     deliveries = delivery_log(trace)
     print(f"ran {scenario.horizon} ticks, {len(deliveries)} deliveries, trace written to {args.trace}")
     return EXIT_OK
@@ -123,9 +136,9 @@ def _cmd_fuzz(args) -> int:
             reasons.append(f"check violations: {', '.join(broken)}")
         if reasons:
             failures += 1
-            outdir.mkdir(parents=True, exist_ok=True)
             path = outdir / f"fail_{i:05d}.json"
-            path.write_text(scenario_to_json(scenario))
+            if not _written(path, scenario_to_json(scenario), "failing scenario", parents=True):
+                return EXIT_INPUT
             print(f"scenario {i}: FAIL ({'; '.join(reasons)}) -> {path}")
     print(f"{args.count - failures}/{args.count} pass (seed={args.seed}, nodes={args.nodes}, horizon={args.horizon})")
     return EXIT_OK if failures == 0 else EXIT_VIOLATIONS

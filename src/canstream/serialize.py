@@ -6,27 +6,34 @@ keys, fixed separators, integers and hex strings only), so a given run always
 serializes to identical bytes.
 
 A tick line writes each distinct value once. Its "new" list holds the JSON of
-each cell, row tuple and component state first seen at that tick. The entries
-of all lines so far are the value table, numbered in order of first appearance,
+each cell, row and component state first seen at that tick. The entries of
+all lines so far are the value table, numbered in order of first appearance,
 and every other field is an integer reference into it. A per-node field, a
-stream family or a component family of the state, is one reference if every
-node's entry is the same, else a [node index, reference] pair per node whose
-entry differs from its own entry two ticks before: a frame takes two ticks, so
-a node that loses arbitration repeats its cells and states two ticks later.
-Before tick 0 every cell is empty and no state is known. Values count as the
-same when equal, so the bytes depend on the values alone.
+stream family, the rows or a component family of the state, is one reference
+if every node's entry is the same, else a [node index, reference] pair per
+node whose entry differs from its own entry two ticks before: a frame takes
+two ticks, so a node that loses arbitration repeats its cells and states two
+ticks later. Before tick 0 every cell is empty and no row or state is known.
+Values count as the same when equal, so the bytes depend on the values alone.
+
+A buffer state entry refers to its messages, {"b":k,"buf":[k1,...]}: k names
+the cell of its offer slot, and each ki the cell that holds one queued message
+alone, the entry a stream cell of that message alone uses. A reference inside
+an entry names an earlier entry, so the writer adds a message's cell before
+the first state that queues it, and each message's JSON is written once.
 
 A line gives "t" and only the fields whose value differs from the previous
 tick's (in "state", only the families that changed), and "new" only when it
 has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
-reads version 5 (TRACE_VERSION) only; an older trace is regenerated by running
+reads version 6 (TRACE_VERSION) only; an older trace is regenerated by running
 the scenario in its header.
 
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
 call, so no id is reused. A load builds each table entry once for each kind it
 is read as, and a field that a line leaves out keeps the previous tick's
-object, so a loaded trace shares its values as a run does.
+object, so a loaded trace shares its values as a run does: a loaded buffer
+holds the message objects of the loaded cells.
 """
 from __future__ import annotations
 
@@ -55,10 +62,11 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -147,7 +155,6 @@ _FRAGMENTS = {
     AMessage: lambda v, memo: '{"data":"%s","id":%d}' % (v.data.hex(), v.id),
     IdSym: lambda v, memo: '{"sym":"id","value":%d}' % v.value,
     DataSym: lambda v, memo: '{"sym":"data","value":"%s"}' % v.value.hex(),
-    BufferState: lambda v, memo: '{"b":%s,"buf":%s}' % tuple(_texts((v.b, v.buf), memo)),
     DecoderState: lambda v, memo: '{"d":%s,"lastId":%s}' % (_dumps(v.d), _dumps(v.last_id)),
     EncoderState: lambda v, memo: '{"e":%s,"pending":%s}' % (
         _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
@@ -187,16 +194,29 @@ def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
 def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
-    # memo: id() -> text of each value met; refs: id() -> its table number; numbers: text -> table number
+    # memo: id() -> text of each value met; refs: id() -> its table number, and a message's id() -> the table number
+    # of the cell that holds it alone; numbers: text -> table number
     memo, refs, numbers, table = {}, {}, {}, []
+
+    def number(text: str) -> int:
+        k = numbers.setdefault(text, len(numbers))
+        if k == len(table):
+            table.append(text)
+        return k
 
     def ref(value) -> int:
         k = refs.get(id(value))
         if k is None:
-            text = _texts((value,), memo)[0]
-            k = refs[id(value)] = numbers.setdefault(text, len(numbers))
-            if k == len(table):
-                table.append(text)
+            # A buffer state refers to its offer cell and to each queued message's cell, which are numbered first.
+            text = ('{"b":%d,"buf":[%s]}' % (ref(value.b), ",".join(["%d" % alone(m) for m in value.buf]))
+                    if type(value) is BufferState else _texts((value,), memo)[0])
+            k = refs[id(value)] = number(text)
+        return k
+
+    def alone(message) -> int:
+        k = refs.get(id(message))
+        if k is None:
+            k = refs[id(message)] = number("[%s]" % _texts((message,), memo)[0])
         return k
 
     # Before tick 0 every cell is empty and no state is known, so tick 0 gives every state.
@@ -207,7 +227,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     # key -> (value per tick, writer); a family's value is its column of per-node cells
     series = {family: (list(zip(*(stream.cells for stream in trace.streams[family]))), cells)
               for family in PER_NODE_FAMILIES}
-    series.update(rows=(trace.rows, one), wr=(trace.wire.cells, one),
+    series.update(rows=(trace.rows, cells), wr=(trace.wire.cells, one),
                   state=(trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], bases[t], ref)))
     # The line's fields as (quoted key and colon, value per tick, writer), in key order, so that the table numbers
     # its entries in order of first appearance. A line gives each field whose value differs from the previous
@@ -246,11 +266,27 @@ def _symbols(cell) -> tuple:
     return tuple(map(_symbol, cell))
 
 
-# How a JSON value is read as each kind of value: a cell of each family, or one node's component state.
+def _row(value) -> int:
+    return _checked("row", value, _INT)
+
+
+def _buffer_state(obj, cell) -> BufferState:
+    """A buffer state entry, whose references `cell` reads as message cells: the offer slot's cell and the cell of each
+    queued message alone."""
+    offer, queued = cell(obj["b"]), []
+    for k in _checked("buf", obj["buf"], _INTS):
+        alone = cell(k)
+        if len(alone) != 1:
+            raise ValueError(f"buf: expected a reference to a cell of one message, got {k}, a cell of {len(alone)}")
+        queued += alone
+    return BufferState(tuple(queued), offer)
+
+
+# How a JSON value is read as each kind of value: a cell of each family, a row, or one node's component state.
 _CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _symbols),
           "r": lambda cell: tuple(_checked("request cell", cell, _INTS))}
 _STATES = {
-    "buffers": lambda o: BufferState(_amessages(o["buf"]), _amessages(o["b"])),
+    "buffers": _buffer_state,
     "decoders": lambda o: DecoderState(_checked("d", o["d"], _BOOL), _checked("lastId", o["lastId"], _INT_OR_NULL)),
     "encoders": lambda o: EncoderState(_checked("e", o["e"], _BOOL),
                                        None if o["pending"] is None else _hex("pending", o["pending"])),
@@ -261,7 +297,7 @@ _STATES = {
 def _table_readers(n: int, table: list):
     """A value-table load's readers of a reference and of a family's references; each entry is read once per kind."""
     built = defaultdict(dict)  # per reader: table number -> the entry as read
-    rows = defaultdict(dict)  # per reader: table number -> n copies of the entry as read
+    copies = defaultdict(dict)  # per reader: table number -> n copies of the entry as read
 
     def entry(k, read):
         value = built[read].get(k) if type(k) is int else None
@@ -269,17 +305,25 @@ def _table_readers(n: int, table: list):
             if type(k) is not int or not 0 <= k < len(table):
                 raise ValueError(f"expected a reference to one of the value table's {len(table)} entries, "
                                  f"got {_dumps(k)}")
-            value = built[read][k] = read(table[k])
+            value = built[read][k] = read(table[k]) if read is not _buffer_state else read(table[k], earlier(k))
         return value
+
+    def earlier(end):
+        """The reader of the references inside entry `end`, as message cells; each names an earlier entry."""
+        def cell(k):
+            if type(k) is not int or not 0 <= k < end:
+                raise ValueError(f"expected a reference to an entry before entry {end}, got {_dumps(k)}")
+            return entry(k, _amessages)
+        return cell
 
     def entries(value, read, old: tuple) -> tuple:
         """One reference's entry at every node, or `old` with the entry of each [node index, reference] pair replaced;
         the indices rise strictly."""
         if type(value) is int:
-            row = rows[read].get(value)
-            if row is None:
-                row = rows[read][value] = (entry(value, read),) * n
-            return row
+            same = copies[read].get(value)
+            if same is None:
+                same = copies[read][value] = (entry(value, read),) * n
+            return same
         if not (type(value) is list and all(type(pair) is list and len(pair) == 2 for pair in value)):
             raise ValueError(f"expected a reference or a list of [node index, reference] pairs, got {_dumps(value)}")
         new, last = list(old), -1
@@ -316,19 +360,27 @@ def _error_record(line, ticks: int, horizon: int) -> dict:
     return error
 
 
-def _json_line(number: int, line: str, holds: str):
-    """The JSON value of one line of a trace file; a decode error names the line and what it holds."""
+def _json_line(number: int, line: str, tick: int | None = None):
+    """The JSON value of one line of a trace file, the header or tick `tick`; a decode error names the line and what
+    it holds."""
+    try:
+        value, end = _decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end == len(line):
+        return value
+    # Blanks around the value, extra data or no JSON at all: json.loads reads the blanks and words the errors.
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {number} ({holds}): {exc}") from exc
+        raise ValueError(f"line {number} ({'header' if tick is None else f'tick {tick}'}): {exc}") from exc
 
 
 def trace_from_jsonl(text: str) -> Trace:
     lines = [(number, line) for number, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError("empty trace file")
-    header = _json_line(*lines[0], "header")
+    header = _json_line(*lines[0])
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got a {type(header).__name__}")
     if header.get("format") != TRACE_FORMAT:
@@ -344,7 +396,7 @@ def trace_from_jsonl(text: str) -> Trace:
     n, horizon = header.get("nodeCount"), header.get("horizon")
     if type(n) is not int or n != scenario.node_count:
         raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
-    ticks = [_json_line(number, line, f"tick {t}") for t, (number, line) in enumerate(lines[1:])]
+    ticks = [_json_line(number, line, t) for t, (number, line) in enumerate(lines[1:])]
     # A last line that is not a tick object is the error line of a failed run.
     error_line = ticks.pop() if ticks and not (isinstance(ticks[-1], dict) and "error" not in ticks[-1]) else None
     failed = error_line is not None
@@ -356,19 +408,14 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
     error = _error_record(error_line, horizon, scenario.horizon) if failed else None
 
-    def read_rows(value) -> tuple:
-        if len(_checked("rows", value, _INTS)) != n:
-            raise ValueError(f"{len(value)} entries for {n} nodes")
-        return tuple(value)
-
     table: list = []
     entry, entries = _table_readers(n, table)
     # A record's fields, in its order, each with its reader and whether it has an entry per node.
     fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
-    fields += [("wr", _CELLS["wr"], False), ("rows", read_rows, False)]
-    # Two ticks of empty cells and unknown states come before tick 0; a line's pairs apply to the entries of two
-    # ticks before.
-    blank, unknown = [((),) * n] * len(fields), dict.fromkeys(_COMPONENTS, (None,) * n)
+    fields += [("wr", _CELLS["wr"], False), ("rows", _row, True)]
+    # Two ticks of empty cells, unknown rows and unknown states come before tick 0; a line's pairs apply to the
+    # entries of two ticks before.
+    blank, unknown = [((),) * n] * (len(fields) - 1) + [(None,) * n], dict.fromkeys(_COMPONENTS, (None,) * n)
     records, states = [blank] * 2, [unknown] * 2
     for t, tick in enumerate(ticks):
         field = "t"
@@ -392,6 +439,8 @@ def trace_from_jsonl(text: str) -> Trace:
                     record.append(records[-1][k])
                 else:
                     record.append(entries(tick[field], read, records[-2][k]) if per_node else entry(tick[field], read))
+            if t < 2 and None in record[-1]:  # the last field read is "rows"
+                raise ValueError(f"tick {t} must give every node's row")
             field, snap = "state", states[-1]
             if not t or "state" in tick:
                 snap = _snapshot_from_obj(tick["state"], snap, states[-2], entries)

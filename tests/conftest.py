@@ -33,15 +33,20 @@ def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4)
 
 
 def add_entry(lines: list[str], t: int, value) -> int:
-    """Append `value` to the value table at tick t of a trace file's lines, and renumber the later ticks' references
-    so that every other field reads what it read before; the new entry's table number."""
+    """Append `value` to the value table at tick t of a trace file's lines, and renumber the later ticks' references,
+    in their fields and inside their buffer state entries, so that everything else reads what it read before; the new
+    entry's table number."""
     ticks = [json.loads(line) for line in lines[1:]]
     k = sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
     ticks[t].setdefault("new", []).append(value)
-    shift = lambda v: v + (v >= k) if type(v) is int else [[i, r + (r >= k)] for i, r in v]
+    up = lambda r: r + (r >= k)
+    shift = lambda v: up(v) if type(v) is int else [[i, up(r)] for i, r in v]
     for tick in ticks[t + 1:]:
         for key in tick.keys() - {"t", "new"}:
             tick[key] = {f: shift(v) for f, v in tick[key].items()} if key == "state" else shift(tick[key])
+        for entry in tick.get("new", ()):
+            if isinstance(entry, dict) and "buf" in entry:  # a buffer state refers to its messages' cells
+                entry.update(b=up(entry["b"]), buf=[up(r) for r in entry["buf"]])
     lines[1:] = [json.dumps(tick, sort_keys=True, separators=(",", ":")) for tick in ticks]
     return k
 

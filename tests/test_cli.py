@@ -21,7 +21,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v5.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v6.jsonl"
 
 
 @pytest.fixture
@@ -254,7 +254,9 @@ def test_fuzz_passes_and_is_quietly_deterministic(tmp_path, capsys):
     assert not (tmp_path / "fails").exists()  # nothing failed, nothing written
 
 
-def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def diverging(monkeypatch):
+    """Every scenario fuzz runs is reported as diverging from the oracle."""
     import canstream.cli as cli
 
     real = cli.compare_with_simulator
@@ -267,6 +269,9 @@ def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, monkeypatch, capsys)
         )
 
     monkeypatch.setattr(cli, "compare_with_simulator", always_diverges)
+
+
+def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, diverging, capsys):
     outdir = tmp_path / "fails"
     args = ["fuzz", "--seed", "3", "--nodes", "2", "--horizon", "8",
             "--count", "2", "--outdir", str(outdir)]
@@ -278,6 +283,16 @@ def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, monkeypatch, capsys)
     assert main(args) == 1
     capsys.readouterr()
     assert [(p.name, p.read_text()) for p in sorted(outdir.iterdir())] == first
+
+
+def test_fuzz_that_cannot_write_a_failing_scenario_is_an_input_error(tmp_path, diverging, capsys):
+    outdir = tmp_path / "taken"
+    outdir.write_text("a file, not a directory")
+    args = ["fuzz", "--seed", "3", "--nodes", "2", "--horizon", "8", "--count", "2", "--outdir", str(outdir)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write failing scenario: ") and str(outdir) in err and "Traceback" not in err
+    assert outdir.read_text() == "a file, not a directory"
 
 
 def test_fuzz_rejects_degenerate_parameters(tmp_path):
@@ -301,6 +316,31 @@ def test_component_failure_is_runtime_error(golden_file, tmp_path, monkeypatch):
     out = tmp_path / "partial.trace"
     assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 3
     assert out.exists()
+
+
+def test_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.jsonl"
+    assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write trace: ") and str(out) in captured.err
+    assert captured.out == "" and not out.parent.exists()
+
+
+def test_failed_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path, monkeypatch, capsys):
+    from canstream import run_scenario
+    from canstream.system import RunError
+    import canstream.cli as cli
+
+    def explode(scenario):
+        raise RunError("tick 4: synthetic failure", run_scenario(scenario))
+
+    monkeypatch.setattr(cli, "run_scenario", explode)
+    out = tmp_path / "partial.trace"
+    out.mkdir()
+    assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 2
+    first, second = capsys.readouterr().err.splitlines()
+    assert first == "component error: tick 4: synthetic failure"
+    assert second.startswith("cannot write trace: ") and str(out) in second
 
 
 def test_oracle_diff_equivalent(golden_file):

@@ -156,8 +156,11 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
     for i in range(10):
         s = seeded_scenario("partial", i, nodes=2 + i % 3, horizon=16)
         traces.append(_partial(monkeypatch, lambda: run_scenario(s), i))
-    # Saturated buses, where each node that loses arbitration offers its frame again two ticks later.
+    # Saturated buses, where each node that loses arbitration offers its frame again two ticks later, and messages
+    # queue behind the offer.
     saturated_traces = [run_scenario(saturated(i, nodes=nodes)) for i, nodes in enumerate((8, 16))]
+    saturated_traces.append(run_scenario(saturated(2, nodes=16, per_node=6)))
+    assert _deepest_queue(saturated_traces[-1]) >= 3
     traces += saturated_traces
     kinds = {(t.node_count, t.horizon == 0, t.error is not None) for t in traces}
     assert {k[0] for k in kinds} == {*range(1, 7), 8, 16} and any(k[1] for k in kinds) and any(k[2] for k in kinds)
@@ -175,6 +178,19 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run(monkeyp
         # Most re-offered cells repeat those of two ticks before, so few of them are listed.
         if any(trace is s for s in saturated_traces):
             assert listed["ms"] < 0.25 * sum(bool(cell) for stream in trace.streams["ms"] for cell in stream.cells)
+
+
+def _deepest_queue(trace) -> int:
+    return max(len(buffer.buf) for snap in trace.states for buffer in snap["buffers"])
+
+
+def test_a_dump_writes_each_message_once():
+    trace = run_scenario(saturated(2, nodes=16, per_node=6))
+    assert _deepest_queue(trace) >= 3
+    ticks = trace_to_jsonl(trace).split("\n", 1)[1]
+    for injection in trace.scenario.injections:
+        message = injection.message
+        assert ticks.count('{"data":"%s","id":%d}' % (message.data.hex(), message.id)) == 1, message
 
 
 def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, trace) -> Counter:
@@ -253,6 +269,17 @@ def _fresh_entry(t, value, point):
     return mutate
 
 
+def test_an_added_table_entry_leaves_every_reference_reading_what_it_read():
+    trace = run_scenario(saturated(2, nodes=16, per_node=6))
+    lines = trace_to_jsonl(trace).splitlines()
+    k = add_entry(lines, 1, [{"data": "ff", "id": 999}])
+    assert json.loads(lines[2])["new"][-1] == [{"data": "ff", "id": 999}]
+    # later buffer states refer to entries from k on, inside the entries themselves
+    assert any(isinstance(entry, dict) and max(entry["buf"], default=-1) > k
+               for line in lines[3:] for entry in json.loads(line).get("new", ()))
+    assert trace_from_jsonl("\n".join(lines) + "\n") == trace
+
+
 def _edit_header(edit):
     def mutate(lines):
         header = json.loads(lines[0])
@@ -293,20 +320,29 @@ def _truncated_tick_line(blank_lines: int):
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 5, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 6, got {re.escape(_dumps(value))}$")
+
+
+def _edits(*mutations):
+    def mutate(lines):
+        for edit in mutations:
+            edit(lines)
+    return mutate
 
 
 # Hand edits of the dump of two_node_scenario, and the error each must raise. Its table has entries 0 to 8 after
-# tick 0, to 13 after tick 1, to 20 after tick 2, to 22 after tick 3, to 23 after tick 4 and to 24 after tick 5.
-# Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the rows, and the buffer,
-# decoder, encoder and logical layer state; tick 1's first is node 1's `ms` cell, tick 2's first node 1's data
-# symbol, and tick 3's first the rows.
+# tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5.
+# Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the row, and the buffer,
+# decoder, encoder and logical layer state; tick 1's are node 1's and node 2's `ms` cells, the row, and node 1's and
+# node 2's buffer states, {"b":0,"buf":[]} and {"b":1,"buf":[]}; tick 2's first is node 1's data symbol.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
     "truncated tick line": (_truncated_tick_line(0),
                             r"^line 4 \(tick 2\): Expecting value: line 1 column 13 \(char 12\)$"),
     "truncated tick line after blank lines": (_truncated_tick_line(2), r"^line 6 \(tick 2\): Expecting value"),
+    "extra data after a tick": (lambda lines: lines.__setitem__(3, '{"t":2} {"t":2}'),
+                                r"^line 4 \(tick 2\): Extra data: line 1 column 9 \(char 8\)$"),
     "missing tick line": (lambda lines: lines.pop(), r"^expected 8 tick lines, found 7$"),
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
@@ -321,9 +357,10 @@ MALFORMED = {
         r"^header field 'scenario': duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"),
     "version 1": _version(1),
     "version 4": _version(4),
-    "unknown version": _version(6),
-    "version as a string": _version("5"),
-    "version as a float": _version(5.0),
+    "version 5": _version(5),
+    "unknown version": _version(7),
+    "version as a string": _version("6"),
+    "version as a float": _version(6.0),
     "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
                                              r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
@@ -370,12 +407,12 @@ MALFORMED = {
     "unknown symbol kind": (_edit_entry(1, 0, sym="bogus"), r"^tick 1: field 'ms': unknown symbol kind 'bogus'$"),
     "bool request token": (_set_entry(0, 3, [False]),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
-    "bool row": (_set_entry(0, 4, [True, 1]),
-                 r"^tick 0: field 'rows': rows must be a list of integers, got \[true, 1\]$"),
-    "rows that are not a list": (_set_entry(0, 4, True),
-                                 r"^tick 0: field 'rows': rows must be a list of integers, got true$"),
-    "extra node entry": (_edit_tick(3, lambda tick: tick["new"][0].append(1)),
-                         r"^tick 3: field 'rows': 3 entries for 2 nodes$"),
+    "bool row": (_set_entry(0, 4, True), r"^tick 0: field 'rows': row must be an integer, got true$"),
+    "float row": (_set_entry(0, 4, 1.0), r"^tick 0: field 'rows': row must be an integer, got 1.0$"),
+    "row entry that is a list": (_set_entry(0, 4, [1, 1]),
+                                 r"^tick 0: field 'rows': row must be an integer, got \[1, 1\]$"),
+    "extra node entry": (_edit_tick(4, lambda tick: tick["rows"].append([2, 4])),
+                         r"^tick 4: field 'rows': node index 2 out of order or out of range$"),
     "string decoding flag": (_edit_entry(0, 6, d="yes"),
                              r'^tick 0: field \'state\': d must be true or false, got "yes"$'),
     "float last identifier": (_edit_entry(0, 6, lastId=1.5),
@@ -391,7 +428,8 @@ MALFORMED = {
 }
 
 
-# Hand edits of the same dump that break a rule of the value table, which tick lines have had since version 3.
+# Hand edits of the same dump that break a rule of the value table, which tick lines have had since version 3, or a
+# rule of the references inside a buffer state entry, which version 6 added.
 MALFORMED_V3 = {
     "reference beyond the table": (
         _set_field(3, "wr", 23),
@@ -411,7 +449,25 @@ MALFORMED_V3 = {
         r"^tick 2: field 'state': node index 0 out of order or out of range$"),
     "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
                                                r"^tick 1: field 'as': node index 2 out of order or out of range$"),
-    "short uniform row": (_set_entry(0, 4, [1]), r"^tick 0: field 'rows': 1 entries for 2 nodes$"),
+    "buffer state that refers to itself": (_edit_entry(1, 3, b=12),
+                                           r"^tick 1: field 'state': expected a reference to an entry before entry "
+                                           r"12, got 12$"),
+    "buffer state that refers to a later entry": (_edit_entry(1, 3, buf=[13]),
+                                                  r"^tick 1: field 'state': expected a reference to an entry before "
+                                                  r"entry 12, got 13$"),
+    "buffer state reference out of range": (_edit_entry(1, 3, b=-1),
+                                            r"^tick 1: field 'state': expected a reference to an entry before entry "
+                                            r"12, got -1$"),
+    "buffer state offer that names a symbol cell": (_edit_entry(1, 3, b=9),
+                                                    r"^tick 1: field 'state': missing key 'id'$"),
+    "queued message that names the empty cell": (
+        _edit_entry(1, 3, buf=[2]),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 2, a cell of 0$"),
+    "queued message that names a cell of two": (
+        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[0])),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 0, a cell of 2$"),
+    "queued messages that are not a list": (_edit_entry(1, 3, buf=0),
+                                            r"^tick 1: field 'state': buf must be a list of integers, got 0$"),
 }
 
 # Hand edits of the same dump that break a rule of the fields a line may leave out, which tick lines have had
@@ -423,16 +479,20 @@ MALFORMED_V4 = {
     "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
     "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
     "reference beyond the table on a quiet tick": (
-        _set_field(7, "wr", 25),
-        r"^tick 7: field 'wr': expected a reference to one of the value table's 25 entries, got 25$"),
+        _set_field(7, "wr", 24),
+        r"^tick 7: field 'wr': expected a reference to one of the value table's 24 entries, got 24$"),
 }
 
 # Hand edits of the same dump that break a rule of the [node index, reference] pairs, which tick lines have had
-# since version 5. Its tick 1 gives both nodes' buffers.
+# since version 5, and `rows` since version 6. Its tick 1 gives both nodes' buffers, and its tick 4 both nodes' rows.
 MALFORMED_V5 = {
     "state family at tick 1 that leaves a node unknown": (
         _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
         r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
+    "rows at tick 1 that leave a node unknown": (_set_field(1, "rows", [[0, 11]]),
+                                                 r"^tick 1: field 'rows': tick 1 must give every node's row$"),
+    "rows pairs out of order": (_edit_tick(4, lambda tick: tick["rows"].reverse()),
+                                r"^tick 4: field 'rows': node index 0 out of order or out of range$"),
     "reference beyond the table in a pair": (
         _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
         r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
@@ -512,12 +572,22 @@ def test_a_loaded_trace_shares_its_values_as_the_run_does():
     assert len(busy) > 0.9 * trace.node_count * trace.horizon
     assert all(cell is wire[t] for t, cell in busy)
     assert all(c is d for stream in ar[1:] for c, d in zip(stream.cells, ar[0].cells))
+    # a buffer holds the message objects of the `a` cells
+    sent = {id(cell[0]) for stream in trace.streams["a"] for cell in stream.cells if cell}
+    held = {id(m) for snap in trace.states for buffer in snap["buffers"] for m in (*buffer.buf, *buffer.b)}
+    assert held and held <= sent
+
+
+def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
+    text = trace_to_jsonl(run_scenario(two_node_scenario))
+    padded = "".join(f" \t{line}  \n" for line in text.splitlines())
+    assert trace_from_jsonl(padded) == trace_from_jsonl(text)
 
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
-    # the header's scenario and every message, data symbol and pending payload of the golden spell 0xab
-    text = (GOLDENS / "single_node.v5.jsonl").read_text()
-    assert text.count('"ab"') == 5
+    # the header's scenario, the one message, the data symbol and the pending payload of the golden spell 0xab
+    text = (GOLDENS / "single_node.v6.jsonl").read_text()
+    assert text.count('"ab"') == 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
@@ -528,12 +598,12 @@ _SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.int
 _LISTS = {"message": st.lists(_MESSAGE, max_size=3), "symbol": st.lists(_SYMBOL, max_size=3),
           "int": st.lists(st.integers(0, 5), max_size=3)}
 _FIELD = st.one_of(st.booleans(), st.none(), st.integers(-1, 9), st.sampled_from(["", "ab"]),
-                   st.lists(_MESSAGE, max_size=3))
+                   st.lists(_MESSAGE, max_size=3), st.lists(st.integers(-1, 9), max_size=3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.data())
-def test_an_edited_version_5_file_is_rejected_or_checks_without_raising(rng, data):
+def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
     """Edit one table entry or field of a random run's dump, then load and check it: the load must raise a
     ValueError or give a trace that the checks report on without raising."""
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
@@ -546,9 +616,11 @@ def test_an_edited_version_5_file_is_rejected_or_checks_without_raising(rng, dat
     if entries:
         k = data.draw(st.integers(0, len(tick["new"]) - 1))
         entry = tick["new"][k]
-        if isinstance(entry, dict):
+        if isinstance(entry, dict):  # a component state, whose buffer fields are references
             entry[data.draw(st.sampled_from(sorted(entry)))] = data.draw(_FIELD)
-        else:  # a cell or a row: elements of its kind, or any kind for an empty cell
+        elif type(entry) is int:  # a row
+            tick["new"][k] = data.draw(_FIELD)
+        else:  # a cell: elements of its kind, or any kind for an empty cell
             kind = "int" if entry and type(entry[0]) is int else "message" if entry and "id" in entry[0] else "symbol"
             tick["new"][k] = data.draw(_LISTS[kind] if entry else st.one_of(*_LISTS.values()))
     else:
