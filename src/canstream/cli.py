@@ -6,7 +6,6 @@ Exit codes: 0 pass, 1 check violations or inequivalence, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -45,7 +44,7 @@ def _load_scenario(path: str):
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         return scenario_from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
 
 
@@ -100,7 +99,7 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = check_all(trace, predicates=predicates)

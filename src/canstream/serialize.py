@@ -28,6 +28,10 @@ has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
 reads version 6 (TRACE_VERSION) only; an older trace is regenerated by running
 the scenario in its header.
 
+Both formats are closed: each kind of JSON object has one key set, which a
+loader checks once per object, so a misspelled key is an error that names it
+and its place ("unknown key 'options.fidelitymode'"), never a missing field.
+
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
 call, so no id is reused. A load builds each table entry once for each kind it
@@ -47,8 +51,8 @@ from string import hexdigits
 from .checkers import Report
 from .components import BufferState, DecoderState, EncoderState, LogicalLayerState
 from .core import (
-    FRAME_LATENCY,
     PER_NODE_FAMILIES,
+    REQ,
     AMessage,
     DataSym,
     IdSym,
@@ -70,11 +74,6 @@ _decode = json.JSONDecoder().raw_decode
 
 
 # -- scenarios ---------------------------------------------------------------
-
-# Options that scenario files once let vary, as (key, rule, only value): every
-# other value broke the run. They are still read, for older files, but no longer written.
-_FIXED_OPTIONS = (("reqDelay", "req-delay", 1), ("mtLatency", "mt-latency", FRAME_LATENCY))
-
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
@@ -98,36 +97,79 @@ _INTS = (lambda v: type(v) is list and {int}.issuperset(map(type, v)), "a list o
 _INT_OR_NULL = (lambda v: v is None or type(v) is int, "an integer or null")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and not v.strip(hexdigits), "a hex string")
+_LIST = (lambda v: type(v) is list, "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
-def _checked(name: str, value, kind: tuple):
-    """value if it is of the given kind, else a ScenarioError naming the field."""
+def _checked(name: str, value, kind: tuple, *args):
+    """value if it is of the given kind, else a ScenarioError naming the field, `name % args`; the name is formatted
+    only then."""
     accepts, expected = kind
     if not accepts(value):
-        raise ScenarioError(f"{name} must be {expected}, got {json.dumps(value)}")
+        raise ScenarioError(f"{name % args} must be {expected}, got {json.dumps(value)}")
     return value
 
 
-def _hex(name: str, value) -> bytes:
+def _hex(name: str, value, *args) -> bytes:
     """The bytes of a hex-string payload field; any other value raises a ScenarioError naming the field."""
-    return bytes.fromhex(_checked(name, value, _HEX))
+    return bytes.fromhex(_checked(name, value, _HEX, *args))
 
 
-def scenario_from_dict(obj: dict) -> Scenario:
-    """The scenario of a parsed JSON document; a field of the wrong kind raises ScenarioError."""
-    _checked("scenario", obj, _OBJECT)
+def _keys(*names: str):
+    """A key set, a set view that iterates in the order given: the order a reader reads the keys."""
+    return dict.fromkeys(names).keys()
+
+
+# The key set of each kind of JSON object in a scenario or trace file.
+_SCENARIO, _SCENARIO_REQUIRED = _keys("nodeCount", "horizon", "injections", "options"), _keys("nodeCount", "horizon")
+_OPTIONS = _keys("bootstrapRequestTick", "fidelityMode")
+_INJECTION = _keys("node", "tick", "id", "data")
+_HEADER = _keys("format", "version", "scenario", "nodeCount", "horizon")
+_TICK = _keys("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")
+_COMPONENTS = _keys("buffers", "decoders", "encoders", "llayers")  # the per-node families of a state
+_MESSAGE = _keys("id", "data")
+_SYMBOL = _keys("sym", "value")
+_BUFFER = _keys("b", "buf")
+_DECODER = _keys("d", "lastId")
+_ENCODER = _keys("e", "pending")
+_LLAYER = _keys("lid")
+_NONE = _keys()
+
+
+def _misfit(obj: dict, keys, required) -> tuple[str, str]:
+    """The key that keeps `obj` from fitting its key set: the first key of `required` that it lacks, in order, else
+    its first key outside `keys`, in sorted order; and the reason, "missing key" or "unknown key"."""
+    missing = [key for key in required if key not in obj]
+    return (missing[0], "missing key") if missing else (min(obj.keys() - keys), "unknown key")
+
+
+def _unfit(obj, keys, where: str = "", required=None, error=ValueError) -> ValueError:
+    """The error for `obj`, which is not a JSON object with each key of `required` (by default, all of `keys`) and no
+    other key: it names the key that does not fit after the path `where`. A reader makes it only when one comparison of
+    the object's keys with `keys` fails."""
+    if type(obj) is not dict:
+        return error(f"expected an object, got {_dumps(obj)}")
+    key, reason = _misfit(obj, keys, keys if required is None else required)
+    return error(f"{reason} {where + key!r}")
+
+
+def scenario_from_dict(obj) -> Scenario:
+    """The scenario of a parsed JSON document; a field of the wrong kind, or a key missing from or outside its
+    object's key set, raises ScenarioError."""
+    if not _SCENARIO_REQUIRED <= _checked("scenario", obj, _OBJECT).keys() <= _SCENARIO:
+        raise _unfit(obj, _SCENARIO, required=_SCENARIO_REQUIRED, error=ScenarioError)
     opts = _checked("options", obj.get("options", {}), _OBJECT)
-    for key, rule, value in _FIXED_OPTIONS:
-        given = opts.get(key, value)
-        if type(given) is not int or given != value:
-            raise ScenarioError(f"{rule}: {key} is fixed at {value}, got {json.dumps(given)}")
+    if not opts.keys() <= _OPTIONS:
+        raise _unfit(opts, _OPTIONS, "options.", _NONE, ScenarioError)
     injections = []
-    for k, inj in enumerate(obj.get("injections", ())):
-        where = f"injections[{k}]"
-        node, tick, ident = (_checked(f"{where}.{key}", inj[key], _INT) for key in ("node", "tick", "id"))
-        data = _hex(f"{where}.data", inj["data"])
-        injections.append(Injection(node, tick, AMessage(ident, data)))
+    for k, inj in enumerate(_checked("injections", obj.get("injections", []), _LIST)):
+        if type(inj) is not dict or inj.keys() != _INJECTION:
+            raise _unfit(_checked("injections[%d]", inj, _OBJECT, k), _INJECTION, f"injections[{k}].",
+                         error=ScenarioError)
+        node = _checked("injections[%d].node", inj["node"], _INT, k)
+        tick = _checked("injections[%d].tick", inj["tick"], _INT, k)
+        ident = _checked("injections[%d].id", inj["id"], _INT, k)
+        injections.append(Injection(node, tick, AMessage(ident, _hex("injections[%d].data", inj["data"], k))))
     boot = _checked("bootstrapRequestTick", opts.get("bootstrapRequestTick", 0), _INT_OR_NULL)
     fidelity = _checked("fidelityMode", opts.get("fidelityMode", False), _BOOL)
     return Scenario(
@@ -160,9 +202,6 @@ _FRAGMENTS = {
         _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
     LogicalLayerState: lambda v, memo: '{"lid":%d}' % v.lid,
 }
-
-# The per-node component families of a state snapshot, in key order.
-_COMPONENTS = ("buffers", "decoders", "encoders", "llayers")
 
 
 def _texts(values, memo: dict[int, str]) -> list[str]:
@@ -252,27 +291,49 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def _symbol(obj):
+    if type(obj) is not dict or obj.keys() != _SYMBOL:
+        raise _unfit(obj, _SYMBOL)
     kind, value = obj["sym"], obj["value"]
     if kind not in ("id", "data"):
         raise ValueError(f"unknown symbol kind {kind!r}")
     return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(_hex("value", value))
 
 
+def _amessage(obj) -> AMessage:
+    if type(obj) is not dict or obj.keys() != _MESSAGE:
+        raise _unfit(obj, _MESSAGE)
+    return AMessage(_checked("id", obj["id"], _INT), _hex("data", obj["data"]))
+
+
 def _amessages(cell) -> tuple:
-    return tuple([AMessage(_checked("id", m["id"], _INT), _hex("data", m["data"])) for m in cell])
+    if type(cell) is not list:
+        raise ValueError(f"cell must be a list, got {_dumps(cell)}")
+    return tuple(map(_amessage, cell))
 
 
 def _symbols(cell) -> tuple:
+    if type(cell) is not list:
+        raise ValueError(f"cell must be a list, got {_dumps(cell)}")
     return tuple(map(_symbol, cell))
 
 
+def _requests(cell) -> tuple:
+    if not {REQ}.issuperset(_checked("request cell", cell, _INTS)):
+        raise ValueError(f"request cell may hold only the request token {REQ}, got {_dumps(cell)}")
+    return tuple(cell)
+
+
 def _row(value) -> int:
-    return _checked("row", value, _INT)
+    if not 1 <= _checked("row", value, _INT) <= 5:  # the rows of the bus-access table
+        raise ValueError(f"row must be 1 to 5, got {value}")
+    return value
 
 
 def _buffer_state(obj, cell) -> BufferState:
     """A buffer state entry, whose references `cell` reads as message cells: the offer slot's cell and the cell of each
     queued message alone."""
+    if type(obj) is not dict or obj.keys() != _BUFFER:
+        raise _unfit(obj, _BUFFER)
     offer, queued = cell(obj["b"]), []
     for k in _checked("buf", obj["buf"], _INTS):
         alone = cell(k)
@@ -282,16 +343,29 @@ def _buffer_state(obj, cell) -> BufferState:
     return BufferState(tuple(queued), offer)
 
 
+def _decoder_state(obj) -> DecoderState:
+    if type(obj) is not dict or obj.keys() != _DECODER:
+        raise _unfit(obj, _DECODER)
+    return DecoderState(_checked("d", obj["d"], _BOOL), _checked("lastId", obj["lastId"], _INT_OR_NULL))
+
+
+def _encoder_state(obj) -> EncoderState:
+    if type(obj) is not dict or obj.keys() != _ENCODER:
+        raise _unfit(obj, _ENCODER)
+    pending = obj["pending"]
+    return EncoderState(_checked("e", obj["e"], _BOOL), None if pending is None else _hex("pending", pending))
+
+
+def _llayer_state(obj) -> LogicalLayerState:
+    if type(obj) is not dict or obj.keys() != _LLAYER:
+        raise _unfit(obj, _LLAYER)
+    return LogicalLayerState(_checked("lid", obj["lid"], _INT))
+
+
 # How a JSON value is read as each kind of value: a cell of each family, a row, or one node's component state.
 _CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _symbols),
-          "r": lambda cell: tuple(_checked("request cell", cell, _INTS))}
-_STATES = {
-    "buffers": _buffer_state,
-    "decoders": lambda o: DecoderState(_checked("d", o["d"], _BOOL), _checked("lastId", o["lastId"], _INT_OR_NULL)),
-    "encoders": lambda o: EncoderState(_checked("e", o["e"], _BOOL),
-                                       None if o["pending"] is None else _hex("pending", o["pending"])),
-    "llayers": lambda o: LogicalLayerState(_checked("lid", o["lid"], _INT)),
-}
+          "r": _requests}
+_STATES = {"buffers": _buffer_state, "decoders": _decoder_state, "encoders": _encoder_state, "llayers": _llayer_state}
 
 
 def _table_readers(n: int, table: list):
@@ -335,13 +409,10 @@ def _table_readers(n: int, table: list):
     return entry, entries
 
 
-def _snapshot_from_obj(obj: dict, prev: dict, base: dict, entries) -> dict:
-    """`prev` with each family one tick line gives read against that family in `base`; `prev` itself if it gives
-    none."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object, got {_dumps(obj)}")
-    if obj.keys().isdisjoint(_COMPONENTS):
-        return prev
+def _snapshot_from_obj(obj, prev: dict, base: dict, entries) -> dict:
+    """`prev` with each family that one tick line's state gives read against that family in `base`."""
+    if type(obj) is not dict or not obj.keys() <= _COMPONENTS:
+        raise _unfit(obj, _COMPONENTS, required=_NONE)
     return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
 
 
@@ -384,16 +455,19 @@ def trace_from_jsonl(text: str) -> Trace:
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got a {type(header).__name__}")
     if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"not a {TRACE_FORMAT} file")
+        raise ValueError(f"header field 'format': expected {_dumps(TRACE_FORMAT)}, got {_dumps(header.get('format'))}")
     version = header.get("version")
     if type(version) is not int or version != TRACE_VERSION:
         raise ValueError(f"header field 'version': expected {TRACE_VERSION}, got {_dumps(version)}")
+    if header.keys() != _HEADER:
+        key, reason = _misfit(header, _HEADER, _HEADER)
+        raise ValueError(f"header field {key!r}: {reason} {key!r}")
     try:
         scenario = scenario_from_dict(header["scenario"])
         require_valid(scenario)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ScenarioError as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
-    n, horizon = header.get("nodeCount"), header.get("horizon")
+    n, horizon = header["nodeCount"], header["horizon"]
     if type(n) is not int or n != scenario.node_count:
         raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
     ticks = [_json_line(number, line, t) for t, (number, line) in enumerate(lines[1:])]
@@ -418,40 +492,46 @@ def trace_from_jsonl(text: str) -> Trace:
     blank, unknown = [((),) * n] * (len(fields) - 1) + [(None,) * n], dict.fromkeys(_COMPONENTS, (None,) * n)
     records, states = [blank] * 2, [unknown] * 2
     for t, tick in enumerate(ticks):
+        if type(tick) is not dict:
+            raise ValueError(f"tick {t}: expected an object, got {_dumps(tick)}")
         field = "t"
         try:
-            if type(tick["t"]) is not int or tick["t"] != t:
-                raise ValueError(f"expected {t}, found {_dumps(tick['t'])}")
+            given = tick.get("t")
+            if type(given) is not int or given != t:
+                raise ValueError(f"expected {t}, found {_dumps(given)}" if "t" in tick else "missing key 't'")
             # After tick 0, a line leaves out each field whose value did not change, so {"t":N} repeats the previous
             # tick.
             if t and len(tick) == 1:
                 records.append(records[-1])
                 states.append(states[-1])
                 continue
-            if not t or "new" in tick:
+            # Tick 0 gives every key of a tick line, and a later line any of them.
+            if not (tick.keys() <= _TICK if t else tick.keys() == _TICK):
+                field, reason = _misfit(tick, _TICK, _NONE if t else _TICK)
+                raise ValueError(f"{reason} {field!r}")
+            if "new" in tick:
                 field = "new"
                 if type(tick["new"]) is not list:
                     raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
                 table += tick["new"]
             record = []
             for k, (field, read, per_node) in enumerate(fields):
-                if t and field not in tick:
+                if field not in tick:
                     record.append(records[-1][k])
                 else:
                     record.append(entries(tick[field], read, records[-2][k]) if per_node else entry(tick[field], read))
             if t < 2 and None in record[-1]:  # the last field read is "rows"
                 raise ValueError(f"tick {t} must give every node's row")
             field, snap = "state", states[-1]
-            if not t or "state" in tick:
+            if "state" in tick:
                 snap = _snapshot_from_obj(tick["state"], snap, states[-2], entries)
             if t < 2 and any(None in snap[key] for key in _COMPONENTS):
                 raise ValueError("tick 0 must give every component state" if t == 0 else
                                  "tick 1 must give every node's state in each family it gives")
             records.append(record)
             states.append(snap)
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"tick {t}: field {field!r}: {reason}") from exc
+        except ValueError as exc:
+            raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
     return assemble_trace(scenario, records[2:], states[2:], error)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,15 +161,6 @@ def test_invalid_scenario_is_input_error(tmp_path):
     assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
 
 
-@pytest.mark.parametrize("key,rule,value", [("reqDelay", "req-delay", 0), ("mtLatency", "mt-latency", 3)])
-def test_run_rejects_a_fixed_option_at_another_value(tmp_path, capsys, key, rule, value):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**GOLDEN, "options": {key: value}}))
-    assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
-    assert f"{rule}: {key} is fixed" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
-
-
 def _with_option(key, value):
     return {**GOLDEN, "options": {key: value}}
 
@@ -185,7 +177,9 @@ MISTYPED = {
                          'bootstrapRequestTick must be an integer or null, got "0"'),
     "bootstrap bool": (_with_option("bootstrapRequestTick", True),
                        "bootstrapRequestTick must be an integer or null, got true"),
-    "reqDelay bool": (_with_option("reqDelay", True), "req-delay: reqDelay is fixed at 1, got true"),
+    "reqDelay bool": (_with_option("reqDelay", True), "unknown key 'options.reqDelay'"),
+    "bootstrap negative": (_with_option("bootstrapRequestTick", -1),
+                           "bootstrap: bootstrapRequestTick must be >= 0, got -1"),
     "nodeCount bool": ({**GOLDEN, "nodeCount": True}, "nodeCount must be an integer, got true"),
     "horizon string": ({**GOLDEN, "horizon": "6"}, 'horizon must be an integer, got "6"'),
     "tick float": (_with_injection_field("tick", 0.9), "injections[0].tick must be an integer, got 0.9"),
@@ -197,14 +191,34 @@ MISTYPED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MISTYPED))
-def test_run_rejects_a_field_of_the_wrong_type_or_size(tmp_path, capsys, case):
-    document, message = MISTYPED[case]
+# Scenario documents whose keys do not fit their object's key set, by case: (document, what stderr names). The request
+# delay and the frame latency were options once, and are now unknown keys at any value.
+UNFIT = {
+    "reqDelay": (_with_option("reqDelay", 1), "unknown key 'options.reqDelay'"),
+    "mtLatency": (_with_option("mtLatency", 2), "unknown key 'options.mtLatency'"),
+    "injection for injections": ({"nodeCount": 1, "horizon": 6, "injection": GOLDEN["injections"]},
+                                 "unknown key 'injection'"),
+    "injection without a tick": ({**GOLDEN, "injections": [{"node": 1, "id": 5, "data": "ab"}]},
+                                 "missing key 'injections[0].tick'"),
+}
+
+
+def _assert_run_rejects(document, message: str, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
     assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_run_rejects_a_field_of_the_wrong_type_or_size(tmp_path, capsys, case):
+    _assert_run_rejects(*MISTYPED[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT))
+def test_run_rejects_a_key_outside_its_objects_set_or_missing(tmp_path, capsys, case):
+    _assert_run_rejects(*UNFIT[case], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 2])
@@ -295,6 +309,19 @@ def test_fuzz_that_cannot_write_a_failing_scenario_is_an_input_error(tmp_path, d
     assert outdir.read_text() == "a file, not a directory"
 
 
+def test_fuzz_names_the_predicates_a_failing_check_broke(tmp_path, monkeypatch, capsys):
+    import canstream.cli as cli
+
+    real = cli.check_all
+    rows_3 = lambda trace: ((3,) * trace.node_count,) * trace.horizon  # the row-3 monitor flags each of them
+    monkeypatch.setattr(cli, "check_all", lambda trace: real(replace(trace, rows=rows_3(trace))))
+    outdir = tmp_path / "fails"
+    assert main(["fuzz", "--seed", "3", "--nodes", "2", "--horizon", "8", "--count", "1", "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"scenario 0: FAIL (check violations: row3) -> {outdir / 'fail_00000.json'}",
+        "0/1 pass (seed=3, nodes=2, horizon=8)"]
+
+
 def test_fuzz_rejects_degenerate_parameters(tmp_path):
     assert main(["fuzz", "--nodes", "0", "--outdir", str(tmp_path)]) == 64
     assert main(["fuzz", "--nodes", "2", "--horizon", "2", "--outdir", str(tmp_path)]) == 64
@@ -341,6 +368,33 @@ def test_failed_run_that_cannot_write_its_trace_is_an_input_error(golden_file, t
     first, second = capsys.readouterr().err.splitlines()
     assert first == "component error: tick 4: synthetic failure"
     assert second.startswith("cannot write trace: ") and str(out) in second
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-diff"])
+def test_an_unreadable_scenario_is_an_input_error(tmp_path, capsys, command):
+    missing, out = tmp_path / "missing.json", tmp_path / "t"
+    trace_args = ["--trace", str(out)] if command == "run" else []
+    assert main([command, "--scenario", str(missing), *trace_args]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: cannot read scenario {missing}: ")
+    assert not out.exists()
+
+
+def test_an_unreadable_trace_is_an_input_error(tmp_path, capsys):
+    assert main(["check", "--trace", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read trace: ") and str(tmp_path) in captured.err and captured.out == ""
+
+
+def test_oracle_diff_on_a_run_that_fails_is_a_runtime_error(golden_file, monkeypatch, capsys):
+    from canstream.system import RunError
+    import canstream.cli as cli
+
+    def explode(scenario):
+        raise RunError("tick 4: synthetic failure", None)
+
+    monkeypatch.setattr(cli, "compare_with_simulator", explode)
+    assert main(["oracle-diff", "--scenario", str(golden_file)]) == 3
+    assert capsys.readouterr().err == "component error: tick 4: synthetic failure\n"
 
 
 def test_oracle_diff_equivalent(golden_file):

@@ -243,6 +243,17 @@ def test_wire_data_head_hides_trailing_identifier():
     assert wire_emission([(IdSym(5),), (DataSym(b"p"),)], 4) == (DataSym(b"p"),)
 
 
+@pytest.mark.parametrize("step,name", [
+    (lambda wide: encoder_step(EncoderState(), wide, 3), "encoder input"),
+    (lambda wide: decoder_step(DecoderState(), wide, 3), "decoder input"),
+    (lambda wide: logical_layer_step(LogicalLayerState(), wide, (), 3), "bus-access input ms"),
+    (lambda wide: logical_layer_step(LogicalLayerState(), (), wide, 3), "bus-access input wr"),
+])
+def test_each_component_rejects_two_messages_in_one_input_cell(step, name):
+    with pytest.raises(AssumptionViolation, match=rf"^{name} carries 2 messages at tick 3$"):
+        step((IdSym(1), IdSym(2)))
+
+
 def test_wire_rejects_wide_cell():
     with pytest.raises(AssumptionViolation):
         wire_emission([(IdSym(1), IdSym(2))], 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from canstream import (
     AMessage,
     Scenario,
     TimedStream,
+    run_scenario,
     validate_scenario,
 )
 from canstream.core import MAX_PAYLOAD
@@ -83,3 +85,10 @@ def test_validate_degenerate_counts():
 
 def test_validate_zero_horizon_is_fine():
     assert validate_scenario(Scenario(3, 0)) == []
+
+
+@pytest.mark.parametrize("node", [0, 3])
+def test_a_node_stream_outside_the_nodes_is_an_error(node):
+    trace = run_scenario(scenario(2, 4))
+    with pytest.raises(ValueError, match=rf"^node {node} outside \[1..2\]$"):
+        trace.node_stream("a", node)

@@ -102,20 +102,52 @@ def test_scenario_options_defaults():
     assert s.options == RunOptions(bootstrap_request_tick=0, fidelity_row2=False)
 
 
-@pytest.mark.parametrize("key,rule,value", [
-    ("reqDelay", "req-delay", 0), ("reqDelay", "req-delay", 2),
-    ("mtLatency", "mt-latency", 1), ("mtLatency", "mt-latency", 3),
-])
-def test_fixed_options_reject_any_other_value(key, rule, value):
-    with pytest.raises(ScenarioError, match=f"^{rule}: {key} is fixed at .*, got {value}$"):
-        scenario_from_json(json.dumps({"nodeCount": 1, "horizon": 4, "options": {key: value}}))
+def _without(document: dict, key: str) -> dict:
+    return {k: v for k, v in document.items() if k != key}
 
 
-def test_fixed_options_load_explicit_or_missing_and_are_not_written():
-    explicit = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {"reqDelay": 1, "mtLatency": 2}}')
-    missing = scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {}}')
-    assert explicit == missing == scenario_from_json('{"nodeCount": 1, "horizon": 4}')
-    assert json.loads(scenario_to_json(explicit))["options"] == {"bootstrapRequestTick": 0, "fidelityMode": False}
+_DOCUMENT = {"nodeCount": 2, "horizon": 8, "injections": [{"node": 1, "tick": 0, "id": 3, "data": "aa"}],
+             "options": {"bootstrapRequestTick": 0, "fidelityMode": False}}
+_INJECTION = _DOCUMENT["injections"][0]
+
+# Scenario documents whose keys do not fit their object's key set, and the error each must raise. The request delay
+# and the frame latency were options once, and are now keys like any other unknown key, at any value.
+SCENARIO_KEYS = {
+    "injection for injections": ({**_without(_DOCUMENT, "injections"), "injection": []},
+                                 r"^unknown key 'injection'$"),
+    "missing nodeCount": (_without(_DOCUMENT, "nodeCount"), r"^missing key 'nodeCount'$"),
+    "missing horizon": (_without(_DOCUMENT, "horizon"), r"^missing key 'horizon'$"),
+    "options.fidelitymode": ({**_DOCUMENT, "options": {"fidelitymode": True}}, r"^unknown key 'options.fidelitymode'$"),
+    "options.bootstrapRequestTic": ({**_DOCUMENT, "options": {"bootstrapRequestTic": 4}},
+                                    r"^unknown key 'options.bootstrapRequestTic'$"),
+    "reqDelay at its old value": ({**_DOCUMENT, "options": {"reqDelay": 1}}, r"^unknown key 'options.reqDelay'$"),
+    "reqDelay at another value": ({**_DOCUMENT, "options": {"reqDelay": 0}}, r"^unknown key 'options.reqDelay'$"),
+    "mtLatency at its old value": ({**_DOCUMENT, "options": {"mtLatency": 2}}, r"^unknown key 'options.mtLatency'$"),
+    "mtLatency at another value": ({**_DOCUMENT, "options": {"mtLatency": 3}}, r"^unknown key 'options.mtLatency'$"),
+    "extra injection key": ({**_DOCUMENT, "injections": [{**_INJECTION, "prio": 1}]},
+                            r"^unknown key 'injections\[0\].prio'$"),
+    "injection without a node": ({**_DOCUMENT, "injections": [_INJECTION, _without(_INJECTION, "node")]},
+                                 r"^missing key 'injections\[1\].node'$"),
+    "injections that are a number": ({**_DOCUMENT, "injections": 5}, r"^injections must be a list, got 5$"),
+    "null injections": ({**_DOCUMENT, "injections": None}, r"^injections must be a list, got null$"),
+    "injection that is not an object": ({**_DOCUMENT, "injections": [[1, 0, 3, "aa"]]},
+                                        r"^injections\[0\] must be an object, got \[1, 0, 3, \"aa\"\]$"),
+    "null options": ({**_DOCUMENT, "options": None}, r"^options must be an object, got null$"),
+    "null document": (None, r"^scenario must be an object, got null$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_KEYS))
+def test_a_scenario_key_that_does_not_fit_is_named(case):
+    document, message = SCENARIO_KEYS[case]
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_json(json.dumps(document))
+
+
+def test_the_scenario_writer_gives_every_key_of_its_set():
+    s = scenario(2, 8, (1, 0, 3, b"\xaa"))
+    assert json.loads(scenario_to_json(s)) == _DOCUMENT
+    assert scenario_from_json(json.dumps(_DOCUMENT)) == s
 
 
 def test_scenario_null_bootstrap_survives():
@@ -347,6 +379,8 @@ MALFORMED = {
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
     "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
+    "foreign format": (_edit_header(lambda header: header.update(format="other")),
+                       r'^header field \'format\': expected "canstream-trace", got "other"$'),
     "scenario that breaks the rules": (
         _add_header_injection({"node": 7, "tick": 99, "id": -4, "data": "00" * 12}),
         r"^header field 'scenario': node-range: node 7 outside \[1..2\]; "
@@ -380,6 +414,8 @@ MALFORMED = {
     "swapped ticks": (_swap_ticks_1_and_2, r"^tick 1: field 't': expected 1, found 2$"),
     "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
     "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
+    "tick line that is not an object": (lambda lines: lines.__setitem__(3, "[1]"),
+                                        r"^tick 2: expected an object, got \[1\]$"),
     "missing family": (_drop_field(0, "ws"), r"^tick 0: field 'ws': missing key 'ws'$"),
     "state that is not an object": (_set_field(0, "state", 5), r"^tick 0: field 'state': expected an object, got 5$"),
     "short family list": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", [[0, 7]])),
@@ -407,6 +443,10 @@ MALFORMED = {
     "unknown symbol kind": (_edit_entry(1, 0, sym="bogus"), r"^tick 1: field 'ms': unknown symbol kind 'bogus'$"),
     "bool request token": (_set_entry(0, 3, [False]),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
+    "request token other than the request": (
+        _set_entry(0, 3, [7]), r"^tick 0: field 'r': request cell may hold only the request token 0, got \[7\]$"),
+    "row beyond the table": (_set_entry(0, 4, 9), r"^tick 0: field 'rows': row must be 1 to 5, got 9$"),
+    "negative row": (_set_entry(0, 4, -1), r"^tick 0: field 'rows': row must be 1 to 5, got -1$"),
     "bool row": (_set_entry(0, 4, True), r"^tick 0: field 'rows': row must be an integer, got true$"),
     "float row": (_set_entry(0, 4, 1.0), r"^tick 0: field 'rows': row must be an integer, got 1.0$"),
     "row entry that is a list": (_set_entry(0, 4, [1, 1]),
@@ -441,7 +481,11 @@ MALFORMED_V3 = {
     "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
                                      r"^tick 1: field 'as': missing key 'id'$"),
     "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
-                                    r"^tick 0: field 'state': list indices must be integers"),
+                                    r"^tick 0: field 'state': expected an object, got \[\]$"),
+    "cell that is not a list": (_set_entry(0, 0, 5), r"^tick 0: field 'a': cell must be a list, got 5$"),
+    "symbol cell that is an object": (_set_entry(1, 0, {"sym": "id", "value": 3}),
+                                      r'^tick 1: field \'ms\': cell must be a list, got \{"sym":"id","value":3\}$'),
+    "message that is not an object": (_set_entry(0, 0, [5]), r"^tick 0: field 'a': expected an object, got 5$"),
     "new that is not a list": (_set_field(2, "new", {"x": 1}),
                                r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
     "pairs of a state family out of order": (
@@ -514,6 +558,55 @@ MALFORMED_V5 = {
 }
 
 
+def _rename(t, old, new, within=None):
+    """Rename key `old` of tick t's line, or of its object `within`, to `new`."""
+    def edit(tick):
+        obj = tick if within is None else tick[within]
+        obj[new] = obj.pop(old)
+    return _edit_tick(t, edit)
+
+
+def _drop_key(t, k, key):
+    """Drop `key` from tick t's k-th new table entry: a component state, or the first message or symbol of a cell."""
+    def edit(tick):
+        entry = tick["new"][k]
+        (entry if isinstance(entry, dict) else entry[0]).pop(key)
+    return _edit_tick(t, edit)
+
+
+# Hand edits of the same dump that give an object a key outside its kind's key set, or take one of its keys away.
+KEYS = {
+    "header key outside its set": (_edit_header(lambda header: header.update(extra=1)),
+                                   r"^header field 'extra': unknown key 'extra'$"),
+    "header without its node count": (_edit_header(lambda header: header.pop("nodeCount")),
+                                      r"^header field 'nodeCount': missing key 'nodeCount'$"),
+    "header without its scenario": (_edit_header(lambda header: header.pop("scenario")),
+                                    r"^header field 'scenario': missing key 'scenario'$"),
+    "scenario option outside its set": (
+        _edit_header(lambda header: header["scenario"]["options"].update(fidelitymode=True)),
+        r"^header field 'scenario': unknown key 'options.fidelitymode'$"),
+    "scenario injection outside its set": (
+        _edit_header(lambda header: header["scenario"]["injections"][1].update(prio=1)),
+        r"^header field 'scenario': unknown key 'injections\[1\].prio'$"),
+    "tick line key outside its set": (_rename(3, "ar", "aR"), r"^tick 3: field 'aR': unknown key 'aR'$"),
+    "tick 0 key outside its set": (_set_field(0, "x", 1), r"^tick 0: field 'x': unknown key 'x'$"),
+    "tick 0 without its rows": (_drop_field(0, "rows"), r"^tick 0: field 'rows': missing key 'rows'$"),
+    "state key outside its set": (_rename(1, "buffers", "buffer", within="state"),
+                                  r"^tick 1: field 'state': unknown key 'buffer'$"),
+    "message key outside its set": (_edit_entry(0, 0, prio=1), r"^tick 0: field 'a': unknown key 'prio'$"),
+    "message without its payload": (_drop_key(0, 0, "data"), r"^tick 0: field 'a': missing key 'data'$"),
+    "symbol key outside its set": (_edit_entry(1, 0, extra=1), r"^tick 1: field 'ms': unknown key 'extra'$"),
+    "symbol without its kind": (_drop_key(1, 0, "sym"), r"^tick 1: field 'ms': missing key 'sym'$"),
+    "buffer state key outside its set": (_edit_entry(1, 3, x=1), r"^tick 1: field 'state': unknown key 'x'$"),
+    "decoder state key outside its set": (_edit_entry(0, 6, lastID=None),
+                                          r"^tick 0: field 'state': unknown key 'lastID'$"),
+    "encoder state without its payload": (_drop_key(0, 7, "pending"),
+                                          r"^tick 0: field 'state': missing key 'pending'$"),
+    "logical layer state key outside its set": (_edit_entry(0, 8, lid2=0),
+                                                r"^tick 0: field 'state': unknown key 'lid2'$"),
+}
+
+
 def _assert_rejected(text: str, message: str, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         trace_from_jsonl(text)
@@ -548,6 +641,20 @@ def test_malformed_version_4_lines_name_the_tick_and_field(case, two_node_scenar
 @pytest.mark.parametrize("case", sorted(MALFORMED_V5))
 def test_malformed_version_5_lines_name_the_tick_and_field(case, two_node_scenario, tmp_path, capsys):
     _assert_edit_rejected(MALFORMED_V5, case, two_node_scenario, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(KEYS))
+def test_a_key_outside_its_objects_set_or_missing_is_named(case, two_node_scenario, tmp_path, capsys):
+    _assert_edit_rejected(KEYS, case, two_node_scenario, tmp_path, capsys)
+
+
+def test_a_request_cell_of_two_tokens_and_row_3_load_and_are_reported(two_node_scenario):
+    """Values within their field's universe load, and the checks report what is wrong with them."""
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    _edits(_set_entry(0, 3, [0, 0]), _set_entry(0, 4, 3))(lines)
+    report = check_all(trace_from_jsonl("\n".join(lines) + "\n"))
+    found = {(v.predicate, v.tick, v.streams) for v in report.violations}
+    assert {("msg1", 0, ("r_1",)), ("msg1", 0, ("r_2",)), ("row3", 0, ("node_1",)), ("row3", 0, ("node_2",))} <= found
 
 
 def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
@@ -635,3 +742,70 @@ def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
     except ValueError:
         return
     assert isinstance(check_all(trace), Report)
+
+
+def _objects(value):
+    """Every JSON object within a JSON value, outermost first."""
+    if type(value) is dict:
+        yield value
+        for inner in value.values():
+            yield from _objects(inner)
+    elif type(value) is list:
+        for inner in value:
+            yield from _objects(inner)
+
+
+# Every key of every kind of object that a scenario document or a trace file holds.
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v6.jsonl").read_text().splitlines()
+               for obj in _objects(json.loads(line)) for key in obj}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_a_renamed_key_is_named_by_the_error(rng, data):
+    """Rename one key of one object of a random scenario document, or of its run's dump (the header, its scenario, a
+    tick line, its state or a table entry): the load must raise an error that names the key, by its old name or by
+    its new one."""
+    s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
+    in_dump = data.draw(st.booleans(), label="rename in the dump")
+    lines = trace_to_jsonl(run_scenario(s)).splitlines() if in_dump else [scenario_to_json(s)]
+    values = [json.loads(line) for line in lines]
+    objects = [(n, obj) for n, value in enumerate(values) for obj in _objects(value)]
+    n, obj = objects[data.draw(st.integers(0, len(objects) - 1), label="object")]
+    old = data.draw(st.sampled_from(sorted(obj)), label="key")
+    new = data.draw(st.one_of(st.sampled_from([old[:-1], old + "s", old.upper(), "x" + old]),
+                              st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3))
+                    .filter(lambda key: key and key not in _KNOWN_KEYS), label="new key")
+    obj[new] = obj.pop(old)
+    lines[n] = _dumps(values[n])
+    with pytest.raises(ValueError if in_dump else ScenarioError) as info:
+        (trace_from_jsonl if in_dump else scenario_from_json)("\n".join(lines) + "\n")
+    assert any(re.search(rf"[.']{re.escape(key)}'", str(info.value)) for key in (old, new)), info.value
+
+
+_SCENARIO_KEY_NAMES = ("nodeCount", "horizon", "injections", "options", "bootstrapRequestTick", "fidelityMode",
+                       "node", "tick", "id", "data")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.sampled_from(["", "aa", "0g", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_SCENARIO_KEY_NAMES) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_scenario_document_of_any_json_value_loads_or_raises_a_scenario_error(data):
+    """Any JSON value, or a valid document with one value replaced by any JSON value, loads as a scenario or raises a
+    ScenarioError; no other exception leaves the loader."""
+    document = json.loads(json.dumps(_DOCUMENT))
+    if data.draw(st.booleans(), label="a whole value"):
+        document = data.draw(_JSON, label="document")
+    else:
+        objects = list(_objects(document))
+        obj = objects[data.draw(st.integers(0, len(objects) - 1), label="object")]
+        obj[data.draw(st.sampled_from(sorted(obj)) | st.sampled_from(_SCENARIO_KEY_NAMES), label="key")] = data.draw(
+            _JSON, label="value")
+    try:
+        scenario_from_json(json.dumps(document))
+    except ScenarioError:
+        pass
