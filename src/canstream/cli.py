@@ -99,7 +99,7 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or a header value nested too deeply for its error to show it
         print(f"malformed trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = check_all(trace, predicates=predicates)

@@ -28,9 +28,9 @@ has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
 reads version 6 (TRACE_VERSION) only; an older trace is regenerated by running
 the scenario in its header.
 
-Both formats are closed: each kind of JSON object has one key set, which a
-loader checks once per object, so a misspelled key is an error that names it
-and its place ("unknown key 'options.fidelitymode'"), never a missing field.
+Both formats are closed: one table gives each object kind its keys and their
+value kinds, and one reader checks them, so an error names the key and its
+place ("unknown key 'options.fidelitymode'"), never a missing field.
 
 Within one dump each value becomes text once and is then found by its id(),
 which is exact: the values are immutable and the trace keeps them alive for the
@@ -90,94 +90,101 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-# JSON value kinds a scenario or trace field may take, as (test, description).
-# A bool is not an integer here, and nothing is coerced.
-_INT = (lambda v: type(v) is int, "an integer")
-_INTS = (lambda v: type(v) is list and {int}.issuperset(map(type, v)), "a list of integers")
-_INT_OR_NULL = (lambda v: v is None or type(v) is int, "an integer or null")
-_BOOL = (lambda v: type(v) is bool, "true or false")
-_HEX = (lambda v: isinstance(v, str) and len(v) % 2 == 0 and not v.strip(hexdigits), "a hex string")
-_LIST = (lambda v: type(v) is list, "a list")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INVALID = object()  # what a kind reads a value of another kind as; the value of a key that an object lacks
+
+# JSON value kinds a scenario or trace field may take, as (reader, description): a reader gives the value as read, or
+# _INVALID for a value of another kind. A bool is not an integer here, and nothing is coerced.
+_ANY = (lambda v: v, "given")
+_INT = (lambda v: v if type(v) is int else _INVALID, "an integer")
+_INTS = (lambda v: v if type(v) is list and {int}.issuperset(map(type, v)) else _INVALID, "a list of integers")
+_INT_OR_NULL = (lambda v: v if v is None or type(v) is int else _INVALID, "an integer or null")
+_BOOL = (lambda v: v if type(v) is bool else _INVALID, "true or false")
+_HEX = (lambda v: bytes.fromhex(v) if isinstance(v, str) and len(v) % 2 == 0 and not v.strip(hexdigits) else _INVALID,
+        "a hex string")
+_HEX_OR_NULL = (lambda v: v if v is None else _HEX[0](v), "a hex string")
+_OBJECT = (lambda v: v if isinstance(v, dict) else _INVALID, "an object")
 
 
-def _checked(name: str, value, kind: tuple, *args):
-    """value if it is of the given kind, else a ScenarioError naming the field, `name % args`; the name is formatted
-    only then."""
-    accepts, expected = kind
-    if not accepts(value):
-        raise ScenarioError(f"{name % args} must be {expected}, got {json.dumps(value)}")
-    return value
+def _or(kind: tuple, default) -> tuple:
+    """The kind of an optional key: `kind`, with a missing value read as `default`."""
+    return (lambda v: default if v is _INVALID else kind[0](v)), kind[1]
 
 
-def _hex(name: str, value, *args) -> bytes:
-    """The bytes of a hex-string payload field; any other value raises a ScenarioError naming the field."""
-    return bytes.fromhex(_checked(name, value, _HEX, *args))
+# Each kind of JSON object that `_read` reads: its keys in reading order, each with the kind of its value. A key is
+# optional if its kind reads a missing value. A symbol's `sym` picks the kind of its `value`, and a buffer's `b` is a
+# reference: `_symbol` and `_buffer_state` check those.
+_OPTIONS = {"bootstrapRequestTick": _or(_INT_OR_NULL, 0), "fidelityMode": _or(_BOOL, False)}
+_INJECTION = {"node": _INT, "tick": _INT, "id": _INT, "data": _HEX}
+_SCENARIO = {"nodeCount": _INT, "horizon": _INT,
+             "injections": _or((lambda v: tuple(map(_injection, v, range(len(v)))) if type(v) is list else _INVALID,
+                                "a list"), ()),
+             "options": _or((lambda v: RunOptions(*_read(v, _OPTIONS, "options.")), "an object"), RunOptions())}
+_MESSAGE = {"id": _INT, "data": _HEX}
+_SYMBOL = {"sym": _ANY, "value": _ANY}
+_BUFFER = {"b": _ANY, "buf": _INTS}
+_DECODER = {"d": _BOOL, "lastId": _INT_OR_NULL}
+_ENCODER = {"e": _BOOL, "pending": _HEX_OR_NULL}
+_LLAYER = {"lid": _INT}
+# The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
+_HEADER = dict.fromkeys(("format", "version", "scenario", "nodeCount", "horizon")).keys()
+_TICK = dict.fromkeys(("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
 
 
-def _keys(*names: str):
-    """A key set, a set view that iterates in the order given: the order a reader reads the keys."""
-    return dict.fromkeys(names).keys()
+def _checked(name: str, value, kind: tuple):
+    """`value` as its kind reads it, or a ValueError naming the field `name` if it is of another kind."""
+    read = kind[0](value)
+    if read is _INVALID:
+        raise ValueError(f"{name} must be {kind[1]}, got {json.dumps(value)}")
+    return read
 
 
-# The key set of each kind of JSON object in a scenario or trace file.
-_SCENARIO, _SCENARIO_REQUIRED = _keys("nodeCount", "horizon", "injections", "options"), _keys("nodeCount", "horizon")
-_OPTIONS = _keys("bootstrapRequestTick", "fidelityMode")
-_INJECTION = _keys("node", "tick", "id", "data")
-_HEADER = _keys("format", "version", "scenario", "nodeCount", "horizon")
-_TICK = _keys("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")
-_COMPONENTS = _keys("buffers", "decoders", "encoders", "llayers")  # the per-node families of a state
-_MESSAGE = _keys("id", "data")
-_SYMBOL = _keys("sym", "value")
-_BUFFER = _keys("b", "buf")
-_DECODER = _keys("d", "lastId")
-_ENCODER = _keys("e", "pending")
-_LLAYER = _keys("lid")
-_NONE = _keys()
+def _misfit(obj: dict, keys, required) -> tuple[str, str] | None:
+    """The key that keeps `obj` from fitting its key set, and the reason: the first key of `required` that it lacks, in
+    order ("missing key"), else its first key outside `keys`, in sorted order ("unknown key"); None if it fits."""
+    missing, unknown = [key for key in required if key not in obj], obj.keys() - keys
+    return (missing[0], "missing key") if missing else (min(unknown), "unknown key") if unknown else None
 
 
-def _misfit(obj: dict, keys, required) -> tuple[str, str]:
-    """The key that keeps `obj` from fitting its key set: the first key of `required` that it lacks, in order, else
-    its first key outside `keys`, in sorted order; and the reason, "missing key" or "unknown key"."""
-    missing = [key for key in required if key not in obj]
-    return (missing[0], "missing key") if missing else (min(obj.keys() - keys), "unknown key")
+def _read(obj, schema: dict, where: str = "") -> list:
+    """The values of `obj`, an object of the kind `schema`, in key order, each as its kind reads it. An object that
+    does not fit raises `_unfit`'s error."""
+    if type(obj) is dict and obj.keys() <= schema.keys():
+        values = []
+        for key, (read, _) in schema.items():
+            value = read(obj.get(key, _INVALID))
+            if value is _INVALID:
+                break
+            values.append(value)
+        else:
+            return values
+    raise _unfit(obj, schema, where)
 
 
-def _unfit(obj, keys, where: str = "", required=None, error=ValueError) -> ValueError:
-    """The error for `obj`, which is not a JSON object with each key of `required` (by default, all of `keys`) and no
-    other key: it names the key that does not fit after the path `where`. A reader makes it only when one comparison of
-    the object's keys with `keys` fails."""
+def _unfit(obj, schema: dict, where: str) -> ValueError:
+    """The error for `obj`, which does not fit `schema`, naming after the path `where` the first thing wrong: that it
+    is not an object, a key (see `_misfit`), or else its first value of the wrong kind, which `_checked` raises."""
     if type(obj) is not dict:
-        return error(f"expected an object, got {_dumps(obj)}")
-    key, reason = _misfit(obj, keys, keys if required is None else required)
-    return error(f"{reason} {where + key!r}")
+        return ValueError(f"{where[:-1]} must be an object, got {json.dumps(obj)}" if where else
+                          f"expected an object, got {_dumps(obj)}")
+    misfit = _misfit(obj, schema.keys(), [key for key, kind in schema.items() if kind[0](_INVALID) is _INVALID])
+    if misfit:
+        return ValueError(f"{misfit[1]} {where + misfit[0]!r}")
+    for key, kind in schema.items():
+        _checked(where + key, obj.get(key, _INVALID), kind)
+
+
+def _injection(obj, k: int) -> Injection:
+    node, tick, ident, data = _read(obj, _INJECTION, f"injections[{k}].")
+    return Injection(node, tick, AMessage(ident, data))
 
 
 def scenario_from_dict(obj) -> Scenario:
     """The scenario of a parsed JSON document; a field of the wrong kind, or a key missing from or outside its
     object's key set, raises ScenarioError."""
-    if not _SCENARIO_REQUIRED <= _checked("scenario", obj, _OBJECT).keys() <= _SCENARIO:
-        raise _unfit(obj, _SCENARIO, required=_SCENARIO_REQUIRED, error=ScenarioError)
-    opts = _checked("options", obj.get("options", {}), _OBJECT)
-    if not opts.keys() <= _OPTIONS:
-        raise _unfit(opts, _OPTIONS, "options.", _NONE, ScenarioError)
-    injections = []
-    for k, inj in enumerate(_checked("injections", obj.get("injections", []), _LIST)):
-        if type(inj) is not dict or inj.keys() != _INJECTION:
-            raise _unfit(_checked("injections[%d]", inj, _OBJECT, k), _INJECTION, f"injections[{k}].",
-                         error=ScenarioError)
-        node = _checked("injections[%d].node", inj["node"], _INT, k)
-        tick = _checked("injections[%d].tick", inj["tick"], _INT, k)
-        ident = _checked("injections[%d].id", inj["id"], _INT, k)
-        injections.append(Injection(node, tick, AMessage(ident, _hex("injections[%d].data", inj["data"], k))))
-    boot = _checked("bootstrapRequestTick", opts.get("bootstrapRequestTick", 0), _INT_OR_NULL)
-    fidelity = _checked("fidelityMode", opts.get("fidelityMode", False), _BOOL)
-    return Scenario(
-        node_count=_checked("nodeCount", obj["nodeCount"], _INT),
-        horizon=_checked("horizon", obj["horizon"], _INT),
-        injections=tuple(injections),
-        options=RunOptions(bootstrap_request_tick=boot, fidelity_row2=fidelity),
-    )
+    try:
+        return Scenario(*_read(_checked("scenario", obj, _OBJECT), _SCENARIO))
+    except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
+        raise ScenarioError(exc) from None
 
 
 def scenario_to_json(s: Scenario) -> str:
@@ -185,7 +192,11 @@ def scenario_to_json(s: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    return scenario_from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer of too many digits, or nesting too deep
+        raise ScenarioError(exc) from exc
+    return scenario_from_dict(obj)
 
 
 # -- traces -------------------------------------------------------------------
@@ -291,30 +302,19 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def _symbol(obj):
-    if type(obj) is not dict or obj.keys() != _SYMBOL:
-        raise _unfit(obj, _SYMBOL)
-    kind, value = obj["sym"], obj["value"]
+    kind, value = _read(obj, _SYMBOL)
     if kind not in ("id", "data"):
         raise ValueError(f"unknown symbol kind {kind!r}")
-    return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(_hex("value", value))
+    return IdSym(_checked("value", value, _INT)) if kind == "id" else DataSym(_checked("value", value, _HEX))
 
 
-def _amessage(obj) -> AMessage:
-    if type(obj) is not dict or obj.keys() != _MESSAGE:
-        raise _unfit(obj, _MESSAGE)
-    return AMessage(_checked("id", obj["id"], _INT), _hex("data", obj["data"]))
-
-
-def _amessages(cell) -> tuple:
-    if type(cell) is not list:
-        raise ValueError(f"cell must be a list, got {_dumps(cell)}")
-    return tuple(map(_amessage, cell))
-
-
-def _symbols(cell) -> tuple:
-    if type(cell) is not list:
-        raise ValueError(f"cell must be a list, got {_dumps(cell)}")
-    return tuple(map(_symbol, cell))
+def _cell(read):
+    """The reader of a cell, a list of values that `read` reads."""
+    def cell(value) -> tuple:
+        if type(value) is not list:
+            raise ValueError(f"cell must be a list, got {_dumps(value)}")
+        return tuple(map(read, value))
+    return cell
 
 
 def _requests(cell) -> tuple:
@@ -332,10 +332,9 @@ def _row(value) -> int:
 def _buffer_state(obj, cell) -> BufferState:
     """A buffer state entry, whose references `cell` reads as message cells: the offer slot's cell and the cell of each
     queued message alone."""
-    if type(obj) is not dict or obj.keys() != _BUFFER:
-        raise _unfit(obj, _BUFFER)
-    offer, queued = cell(obj["b"]), []
-    for k in _checked("buf", obj["buf"], _INTS):
+    offer, refs = _read(obj, _BUFFER)
+    offer, queued = cell(offer), []
+    for k in refs:
         alone = cell(k)
         if len(alone) != 1:
             raise ValueError(f"buf: expected a reference to a cell of one message, got {k}, a cell of {len(alone)}")
@@ -343,29 +342,14 @@ def _buffer_state(obj, cell) -> BufferState:
     return BufferState(tuple(queued), offer)
 
 
-def _decoder_state(obj) -> DecoderState:
-    if type(obj) is not dict or obj.keys() != _DECODER:
-        raise _unfit(obj, _DECODER)
-    return DecoderState(_checked("d", obj["d"], _BOOL), _checked("lastId", obj["lastId"], _INT_OR_NULL))
-
-
-def _encoder_state(obj) -> EncoderState:
-    if type(obj) is not dict or obj.keys() != _ENCODER:
-        raise _unfit(obj, _ENCODER)
-    pending = obj["pending"]
-    return EncoderState(_checked("e", obj["e"], _BOOL), None if pending is None else _hex("pending", pending))
-
-
-def _llayer_state(obj) -> LogicalLayerState:
-    if type(obj) is not dict or obj.keys() != _LLAYER:
-        raise _unfit(obj, _LLAYER)
-    return LogicalLayerState(_checked("lid", obj["lid"], _INT))
-
-
+_amessages = _cell(lambda obj: AMessage(*_read(obj, _MESSAGE)))
 # How a JSON value is read as each kind of value: a cell of each family, a row, or one node's component state.
-_CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _symbols),
+_CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _cell(_symbol)),
           "r": _requests}
-_STATES = {"buffers": _buffer_state, "decoders": _decoder_state, "encoders": _encoder_state, "llayers": _llayer_state}
+_STATES = {"buffers": _buffer_state, "decoders": lambda obj: DecoderState(*_read(obj, _DECODER)),
+           "encoders": lambda obj: EncoderState(*_read(obj, _ENCODER)),
+           "llayers": lambda obj: LogicalLayerState(*_read(obj, _LLAYER))}
+_COMPONENTS = _STATES.keys()  # the per-node families of a state
 
 
 def _table_readers(n: int, table: list):
@@ -398,10 +382,13 @@ def _table_readers(n: int, table: list):
             if same is None:
                 same = copies[read][value] = (entry(value, read),) * n
             return same
-        if not (type(value) is list and all(type(pair) is list and len(pair) == 2 for pair in value)):
-            raise ValueError(f"expected a reference or a list of [node index, reference] pairs, got {_dumps(value)}")
         new, last = list(old), -1
-        for i, k in value:
+        # The pairs are tested in the loop, and any other value is read as one malformed pair.
+        for pair in value if type(value) is list else [value]:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"expected a reference or a list of [node index, reference] pairs, "
+                                 f"got {_dumps(value)}")
+            i, k = pair
             if type(i) is not int or not last < i < n:
                 raise ValueError(f"node index {_dumps(i)} out of order or out of range")
             new[i], last = entry(k, read), i
@@ -411,8 +398,8 @@ def _table_readers(n: int, table: list):
 
 def _snapshot_from_obj(obj, prev: dict, base: dict, entries) -> dict:
     """`prev` with each family that one tick line's state gives read against that family in `base`."""
-    if type(obj) is not dict or not obj.keys() <= _COMPONENTS:
-        raise _unfit(obj, _COMPONENTS, required=_NONE)
+    if type(obj) is not dict or not obj.keys() <= _COMPONENTS:  # each family of a state is optional
+        raise _unfit(obj, dict.fromkeys(_COMPONENTS, _or(_ANY, None)), "")
     return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
 
 
@@ -436,14 +423,14 @@ def _json_line(number: int, line: str, tick: int | None = None):
     it holds."""
     try:
         value, end = _decode(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         end = None
     if end == len(line):
         return value
     # Blanks around the value, extra data or no JSON at all: json.loads reads the blanks and words the errors.
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer of too many digits, or nesting too deep
         raise ValueError(f"line {number} ({'header' if tick is None else f'tick {tick}'}): {exc}") from exc
 
 
@@ -507,7 +494,7 @@ def trace_from_jsonl(text: str) -> Trace:
                 continue
             # Tick 0 gives every key of a tick line, and a later line any of them.
             if not (tick.keys() <= _TICK if t else tick.keys() == _TICK):
-                field, reason = _misfit(tick, _TICK, _NONE if t else _TICK)
+                field, reason = _misfit(tick, _TICK, () if t else _TICK)
                 raise ValueError(f"{reason} {field!r}")
             if "new" in tick:
                 field = "new"
@@ -530,7 +517,7 @@ def trace_from_jsonl(text: str) -> Trace:
                                  "tick 1 must give every node's state in each family it gives")
             records.append(record)
             states.append(snap)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
             raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
     return assemble_trace(scenario, records[2:], states[2:], error)
 

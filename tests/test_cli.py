@@ -171,12 +171,13 @@ def _with_injection_field(key, value):
 
 # Scenario documents the loader rejects, by case: (document, what stderr names).
 MISTYPED = {
-    "fidelityMode string": (_with_option("fidelityMode", "false"), 'fidelityMode must be true or false, got "false"'),
-    "fidelityMode int": (_with_option("fidelityMode", 0), "fidelityMode must be true or false, got 0"),
+    "fidelityMode string": (_with_option("fidelityMode", "false"),
+                            'options.fidelityMode must be true or false, got "false"'),
+    "fidelityMode int": (_with_option("fidelityMode", 0), "options.fidelityMode must be true or false, got 0"),
     "bootstrap string": (_with_option("bootstrapRequestTick", "0"),
-                         'bootstrapRequestTick must be an integer or null, got "0"'),
+                         'options.bootstrapRequestTick must be an integer or null, got "0"'),
     "bootstrap bool": (_with_option("bootstrapRequestTick", True),
-                       "bootstrapRequestTick must be an integer or null, got true"),
+                       "options.bootstrapRequestTick must be an integer or null, got true"),
     "reqDelay bool": (_with_option("reqDelay", True), "unknown key 'options.reqDelay'"),
     "bootstrap negative": (_with_option("bootstrapRequestTick", -1),
                            "bootstrap: bootstrapRequestTick must be >= 0, got -1"),
@@ -188,6 +189,9 @@ MISTYPED = {
     "data int": (_with_injection_field("data", 171), "injections[0].data must be a hex string, got 171"),
     "data spaced": (_with_injection_field("data", "a b"), 'injections[0].data must be a hex string, got "a b"'),
     "payload 9 octets": (_with_injection_field("data", "00" * 9), "payload: payload of 9 octets exceeds 8"),
+    # Texts that do not decode, given as they are.
+    "nested 100,000 deep": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    "horizon of 5,000 digits": ('{"nodeCount":1,"horizon":%s}' % ("1" * 5000), "Exceeds the limit (4300"),
 }
 
 
@@ -205,7 +209,7 @@ UNFIT = {
 
 def _assert_run_rejects(document, message: str, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(document))
+    bad.write_text(document if isinstance(document, str) else json.dumps(document))
     assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "t").exists()

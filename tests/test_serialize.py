@@ -132,6 +132,10 @@ SCENARIO_KEYS = {
                                         r"^injections\[0\] must be an object, got \[1, 0, 3, \"aa\"\]$"),
     "null options": ({**_DOCUMENT, "options": None}, r"^options must be an object, got null$"),
     "null document": (None, r"^scenario must be an object, got null$"),
+    # Texts that do not decode, given as they are.
+    "document that is not JSON": ("{not json", r"^Expecting property name enclosed in double quotes"),
+    "document nested 100,000 deep": ("[" * 100_000 + "]" * 100_000, r"^maximum recursion depth exceeded"),
+    "node count of 5,000 digits": ('{"nodeCount":%s,"horizon":4}' % ("1" * 5000), r"^Exceeds the limit \(4300"),
 }
 
 
@@ -139,7 +143,7 @@ SCENARIO_KEYS = {
 def test_a_scenario_key_that_does_not_fit_is_named(case):
     document, message = SCENARIO_KEYS[case]
     with pytest.raises(ScenarioError, match=message):
-        scenario_from_json(json.dumps(document))
+        scenario_from_json(document if isinstance(document, str) else json.dumps(document))
 
 
 # The request delay (rule req-delay) and the frame latency (rule mt-latency) were options fixed at 1 and 2; any other
@@ -383,6 +387,12 @@ MALFORMED = {
     "truncated tick line after blank lines": (_truncated_tick_line(2), r"^line 6 \(tick 2\): Expecting value"),
     "extra data after a tick": (lambda lines: lines.__setitem__(3, '{"t":2} {"t":2}'),
                                 r"^line 4 \(tick 2\): Extra data: line 1 column 9 \(char 8\)$"),
+    "header nested 100,000 deep": (lambda lines: lines.__setitem__(0, "[" * 100_000 + "]" * 100_000),
+                                   r"^line 1 \(header\): maximum recursion depth exceeded"),
+    "tick line nested 100,000 deep": (lambda lines: lines.__setitem__(3, "[" * 100_000 + "]" * 100_000),
+                                      r"^line 4 \(tick 2\): maximum recursion depth exceeded"),
+    "tick of 5,000 digits": (lambda lines: lines.__setitem__(3, '{"t":%s}' % ("1" * 5000)),
+                             r"^line 4 \(tick 2\): Exceeds the limit \(4300"),
     "missing tick line": (lambda lines: lines.pop(), r"^expected 8 tick lines, found 7$"),
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
