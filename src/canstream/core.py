@@ -188,7 +188,7 @@ class Trace:
     streams maps a family name ("a", "as", "ar", "r", "ms", "mr", "ws") to one
     TimedStream per node (index 0 is node 1). wire is the shared bus stream.
     rows[t][i] is the bus-access table row that fired for node i+1 at tick t.
-    states[t] is the snapshot of every component state entering tick t.
+    states[t], from tick t's record, is the snapshot of every state entering it.
     The node count is the scenario's, and the horizon the number of ticks
     recorded, which is fewer than the scenario's when the run failed.
     """
@@ -218,15 +218,16 @@ class Trace:
         return self.streams[family][node - 1]
 
 
-def assemble_trace(scenario: Scenario, records, states, error: dict | None = None) -> Trace:
-    """The Trace of a run's per-tick records and the state snapshots entering those ticks.
+def assemble_trace(scenario: Scenario, records, error: dict | None = None) -> Trace:
+    """The Trace of a run's per-tick records.
 
     A record holds, per family of PER_NODE_FAMILIES in that order, one cell
-    per node, then the wire cell and the tuple of rows (see system.tick_system).
+    per node, then the wire cell, the tuple of rows and the snapshot of the
+    component states entering its tick (see system.tick_system).
     """
     if not records:
         return Trace(scenario, {f: (TimedStream(()),) * scenario.node_count for f in PER_NODE_FAMILIES},
-                     TimedStream(()), (), tuple(states), error)
-    *families, wire, rows = zip(*records)
+                     TimedStream(()), (), (), error)
+    *families, wire, rows, states = zip(*records)
     streams = {f: tuple(map(TimedStream, zip(*ticks))) for f, ticks in zip(PER_NODE_FAMILIES, families)}
-    return Trace(scenario, streams, TimedStream(wire), rows, tuple(states), error)
+    return Trace(scenario, streams, TimedStream(wire), rows, states, error)

@@ -471,13 +471,13 @@ def trace_from_jsonl(text: str) -> Trace:
 
     table: list = []
     entry, entries = _table_readers(n, table)
-    # A record's fields, in its order, each with its reader and whether it has an entry per node.
+    # A record's fields before its state, in its order, each with its reader and whether it has an entry per node.
     fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
     fields += [("wr", _CELLS["wr"], False), ("rows", _row, True)]
     # Two ticks of empty cells, unknown rows and unknown states come before tick 0; a line's pairs apply to the
     # entries of two ticks before.
-    blank, unknown = [((),) * n] * (len(fields) - 1) + [(None,) * n], dict.fromkeys(_COMPONENTS, (None,) * n)
-    records, states = [blank] * 2, [unknown] * 2
+    blank = [((),) * n] * (len(fields) - 1) + [(None,) * n, dict.fromkeys(_COMPONENTS, (None,) * n)]
+    records = [blank] * 2
     for t, tick in enumerate(ticks):
         if type(tick) is not dict:
             raise ValueError(f"tick {t}: expected an object, got {_dumps(tick)}")
@@ -490,7 +490,6 @@ def trace_from_jsonl(text: str) -> Trace:
             # tick.
             if t and len(tick) == 1:
                 records.append(records[-1])
-                states.append(states[-1])
                 continue
             # Tick 0 gives every key of a tick line, and a later line any of them.
             if not (tick.keys() <= _TICK if t else tick.keys() == _TICK):
@@ -509,17 +508,17 @@ def trace_from_jsonl(text: str) -> Trace:
                     record.append(entries(tick[field], read, records[-2][k]) if per_node else entry(tick[field], read))
             if t < 2 and None in record[-1]:  # the last field read is "rows"
                 raise ValueError(f"tick {t} must give every node's row")
-            field, snap = "state", states[-1]
+            field, snap = "state", records[-1][-1]
             if "state" in tick:
-                snap = _snapshot_from_obj(tick["state"], snap, states[-2], entries)
+                snap = _snapshot_from_obj(tick["state"], snap, records[-2][-1], entries)
             if t < 2 and any(None in snap[key] for key in _COMPONENTS):
                 raise ValueError("tick 0 must give every component state" if t == 0 else
                                  "tick 1 must give every node's state in each family it gives")
+            record.append(snap)
             records.append(record)
-            states.append(snap)
         except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
             raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
-    return assemble_trace(scenario, records[2:], states[2:], error)
+    return assemble_trace(scenario, records[2:], error)
 
 
 # -- reports ------------------------------------------------------------------

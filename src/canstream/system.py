@@ -7,9 +7,9 @@ application stream `a`, the buffer snapshots and the scenario it ran.
 
 Like each component, the kernel maps a state and the inputs of tick t to the
 outputs of tick t and the next state: it returns the next state and the
-tick's record of every stream cell. `run_scenario` keeps the records of the
-ticks that finished, and `core.assemble_trace` turns them into the Trace, so
-a tick that fails leaves nothing to cut back.
+tick's record, its stream cells and the states it was given. `run_scenario`
+keeps the records of the finished ticks, and `core.assemble_trace` turns them
+into the Trace, so a tick that fails leaves nothing to cut back.
 
 Within a tick the bus first emits from its latch, the previous tick's ws row.
 Then each node in turn runs its whole chain: buffer emission, encoder,
@@ -123,7 +123,8 @@ def tick_system(
 
     cells[i] is node i+1's application cell a at tick t, which its buffer
     takes in. The record holds, per family of PER_NODE_FAMILIES in that order,
-    one cell per node, then the wire cell wr and the tuple of rows that fired;
+    one cell per node, then the wire cell wr, the tuple of rows that fired and
+    the snapshot {"buffers", "encoders", "decoders", "llayers"} of `state`;
     assemble_trace turns a run's records into its Trace.
 
     Slot 2*i + p of `last` keeps node i's last encoder_step call at tick parity
@@ -172,7 +173,8 @@ def tick_system(
     a, as_, ar, r, ms, mr, ws, rows, buffers, encoders, decoders, llayers, raised = zip(*nodes)
     next_state = SystemState(buffers=buffers, encoders=encoders, decoders=decoders, llayers=llayers,
                              wire=ws, raised=raised)
-    return next_state, (a, as_, ar, r, ms, mr, ws, wr, rows)
+    return next_state, (a, as_, ar, r, ms, mr, ws, wr, rows, {"buffers": state.buffers, "encoders": state.encoders,
+                                                             "decoders": state.decoders, "llayers": state.llayers})
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -187,18 +189,15 @@ def run_scenario(scenario: Scenario) -> Trace:
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     state = initial_state(n)
-    last, records, states = [_UNSEEN] * (2 * n + 1), [], []
+    last, records = [_UNSEEN] * (2 * n + 1), []
     for t in range(scenario.horizon):
-        snapshot = {"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
-                    "llayers": state.llayers}
         try:
             state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
         except ModelViolation as exc:
-            partial = assemble_trace(scenario, records, states, error={"tick": t, "message": str(exc)})
+            partial = assemble_trace(scenario, records, error={"tick": t, "message": str(exc)})
             raise RunError(f"tick {t}: {exc}", partial) from exc
         records.append(record)
-        states.append(snapshot)
-    return assemble_trace(scenario, records, states)
+    return assemble_trace(scenario, records)
 
 
 def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:

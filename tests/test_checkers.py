@@ -175,7 +175,7 @@ def test_a_tie_in_a_trace_stepped_outside_run_scenario_fails_the_checks():
     for t in range(8):
         state, record = tick_system(state, tie if t == 1 else ((), ()), t, RunOptions())
         records.append(record)
-    report = check_all(assemble_trace(Scenario(2, 8), records, ()), ("transmission",))
+    report = check_all(assemble_trace(Scenario(2, 8), records), ("transmission",))
     assert not report.ok()
     assert [(v.tick, v.streams, v.observed) for v in report.violations] == [
         (3, ("as_1", "as_2"), "identifier 3 offered by nodes [1, 2]")]
@@ -227,7 +227,6 @@ def test_structural_flags_unsorted_buffer():
         "encoders": (),
         "decoders": (),
         "llayers": (),
-        "wire": None,
     }
     t = make_trace({"mr": [[()]], "ar": [[()]]}, states=(snap,))
     found = check_structural(t)
@@ -240,7 +239,6 @@ def test_structural_flags_cache_flag_mismatch():
         "encoders": (EncoderState(e=True, pending=None),),
         "decoders": (DecoderState(d=False, last_id=7),),
         "llayers": (),
-        "wire": None,
     }
     t = make_trace({"mr": [[()]], "ar": [[()]]}, states=(snap,))
     found = check_structural(t)

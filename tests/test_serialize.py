@@ -716,6 +716,29 @@ def test_uppercase_hex_payloads_load_as_in_scenario_files():
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
+# The golden's header fields whose error texts echo their value, each with its value's text.
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "6"}
+
+
+def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
+    # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
+    text = (GOLDENS / "single_node.v6.jsonl").read_text()
+    header, ticks = text.split("\n", 1)
+    depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
+    for depth in depths:
+        nested = "[" * depth + "]" * depth
+        edits = {key: header.replace(f'"{key}":{value}', f'"{key}":{nested}', 1) + "\n" + ticks
+                 for key, value in _ECHOED_HEADER_FIELDS.items()}
+        edits["error line"] = text + nested + "\n"
+        for place, edited in edits.items():
+            assert edited != text
+            with pytest.raises(ValueError) as caught:
+                trace_from_jsonl(edited)
+            decoded[place] += "maximum recursion depth" not in str(caught.value)
+    # The sweep crosses the decoder's limit in every place: some depths decode, and some do not.
+    assert all(0 < decoded[place] < len(depths) for place in edits), decoded
+
+
 # JSON values of the shapes a trace file holds: cells of messages or symbols, rows, state fields.
 _MESSAGE = st.fixed_dictionaries({"data": st.sampled_from(["", "ab", "0c0d"]), "id": st.integers(0, 9)})
 _SYMBOL = st.one_of(st.fixed_dictionaries({"sym": st.just("id"), "value": st.integers(0, 9)}),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,17 +187,15 @@ def test_the_kernel_without_the_step_record_gives_the_same_run(monkeypatch):
 
 def _stepped_by_hand(s: Scenario):
     """The trace of stepping tick_system from the initial state, one call per tick and no reuse record."""
-    state, records, states = initial_state(s.node_count), [], []
+    state, records = initial_state(s.node_count), []
     for t in range(s.horizon):
         cells = [()] * s.node_count
         for inj in s.injections:
             if inj.tick == t:
                 cells[inj.node - 1] = (inj.message,)
-        states.append({"buffers": state.buffers, "encoders": state.encoders, "decoders": state.decoders,
-                       "llayers": state.llayers})
         state, record = tick_system(state, cells, t, s.options)
         records.append(record)
-    return assemble_trace(s, records, states)
+    return assemble_trace(s, records)
 
 
 @pytest.mark.parametrize("s", [
@@ -204,6 +204,14 @@ def _stepped_by_hand(s: Scenario):
     for i in range(12)] + [saturated(2), scenario(3, 0)])
 def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
+
+
+def test_the_python_blocks_of_the_readme_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2  # the library example and the hand-stepped run
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), {})
 
 
 def test_seeded_scenarios_are_reproducible():
