@@ -38,14 +38,14 @@ from .core import (
     validate_scenario,
 )
 from .oracle import CompareResult, compare_with_simulator, oracle_run
-from .system import RunError, SystemState, delivery_log, run_scenario, tick_system
+from .system import SystemState, delivery_log, run_scenario, tick_system
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AMessage", "AssumptionViolation", "CompareResult", "DataSym", "FRAME_LATENCY", "FormatViolation",
     "IdSym", "Injection", "InputCollision", "Message", "MixingViolation",
-    "ModelViolation", "REQ", "Report", "RunError",
+    "ModelViolation", "REQ", "Report",
     "RunOptions", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",
     "Violation", "assemble_trace", "check_all", "check_message_transmission", "check_msg1",
     "check_msg_can_format", "check_row3_unreachable", "check_structural",

@@ -1,7 +1,7 @@
 """Command-line front end: run, check, fuzz, oracle-diff.
 
 Exit codes: 0 pass, 1 check violations or inequivalence, 2 input error,
-3 runtime error, 64 usage error.
+3 runtime error (a component contract broke; no trace is written), 64 usage error.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .checkers import ALL_PREDICATES, Report, check_all
-from .core import ScenarioError
+from .core import ModelViolation, ScenarioError
 from .fuzzing import seeded_scenario
 from .oracle import compare_with_simulator
 from .serialize import (
@@ -20,7 +20,7 @@ from .serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .system import RunError, delivery_log, run_scenario
+from .system import delivery_log, run_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -77,9 +77,9 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RunError as exc:
+    except ModelViolation as exc:
         print(f"component error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME if _written(Path(args.trace), trace_to_jsonl(exc.trace), "trace") else EXIT_INPUT
+        return EXIT_RUNTIME
     if not _written(Path(args.trace), trace_to_jsonl(trace), "trace"):
         return EXIT_INPUT
     deliveries = delivery_log(trace)
@@ -91,7 +91,7 @@ def _cmd_check(args) -> int:
     predicates = ALL_PREDICATES if args.only is None else tuple(args.only.split(","))
     unknown = set(predicates) - set(ALL_PREDICATES)
     if unknown:
-        print(f"unknown predicate(s): {', '.join(sorted(unknown))} "
+        print(f"unknown predicate(s): {', '.join(map(repr, sorted(unknown)))} "
               f"(choose from {', '.join(ALL_PREDICATES)})", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -149,7 +149,7 @@ def _cmd_oracle_diff(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RunError as exc:
+    except ModelViolation as exc:
         print(f"component error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if result.equivalent:

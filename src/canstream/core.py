@@ -82,10 +82,6 @@ class TimedStream:
 
     cells: tuple[Cell, ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.cells)
-
 
 @dataclass(frozen=True, slots=True)
 class Injection:
@@ -190,7 +186,7 @@ class Trace:
     rows[t][i] is the bus-access table row that fired for node i+1 at tick t.
     states[t], from tick t's record, is the snapshot of every state entering it.
     The node count is the scenario's, and the horizon the number of ticks
-    recorded, which is fewer than the scenario's when the run failed.
+    recorded, which for a run is the scenario's.
     """
 
     scenario: Scenario
@@ -198,7 +194,6 @@ class Trace:
     wire: TimedStream
     rows: tuple[tuple[int, ...], ...]
     states: tuple[dict, ...]
-    error: dict | None = None
 
     @property
     def node_count(self) -> int:
@@ -218,8 +213,8 @@ class Trace:
         return self.streams[family][node - 1]
 
 
-def assemble_trace(scenario: Scenario, records, error: dict | None = None) -> Trace:
-    """The Trace of a run's per-tick records.
+def assemble_trace(scenario: Scenario, records) -> Trace:
+    """The Trace of a run's per-tick records, one for each tick of its horizon.
 
     A record holds, per family of PER_NODE_FAMILIES in that order, one cell
     per node, then the wire cell, the tuple of rows and the snapshot of the
@@ -227,7 +222,7 @@ def assemble_trace(scenario: Scenario, records, error: dict | None = None) -> Tr
     """
     if not records:
         return Trace(scenario, {f: (TimedStream(()),) * scenario.node_count for f in PER_NODE_FAMILIES},
-                     TimedStream(()), (), (), error)
+                     TimedStream(()), (), ())
     *families, wire, rows, states = zip(*records)
     streams = {f: tuple(map(TimedStream, zip(*ticks))) for f, ticks in zip(PER_NODE_FAMILIES, families)}
-    return Trace(scenario, streams, TimedStream(wire), rows, states, error)
+    return Trace(scenario, streams, TimedStream(wire), rows, states)

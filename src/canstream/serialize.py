@@ -296,8 +296,6 @@ def trace_to_jsonl(trace: Trace) -> str:
         parts.append('"t":%d' % t)
         # Each part starts with its quoted key, and a quote sorts before any letter, so the parts sort by key.
         lines.append("{%s}" % ",".join(sorted(parts)))
-    if trace.error is not None:
-        lines.append(_dumps({"error": trace.error}))
     return "\n".join(lines) + "\n"
 
 
@@ -403,21 +401,6 @@ def _snapshot_from_obj(obj, prev: dict, base: dict, entries) -> dict:
     return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
 
 
-def _error_record(line, ticks: int, horizon: int) -> dict:
-    """The error record of a failed run's last line, which follows its `ticks` tick lines.
-
-    A run fails at a tick within its horizon and records the ticks before it,
-    so the record's tick is `ticks`, below the scenario's `horizon`.
-    """
-    error = line.get("error") if isinstance(line, dict) and line.keys() == {"error"} else None
-    if not (isinstance(error, dict) and error.keys() == {"message", "tick"} and isinstance(error["message"], str)
-            and type(error["tick"]) is int and error["tick"] == ticks and ticks < horizon):
-        raise ValueError(f'error line: expected {{"error":{{"message":<a string>,"tick":{ticks}}}}}, the number '
-                         f"of tick lines, which a failed run keeps below the scenario's horizon of {horizon}; "
-                         f"got {_dumps(line)}")
-    return error
-
-
 def _json_line(number: int, line: str, tick: int | None = None):
     """The JSON value of one line of a trace file, the header or tick `tick`; a decode error names the line and what
     it holds."""
@@ -457,17 +440,11 @@ def trace_from_jsonl(text: str) -> Trace:
     n, horizon = header["nodeCount"], header["horizon"]
     if type(n) is not int or n != scenario.node_count:
         raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
+    if type(horizon) is not int or horizon != scenario.horizon:
+        raise ValueError(f"header field 'horizon': expected the scenario's {scenario.horizon}, got {_dumps(horizon)}")
     ticks = [_json_line(number, line, t) for t, (number, line) in enumerate(lines[1:])]
-    # A last line that is not a tick object is the error line of a failed run.
-    error_line = ticks.pop() if ticks and not (isinstance(ticks[-1], dict) and "error" not in ticks[-1]) else None
-    failed = error_line is not None
-    # A run that failed stops early; one that did not runs the scenario's whole horizon.
-    if type(horizon) is not int or horizon > scenario.horizon or (not failed and horizon < scenario.horizon):
-        bound = "at most" if failed else "expected"
-        raise ValueError(f"header field 'horizon': {bound} the scenario's {scenario.horizon}, got {_dumps(horizon)}")
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
-    error = _error_record(error_line, horizon, scenario.horizon) if failed else None
 
     table: list = []
     entry, entries = _table_readers(n, table)
@@ -518,7 +495,7 @@ def trace_from_jsonl(text: str) -> Trace:
             records.append(record)
         except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
             raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
-    return assemble_trace(scenario, records[2:], error)
+    return assemble_trace(scenario, records[2:])
 
 
 # -- reports ------------------------------------------------------------------

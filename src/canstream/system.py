@@ -8,8 +8,9 @@ application stream `a`, the buffer snapshots and the scenario it ran.
 Like each component, the kernel maps a state and the inputs of tick t to the
 outputs of tick t and the next state: it returns the next state and the
 tick's record, its stream cells and the states it was given. `run_scenario`
-keeps the records of the finished ticks, and `core.assemble_trace` turns them
-into the Trace, so a tick that fails leaves nothing to cut back.
+keeps the records, and `core.assemble_trace` turns them into the Trace. A
+validated scenario runs to its horizon; a component whose contract breaks
+raises its ModelViolation, which names the tick, and no trace is made.
 
 Within a tick the bus first emits from its latch, the previous tick's ws row.
 Then each node in turn runs its whole chain: buffer emission, encoder,
@@ -61,7 +62,6 @@ from .components import (
 from .core import (
     AMessage,
     Cell,
-    ModelViolation,
     RunOptions,
     Scenario,
     Trace,
@@ -90,14 +90,6 @@ class SystemState:
 
 # A reuse-record slot before its first call: no state or cell is None.
 _UNSEEN = (None, None, None)
-
-
-class RunError(ModelViolation):
-    """A component contract failed mid-run; carries the partial trace."""
-
-    def __init__(self, message: str, trace: Trace):
-        super().__init__(message)
-        self.trace = trace
 
 
 def initial_state(node_count: int) -> SystemState:
@@ -180,7 +172,7 @@ def tick_system(
 def run_scenario(scenario: Scenario) -> Trace:
     """Run a validated scenario to completion; identical inputs give identical traces.
 
-    A component failure raises RunError carrying the trace of the ticks before the failing one.
+    A broken component contract leaves as its own ModelViolation.
     """
     require_valid(scenario)
     n = scenario.node_count
@@ -191,11 +183,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     state = initial_state(n)
     last, records = [_UNSEEN] * (2 * n + 1), []
     for t in range(scenario.horizon):
-        try:
-            state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
-        except ModelViolation as exc:
-            partial = assemble_trace(scenario, records, error={"tick": t, "message": str(exc)})
-            raise RunError(f"tick {t}: {exc}", partial) from exc
+        state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
         records.append(record)
     return assemble_trace(scenario, records)
 

@@ -248,6 +248,13 @@ def test_unknown_predicate_is_usage_error(golden_file, tmp_path):
     assert main(["check", "--trace", str(out), "--only", "bogus"]) == 64
 
 
+@pytest.mark.parametrize("only, named", [("msg1,", "''"), ("bogus", "'bogus'"), ("bogus,,msg1", "'', 'bogus'")])
+def test_check_only_names_each_unknown_predicate(tmp_path, capsys, only, named):
+    # the names are checked before the trace is read
+    assert main(["check", "--trace", str(tmp_path / "missing.trace"), "--only", only]) == 64
+    assert capsys.readouterr().err == f"unknown predicate(s): {named} (choose from {', '.join(ALL_PREDICATES)})\n"
+
+
 def test_bad_flags_are_usage_errors(golden_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -332,21 +339,19 @@ def test_fuzz_rejects_degenerate_parameters(tmp_path):
     assert main(["fuzz", "--nodes", "2", "--count", "0", "--outdir", str(tmp_path)]) == 64
 
 
-def test_component_failure_is_runtime_error(golden_file, tmp_path, monkeypatch):
-    # unreachable from a validated scenario, so force it: the partial trace
-    # must still be written and the exit code must be 3
-    from canstream import run_scenario
-    from canstream.system import RunError
+def _explode(*args):
+    raise canstream.ModelViolation("synthetic failure at tick 4")
+
+
+def test_component_failure_is_runtime_error(golden_file, tmp_path, monkeypatch, capsys):
+    # a broken component contract, forced since no valid scenario breaks one: exit 3, and no trace is written
     import canstream.cli as cli
 
-    def explode(scenario):
-        partial = run_scenario(scenario)
-        raise RunError("tick 4: synthetic failure", partial)
-
-    monkeypatch.setattr(cli, "run_scenario", explode)
-    out = tmp_path / "partial.trace"
+    monkeypatch.setattr(cli, "run_scenario", _explode)
+    out = tmp_path / "failed.trace"
     assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 3
-    assert out.exists()
+    assert capsys.readouterr() == ("", "component error: synthetic failure at tick 4\n")
+    assert not out.exists()
 
 
 def test_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path, capsys):
@@ -355,23 +360,6 @@ def test_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path
     captured = capsys.readouterr()
     assert captured.err.startswith("cannot write trace: ") and str(out) in captured.err
     assert captured.out == "" and not out.parent.exists()
-
-
-def test_failed_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path, monkeypatch, capsys):
-    from canstream import run_scenario
-    from canstream.system import RunError
-    import canstream.cli as cli
-
-    def explode(scenario):
-        raise RunError("tick 4: synthetic failure", run_scenario(scenario))
-
-    monkeypatch.setattr(cli, "run_scenario", explode)
-    out = tmp_path / "partial.trace"
-    out.mkdir()
-    assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 2
-    first, second = capsys.readouterr().err.splitlines()
-    assert first == "component error: tick 4: synthetic failure"
-    assert second.startswith("cannot write trace: ") and str(out) in second
 
 
 @pytest.mark.parametrize("command", ["run", "oracle-diff"])
@@ -390,15 +378,11 @@ def test_an_unreadable_trace_is_an_input_error(tmp_path, capsys):
 
 
 def test_oracle_diff_on_a_run_that_fails_is_a_runtime_error(golden_file, monkeypatch, capsys):
-    from canstream.system import RunError
     import canstream.cli as cli
 
-    def explode(scenario):
-        raise RunError("tick 4: synthetic failure", None)
-
-    monkeypatch.setattr(cli, "compare_with_simulator", explode)
+    monkeypatch.setattr(cli, "compare_with_simulator", _explode)
     assert main(["oracle-diff", "--scenario", str(golden_file)]) == 3
-    assert capsys.readouterr().err == "component error: tick 4: synthetic failure\n"
+    assert capsys.readouterr() == ("", "component error: synthetic failure at tick 4\n")
 
 
 def test_oracle_diff_equivalent(golden_file):

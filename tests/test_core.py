@@ -46,7 +46,6 @@ def test_negative_identifier_rejected():
 
 def test_timed_stream_cell_access():
     s = TimedStream((("x",), ()))
-    assert s.horizon == 2
     assert s.cells[0] == ("x",)
 
 

@@ -9,20 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
+    AMessage,
     DataSym,
     IdSym,
+    Injection,
     ModelViolation,
-    RunError,
     RunOptions,
     Scenario,
     ScenarioError,
     assemble_trace,
+    check_all,
+    compare_with_simulator,
     run_scenario,
     tick_system,
+    validate_scenario,
 )
 from canstream.components import decoder_step, encoder_step
 from canstream.fuzzing import random_scenario, seeded_scenario
-from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log, initial_state
 from .conftest import amsg, saturated, scenario
 
@@ -127,6 +130,35 @@ def test_internal_guarantees_on_random_runs(rng):
     assert report.ok(), report.violations[:3]
     for node in range(1, s.node_count + 1):
         assert cells(t, "mr", node) == cells(t, "wr")
+
+
+@st.composite
+def _valid_scenarios(draw) -> Scenario:
+    """Any scenario validation accepts with 1-8 nodes, horizon 0-48, identifiers 0-7 and payloads of 0-8 octets:
+    injections on any tick, each identifier sent by one node, which may repeat it, and every option."""
+    nodes, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 48))
+    owner = draw(st.lists(st.integers(1, nodes), min_size=8, max_size=8))  # identifier -> its sender
+    send = st.tuples(st.integers(0, 7), st.integers(0, max(horizon - 1, 0)))  # (identifier, tick)
+    sends = draw(st.lists(send, max_size=24 if horizon else 0,
+                          unique_by=lambda pair: (owner[pair[0]], pair[1])))  # one injection per node and tick
+    injections = tuple(Injection(owner[ident], tick, AMessage(ident, draw(st.binary(max_size=8))))
+                       for ident, tick in sends)
+    options = RunOptions(draw(st.sampled_from((0, 1, 2, 5, None))), draw(st.booleans()))
+    return Scenario(nodes, horizon, injections, options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_scenarios())
+def test_every_valid_scenario_runs_to_its_horizon(s):
+    """Primed without the literal row 2, the run also agrees with the oracle on every node and checks clean."""
+    assert validate_scenario(s) == []
+    if s.options.bootstrap_request_tick is None or s.options.fidelity_row2:
+        assert run_scenario(s).horizon == s.horizon
+        return
+    result = compare_with_simulator(s)
+    assert result.trace.horizon == s.horizon
+    assert result.equivalent, (result.divergent_node, result.first_divergence)
+    assert check_all(result.trace).ok()
 
 
 def test_a_state_that_does_not_change_stays_the_same_object():
@@ -257,27 +289,16 @@ def _fail_call_at(monkeypatch, name, k, nth=1):
 
 
 @pytest.mark.parametrize("k", [0, 1, 6, 11])
-def test_run_error_trace_ends_before_the_failing_tick(monkeypatch, k):
-    """A failure at a tick's first step, in its node loop, or at its last step records ticks 0..k-1."""
+def test_a_component_failure_leaves_run_scenario_as_its_model_violation(monkeypatch, k):
+    """A failure at a tick's first step, in its node loop, or at its last step is raised as it is; no trace is made."""
     s = seeded_scenario("partial", 3, nodes=3, horizon=16)
-    full = run_scenario(s)
     failures = [lambda patch: _fail_call_at(patch, "wire_emission", k),
                 lambda patch: _fail_second_call_at(patch, k),
                 lambda patch: _fail_call_at(patch, "buffer_step", k, nth=3)]
     for fail in failures:
         with monkeypatch.context() as patch:
             fail(patch)
-            with pytest.raises(RunError, match=f"tick {k}:") as info:
+            with pytest.raises(ModelViolation) as info:
                 run_scenario(s)
-        trace = info.value.trace
-        assert trace.horizon == k
-        assert trace.error == {"tick": k, "message": f"synthetic failure at tick {k}"}
-        assert set(trace.streams) == set(full.streams)
-        for family, per_node in trace.streams.items():
-            assert len(per_node) == 3
-            for partial, whole in zip(per_node, full.streams[family]):
-                assert partial.cells == whole.cells[:k], family
-        assert trace.wire.cells == full.wire.cells[:k]
-        assert trace.rows == full.rows[:k]
-        assert trace.states == full.states[:k]
-        assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+        assert type(info.value) is ModelViolation and info.value.__cause__ is None
+        assert str(info.value) == f"synthetic failure at tick {k}"
