@@ -39,8 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_scenario(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259), whatever the locale
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         return scenario_from_json(text)
@@ -95,8 +95,8 @@ def _cmd_check(args) -> int:
               f"(choose from {', '.join(ALL_PREDICATES)})", file=sys.stderr)
         return EXIT_USAGE
     try:
-        trace = trace_from_jsonl(Path(args.trace).read_text())
-    except OSError as exc:
+        trace = trace_from_jsonl(Path(args.trace).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, RecursionError) as exc:  # or a header value nested too deeply for its error to show it

@@ -32,19 +32,20 @@ Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
 place ("unknown key 'options.fidelitymode'"), never a missing field.
 
-Within one dump each value becomes text once and is then found by its id(),
-which is exact: the values are immutable and the trace keeps them alive for the
-call, so no id is reused. A load builds each table entry once for each kind it
-is read as, and a field that a line leaves out keeps the previous tick's
-object, so a loaded trace shares its values as a run does: a loaded buffer
-holds the message objects of the loaded cells.
+Within one dump each value is numbered once and then found by its id(), which
+is exact: the values are immutable and the trace keeps them alive for the call,
+so no id is reused. Its text, made when its id is first met, finds its number;
+no text is kept, as a memo of texts costs more than it saves. A load builds each
+table entry once for each kind it is read as, and a field that a line leaves out
+keeps the previous tick's object, so a loaded trace shares its values as a run
+does: a loaded buffer holds the message objects of the loaded cells.
 """
 from __future__ import annotations
 
 import json
 from collections import defaultdict
 from dataclasses import asdict
-from itertools import chain, compress
+from itertools import compress
 from operator import ne
 from string import hexdigits
 
@@ -191,9 +192,17 @@ def scenario_to_json(s: Scenario) -> str:
     return _dumps(scenario_to_dict(s)) + "\n"
 
 
+def _unrepeated(pairs: list) -> dict:
+    """A scenario file's object from its key-value pairs, or a ValueError naming the first key that it repeats."""
+    obj, keys = dict(pairs), [key for key, _ in pairs]
+    if len(obj) < len(keys):
+        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return obj
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unrepeated)
     except (ValueError, RecursionError) as exc:  # bad syntax, an integer of too many digits, or nesting too deep
         raise ScenarioError(exc) from exc
     return scenario_from_dict(obj)
@@ -201,24 +210,18 @@ def scenario_from_json(text: str) -> Scenario:
 
 # -- traces -------------------------------------------------------------------
 
-# The canonical JSON text of a value, by its exact type; parts come from the memo.
+# The canonical JSON text of a value, by its exact type.
 _FRAGMENTS = {
-    tuple: lambda v, memo: "[%s]" % ",".join(_texts(v, memo)),
-    int: lambda v, memo: "%d" % v,
-    AMessage: lambda v, memo: '{"data":"%s","id":%d}' % (v.data.hex(), v.id),
-    IdSym: lambda v, memo: '{"sym":"id","value":%d}' % v.value,
-    DataSym: lambda v, memo: '{"sym":"data","value":"%s"}' % v.value.hex(),
-    DecoderState: lambda v, memo: '{"d":%s,"lastId":%s}' % (_dumps(v.d), _dumps(v.last_id)),
-    EncoderState: lambda v, memo: '{"e":%s,"pending":%s}' % (
+    tuple: lambda v: "[%s]" % ",".join([_FRAGMENTS[type(x)](x) for x in v]),
+    int: lambda v: "%d" % v,
+    AMessage: lambda v: '{"data":"%s","id":%d}' % (v.data.hex(), v.id),
+    IdSym: lambda v: '{"sym":"id","value":%d}' % v.value,
+    DataSym: lambda v: '{"sym":"data","value":"%s"}' % v.value.hex(),
+    DecoderState: lambda v: '{"d":%s,"lastId":%s}' % (_dumps(v.d), _dumps(v.last_id)),
+    EncoderState: lambda v: '{"e":%s,"pending":%s}' % (
         _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
-    LogicalLayerState: lambda v, memo: '{"lid":%d}' % v.lid,
+    LogicalLayerState: lambda v: '{"lid":%d}' % v.lid,
 }
-
-
-def _texts(values, memo: dict[int, str]) -> list[str]:
-    """Each value's canonical JSON text, made once per dump and then found by id."""
-    get, made = memo.get, memo.setdefault
-    return [get(id(v)) or made(id(v), _FRAGMENTS[type(v)](v, memo)) for v in values]
 
 
 def _per_node(entries: tuple, ref, base: tuple) -> str:
@@ -244,9 +247,8 @@ def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
 def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
               "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
-    # memo: id() -> text of each value met; refs: id() -> its table number, and a message's id() -> the table number
-    # of the cell that holds it alone; numbers: text -> table number
-    memo, refs, numbers, table = {}, {}, {}, []
+    # refs: id() -> table number of each value met; numbers: text -> table number
+    refs, numbers, table = {}, {}, []
 
     def number(text: str) -> int:
         k = numbers.setdefault(text, len(numbers))
@@ -257,16 +259,11 @@ def trace_to_jsonl(trace: Trace) -> str:
     def ref(value) -> int:
         k = refs.get(id(value))
         if k is None:
-            # A buffer state refers to its offer cell and to each queued message's cell, which are numbered first.
-            text = ('{"b":%d,"buf":[%s]}' % (ref(value.b), ",".join(["%d" % alone(m) for m in value.buf]))
-                    if type(value) is BufferState else _texts((value,), memo)[0])
+            # A buffer state refers to its offer cell and to each queued message's cell, numbered first; such a cell
+            # is no object of the trace, and a tuple made here could reuse an id, so its text numbers it.
+            text = (_FRAGMENTS[type(value)](value) if type(value) is not BufferState else '{"b":%d,"buf":[%s]}' % (
+                ref(value.b), ",".join(["%d" % number("[%s]" % _FRAGMENTS[AMessage](m)) for m in value.buf])))
             k = refs[id(value)] = number(text)
-        return k
-
-    def alone(message) -> int:
-        k = refs.get(id(message))
-        if k is None:
-            k = refs[id(message)] = number("[%s]" % _texts((message,), memo)[0])
         return k
 
     # Before tick 0 every cell is empty and no state is known, so tick 0 gives every state.
@@ -283,14 +280,10 @@ def trace_to_jsonl(trace: Trace) -> str:
     # its entries in order of first appearance. A line gives each field whose value differs from the previous
     # tick's (at tick 0, all of them), "new" if it has entries, and "t".
     fields = [('"%s":' % key, *series[key]) for key in sorted(series)]
-    changes = [[] for _ in trace.states]
-    for field in fields:
-        for t in compress(range(len(changes)), chain((True,), map(ne, field[1][1:], field[1]))):
-            changes[t].append(field)
     lines = [_dumps(header)]
-    for t, changed in enumerate(changes):
+    for t in range(len(trace.states)):
         first = len(table)
-        parts = [key + write(values, t) for key, values, write in changed]
+        parts = [key + write(values, t) for key, values, write in fields if not t or values[t] != values[t - 1]]
         if len(table) > first:
             parts.append('"new":[%s]' % ",".join(table[first:]))
         parts.append('"t":%d' % t)

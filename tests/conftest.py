@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from canstream import AMessage, Injection, RunOptions, Scenario
 from canstream.fuzzing import ID_POOL
@@ -30,6 +31,21 @@ def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4)
         Injection(node, 2 * k + 1, AMessage(ids[(node - 1) * per_node + k], rng.randbytes(rng.randint(1, 8))))
         for node in range(1, nodes + 1) for k in range(per_node)
     ))
+
+
+@st.composite
+def valid_scenarios(draw) -> Scenario:
+    """Any scenario validation accepts with 1-8 nodes, horizon 0-48, identifiers 0-7 and payloads of 0-8 octets:
+    injections on any tick, each identifier sent by one node, which may repeat it, and every option."""
+    nodes, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 48))
+    owner = draw(st.lists(st.integers(1, nodes), min_size=8, max_size=8))  # identifier -> its sender
+    send = st.tuples(st.integers(0, 7), st.integers(0, max(horizon - 1, 0)))  # (identifier, tick)
+    sends = draw(st.lists(send, max_size=24 if horizon else 0,
+                          unique_by=lambda pair: (owner[pair[0]], pair[1])))  # one injection per node and tick
+    injections = tuple(Injection(owner[ident], tick, AMessage(ident, draw(st.binary(max_size=8))))
+                       for ident, tick in sends)
+    options = RunOptions(draw(st.sampled_from((0, 1, 2, 5, None))), draw(st.booleans()))
+    return Scenario(nodes, horizon, injections, options)
 
 
 def add_entry(lines: list[str], t: int, value) -> int:

@@ -204,6 +204,12 @@ UNFIT = {
                                  "unknown key 'injection'"),
     "injection without a tick": ({**GOLDEN, "injections": [{"node": 1, "id": 5, "data": "ab"}]},
                                  "missing key 'injections[0].tick'"),
+    # Texts with a key given twice, which JSON decoding would otherwise read as its last value.
+    "repeated horizon": ('{"nodeCount":1,"horizon":6,"horizon":2}', "repeated key 'horizon'"),
+    "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"fidelityMode":true,"fidelityMode":false}}',
+                        "repeated key 'fidelityMode'"),
+    "repeated injection data": ('{"nodeCount":1,"horizon":6,"injections":[{"node":1,"tick":0,"id":5,"data":"ab",'
+                                '"data":"cd"}]}', "repeated key 'data'"),
 }
 
 
@@ -364,17 +370,26 @@ def test_run_that_cannot_write_its_trace_is_an_input_error(golden_file, tmp_path
 
 @pytest.mark.parametrize("command", ["run", "oracle-diff"])
 def test_an_unreadable_scenario_is_an_input_error(tmp_path, capsys, command):
-    missing, out = tmp_path / "missing.json", tmp_path / "t"
+    """A missing file, and a file that is not UTF-8, which JSON text must be."""
+    missing, not_utf8, out = tmp_path / "missing.json", tmp_path / "not_utf8.json", tmp_path / "t"
+    not_utf8.write_bytes(b"\xff\xfe{}")
     trace_args = ["--trace", str(out)] if command == "run" else []
-    assert main([command, "--scenario", str(missing), *trace_args]) == 2
-    assert capsys.readouterr().err.startswith(f"scenario error: cannot read scenario {missing}: ")
-    assert not out.exists()
+    for path, cause in ((missing, "[Errno 2]"), (not_utf8, "'utf-8' codec can't decode byte 0xff")):
+        assert main([command, "--scenario", str(path), *trace_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: cannot read scenario {path}: ") and cause in err, err
+        assert not out.exists()
 
 
 def test_an_unreadable_trace_is_an_input_error(tmp_path, capsys):
     assert main(["check", "--trace", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("cannot read trace: ") and str(tmp_path) in captured.err and captured.out == ""
+    not_utf8 = tmp_path / "not_utf8.jsonl"
+    not_utf8.write_bytes(GOLDEN_TRACE.read_bytes().replace(b'"ab"', b'"\xff"'))
+    assert main(["check", "--trace", str(not_utf8)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read trace: 'utf-8' codec can't decode byte 0xff") and captured.out == ""
 
 
 def test_oracle_diff_on_a_run_that_fails_is_a_runtime_error(golden_file, monkeypatch, capsys):

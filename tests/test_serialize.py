@@ -12,10 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
-    AMessage,
-    Injection,
     RunOptions,
-    Scenario,
     ScenarioError,
     TimedStream,
     check_all,
@@ -34,7 +31,7 @@ from canstream.serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .conftest import add_entry, saturated, scenario
+from .conftest import add_entry, saturated, scenario, valid_scenarios
 
 GOLDENS = Path(__file__).parent / "goldens"
 STATE_KEYS = ("buffers", "decoders", "encoders", "llayers")
@@ -134,6 +131,12 @@ SCENARIO_KEYS = {
     "document that is not JSON": ("{not json", r"^Expecting property name enclosed in double quotes"),
     "document nested 100,000 deep": ("[" * 100_000 + "]" * 100_000, r"^maximum recursion depth exceeded"),
     "node count of 5,000 digits": ('{"nodeCount":%s,"horizon":4}' % ("1" * 5000), r"^Exceeds the limit \(4300"),
+    # Texts that give a key twice, which JSON decoding would otherwise read as its last value.
+    "repeated horizon": ('{"nodeCount":1,"horizon":6,"horizon":2}', r"^repeated key 'horizon'$"),
+    "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"fidelityMode":false,"fidelityMode":true}}',
+                        r"^repeated key 'fidelityMode'$"),
+    "repeated injection data": ('{"nodeCount":1,"horizon":6,"injections":[{"node":1,"tick":0,"id":5,"data":"ab",'
+                                '"data":"cd"}]}', r"^repeated key 'data'$"),
 }
 
 
@@ -168,24 +171,28 @@ def test_scenario_null_bootstrap_survives():
     assert scenario_from_json(scenario_to_json(s)) == s
 
 
-def _any_scenario(rng: random.Random, nodes: int, horizon: int) -> Scenario:
-    """Anything validation accepts: any tick, ids repeated by one node, empty payloads, all options."""
-    slots = rng.sample([(n, t) for n in range(1, nodes + 1) for t in range(horizon)],
-                       min(nodes * horizon, rng.randint(0, 2 * nodes)))
-    # each node draws from its own identifiers, so an identifier repeats within one node only
-    injections = tuple(
-        Injection(node, tick, AMessage(nodes * rng.randrange(4) + node - 1, rng.randbytes(rng.randint(0, 8))))
-        for node, tick in sorted(slots)
-    )
-    options = RunOptions(bootstrap_request_tick=rng.choice([0, 0, 1, 4, None]), fidelity_row2=rng.random() < 0.2)
-    return Scenario(nodes, horizon, injections, options)
+def _assert_canonical_round_trip(trace) -> str:
+    """Check that the trace dumps canonically, loads equal to itself and dumps again to the same text; the text."""
+    text = trace_to_jsonl(trace)
+    for line in text.splitlines():
+        assert line == _dumps(json.loads(line))
+    loaded = trace_from_jsonl(text)
+    assert loaded == trace
+    assert trace_to_jsonl(loaded) == text
+    return text
+
+
+@settings(max_examples=250, deadline=None)
+@given(valid_scenarios())
+def test_every_valid_scenarios_trace_is_canonical_and_round_trips(s):
+    _assert_canonical_round_trip(run_scenario(s))
 
 
 def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run():
     rng = random.Random(2024)
     traces = [run_scenario(seeded_scenario("codec", i, nodes=1 + i % 6, horizon=rng.choice([4, 16, 64])))
               for i in range(60)]
-    traces += [run_scenario(_any_scenario(rng, 1 + i % 6, rng.choice([0, 1, 2, 5, 16, 40]))) for i in range(100)]
+    traces += [run_scenario(scenario(nodes, 0)) for nodes in (1, 5)]
     # Saturated buses, where each node that loses arbitration offers its frame again two ticks later, and messages
     # queue behind the offer.
     saturated_traces = [run_scenario(saturated(i, nodes=nodes)) for i, nodes in enumerate((8, 16))]
@@ -194,16 +201,8 @@ def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run():
     traces += saturated_traces
     kinds = {(t.node_count, t.horizon == 0) for t in traces}
     assert {k[0] for k in kinds} == {*range(1, 7), 8, 16} and any(k[1] for k in kinds)
-    options = [t.scenario.options for t in traces]
-    assert any(o.fidelity_row2 for o in options) and any(o.bootstrap_request_tick not in (0, None) for o in options)
-    assert any(i.tick % 2 == 0 and i.tick for t in traces for i in t.scenario.injections)
     for trace in traces:
-        text = trace_to_jsonl(trace)
-        for line in text.splitlines():
-            assert line == _dumps(json.loads(line))
-        loaded = trace_from_jsonl(text)
-        assert loaded == trace
-        assert trace_to_jsonl(loaded) == text
+        text = _assert_canonical_round_trip(trace)
         listed = _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text, trace)
         # Most re-offered cells repeat those of two ticks before, so few of them are listed.
         if any(trace is s for s in saturated_traces):
@@ -221,6 +220,17 @@ def test_a_dump_writes_each_message_once():
     for injection in trace.scenario.injections:
         message = injection.message
         assert ticks.count('{"data":"%s","id":%d}' % (message.data.hex(), message.id)) == 1, message
+
+
+@pytest.mark.parametrize("scenarios", [
+    [seeded_scenario(1, i, nodes=2 + i % 4, horizon=64) for i in range(240)],  # the benchmark's corpus shape
+    [saturated(2, nodes=16, per_node=6)],
+], ids=["corpus", "saturated"])
+def test_no_two_entries_of_a_dumps_value_table_are_equal(scenarios):
+    for s in scenarios:
+        lines = trace_to_jsonl(run_scenario(s)).splitlines()[1:]
+        entries = [_dumps(entry) for line in lines for entry in json.loads(line).get("new", ())]
+        assert len(set(entries)) == len(entries), s
 
 
 def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, trace) -> Counter:

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
-    AMessage,
     DataSym,
     IdSym,
-    Injection,
     ModelViolation,
     RunOptions,
     Scenario,
@@ -27,7 +25,7 @@ from canstream import (
 from canstream.components import decoder_step, encoder_step
 from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.system import delivery_log, initial_state
-from .conftest import amsg, saturated, scenario
+from .conftest import amsg, saturated, scenario, valid_scenarios
 
 
 def cells(trace, family, node=1):
@@ -132,23 +130,8 @@ def test_internal_guarantees_on_random_runs(rng):
         assert cells(t, "mr", node) == cells(t, "wr")
 
 
-@st.composite
-def _valid_scenarios(draw) -> Scenario:
-    """Any scenario validation accepts with 1-8 nodes, horizon 0-48, identifiers 0-7 and payloads of 0-8 octets:
-    injections on any tick, each identifier sent by one node, which may repeat it, and every option."""
-    nodes, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 48))
-    owner = draw(st.lists(st.integers(1, nodes), min_size=8, max_size=8))  # identifier -> its sender
-    send = st.tuples(st.integers(0, 7), st.integers(0, max(horizon - 1, 0)))  # (identifier, tick)
-    sends = draw(st.lists(send, max_size=24 if horizon else 0,
-                          unique_by=lambda pair: (owner[pair[0]], pair[1])))  # one injection per node and tick
-    injections = tuple(Injection(owner[ident], tick, AMessage(ident, draw(st.binary(max_size=8))))
-                       for ident, tick in sends)
-    options = RunOptions(draw(st.sampled_from((0, 1, 2, 5, None))), draw(st.booleans()))
-    return Scenario(nodes, horizon, injections, options)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_valid_scenarios())
+@given(valid_scenarios())
 def test_every_valid_scenario_runs_to_its_horizon(s):
     """Primed without the literal row 2, the run also agrees with the oracle on every node and checks clean."""
     assert validate_scenario(s) == []
@@ -205,16 +188,6 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
     assert sum(map(bool, trace.wire.cells)) > 0.9 * s.horizon  # saturated: losers re-offer on every frame
     assert calls["encoder_step"] < 0.1 * s.node_count * s.horizon
     assert calls["decoder_step"] <= s.horizon
-
-
-def test_the_kernel_without_the_step_record_gives_the_same_run(monkeypatch):
-    import canstream.system as system
-
-    s = saturated(1, nodes=6, horizon=48)
-    full = run_scenario(s)
-    real = system.tick_system
-    monkeypatch.setattr(system, "tick_system", lambda state, cells, t, options, last: real(state, cells, t, options))
-    assert run_scenario(s) == full
 
 
 def _stepped_by_hand(s: Scenario):
