@@ -145,14 +145,8 @@ def dispatch_row(ms: Sequence[Message], wr: Sequence[Message], lid: int) -> int:
     return 5
 
 
-def logical_layer_step(
-    state: LogicalLayerState,
-    ms: Sequence[Message],
-    wr: Sequence[Message],
-    t: int,
-    *,
-    literal_row2: bool = False,
-) -> tuple[Cell, Cell, Cell, LogicalLayerState]:
+def logical_layer_step(state: LogicalLayerState, ms: Sequence[Message], wr: Sequence[Message],
+                       t: int) -> tuple[Cell, Cell, Cell, LogicalLayerState]:
     """One bus-access tick; returns (mr, ws, r, next state).
 
     mr always mirrors wr. Identifier symbols are put up for arbitration (row 2)
@@ -160,8 +154,8 @@ def logical_layer_step(
     request exactly when the bus's arbitration verdict matches lid (row 4),
     and swallowed when it does not (rows 3 and 5).
 
-    literal_row2 reproduces the non-transmitting variant of row 2 (ws empty),
-    under which no identifier ever reaches the bus and arbitration starves.
+    The paper's table literally leaves ws empty in row 2; then no identifier
+    reaches the bus and arbitration starves (acceptance criterion 5 (a)).
     """
     if len(ms) > 1:
         raise _not_unary(ms, "bus-access input ms", t)
@@ -170,9 +164,8 @@ def logical_layer_step(
     mr = tuple(wr)
     row = dispatch_row(ms, wr, state.lid)
     if row == 2:
-        ws: Cell = () if literal_row2 else tuple(ms)
         lid = ms[0].value
-        return mr, ws, (), state if lid == state.lid else LogicalLayerState(lid=lid)
+        return mr, tuple(ms), (), state if lid == state.lid else LogicalLayerState(lid=lid)
     if row == 4:
         return mr, tuple(ms), REQ_CELL, state
     return mr, (), (), state

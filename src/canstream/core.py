@@ -96,16 +96,13 @@ class Injection:
 class RunOptions:
     """Executor knobs.
 
-    bootstrap_request_tick primes each node's buffer with one initial request
-    (None disables priming entirely, which demonstrably stalls the system).
-    fidelity_row2 switches the bus-access table to its literal non-transmitting
-    identifier row, another deliberately stalling variant. The request delay
-    and the frame latency are not options: each has one value under which the
-    protocol works (see system.py and FRAME_LATENCY).
+    bootstrap_request_tick is the tick at which one initial request primes
+    each node's buffer; nothing flows before it. The request delay and the
+    frame latency are not options: each has one value under which the protocol
+    works (see system.py and FRAME_LATENCY).
     """
 
-    bootstrap_request_tick: int | None = 0
-    fidelity_row2: bool = False
+    bootstrap_request_tick: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +131,9 @@ def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
     if s.horizon < 0:
         out.append(ScenarioViolation("horizon", None, None, f"horizon must be >= 0, got {s.horizon}"))
     boot = s.options.bootstrap_request_tick
-    if boot is not None and boot < 0:
-        out.append(ScenarioViolation("bootstrap", None, None, f"bootstrapRequestTick must be >= 0, got {boot}"))
+    if type(boot) is not int or boot < 0:
+        need = "an integer" if type(boot) is not int else ">= 0"
+        out.append(ScenarioViolation("bootstrap", None, None, f"bootstrapRequestTick must be {need}, got {boot!r}"))
     seen: set[tuple[int, int]] = set()
     senders: dict[int, int] = {}  # identifier -> the node that first injects it
     for inj in s.injections:

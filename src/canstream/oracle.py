@@ -12,9 +12,9 @@ It deliberately shares no machinery with the simulator (its own insertion and
 minimum handling via the bisect module), so agreement between the two is
 evidence rather than tautology. Each identifier belongs to one sender (the
 scenario's `duplicate-identifier` rule), so the smallest committed identifier
-is always unique. Stalling configurations (no priming, literal row 2) are
-ignored here on purpose: the oracle states what a correct bus would deliver,
-which is exactly what makes the stalls visible in a comparison.
+is always unique. Nothing is committed before the bootstrap tick, as in the
+simulator. A kernel that stalls otherwise (the paper's literal row 2, say)
+disagrees with the oracle, which states what a correct bus would deliver.
 """
 from __future__ import annotations
 
@@ -36,8 +36,7 @@ def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
     """oracle_run's log of a scenario already validated."""
     n = scenario.node_count
     horizon = scenario.horizon
-    boot = scenario.options.bootstrap_request_tick
-    bootstrap = 0 if boot is None else boot
+    bootstrap = scenario.options.bootstrap_request_tick
 
     arrivals: dict[tuple[int, int], AMessage] = {
         (inj.node - 1, inj.tick): inj.message for inj in scenario.injections

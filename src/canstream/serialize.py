@@ -25,12 +25,12 @@ the first state that queues it, and each message's JSON is written once.
 A line gives "t" and only the fields whose value differs from the previous
 tick's (in "state", only the families that changed), and "new" only when it
 has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
-reads version 6 (TRACE_VERSION) only; an older trace is regenerated by running
+reads version 7 (TRACE_VERSION) only; an older trace is regenerated by running
 the scenario in its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
-place ("unknown key 'options.fidelitymode'"), never a missing field.
+place ("unknown key 'options.bootstrapRequestTic'"), never a missing field.
 
 Within one dump each value is numbered once and then found by its id(), which
 is exact: the values are immutable and the trace keeps them alive for the call,
@@ -67,7 +67,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -84,10 +84,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             {"node": inj.node, "tick": inj.tick, "id": inj.message.id, "data": inj.message.data.hex()}
             for inj in s.injections
         ],
-        "options": {
-            "bootstrapRequestTick": s.options.bootstrap_request_tick,
-            "fidelityMode": s.options.fidelity_row2,
-        },
+        "options": {"bootstrapRequestTick": s.options.bootstrap_request_tick},
     }
 
 
@@ -114,7 +111,7 @@ def _or(kind: tuple, default) -> tuple:
 # Each kind of JSON object that `_read` reads: its keys in reading order, each with the kind of its value. A key is
 # optional if its kind reads a missing value. A symbol's `sym` picks the kind of its `value`, and a buffer's `b` is a
 # reference: `_symbol` and `_buffer_state` check those.
-_OPTIONS = {"bootstrapRequestTick": _or(_INT_OR_NULL, 0), "fidelityMode": _or(_BOOL, False)}
+_OPTIONS = {"bootstrapRequestTick": _or(_INT, 0)}
 _INJECTION = {"node": _INT, "tick": _INT, "id": _INT, "data": _HEX}
 _SCENARIO = {"nodeCount": _INT, "horizon": _INT,
              "injections": _or((lambda v: tuple(map(_injection, v, range(len(v)))) if type(v) is list else _INVALID,
@@ -162,8 +159,10 @@ def _read(obj, schema: dict, where: str = "") -> list:
 
 
 def _unfit(obj, schema: dict, where: str) -> ValueError:
-    """The error for `obj`, which does not fit `schema`, naming after the path `where` the first thing wrong: that it
-    is not an object, a key (see `_misfit`), or else its first value of the wrong kind, which `_checked` raises."""
+    """The error for `obj`, which does not fit `schema`, naming after the path `where` the first thing wrong: a key it
+    repeats, that it is not an object, a key (see `_misfit`), or else its first value of the wrong kind (`_checked`)."""
+    if type(obj) is _Repeated:
+        return ValueError(f"repeated key {where + obj.repeated!r}")
     if type(obj) is not dict:
         return ValueError(f"{where[:-1]} must be an object, got {json.dumps(obj)}" if where else
                           f"expected an object, got {_dumps(obj)}")
@@ -192,11 +191,17 @@ def scenario_to_json(s: Scenario) -> str:
     return _dumps(scenario_to_dict(s)) + "\n"
 
 
+class _Repeated(dict):
+    """An object of a scenario file that gives a key twice, the first such key being `repeated`; `_read` rejects it."""
+    __slots__ = ("repeated",)
+
+
 def _unrepeated(pairs: list) -> dict:
-    """A scenario file's object from its key-value pairs, or a ValueError naming the first key that it repeats."""
+    """A scenario file's object from its key-value pairs, a _Repeated if it gives a key twice."""
     obj, keys = dict(pairs), [key for key, _ in pairs]
     if len(obj) < len(keys):
-        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+        obj = _Repeated(obj)
+        obj.repeated = next(key for key in keys if keys.count(key) > 1)
     return obj
 
 

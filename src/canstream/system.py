@@ -32,10 +32,10 @@ update, which releases the offer slot before the next odd tick (otherwise the
 frame would be re-offered and delivered twice). A primed node requests while
 its offer slot is empty, so nodes wake up when new traffic appears; no
 separate record of pending requests is kept. One bootstrap request primes each
-node's buffer; without it nothing ever flows. The externally recorded request
-stream r_i shows each success request one tick after it is raised, which
-places it FRAME_LATENCY ticks after the frame start, where the transmission
-contract looks for it.
+node's buffer at the options' bootstrap_request_tick; before it nothing flows.
+The externally recorded request stream r_i shows each success request one tick
+after it is raised, which places it FRAME_LATENCY ticks after the frame start,
+where the transmission contract looks for it.
 """
 from __future__ import annotations
 
@@ -132,8 +132,7 @@ def tick_system(
     wr = wire_emission(state.wire, t)
     boot_tick = options.bootstrap_request_tick
     boot = t == boot_tick
-    primed = boot_tick is not None and t >= boot_tick
-    literal_row2 = options.fidelity_row2
+    primed = t >= boot_tick
     if last is None:
         last = [_UNSEEN] * (2 * len(buffers) + 1)
     parity = t & 1
@@ -146,7 +145,7 @@ def tick_system(
         ms, enc = seen[2]
         ll = state.llayers[i]
         row = dispatch_row(ms, wr, ll.lid)
-        mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t, literal_row2=literal_row2)
+        mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t)
         dec = state.decoders[i]
         seen = last[-1]
         if seen[0] is not dec or seen[1] is not mr:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from canstream import AMessage, Injection, RunOptions, Scenario
+from canstream.components import dispatch_row
 from canstream.fuzzing import ID_POOL
 
 
@@ -36,7 +37,8 @@ def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4)
 @st.composite
 def valid_scenarios(draw) -> Scenario:
     """Any scenario validation accepts with 1-8 nodes, horizon 0-48, identifiers 0-7 and payloads of 0-8 octets:
-    injections on any tick, each identifier sent by one node, which may repeat it, and every option."""
+    injections on any tick, each identifier sent by one node, which may repeat it, and a bootstrap tick at the start,
+    a few ticks in or past the horizon."""
     nodes, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 48))
     owner = draw(st.lists(st.integers(1, nodes), min_size=8, max_size=8))  # identifier -> its sender
     send = st.tuples(st.integers(0, 7), st.integers(0, max(horizon - 1, 0)))  # (identifier, tick)
@@ -44,8 +46,21 @@ def valid_scenarios(draw) -> Scenario:
                           unique_by=lambda pair: (owner[pair[0]], pair[1])))  # one injection per node and tick
     injections = tuple(Injection(owner[ident], tick, AMessage(ident, draw(st.binary(max_size=8))))
                        for ident, tick in sends)
-    options = RunOptions(draw(st.sampled_from((0, 1, 2, 5, None))), draw(st.booleans()))
-    return Scenario(nodes, horizon, injections, options)
+    return Scenario(nodes, horizon, injections, RunOptions(draw(st.sampled_from((0, 1, 2, 5, 48)))))
+
+
+def literal_row2(monkeypatch) -> None:
+    """Patch the kernel's bus-access step to the paper's literal row 2, which leaves ws empty: no identifier ever
+    reaches the bus, and arbitration starves."""
+    import canstream.system as system
+
+    real = system.logical_layer_step
+
+    def literal(state, ms, wr, t):
+        mr, ws, r, nxt = real(state, ms, wr, t)
+        return mr, (() if dispatch_row(ms, wr, state.lid) == 2 else ws), r, nxt
+
+    monkeypatch.setattr(system, "logical_layer_step", literal)
 
 
 def add_entry(lines: list[str], t: int, value) -> int:

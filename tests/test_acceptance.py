@@ -39,7 +39,7 @@ from canstream.fuzzing import seeded_scenario, two_node_scenarios
 from canstream.primitives import broadcast, collect_elements, min_nat_list, pr_add, take_ids
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log
-from .conftest import amsg, scenario
+from .conftest import amsg, literal_row2, scenario
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -136,7 +136,7 @@ def test_criterion_2_golden_trace(golden_scenario):
         first = trace_to_jsonl(trace)
         second = trace_to_jsonl(run_scenario(golden_scenario))
         assert first == second
-        frozen = (GOLDENS / "single_node.v6.jsonl").read_text()
+        frozen = (GOLDENS / "single_node.v7.jsonl").read_text()
         assert first == frozen
         assert trace_from_jsonl(frozen) == trace
 
@@ -164,23 +164,23 @@ def test_criterion_4_oracle_equivalence_exhaustive():
         assert elapsed < 30.0, f"enumeration took {elapsed:.1f}s"
 
 
-def test_criterion_5_negative_controls(golden_scenario, two_node_scenario):
+def test_criterion_5_negative_controls(golden_scenario, two_node_scenario, monkeypatch):
     with criterion(5, "negative controls"):
-        # (a) literal row 2: no deliveries, and the row-3 monitor diagnoses the stall
-        stalled = Scenario(
-            golden_scenario.node_count, golden_scenario.horizon, golden_scenario.injections,
-            RunOptions(fidelity_row2=True),
-        )
-        trace = run_scenario(stalled)
+        # (a) the paper's literal row 2, patched into the kernel: no deliveries, and the row-3 monitor diagnoses
+        # the stall
+        with monkeypatch.context() as patch:
+            literal_row2(patch)
+            trace = run_scenario(golden_scenario)
         assert delivery_log(trace) == []
         assert check_row3_unreachable(trace), "expected a row-3 firing to diagnose the stall"
 
-        # (b) no buffer priming: no deliveries at all
+        # (b) no buffer primed within the run, its bootstrap at the horizon: no deliveries at all, as the oracle says
         unprimed = Scenario(
             golden_scenario.node_count, golden_scenario.horizon, golden_scenario.injections,
-            RunOptions(bootstrap_request_tick=None),
+            RunOptions(bootstrap_request_tick=golden_scenario.horizon),
         )
-        assert delivery_log(run_scenario(unprimed)) == []
+        result = compare_with_simulator(unprimed)
+        assert delivery_log(result.trace) == [] and result.equivalent
 
         # (c) a flipped delivery cell is caught by the broadcast-equality axiom
         text = trace_to_jsonl(run_scenario(two_node_scenario))

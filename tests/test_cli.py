@@ -12,7 +12,7 @@ import canstream
 from canstream.checkers import ALL_PREDICATES, check_all
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
-from .conftest import add_entry, scenario
+from .conftest import add_entry, literal_row2, scenario
 
 GOLDEN = {
     "nodeCount": 1,
@@ -22,7 +22,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v6.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v7.jsonl"
 
 
 @pytest.fixture
@@ -171,13 +171,14 @@ def _with_injection_field(key, value):
 
 # Scenario documents the loader rejects, by case: (document, what stderr names).
 MISTYPED = {
-    "fidelityMode string": (_with_option("fidelityMode", "false"),
-                            'options.fidelityMode must be true or false, got "false"'),
-    "fidelityMode int": (_with_option("fidelityMode", 0), "options.fidelityMode must be true or false, got 0"),
+    "fidelityMode string": (_with_option("fidelityMode", "false"), "unknown key 'options.fidelityMode'"),
+    "fidelityMode int": (_with_option("fidelityMode", 0), "unknown key 'options.fidelityMode'"),
     "bootstrap string": (_with_option("bootstrapRequestTick", "0"),
-                         'options.bootstrapRequestTick must be an integer or null, got "0"'),
+                         'options.bootstrapRequestTick must be an integer, got "0"'),
     "bootstrap bool": (_with_option("bootstrapRequestTick", True),
-                       "options.bootstrapRequestTick must be an integer or null, got true"),
+                       "options.bootstrapRequestTick must be an integer, got true"),
+    "bootstrap null": (_with_option("bootstrapRequestTick", None),
+                       "options.bootstrapRequestTick must be an integer, got null"),
     "reqDelay bool": (_with_option("reqDelay", True), "unknown key 'options.reqDelay'"),
     "bootstrap negative": (_with_option("bootstrapRequestTick", -1),
                            "bootstrap: bootstrapRequestTick must be >= 0, got -1"),
@@ -196,20 +197,22 @@ MISTYPED = {
 
 
 # Scenario documents whose keys do not fit their object's key set, by case: (document, what stderr names). The request
-# delay and the frame latency were options once, and are now unknown keys at any value.
+# delay, the frame latency and the literal identifier row were options once, and are now unknown keys at any value.
 UNFIT = {
     "reqDelay": (_with_option("reqDelay", 1), "unknown key 'options.reqDelay'"),
     "mtLatency": (_with_option("mtLatency", 2), "unknown key 'options.mtLatency'"),
+    "fidelityMode true": (_with_option("fidelityMode", True), "unknown key 'options.fidelityMode'"),
+    "fidelityMode false": (_with_option("fidelityMode", False), "unknown key 'options.fidelityMode'"),
     "injection for injections": ({"nodeCount": 1, "horizon": 6, "injection": GOLDEN["injections"]},
                                  "unknown key 'injection'"),
     "injection without a tick": ({**GOLDEN, "injections": [{"node": 1, "id": 5, "data": "ab"}]},
                                  "missing key 'injections[0].tick'"),
     # Texts with a key given twice, which JSON decoding would otherwise read as its last value.
     "repeated horizon": ('{"nodeCount":1,"horizon":6,"horizon":2}', "repeated key 'horizon'"),
-    "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"fidelityMode":true,"fidelityMode":false}}',
-                        "repeated key 'fidelityMode'"),
+    "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"bootstrapRequestTick":0,"bootstrapRequestTick":1}}',
+                        "repeated key 'options.bootstrapRequestTick'"),
     "repeated injection data": ('{"nodeCount":1,"horizon":6,"injections":[{"node":1,"tick":0,"id":5,"data":"ab",'
-                                '"data":"cd"}]}', "repeated key 'data'"),
+                                '"data":"cd"}]}', "repeated key 'injections[0].data'"),
 }
 
 
@@ -266,7 +269,7 @@ def test_bad_flags_are_usage_errors(golden_file, tmp_path, capsys):
         main(["frobnicate"])
     assert err.value.code == 64
     capsys.readouterr()
-    # the literal variants are scenario options, not flags
+    # the literal variants are neither flags nor scenario options
     for command in (["run", "--trace", str(tmp_path / "t")], ["oracle-diff"]):
         with pytest.raises(SystemExit) as err:
             main([*command, "--scenario", str(golden_file), "--fidelity"])
@@ -404,20 +407,18 @@ def test_oracle_diff_equivalent(golden_file):
     assert main(["oracle-diff", "--scenario", str(golden_file)]) == 0
 
 
-def test_oracle_diff_flags_fidelity_stall(tmp_path, capsys):
-    # each of the two options that stall the golden scenario
-    for key, value in (("fidelityMode", True), ("bootstrapRequestTick", None)):
-        stalled = tmp_path / f"{key}.json"
-        stalled.write_text(json.dumps(_with_option(key, value)))
-        assert main(["oracle-diff", "--scenario", str(stalled)]) == 1, key
-        assert "inequivalent" in capsys.readouterr().out
+def test_oracle_diff_flags_fidelity_stall(golden_file, monkeypatch, capsys):
+    # the paper's literal row 2, patched into the kernel, stalls the golden scenario
+    literal_row2(monkeypatch)
+    assert main(["oracle-diff", "--scenario", str(golden_file)]) == 1
+    assert "inequivalent" in capsys.readouterr().out
 
 
-def test_run_fidelity_produces_no_deliveries(tmp_path, capsys):
-    stalled = tmp_path / "stall.json"
-    stalled.write_text(json.dumps(_with_option("fidelityMode", True)))
+def test_run_fidelity_produces_no_deliveries(golden_file, tmp_path, monkeypatch, capsys):
     out = tmp_path / "stall.trace"
-    assert main(["run", "--scenario", str(stalled), "--trace", str(out)]) == 0
+    with monkeypatch.context() as patch:
+        literal_row2(patch)
+        assert main(["run", "--scenario", str(golden_file), "--trace", str(out)]) == 0
     assert "0 deliveries" in capsys.readouterr().out
     # the row-3 monitor diagnoses the literal row 2: identifiers never reach the bus
     assert main(["check", "--trace", str(out), "--only", "row3"]) == 1

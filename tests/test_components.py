@@ -178,12 +178,6 @@ def test_row2_forwards_identifier_and_stores_it():
     assert nxt.lid == 5
 
 
-def test_row2_literal_variant_swallows_identifier():
-    _, ws, _, nxt = logical_layer_step(LogicalLayerState(), (IdSym(5),), (), 1, literal_row2=True)
-    assert ws == ()
-    assert nxt.lid == 5
-
-
 def test_row3_data_with_empty_bus():
     mr, ws, r, nxt = logical_layer_step(LogicalLayerState(lid=5), (DataSym(b"p"),), (), 2)
     assert (mr, ws, r) == ((), (), ())

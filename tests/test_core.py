@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from canstream import (
     AMessage,
+    RunOptions,
     Scenario,
+    ScenarioError,
     TimedStream,
     run_scenario,
     validate_scenario,
@@ -80,6 +82,15 @@ def test_validate_node_range():
 def test_validate_degenerate_counts():
     assert any(v.rule == "node-count" for v in validate_scenario(Scenario(0, 4)))
     assert any(v.rule == "horizon" for v in validate_scenario(Scenario(1, -1)))
+
+
+@pytest.mark.parametrize("boot", [None, "0", True, 1.5])
+def test_a_bootstrap_tick_that_is_no_integer_breaks_the_bootstrap_rule(boot):
+    s = Scenario(1, 4, options=RunOptions(bootstrap_request_tick=boot))
+    assert [(v.rule, v.detail) for v in validate_scenario(s)] == [
+        ("bootstrap", f"bootstrapRequestTick must be an integer, got {boot!r}")]
+    with pytest.raises(ScenarioError, match="^bootstrap: "):
+        run_scenario(s)
 
 
 def test_validate_zero_horizon_is_fine():

@@ -22,7 +22,7 @@ from canstream import (
 )
 from canstream.checkers import ALL_PREDICATES
 from canstream.fuzzing import random_scenario, seeded_scenario
-from .conftest import amsg, scenario
+from .conftest import amsg, literal_row2, scenario
 
 
 def ids_of(log):
@@ -144,19 +144,20 @@ def test_compare_empty_scenario():
     assert result.simulator_log == ()
 
 
-def test_compare_detects_stall_without_priming(golden_scenario):
-    stalled = replace(golden_scenario, options=RunOptions(bootstrap_request_tick=None))
-    result = compare_with_simulator(stalled)
+def test_compare_agrees_on_a_run_primed_at_its_horizon(golden_scenario):
+    unprimed = replace(golden_scenario, options=RunOptions(bootstrap_request_tick=golden_scenario.horizon))
+    result = compare_with_simulator(unprimed)
+    assert result.equivalent
+    assert result.simulator_log == result.oracle_log == ()
+
+
+def test_compare_detects_stall_in_literal_row2_mode(golden_scenario, monkeypatch):
+    literal_row2(monkeypatch)
+    result = compare_with_simulator(golden_scenario)
     assert not result.equivalent
     assert result.simulator_log == ()
     assert result.oracle_log  # the oracle states what should have been delivered
     assert result.first_divergence == 0
-
-
-def test_compare_detects_stall_in_literal_row2_mode(golden_scenario):
-    stalled = replace(golden_scenario, options=RunOptions(fidelity_row2=True))
-    result = compare_with_simulator(stalled)
-    assert not result.equivalent and result.simulator_log == ()
 
 
 @settings(max_examples=40, deadline=None)

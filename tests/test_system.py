@@ -133,11 +133,8 @@ def test_internal_guarantees_on_random_runs(rng):
 @settings(max_examples=300, deadline=None)
 @given(valid_scenarios())
 def test_every_valid_scenario_runs_to_its_horizon(s):
-    """Primed without the literal row 2, the run also agrees with the oracle on every node and checks clean."""
+    """The run also agrees with the oracle on every node and checks clean."""
     assert validate_scenario(s) == []
-    if s.options.bootstrap_request_tick is None or s.options.fidelity_row2:
-        assert run_scenario(s).horizon == s.horizon
-        return
     result = compare_with_simulator(s)
     assert result.trace.horizon == s.horizon
     assert result.equivalent, (result.divergent_node, result.first_divergence)
@@ -205,7 +202,7 @@ def _stepped_by_hand(s: Scenario):
 
 @pytest.mark.parametrize("s", [
     replace(seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32),
-            options=RunOptions(bootstrap_request_tick=(0, None, 5)[i % 3], fidelity_row2=i % 4 == 3))
+            options=RunOptions(bootstrap_request_tick=(0, 5, 40)[i % 3]))
     for i in range(12)] + [saturated(2), scenario(3, 0)])
 def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
@@ -234,12 +231,12 @@ def _fail_second_call_at(monkeypatch, k):
     real = system.logical_layer_step
     calls_at_k = []
 
-    def failing(state, ms, wr, t, **kwargs):
+    def failing(state, ms, wr, t):
         if t == k:
             calls_at_k.append(t)
             if len(calls_at_k) == 2:
                 raise ModelViolation(f"synthetic failure at tick {t}")
-        return real(state, ms, wr, t, **kwargs)
+        return real(state, ms, wr, t)
 
     monkeypatch.setattr(system, "logical_layer_step", failing)
 
