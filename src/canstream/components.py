@@ -4,7 +4,7 @@ Every step function is pure: it maps (state, inputs at tick t) to (outputs at
 tick t, next state). Outputs never depend on anything later than t, and the
 next state is what the component carries into tick t+1. States are immutable
 values, so a step that changes nothing hands back the state it was given, and
-the idle encoder and decoder states are one shared value each.
+the idle state of each component is one shared value.
 """
 from __future__ import annotations
 
@@ -57,8 +57,10 @@ class LogicalLayerState:
     lid: int = 0
 
 
+_IDLE_BUFFER = BufferState()
 _IDLE_ENCODER = EncoderState()
 _IDLE_DECODER = DecoderState()
+_IDLE_LLAYER = LogicalLayerState()
 REQ_CELL: Cell = (REQ,)
 
 
@@ -178,6 +180,8 @@ def wire_emission(offers: Sequence[Cell], t: int) -> Cell:
     of more than one symbol is reported for the lowest such node; a mix of
     symbol kinds names the offering nodes, highest first, in collection order.
     """
+    if not any(offers):
+        return ()
     latch = collect_elements(len(offers), offers)
     if len(latch) > len(offers) - offers.count(()):
         i = next(i for i, cell in enumerate(offers, start=1) if len(cell) > 1)

@@ -123,43 +123,58 @@ class ScenarioViolation:
     detail: str
 
 
+def _need(value, least: int) -> str | None:
+    """What a count or tick must be, if `value` is not an integer (as the loader reads one) of at least `least`."""
+    if type(value) is not int:
+        return "an integer"
+    return None if value >= least else f">= {least}"
+
+
 def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
     """Return all rule violations in a scenario; empty means runnable."""
     out: list[ScenarioViolation] = []
-    if s.node_count < 1:
-        out.append(ScenarioViolation("node-count", None, None, f"nodeCount must be >= 1, got {s.node_count}"))
-    if s.horizon < 0:
-        out.append(ScenarioViolation("horizon", None, None, f"horizon must be >= 0, got {s.horizon}"))
-    boot = s.options.bootstrap_request_tick
-    if type(boot) is not int or boot < 0:
-        need = "an integer" if type(boot) is not int else ">= 0"
-        out.append(ScenarioViolation("bootstrap", None, None, f"bootstrapRequestTick must be {need}, got {boot!r}"))
+    nodes, horizon, boot = s.node_count, s.horizon, s.options.bootstrap_request_tick
+    for rule, name, value, least in (("node-count", "nodeCount", nodes, 1), ("horizon", "horizon", horizon, 0),
+                                     ("bootstrap", "bootstrapRequestTick", boot, 0)):
+        need = _need(value, least)
+        if need:
+            out.append(ScenarioViolation(rule, None, None, f"{name} must be {need}, got {value!r}"))
     seen: set[tuple[int, int]] = set()
     senders: dict[int, int] = {}  # identifier -> the node that first injects it
     for inj in s.injections:
-        if not 1 <= inj.node <= s.node_count:
-            out.append(ScenarioViolation("node-range", inj.node, inj.tick,
-                                         f"node {inj.node} outside [1..{s.node_count}]"))
-        if not 0 <= inj.tick < s.horizon:
-            out.append(ScenarioViolation("out-of-horizon", inj.node, inj.tick,
-                                         f"injection tick {inj.tick} outside [0..{s.horizon - 1}]"))
-        if inj.message.id < 0:
-            out.append(ScenarioViolation("identifier", inj.node, inj.tick,
-                                         f"identifier {inj.message.id} is negative"))
-        if len(inj.message.data) > MAX_PAYLOAD:
-            out.append(ScenarioViolation("payload", inj.node, inj.tick,
-                                         f"payload of {len(inj.message.data)} octets exceeds {MAX_PAYLOAD}"))
-        key = (inj.node, inj.tick)
+        node, tick, msg = inj.node, inj.tick, inj.message
+        if type(node) is not int:
+            out.append(ScenarioViolation("node-range", node, tick, f"node must be an integer, got {node!r}"))
+        elif type(nodes) is int and not 1 <= node <= nodes:
+            out.append(ScenarioViolation("node-range", node, tick, f"node {node} outside [1..{nodes}]"))
+        if type(tick) is not int:
+            out.append(ScenarioViolation("out-of-horizon", node, tick,
+                                         f"injection tick must be an integer, got {tick!r}"))
+        elif type(horizon) is int and not 0 <= tick < horizon:
+            out.append(ScenarioViolation("out-of-horizon", node, tick,
+                                         f"injection tick {tick} outside [0..{horizon - 1}]"))
+        if type(msg.id) is not int:
+            out.append(ScenarioViolation("identifier", node, tick, f"identifier must be an integer, got {msg.id!r}"))
+        elif msg.id < 0:
+            out.append(ScenarioViolation("identifier", node, tick, f"identifier {msg.id} is negative"))
+        if type(msg.data) is not bytes:
+            out.append(ScenarioViolation("payload", node, tick, f"payload must be bytes, got {msg.data!r}"))
+        elif len(msg.data) > MAX_PAYLOAD:
+            out.append(ScenarioViolation("payload", node, tick,
+                                         f"payload of {len(msg.data)} octets exceeds {MAX_PAYLOAD}"))
+        if not type(node) is type(tick) is type(msg.id) is int:
+            continue  # the pairing rules below compare only well-typed values
+        key = (node, tick)
         if key in seen:
-            out.append(ScenarioViolation("duplicate-injection", inj.node, inj.tick,
-                                         f"two injections at node {inj.node}, tick {inj.tick}"))
+            out.append(ScenarioViolation("duplicate-injection", node, tick,
+                                         f"two injections at node {node}, tick {tick}"))
         seen.add(key)
         # Arbitration lets the smallest identifier win, so each identifier
         # belongs to one sender (CAN 2.0); one node may repeat it.
-        sender = senders.setdefault(inj.message.id, inj.node)
-        if sender != inj.node:
-            out.append(ScenarioViolation("duplicate-identifier", inj.node, inj.tick,
-                                         f"identifier {inj.message.id} is injected at nodes {sender} and {inj.node}"))
+        sender = senders.setdefault(msg.id, node)
+        if sender != node:
+            out.append(ScenarioViolation("duplicate-identifier", node, tick,
+                                         f"identifier {msg.id} is injected at nodes {sender} and {node}"))
     return out
 
 

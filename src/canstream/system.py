@@ -25,6 +25,9 @@ tick's offers are latched only after the last node. A buffer's update consumes
 only its own node's request and comes after that node's emission. These are
 also the only feedback cycles (bus-access -> wire -> bus-access, and the
 request path back into the buffers), so the order is causally well defined.
+A buffer, encoder or decoder step given the very objects of an earlier call
+takes that call's result from the reuse record (see tick_system); the
+bus-access layer and its table's dispatch run at every node-tick.
 
 Request flow: a controller raises its transmit-success request during the data
 phase of a won frame; the owning buffer consumes it in that same tick's state
@@ -39,14 +42,15 @@ where the transmission contract looks for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .components import (
     REQ_CELL,
+    _IDLE_BUFFER,
     _IDLE_DECODER,
     _IDLE_ENCODER,
+    _IDLE_LLAYER,
     BufferState,
     DecoderState,
     EncoderState,
@@ -70,8 +74,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SystemState:
+class SystemState(NamedTuple):
     """All component states plus the executor's request bookkeeping.
 
     wire is the previous tick's ws row, which the bus emits from this tick
@@ -94,14 +97,9 @@ _UNSEEN = (None, None, None)
 
 def initial_state(node_count: int) -> SystemState:
     """Every node idle: the components' shared idle values, so a state that stays idle stays the same object."""
-    return SystemState(
-        buffers=(BufferState(),) * node_count,
-        encoders=(_IDLE_ENCODER,) * node_count,
-        decoders=(_IDLE_DECODER,) * node_count,
-        llayers=(LogicalLayerState(),) * node_count,
-        wire=((),) * node_count,
-        raised=((),) * node_count,
-    )
+    idle = ((),) * node_count
+    return SystemState((_IDLE_BUFFER,) * node_count, (_IDLE_ENCODER,) * node_count,
+                       (_IDLE_DECODER,) * node_count, (_IDLE_LLAYER,) * node_count, idle, idle)
 
 
 def tick_system(
@@ -119,53 +117,59 @@ def tick_system(
     the snapshot {"buffers", "encoders", "decoders", "llayers"} of `state`;
     assemble_trace turns a run's records into its Trace.
 
-    Slot 2*i + p of `last` keeps node i's last encoder_step call at tick parity
-    p as (state, cell, result), the last slot the last decoder_step call. A call
-    with the same state and cell objects as its slot takes the slot's result: a
-    node re-offering a lost frame repeats its calls of two ticks before, and all
-    decoders share one state and one wire cell. This is exact: the steps are
-    pure and the record keeps the objects it compares alive. A caller that keeps
-    one `last` across its ticks reuses steps across them; without one, steps
-    are reused within the tick only. `last` is the only thing this writes to.
+    `last` is the reuse record, 4*n + 1 slots for n nodes. For node i and tick
+    parity p, slot 4*i + p keeps its last encoder_step call as (state, cell,
+    result), and slot 4*i + 2 + p its last buffer calls as (state, emission,
+    arrival cell, request cell, next state); the last slot keeps the last
+    decoder_step call. A step whose state and inputs are the slot's objects
+    takes the slot's result: an idle node repeats its buffer calls of two
+    ticks before, a node re-offering a lost frame its encoder calls too, and
+    all decoders share one state and one wire cell. The bus-access layer is
+    not reused: logical_layer_step and dispatch_row run at every node-tick.
+    This is exact: the steps are pure and the record keeps the objects it
+    compares alive. A caller that keeps one `last` across its ticks reuses
+    steps across them; without one, steps are reused within the tick only.
+    `last` is the only thing this writes to.
     """
     buffers = state.buffers
+    n = len(buffers)
     wr = wire_emission(state.wire, t)
     boot_tick = options.bootstrap_request_tick
-    boot = t == boot_tick
     primed = t >= boot_tick
     if last is None:
-        last = [_UNSEEN] * (2 * len(buffers) + 1)
-    parity = t & 1
+        last = [_UNSEEN] * (4 * n + 1)
+    k = t & 1  # node i's encoder slot is 4*i + k, its buffer slot 4*i + 2 + k
     nodes = []
-    for i, enc in enumerate(state.encoders):
-        as_cell = buffer_emission(buffers[i], t)
-        seen = last[2 * i + parity]
+    for buf, enc, dec, ll, a in zip(buffers, state.encoders, state.decoders, state.llayers, cells):
+        seen_buf = last[k + 2]
+        if seen_buf[0] is not buf:
+            seen_buf = (buf, buffer_emission(buf, t), None, None, None)
+        as_cell = seen_buf[1]
+        seen = last[k]
         if seen[0] is not enc or seen[1] is not as_cell:
-            seen = last[2 * i + parity] = (enc, as_cell, encoder_step(enc, as_cell, t))
+            seen = last[k] = (enc, as_cell, encoder_step(enc, as_cell, t))
         ms, enc = seen[2]
-        ll = state.llayers[i]
         row = dispatch_row(ms, wr, ll.lid)
         mr, ws, raised, ll = logical_layer_step(ll, ms, wr, t)
-        dec = state.decoders[i]
         seen = last[-1]
         if seen[0] is not dec or seen[1] is not mr:
             seen = last[-1] = (dec, mr, decoder_step(dec, mr, t))
         ar, dec = seen[2]
 
-        # Observable request stream: the bootstrap priming, or the success
-        # request raised in the previous tick (none is raised before priming).
-        r = REQ_CELL if boot else state.raised[i]
-
         # Buffer update: a success request acts in the tick it is raised, and
         # a primed node requests while its offer slot is empty.
-        has_req = raised or (primed and not buffers[i].b)
-        _, buf = buffer_step(buffers[i], cells[i], REQ_CELL if has_req else (), t)
-        nodes.append((cells[i], as_cell, ar, r, ms, mr, ws, row, buf, enc, dec, ll, raised))
-    a, as_, ar, r, ms, mr, ws, rows, buffers, encoders, decoders, llayers, raised = zip(*nodes)
-    next_state = SystemState(buffers=buffers, encoders=encoders, decoders=decoders, llayers=llayers,
-                             wire=ws, raised=raised)
-    return next_state, (a, as_, ar, r, ms, mr, ws, wr, rows, {"buffers": state.buffers, "encoders": state.encoders,
-                                                             "decoders": state.decoders, "llayers": state.llayers})
+        req = REQ_CELL if raised or (primed and not buf.b) else ()
+        if seen_buf[2] is not a or seen_buf[3] is not req:
+            seen_buf = last[k + 2] = (buf, as_cell, a, req, buffer_step(buf, a, req, t)[1])
+        nodes.append((as_cell, ar, ms, mr, ws, row, seen_buf[4], enc, dec, ll, raised))
+        k += 4
+    as_, ar, ms, mr, ws, rows, next_buffers, encoders, decoders, llayers, raised = zip(*nodes)
+    # Observable request stream: the bootstrap priming, or the success
+    # requests raised in the previous tick (none is raised before priming).
+    r = (REQ_CELL,) * n if t == boot_tick else state.raised
+    return SystemState(next_buffers, encoders, decoders, llayers, ws, raised), (
+        tuple(cells), as_, ar, r, ms, mr, ws, wr, rows,
+        {"buffers": buffers, "encoders": state.encoders, "decoders": state.decoders, "llayers": state.llayers})
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -180,7 +184,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     state = initial_state(n)
-    last, records = [_UNSEEN] * (2 * n + 1), []
+    last, records = [_UNSEEN] * (4 * n + 1), []
     for t in range(scenario.horizon):
         state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
         records.append(record)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from canstream import (
     AMessage,
+    Injection,
     RunOptions,
     Scenario,
     ScenarioError,
@@ -90,6 +91,33 @@ def test_a_bootstrap_tick_that_is_no_integer_breaks_the_bootstrap_rule(boot):
     assert [(v.rule, v.detail) for v in validate_scenario(s)] == [
         ("bootstrap", f"bootstrapRequestTick must be an integer, got {boot!r}")]
     with pytest.raises(ScenarioError, match="^bootstrap: "):
+        run_scenario(s)
+
+
+@pytest.mark.parametrize("s, expected", [
+    (Scenario(None, 4), [("node-count", None, None, "nodeCount must be an integer, got None")]),
+    (Scenario(True, 4), [("node-count", None, None, "nodeCount must be an integer, got True")]),
+    (Scenario(1, "4"), [("horizon", None, None, "horizon must be an integer, got '4'")]),
+    (Scenario(1, 4.0), [("horizon", None, None, "horizon must be an integer, got 4.0")]),
+    (Scenario(2, 4, (Injection(1, None, AMessage(5, b"")),)),
+     [("out-of-horizon", 1, None, "injection tick must be an integer, got None")]),
+    (Scenario(2, 4, (Injection("1", 0, AMessage(5, b"")),)),
+     [("node-range", "1", 0, "node must be an integer, got '1'")]),
+    (Scenario(2, 4, (Injection(1, 0, AMessage(None, b"")),)),
+     [("identifier", 1, 0, "identifier must be an integer, got None")]),
+    (Scenario(1, 4, (Injection(1, 1, AMessage(1, "ab")),)), [("payload", 1, 1, "payload must be bytes, got 'ab'")]),
+    (Scenario(1, 4, (Injection(1, 1, AMessage(1, bytearray(b"ab"))),)),
+     [("payload", 1, 1, "payload must be bytes, got bytearray(b'ab')")]),
+    # A count of the wrong type leaves the ranges that rest on it unchecked, and nothing else.
+    (Scenario(None, "4", (Injection(9, 9, AMessage(-1, b"")),)),
+     [("node-count", None, None, "nodeCount must be an integer, got None"),
+      ("horizon", None, None, "horizon must be an integer, got '4'"),
+      ("identifier", 9, 9, "identifier -1 is negative")]),
+])
+def test_a_value_of_the_wrong_type_is_a_violation_not_an_error(s, expected):
+    """Counts, ticks, nodes and identifiers must be integers as the loader reads them, and payloads bytes."""
+    assert [(v.rule, v.node, v.tick, v.detail) for v in validate_scenario(s)] == expected
+    with pytest.raises(ScenarioError, match=f"^{expected[0][0]}: "):
         run_scenario(s)
 
 

@@ -22,8 +22,9 @@ from canstream import (
     tick_system,
     validate_scenario,
 )
-from canstream.components import decoder_step, encoder_step
+from canstream.components import REQ_CELL, buffer_emission, buffer_step, decoder_step, encoder_step
 from canstream.fuzzing import random_scenario, seeded_scenario
+from canstream.serialize import trace_to_jsonl
 from canstream.system import delivery_log, initial_state
 from .conftest import amsg, saturated, scenario, valid_scenarios
 
@@ -153,12 +154,20 @@ def test_a_state_that_does_not_change_stays_the_same_object():
 @pytest.mark.parametrize("s", [saturated(seed) for seed in range(3)]
                          + [seeded_scenario("accept3", i, nodes=2 + i % 4, horizon=64) for i in range(12)])
 def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
-    """The kernel may reuse a step's result; each one must equal the step called afresh."""
+    """The kernel may reuse a step's result; each one must equal the step called afresh.
+
+    The buffer's request at tick t is the success request of row 4, or the standing request of a primed node whose
+    offer slot is empty."""
     trace = run_scenario(s)
     stream = {family: [trace.node_stream(family, i + 1).cells for i in range(s.node_count)]
-              for family in ("as", "ms", "mr", "ar")}
+              for family in ("a", "as", "ms", "mr", "ar")}
+    boot = s.options.bootstrap_request_tick
     for t, (before, after) in enumerate(zip(trace.states, trace.states[1:])):
         for i in range(s.node_count):
+            buf = before["buffers"][i]
+            assert stream["as"][i][t] == buffer_emission(buf, t), (t, i)
+            req = REQ_CELL if trace.rows[t][i] == 4 or (t >= boot and not buf.b) else ()
+            assert buffer_step(buf, stream["a"][i][t], req, t)[1] == after["buffers"][i], (t, i)
             assert encoder_step(before["encoders"][i], stream["as"][i][t], t) == (
                 stream["ms"][i][t], after["encoders"][i]), (t, i)
             assert decoder_step(before["decoders"][i], stream["mr"][i][t], t) == (
@@ -168,7 +177,7 @@ def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
 def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
     import canstream.system as system
 
-    calls = {"encoder_step": 0, "decoder_step": 0}
+    calls = {"encoder_step": 0, "decoder_step": 0, "buffer_step": 0}
 
     def counted(name):
         real = getattr(system, name)
@@ -185,6 +194,7 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
     assert sum(map(bool, trace.wire.cells)) > 0.9 * s.horizon  # saturated: losers re-offer on every frame
     assert calls["encoder_step"] < 0.1 * s.node_count * s.horizon
     assert calls["decoder_step"] <= s.horizon
+    assert calls["buffer_step"] < 0.2 * s.node_count * s.horizon  # a loser's buffer keeps its state and inputs
 
 
 def _stepped_by_hand(s: Scenario):
@@ -206,6 +216,15 @@ def _stepped_by_hand(s: Scenario):
     for i in range(12)] + [saturated(2), scenario(3, 0)])
 def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_scenarios())
+def test_stepping_any_valid_scenario_by_hand_gives_the_run_byte_for_byte(s):
+    """Without a reuse record kept across ticks, the kernel gives the run's trace and its trace file."""
+    by_hand, run = _stepped_by_hand(s), run_scenario(s)
+    assert by_hand == run
+    assert trace_to_jsonl(by_hand) == trace_to_jsonl(run)
 
 
 def test_the_python_blocks_of_the_readme_run():
@@ -258,10 +277,16 @@ def _fail_call_at(monkeypatch, name, k, nth=1):
     monkeypatch.setattr(system, name, failing)
 
 
-@pytest.mark.parametrize("k", [0, 1, 6, 11])
+FAILURE_TICKS = (0, 1, 6, 11)
+
+
+@pytest.mark.parametrize("k", FAILURE_TICKS)
 def test_a_component_failure_leaves_run_scenario_as_its_model_violation(monkeypatch, k):
-    """A failure at a tick's first step, in its node loop, or at its last step is raised as it is; no trace is made."""
-    s = seeded_scenario("partial", 3, nodes=3, horizon=16)
+    """A failure at a tick's first step, in its node loop, or at its last step is raised as it is; no trace is made.
+
+    Every node gets a message at each tick k, so each node's buffer input is new there and its buffer step is
+    called, not taken from the reuse record."""
+    s = scenario(3, 16, *[(n, t, 4 * n + j, bytes([j])) for n in (1, 2, 3) for j, t in enumerate(FAILURE_TICKS)])
     failures = [lambda patch: _fail_call_at(patch, "wire_emission", k),
                 lambda patch: _fail_second_call_at(patch, k),
                 lambda patch: _fail_call_at(patch, "buffer_step", k, nth=3)]
