@@ -111,8 +111,8 @@ def tick_system(
 ) -> tuple[SystemState, tuple]:
     """Advance the system by one tick: the next state and the tick's record.
 
-    cells[i] is node i+1's application cell a at tick t, which its buffer
-    takes in. The record holds, per family of PER_NODE_FAMILIES in that order,
+    cells holds one cell per node (else ValueError): cells[i] is node i+1's
+    application cell a at tick t, which its buffer takes in. The record holds, per family of PER_NODE_FAMILIES in that order,
     one cell per node, then the wire cell wr, the tuple of rows that fired and
     the snapshot {"buffers", "encoders", "decoders", "llayers"} of `state`;
     assemble_trace turns a run's records into its Trace.
@@ -140,9 +140,9 @@ def tick_system(
         last = [_UNSEEN] * (4 * n + 1)
     k = t & 1  # node i's encoder slot is 4*i + k, its buffer slot 4*i + 2 + k
     nodes = []
-    for buf, enc, dec, ll, a in zip(buffers, state.encoders, state.decoders, state.llayers, cells):
+    for buf, enc, dec, ll, a in zip(buffers, state.encoders, state.decoders, state.llayers, cells, strict=True):
         seen_buf = last[k + 2]
-        if seen_buf[0] is not buf:
+        if seen_buf[0] is not buf:  # a new state: emit now; no cell is None, so it steps below
             seen_buf = (buf, buffer_emission(buf, t), None, None, None)
         as_cell = seen_buf[1]
         seen = last[k]

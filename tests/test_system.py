@@ -218,6 +218,12 @@ def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_row_of_cells_for_another_node_count_is_an_error(count):
+    with pytest.raises(ValueError, match="^zip"):
+        tick_system(initial_state(3), [()] * count, 0, RunOptions())
+
+
 @settings(max_examples=200, deadline=None)
 @given(valid_scenarios())
 def test_stepping_any_valid_scenario_by_hand_gives_the_run_byte_for_byte(s):
