@@ -29,7 +29,6 @@ from .core import (
     Message,
     MixingViolation,
     ModelViolation,
-    RunOptions,
     Scenario,
     ScenarioError,
     TimedStream,
@@ -45,8 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AMessage", "AssumptionViolation", "CompareResult", "DataSym", "FRAME_LATENCY", "FormatViolation",
     "IdSym", "Injection", "InputCollision", "Message", "MixingViolation",
-    "ModelViolation", "REQ", "Report",
-    "RunOptions", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",
+    "ModelViolation", "REQ", "Report", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",
     "Violation", "assemble_trace", "check_all", "check_message_transmission", "check_msg1",
     "check_msg_can_format", "check_row3_unreachable", "check_structural",
     "check_wire_assumptions", "compare_with_simulator", "delivery_log", "oracle_run",

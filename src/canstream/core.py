@@ -5,7 +5,7 @@ mutable state, so traces and states can be passed around freely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Largest payload a scenario may carry: the 8-octet data field of CAN 2.0.
 # Nothing in the model inspects payload contents beyond equality.
@@ -93,26 +93,12 @@ class Injection:
 
 
 @dataclass(frozen=True, slots=True)
-class RunOptions:
-    """Executor knobs.
-
-    bootstrap_request_tick is the tick at which one initial request primes
-    each node's buffer; nothing flows before it. The request delay and the
-    frame latency are not options: each has one value under which the protocol
-    works (see system.py and FRAME_LATENCY).
-    """
-
-    bootstrap_request_tick: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class Scenario:
-    """A complete, deterministic run description."""
+    """A complete, deterministic run description, and a run's only input: every node is primed at tick 0."""
 
     node_count: int
     horizon: int
     injections: tuple[Injection, ...] = ()
-    options: RunOptions = field(default_factory=RunOptions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,15 +119,20 @@ def _need(value, least: int) -> str | None:
 def validate_scenario(s: Scenario) -> list[ScenarioViolation]:
     """Return all rule violations in a scenario; empty means runnable."""
     out: list[ScenarioViolation] = []
-    nodes, horizon, boot = s.node_count, s.horizon, s.options.bootstrap_request_tick
-    for rule, name, value, least in (("node-count", "nodeCount", nodes, 1), ("horizon", "horizon", horizon, 0),
-                                     ("bootstrap", "bootstrapRequestTick", boot, 0)):
+    nodes, horizon, injections = s.node_count, s.horizon, s.injections
+    for rule, name, value, least in (("node-count", "nodeCount", nodes, 1), ("horizon", "horizon", horizon, 0)):
         need = _need(value, least)
         if need:
             out.append(ScenarioViolation(rule, None, None, f"{name} must be {need}, got {value!r}"))
+    if type(injections) is not tuple:
+        out.append(ScenarioViolation("injections", None, None, f"injections must be a tuple, got {injections!r}"))
     seen: set[tuple[int, int]] = set()
     senders: dict[int, int] = {}  # identifier -> the node that first injects it
-    for inj in s.injections:
+    for inj in injections if type(injections) is tuple else ():
+        if type(inj) is not Injection or type(inj.message) is not AMessage:
+            out.append(ScenarioViolation("injections", None, None,
+                                         f"injection must be an Injection of an AMessage, got {inj!r}"))
+            continue
         node, tick, msg = inj.node, inj.tick, inj.message
         if type(node) is not int:
             out.append(ScenarioViolation("node-range", node, tick, f"node must be an integer, got {node!r}"))

@@ -12,8 +12,9 @@ It deliberately shares no machinery with the simulator (its own insertion and
 minimum handling via the bisect module), so agreement between the two is
 evidence rather than tautology. Each identifier belongs to one sender (the
 scenario's `duplicate-identifier` rule), so the smallest committed identifier
-is always unique. Nothing is committed before the bootstrap tick, as in the
-simulator. A kernel that stalls otherwise (the paper's literal row 2, say)
+is always unique. Every node starts with nothing committed, so it is ready
+from tick 0, as the simulator primes every buffer at tick 0. A kernel that
+stalls (the paper's literal row 2, or a buffer that never takes a request)
 disagrees with the oracle, which states what a correct bus would deliver.
 """
 from __future__ import annotations
@@ -36,7 +37,6 @@ def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
     """oracle_run's log of a scenario already validated."""
     n = scenario.node_count
     horizon = scenario.horizon
-    bootstrap = scenario.options.bootstrap_request_tick
 
     arrivals: dict[tuple[int, int], AMessage] = {
         (inj.node - 1, inj.tick): inj.message for inj in scenario.injections
@@ -44,7 +44,7 @@ def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
     counter = itertools.count()
     committed: list[AMessage | None] = [None] * n
     backlog: list[list[tuple[int, int, AMessage]]] = [[] for _ in range(n)]
-    ready = [False] * n
+    ready = [True] * n
     handoff_due = [-1] * n  # tick at which a winner commits its next message
     log: list[tuple[int, AMessage]] = []
 
@@ -59,7 +59,7 @@ def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
 
         for i in range(n):
             arrived = arrivals.get((i, t))
-            has_request = ready[i] or handoff_due[i] == t or t == bootstrap
+            has_request = ready[i] or handoff_due[i] == t
             if has_request:
                 if not backlog[i]:
                     committed[i] = arrived

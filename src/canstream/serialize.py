@@ -24,13 +24,14 @@ the first state that queues it, and each message's JSON is written once.
 
 A line gives "t" and only the fields whose value differs from the previous
 tick's (in "state", only the families that changed), and "new" only when it
-has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The loader
-reads version 7 (TRACE_VERSION) only; an older trace is regenerated by running
-the scenario in its header.
+has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The header
+is {"format","scenario","version"}: the node count and the horizon are the
+scenario's. The loader reads version 8 (TRACE_VERSION) only; an older trace is
+regenerated by running the scenario in its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
-place ("unknown key 'options.bootstrapRequestTic'"), never a missing field.
+place ("unknown key 'injections[0].prio'"), never a missing field.
 
 Within one dump each value is numbered once and then found by its id(), which
 is exact: the values are immutable and the trace keeps them alive for the call,
@@ -58,7 +59,6 @@ from .core import (
     DataSym,
     IdSym,
     Injection,
-    RunOptions,
     Scenario,
     ScenarioError,
     Trace,
@@ -67,7 +67,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 7
+TRACE_VERSION = 8
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -84,7 +84,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             {"node": inj.node, "tick": inj.tick, "id": inj.message.id, "data": inj.message.data.hex()}
             for inj in s.injections
         ],
-        "options": {"bootstrapRequestTick": s.options.bootstrap_request_tick},
     }
 
 
@@ -111,12 +110,10 @@ def _or(kind: tuple, default) -> tuple:
 # Each kind of JSON object that `_read` reads: its keys in reading order, each with the kind of its value. A key is
 # optional if its kind reads a missing value. A symbol's `sym` picks the kind of its `value`, and a buffer's `b` is a
 # reference: `_symbol` and `_buffer_state` check those.
-_OPTIONS = {"bootstrapRequestTick": _or(_INT, 0)}
 _INJECTION = {"node": _INT, "tick": _INT, "id": _INT, "data": _HEX}
 _SCENARIO = {"nodeCount": _INT, "horizon": _INT,
              "injections": _or((lambda v: tuple(map(_injection, v, range(len(v)))) if type(v) is list else _INVALID,
-                                "a list"), ()),
-             "options": _or((lambda v: RunOptions(*_read(v, _OPTIONS, "options.")), "an object"), RunOptions())}
+                                "a list"), ())}
 _MESSAGE = {"id": _INT, "data": _HEX}
 _SYMBOL = {"sym": _ANY, "value": _ANY}
 _BUFFER = {"b": _ANY, "buf": _INTS}
@@ -124,7 +121,7 @@ _DECODER = {"d": _BOOL, "lastId": _INT_OR_NULL}
 _ENCODER = {"e": _BOOL, "pending": _HEX_OR_NULL}
 _LLAYER = {"lid": _INT}
 # The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
-_HEADER = dict.fromkeys(("format", "version", "scenario", "nodeCount", "horizon")).keys()
+_HEADER = dict.fromkeys(("format", "version", "scenario")).keys()
 _TICK = dict.fromkeys(("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
 
 
@@ -250,8 +247,7 @@ def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "nodeCount": trace.node_count,
-              "horizon": trace.horizon, "scenario": scenario_to_dict(trace.scenario)}
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "scenario": scenario_to_dict(trace.scenario)}
     # refs: id() -> table number of each value met; numbers: text -> table number
     refs, numbers, table = {}, {}, []
 
@@ -435,11 +431,7 @@ def trace_from_jsonl(text: str) -> Trace:
         require_valid(scenario)
     except ScenarioError as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
-    n, horizon = header["nodeCount"], header["horizon"]
-    if type(n) is not int or n != scenario.node_count:
-        raise ValueError(f"header field 'nodeCount': expected the scenario's {scenario.node_count}, got {_dumps(n)}")
-    if type(horizon) is not int or horizon != scenario.horizon:
-        raise ValueError(f"header field 'horizon': expected the scenario's {scenario.horizon}, got {_dumps(horizon)}")
+    n, horizon = scenario.node_count, scenario.horizon
     ticks = [_json_line(number, line, t) for t, (number, line) in enumerate(lines[1:])]
     if len(ticks) != horizon:
         raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")

@@ -32,13 +32,12 @@ bus-access layer and its table's dispatch run at every node-tick.
 Request flow: a controller raises its transmit-success request during the data
 phase of a won frame; the owning buffer consumes it in that same tick's state
 update, which releases the offer slot before the next odd tick (otherwise the
-frame would be re-offered and delivered twice). A primed node requests while
-its offer slot is empty, so nodes wake up when new traffic appears; no
-separate record of pending requests is kept. One bootstrap request primes each
-node's buffer at the options' bootstrap_request_tick; before it nothing flows.
-The externally recorded request stream r_i shows each success request one tick
-after it is raised, which places it FRAME_LATENCY ticks after the frame start,
-where the transmission contract looks for it.
+frame would be re-offered and delivered twice). A node requests while its
+offer slot is empty, so nodes wake up when new traffic appears; no separate
+record of pending requests is kept. The externally recorded request stream r_i
+shows each request one tick after it is raised: the bootstrap request, raised
+before tick 0, at tick 0, and each success request FRAME_LATENCY ticks after
+the frame start, where the transmission contract looks for it.
 """
 from __future__ import annotations
 
@@ -66,7 +65,6 @@ from .components import (
 from .core import (
     AMessage,
     Cell,
-    RunOptions,
     Scenario,
     Trace,
     assemble_trace,
@@ -80,7 +78,7 @@ class SystemState(NamedTuple):
     wire is the previous tick's ws row, which the bus emits from this tick
     (all empty before tick 0). raised holds each node's success request of the
     previous tick, () or REQ_CELL, which the observable request stream shows
-    this tick.
+    this tick; before tick 0 it holds every node's bootstrap request.
     """
 
     buffers: tuple[BufferState, ...]
@@ -96,26 +94,26 @@ _UNSEEN = (None, None, None)
 
 
 def initial_state(node_count: int) -> SystemState:
-    """Every node idle: the components' shared idle values, so a state that stays idle stays the same object."""
-    idle = ((),) * node_count
-    return SystemState((_IDLE_BUFFER,) * node_count, (_IDLE_ENCODER,) * node_count,
-                       (_IDLE_DECODER,) * node_count, (_IDLE_LLAYER,) * node_count, idle, idle)
+    """Every node idle, with its bootstrap request raised; the idle states are the components' shared idle values, so
+    a state that stays idle stays the same object."""
+    return SystemState((_IDLE_BUFFER,) * node_count, (_IDLE_ENCODER,) * node_count, (_IDLE_DECODER,) * node_count,
+                       (_IDLE_LLAYER,) * node_count, ((),) * node_count, (REQ_CELL,) * node_count)
 
 
 def tick_system(
     state: SystemState,
     cells: Sequence[Cell],
     t: int,
-    options: RunOptions,
     last: list[tuple] | None = None,
 ) -> tuple[SystemState, tuple]:
     """Advance the system by one tick: the next state and the tick's record.
 
     cells holds one cell per node (else ValueError): cells[i] is node i+1's
-    application cell a at tick t, which its buffer takes in. The record holds, per family of PER_NODE_FAMILIES in that order,
-    one cell per node, then the wire cell wr, the tuple of rows that fired and
-    the snapshot {"buffers", "encoders", "decoders", "llayers"} of `state`;
-    assemble_trace turns a run's records into its Trace.
+    application cell a at tick t, which its buffer takes in. The record holds,
+    per family of PER_NODE_FAMILIES in that order, one cell per node, then the
+    wire cell wr, the tuple of rows that fired and the snapshot {"buffers",
+    "encoders", "decoders", "llayers"} of `state`; assemble_trace turns a run's
+    records into its Trace. Only t's parity sets the tick's values.
 
     `last` is the reuse record, 4*n + 1 slots for n nodes. For node i and tick
     parity p, slot 4*i + p keeps its last encoder_step call as (state, cell,
@@ -134,8 +132,6 @@ def tick_system(
     buffers = state.buffers
     n = len(buffers)
     wr = wire_emission(state.wire, t)
-    boot_tick = options.bootstrap_request_tick
-    primed = t >= boot_tick
     if last is None:
         last = [_UNSEEN] * (4 * n + 1)
     k = t & 1  # node i's encoder slot is 4*i + k, its buffer slot 4*i + 2 + k
@@ -157,18 +153,15 @@ def tick_system(
         ar, dec = seen[2]
 
         # Buffer update: a success request acts in the tick it is raised, and
-        # a primed node requests while its offer slot is empty.
-        req = REQ_CELL if raised or (primed and not buf.b) else ()
+        # a node requests while its offer slot is empty.
+        req = REQ_CELL if raised or not buf.b else ()
         if seen_buf[2] is not a or seen_buf[3] is not req:
             seen_buf = last[k + 2] = (buf, as_cell, a, req, buffer_step(buf, a, req, t)[1])
         nodes.append((as_cell, ar, ms, mr, ws, row, seen_buf[4], enc, dec, ll, raised))
         k += 4
     as_, ar, ms, mr, ws, rows, next_buffers, encoders, decoders, llayers, raised = zip(*nodes)
-    # Observable request stream: the bootstrap priming, or the success
-    # requests raised in the previous tick (none is raised before priming).
-    r = (REQ_CELL,) * n if t == boot_tick else state.raised
     return SystemState(next_buffers, encoders, decoders, llayers, ws, raised), (
-        tuple(cells), as_, ar, r, ms, mr, ws, wr, rows,
+        tuple(cells), as_, ar, state.raised, ms, mr, ws, wr, rows,
         {"buffers": buffers, "encoders": state.encoders, "decoders": state.decoders, "llayers": state.llayers})
 
 
@@ -186,7 +179,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     state = initial_state(n)
     last, records = [_UNSEEN] * (4 * n + 1), []
     for t in range(scenario.horizon):
-        state, record = tick_system(state, arrivals.get(t, quiet), t, scenario.options, last)
+        state, record = tick_system(state, arrivals.get(t, quiet), t, last)
         records.append(record)
     return assemble_trace(scenario, records)
 

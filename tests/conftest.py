@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from canstream import AMessage, Injection, RunOptions, Scenario
+from canstream import AMessage, Injection, Scenario
 from canstream.components import dispatch_row
 from canstream.fuzzing import ID_POOL
 
@@ -15,13 +15,8 @@ def amsg(ident: int, data: bytes = b"\x00") -> AMessage:
     return AMessage(ident, data)
 
 
-def scenario(node_count, horizon, *injections, **options) -> Scenario:
-    return Scenario(
-        node_count=node_count,
-        horizon=horizon,
-        injections=tuple(Injection(n, t, amsg(i, d)) for n, t, i, d in injections),
-        options=RunOptions(**options),
-    )
+def scenario(node_count, horizon, *injections) -> Scenario:
+    return Scenario(node_count, horizon, tuple(Injection(n, t, amsg(i, d)) for n, t, i, d in injections))
 
 
 def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4) -> Scenario:
@@ -37,8 +32,7 @@ def saturated(seed: int, nodes: int = 16, horizon: int = 128, per_node: int = 4)
 @st.composite
 def valid_scenarios(draw) -> Scenario:
     """Any scenario validation accepts with 1-8 nodes, horizon 0-48, identifiers 0-7 and payloads of 0-8 octets:
-    injections on any tick, each identifier sent by one node, which may repeat it, and a bootstrap tick at the start,
-    a few ticks in or past the horizon."""
+    injections on any tick, each identifier sent by one node, which may repeat it."""
     nodes, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 48))
     owner = draw(st.lists(st.integers(1, nodes), min_size=8, max_size=8))  # identifier -> its sender
     send = st.tuples(st.integers(0, 7), st.integers(0, max(horizon - 1, 0)))  # (identifier, tick)
@@ -46,7 +40,7 @@ def valid_scenarios(draw) -> Scenario:
                           unique_by=lambda pair: (owner[pair[0]], pair[1])))  # one injection per node and tick
     injections = tuple(Injection(owner[ident], tick, AMessage(ident, draw(st.binary(max_size=8))))
                        for ident, tick in sends)
-    return Scenario(nodes, horizon, injections, RunOptions(draw(st.sampled_from((0, 1, 2, 5, 48)))))
+    return Scenario(nodes, horizon, injections)
 
 
 def literal_row2(monkeypatch) -> None:
@@ -61,6 +55,15 @@ def literal_row2(monkeypatch) -> None:
         return mr, (() if dispatch_row(ms, wr, state.lid) == 2 else ws), r, nxt
 
     monkeypatch.setattr(system, "logical_layer_step", literal)
+
+
+def unprimed(monkeypatch) -> None:
+    """Patch the kernel's buffer step so that a buffer never takes a request: no buffer is ever primed, no message
+    reaches an offer slot, and nothing is delivered."""
+    import canstream.system as system
+
+    real = system.buffer_step
+    monkeypatch.setattr(system, "buffer_step", lambda state, a, r, t: real(state, a, (), t))
 
 
 def add_entry(lines: list[str], t: int, value) -> int:
@@ -84,7 +87,7 @@ def add_entry(lines: list[str], t: int, value) -> int:
 
 @pytest.fixture
 def golden_scenario() -> Scenario:
-    """Single node, msg(5, 0xab) injected at tick 0, defaults everywhere."""
+    """Single node, msg(5, 0xab) injected at tick 0."""
     return scenario(1, 6, (1, 0, 5, b"\xab"))
 
 

@@ -15,8 +15,6 @@ from canstream import (
     AMessage,
     DataSym,
     IdSym,
-    RunOptions,
-    Scenario,
     check_all,
     check_message_transmission,
     check_row3_unreachable,
@@ -39,7 +37,7 @@ from canstream.fuzzing import seeded_scenario, two_node_scenarios
 from canstream.primitives import broadcast, collect_elements, min_nat_list, pr_add, take_ids
 from canstream.serialize import trace_from_jsonl, trace_to_jsonl
 from canstream.system import delivery_log
-from .conftest import amsg, literal_row2, scenario
+from .conftest import amsg, literal_row2, scenario, unprimed
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -136,7 +134,7 @@ def test_criterion_2_golden_trace(golden_scenario):
         first = trace_to_jsonl(trace)
         second = trace_to_jsonl(run_scenario(golden_scenario))
         assert first == second
-        frozen = (GOLDENS / "single_node.v7.jsonl").read_text()
+        frozen = (GOLDENS / "single_node.v8.jsonl").read_text()
         assert first == frozen
         assert trace_from_jsonl(frozen) == trace
 
@@ -174,13 +172,13 @@ def test_criterion_5_negative_controls(golden_scenario, two_node_scenario, monke
         assert delivery_log(trace) == []
         assert check_row3_unreachable(trace), "expected a row-3 firing to diagnose the stall"
 
-        # (b) no buffer primed within the run, its bootstrap at the horizon: no deliveries at all, as the oracle says
-        unprimed = Scenario(
-            golden_scenario.node_count, golden_scenario.horizon, golden_scenario.injections,
-            RunOptions(bootstrap_request_tick=golden_scenario.horizon),
-        )
-        result = compare_with_simulator(unprimed)
-        assert delivery_log(result.trace) == [] and result.equivalent
+        # (b) a buffer that never takes a request, patched into the kernel: no buffer is primed, nothing is
+        # delivered, and the oracle comparison diverges at its first entry
+        with monkeypatch.context() as patch:
+            unprimed(patch)
+            result = compare_with_simulator(golden_scenario)
+        assert delivery_log(result.trace) == []
+        assert not result.equivalent and result.first_divergence == 0
 
         # (c) a flipped delivery cell is caught by the broadcast-equality axiom
         text = trace_to_jsonl(run_scenario(two_node_scenario))

@@ -10,7 +10,6 @@ from canstream import (
     AMessage,
     DataSym,
     IdSym,
-    RunOptions,
     Scenario,
     TimedStream,
     Trace,
@@ -173,7 +172,7 @@ def test_a_tie_in_a_trace_stepped_outside_run_scenario_fails_the_checks():
     state, records = initial_state(2), []
     tie = (amsg(3, b"\xaa"),), (amsg(3, b"\xbb"),)
     for t in range(8):
-        state, record = tick_system(state, tie if t == 1 else ((), ()), t, RunOptions())
+        state, record = tick_system(state, tie if t == 1 else ((), ()), t)
         records.append(record)
     report = check_all(assemble_trace(Scenario(2, 8), records), ("transmission",))
     assert not report.ok()

@@ -18,11 +18,10 @@ GOLDEN = {
     "nodeCount": 1,
     "horizon": 6,
     "injections": [{"node": 1, "tick": 0, "id": 5, "data": "ab"}],
-    "options": {},
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v7.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v8.jsonl"
 
 
 @pytest.fixture
@@ -171,17 +170,13 @@ def _with_injection_field(key, value):
 
 # Scenario documents the loader rejects, by case: (document, what stderr names).
 MISTYPED = {
-    "fidelityMode string": (_with_option("fidelityMode", "false"), "unknown key 'options.fidelityMode'"),
-    "fidelityMode int": (_with_option("fidelityMode", 0), "unknown key 'options.fidelityMode'"),
-    "bootstrap string": (_with_option("bootstrapRequestTick", "0"),
-                         'options.bootstrapRequestTick must be an integer, got "0"'),
-    "bootstrap bool": (_with_option("bootstrapRequestTick", True),
-                       "options.bootstrapRequestTick must be an integer, got true"),
-    "bootstrap null": (_with_option("bootstrapRequestTick", None),
-                       "options.bootstrapRequestTick must be an integer, got null"),
-    "reqDelay bool": (_with_option("reqDelay", True), "unknown key 'options.reqDelay'"),
-    "bootstrap negative": (_with_option("bootstrapRequestTick", -1),
-                           "bootstrap: bootstrapRequestTick must be >= 0, got -1"),
+    "fidelityMode string": (_with_option("fidelityMode", "false"), "unknown key 'options'"),
+    "fidelityMode int": (_with_option("fidelityMode", 0), "unknown key 'options'"),
+    "bootstrap string": (_with_option("bootstrapRequestTick", "0"), "unknown key 'options'"),
+    "bootstrap bool": (_with_option("bootstrapRequestTick", True), "unknown key 'options'"),
+    "bootstrap null": (_with_option("bootstrapRequestTick", None), "unknown key 'options'"),
+    "reqDelay bool": (_with_option("reqDelay", True), "unknown key 'options'"),
+    "bootstrap negative": (_with_option("bootstrapRequestTick", -1), "unknown key 'options'"),
     "nodeCount bool": ({**GOLDEN, "nodeCount": True}, "nodeCount must be an integer, got true"),
     "horizon string": ({**GOLDEN, "horizon": "6"}, 'horizon must be an integer, got "6"'),
     "tick float": (_with_injection_field("tick", 0.9), "injections[0].tick must be an integer, got 0.9"),
@@ -197,12 +192,14 @@ MISTYPED = {
 
 
 # Scenario documents whose keys do not fit their object's key set, by case: (document, what stderr names). The request
-# delay, the frame latency and the literal identifier row were options once, and are now unknown keys at any value.
+# delay, the frame latency, the literal identifier row and the bootstrap tick were options once; a document that still
+# carries its options is rejected, whatever they hold.
 UNFIT = {
-    "reqDelay": (_with_option("reqDelay", 1), "unknown key 'options.reqDelay'"),
-    "mtLatency": (_with_option("mtLatency", 2), "unknown key 'options.mtLatency'"),
-    "fidelityMode true": (_with_option("fidelityMode", True), "unknown key 'options.fidelityMode'"),
-    "fidelityMode false": (_with_option("fidelityMode", False), "unknown key 'options.fidelityMode'"),
+    "reqDelay": (_with_option("reqDelay", 1), "unknown key 'options'"),
+    "mtLatency": (_with_option("mtLatency", 2), "unknown key 'options'"),
+    "fidelityMode true": (_with_option("fidelityMode", True), "unknown key 'options'"),
+    "fidelityMode false": (_with_option("fidelityMode", False), "unknown key 'options'"),
+    "empty options": ({**GOLDEN, "options": {}}, "unknown key 'options'"),
     "injection for injections": ({"nodeCount": 1, "horizon": 6, "injection": GOLDEN["injections"]},
                                  "unknown key 'injection'"),
     "injection without a tick": ({**GOLDEN, "injections": [{"node": 1, "id": 5, "data": "ab"}]},
@@ -210,7 +207,7 @@ UNFIT = {
     # Texts with a key given twice, which JSON decoding would otherwise read as its last value.
     "repeated horizon": ('{"nodeCount":1,"horizon":6,"horizon":2}', "repeated key 'horizon'"),
     "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"bootstrapRequestTick":0,"bootstrapRequestTick":1}}',
-                        "repeated key 'options.bootstrapRequestTick'"),
+                        "unknown key 'options'"),
     "repeated injection data": ('{"nodeCount":1,"horizon":6,"injections":[{"node":1,"tick":0,"id":5,"data":"ab",'
                                 '"data":"cd"}]}', "repeated key 'injections[0].data'"),
 }
@@ -269,7 +266,7 @@ def test_bad_flags_are_usage_errors(golden_file, tmp_path, capsys):
         main(["frobnicate"])
     assert err.value.code == 64
     capsys.readouterr()
-    # the literal variants are neither flags nor scenario options
+    # the literal variants are neither flags nor scenario keys
     for command in (["run", "--trace", str(tmp_path / "t")], ["oracle-diff"]):
         with pytest.raises(SystemExit) as err:
             main([*command, "--scenario", str(golden_file), "--fidelity"])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from canstream import (
     AMessage,
     Injection,
-    RunOptions,
     Scenario,
     ScenarioError,
     TimedStream,
@@ -85,15 +84,6 @@ def test_validate_degenerate_counts():
     assert any(v.rule == "horizon" for v in validate_scenario(Scenario(1, -1)))
 
 
-@pytest.mark.parametrize("boot", [None, "0", True, 1.5])
-def test_a_bootstrap_tick_that_is_no_integer_breaks_the_bootstrap_rule(boot):
-    s = Scenario(1, 4, options=RunOptions(bootstrap_request_tick=boot))
-    assert [(v.rule, v.detail) for v in validate_scenario(s)] == [
-        ("bootstrap", f"bootstrapRequestTick must be an integer, got {boot!r}")]
-    with pytest.raises(ScenarioError, match="^bootstrap: "):
-        run_scenario(s)
-
-
 @pytest.mark.parametrize("s, expected", [
     (Scenario(None, 4), [("node-count", None, None, "nodeCount must be an integer, got None")]),
     (Scenario(True, 4), [("node-count", None, None, "nodeCount must be an integer, got True")]),
@@ -113,9 +103,18 @@ def test_a_bootstrap_tick_that_is_no_integer_breaks_the_bootstrap_rule(boot):
      [("node-count", None, None, "nodeCount must be an integer, got None"),
       ("horizon", None, None, "horizon must be an integer, got '4'"),
       ("identifier", 9, 9, "identifier -1 is negative")]),
+    # Injections that are not a tuple of records, which the loader never makes.
+    (Scenario(1, 4, None), [("injections", None, None, "injections must be a tuple, got None")]),
+    (Scenario(1, 4, (Injection(1, 0, None),)),
+     [("injections", None, None,
+       "injection must be an Injection of an AMessage, got Injection(node=1, tick=0, message=None)")]),
+    (Scenario(1, 4, ((1, 0, AMessage(5, b"")),)),
+     [("injections", None, None,
+       "injection must be an Injection of an AMessage, got (1, 0, AMessage(id=5, data=b''))")]),
 ])
 def test_a_value_of_the_wrong_type_is_a_violation_not_an_error(s, expected):
-    """Counts, ticks, nodes and identifiers must be integers as the loader reads them, and payloads bytes."""
+    """Counts, ticks, nodes and identifiers must be integers as the loader reads them, payloads bytes, and the
+    injections a tuple of Injection records, each of an AMessage."""
     assert [(v.rule, v.node, v.tick, v.detail) for v in validate_scenario(s)] == expected
     with pytest.raises(ScenarioError, match=f"^{expected[0][0]}: "):
         run_scenario(s)

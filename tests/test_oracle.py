@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from canstream import (
     AMessage,
     Injection,
-    RunOptions,
     Scenario,
     ScenarioError,
     check_all,
@@ -21,8 +20,8 @@ from canstream import (
     validate_scenario,
 )
 from canstream.checkers import ALL_PREDICATES
-from canstream.fuzzing import random_scenario, seeded_scenario
-from .conftest import amsg, literal_row2, scenario
+from canstream.fuzzing import random_scenario
+from .conftest import amsg, literal_row2, scenario, unprimed
 
 
 def ids_of(log):
@@ -120,17 +119,6 @@ def test_each_scenario_is_rejected_for_a_shared_identifier_or_agrees_with_the_or
     assert outcomes["rejected"] > 100 and outcomes["ran"] > 100, outcomes
 
 
-@pytest.mark.parametrize("boot", range(7))
-def test_a_delayed_bootstrap_agrees_with_the_oracle_and_checks(boot):
-    for i in range(40):
-        s = seeded_scenario("boot", i, nodes=1 + i % 5, horizon=48)
-        s = replace(s, options=RunOptions(bootstrap_request_tick=boot))
-        result = compare_with_simulator(s)
-        assert result.equivalent, (s, result.divergent_node, result.simulator_log, result.oracle_log)
-        report = check_all(result.trace)
-        assert report.ok(), (s, report.violations[:3])
-
-
 def test_compare_equivalent_on_nominal_scenario(two_node_scenario):
     result = compare_with_simulator(two_node_scenario)
     assert result.equivalent
@@ -144,11 +132,13 @@ def test_compare_empty_scenario():
     assert result.simulator_log == ()
 
 
-def test_compare_agrees_on_a_run_primed_at_its_horizon(golden_scenario):
-    unprimed = replace(golden_scenario, options=RunOptions(bootstrap_request_tick=golden_scenario.horizon))
-    result = compare_with_simulator(unprimed)
-    assert result.equivalent
-    assert result.simulator_log == result.oracle_log == ()
+def test_compare_detects_the_stall_of_an_unprimed_buffer(golden_scenario, monkeypatch):
+    unprimed(monkeypatch)
+    result = compare_with_simulator(golden_scenario)
+    assert not result.equivalent
+    assert result.simulator_log == ()
+    assert result.oracle_log  # the oracle states what should have been delivered
+    assert result.first_divergence == 0
 
 
 def test_compare_detects_stall_in_literal_row2_mode(golden_scenario, monkeypatch):

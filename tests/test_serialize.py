@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
-    RunOptions,
     ScenarioError,
     TimedStream,
     check_all,
@@ -93,33 +92,33 @@ def test_report_serializes(golden_scenario):
 
 
 def test_scenario_options_defaults():
-    s = scenario_from_json('{"nodeCount": 1, "horizon": 4}')
-    assert s.options == RunOptions(bootstrap_request_tick=0)
+    # A document without injections has none; there are no options, so not even their defaults may be given.
+    assert scenario_from_json('{"nodeCount": 1, "horizon": 4}') == scenario(1, 4)
+    with pytest.raises(ScenarioError, match="^unknown key 'options'$"):
+        scenario_from_json('{"nodeCount": 1, "horizon": 4, "options": {}}')
 
 
 def _without(document: dict, key: str) -> dict:
     return {k: v for k, v in document.items() if k != key}
 
 
-_DOCUMENT = {"nodeCount": 2, "horizon": 8, "injections": [{"node": 1, "tick": 0, "id": 3, "data": "aa"}],
-             "options": {"bootstrapRequestTick": 0}}
+_DOCUMENT = {"nodeCount": 2, "horizon": 8, "injections": [{"node": 1, "tick": 0, "id": 3, "data": "aa"}]}
 _INJECTION = _DOCUMENT["injections"][0]
 
-# Scenario documents whose keys do not fit their object's key set, and the error each must raise. The request delay
-# and the frame latency were options once, and are now keys like any other unknown key, at their old value too.
+# Scenario documents whose keys do not fit their object's key set, and the error each must raise. The request delay,
+# the frame latency and the bootstrap tick were options once; a document that still carries its options is rejected,
+# whatever they hold.
 SCENARIO_KEYS = {
     "injection for injections": ({**_without(_DOCUMENT, "injections"), "injection": []},
                                  r"^unknown key 'injection'$"),
     "missing nodeCount": (_without(_DOCUMENT, "nodeCount"), r"^missing key 'nodeCount'$"),
     "missing horizon": (_without(_DOCUMENT, "horizon"), r"^missing key 'horizon'$"),
-    "options.fidelitymode": ({**_DOCUMENT, "options": {"fidelitymode": True}}, r"^unknown key 'options.fidelitymode'$"),
-    "options.fidelityMode": ({**_DOCUMENT, "options": {"fidelityMode": False}}, r"^unknown key 'options.fidelityMode'$"),
-    "null bootstrapRequestTick": ({**_DOCUMENT, "options": {"bootstrapRequestTick": None}},
-                                  r"^options.bootstrapRequestTick must be an integer, got null$"),
-    "options.bootstrapRequestTic": ({**_DOCUMENT, "options": {"bootstrapRequestTic": 4}},
-                                    r"^unknown key 'options.bootstrapRequestTic'$"),
-    "reqDelay at its old value": ({**_DOCUMENT, "options": {"reqDelay": 1}}, r"^unknown key 'options.reqDelay'$"),
-    "mtLatency at its old value": ({**_DOCUMENT, "options": {"mtLatency": 2}}, r"^unknown key 'options.mtLatency'$"),
+    "options.fidelitymode": ({**_DOCUMENT, "options": {"fidelitymode": True}}, r"^unknown key 'options'$"),
+    "options.fidelityMode": ({**_DOCUMENT, "options": {"fidelityMode": False}}, r"^unknown key 'options'$"),
+    "null bootstrapRequestTick": ({**_DOCUMENT, "options": {"bootstrapRequestTick": None}}, r"^unknown key 'options'$"),
+    "options.bootstrapRequestTic": ({**_DOCUMENT, "options": {"bootstrapRequestTic": 4}}, r"^unknown key 'options'$"),
+    "reqDelay at its old value": ({**_DOCUMENT, "options": {"reqDelay": 1}}, r"^unknown key 'options'$"),
+    "mtLatency at its old value": ({**_DOCUMENT, "options": {"mtLatency": 2}}, r"^unknown key 'options'$"),
     "extra injection key": ({**_DOCUMENT, "injections": [{**_INJECTION, "prio": 1}]},
                             r"^unknown key 'injections\[0\].prio'$"),
     "injection without a node": ({**_DOCUMENT, "injections": [_INJECTION, _without(_INJECTION, "node")]},
@@ -128,7 +127,7 @@ SCENARIO_KEYS = {
     "null injections": ({**_DOCUMENT, "injections": None}, r"^injections must be a list, got null$"),
     "injection that is not an object": ({**_DOCUMENT, "injections": [[1, 0, 3, "aa"]]},
                                         r"^injections\[0\] must be an object, got \[1, 0, 3, \"aa\"\]$"),
-    "null options": ({**_DOCUMENT, "options": None}, r"^options must be an object, got null$"),
+    "null options": ({**_DOCUMENT, "options": None}, r"^unknown key 'options'$"),
     "null document": (None, r"^scenario must be an object, got null$"),
     # Texts that do not decode, given as they are.
     "document that is not JSON": ("{not json", r"^Expecting property name enclosed in double quotes"),
@@ -137,7 +136,7 @@ SCENARIO_KEYS = {
     # Texts that give a key twice, which JSON decoding would otherwise read as its last value.
     "repeated horizon": ('{"nodeCount":1,"horizon":6,"horizon":2}', r"^repeated key 'horizon'$"),
     "repeated option": ('{"nodeCount":1,"horizon":6,"options":{"bootstrapRequestTick":1,"bootstrapRequestTick":0}}',
-                        r"^repeated key 'options.bootstrapRequestTick'$"),
+                        r"^unknown key 'options'$"),
     "repeated injection data": ('{"nodeCount":1,"horizon":6,"injections":[{"node":1,"tick":0,"id":5,"data":"ab",'
                                 '"data":"cd"}]}', r"^repeated key 'injections\[0\].data'$"),
 }
@@ -151,12 +150,12 @@ def test_a_scenario_key_that_does_not_fit_is_named(case):
 
 
 # The request delay (rule req-delay) and the frame latency (rule mt-latency) were options fixed at 1 and 2; any other
-# value is still refused, now as an unknown key.
+# value is still refused, now with the options that carry it.
 @pytest.mark.parametrize("key,value", [("reqDelay", 0), ("reqDelay", 2), ("mtLatency", 1), ("mtLatency", 3)],
                          ids=["reqDelay-req-delay-0", "reqDelay-req-delay-2", "mtLatency-mt-latency-1",
                               "mtLatency-mt-latency-3"])
 def test_fixed_options_reject_any_other_value(key, value):
-    with pytest.raises(ScenarioError, match=f"^unknown key 'options.{key}'$"):
+    with pytest.raises(ScenarioError, match="^unknown key 'options'$"):
         scenario_from_json(json.dumps({"nodeCount": 1, "horizon": 4, "options": {key: value}}))
 
 
@@ -340,7 +339,7 @@ def _truncated_tick_line(blank_lines: int):
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 7, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 8, got {re.escape(_dumps(value))}$")
 
 
 def _edits(*mutations):
@@ -387,13 +386,17 @@ MALFORMED = {
     "version 4": _version(4),
     "version 5": _version(5),
     "version 6": _version(6),
-    "unknown version": _version(8),
-    "version as a string": _version("7"),
-    "version as a float": _version(7.0),
-    "node count differs from the scenario": (_edit_header(lambda header: header["scenario"].update(nodeCount=3)),
-                                             r"^header field 'nodeCount': expected the scenario's 3, got 2$"),
-    "horizon differs from the scenario": (_edit_header(lambda header: header["scenario"].update(horizon=99)),
-                                          r"^header field 'horizon': expected the scenario's 99, got 8$"),
+    "version 7": _version(7),
+    "unknown version": _version(9),
+    "version as a string": _version("8"),
+    "version as a float": _version(8.0),
+    # A v8 header has no node count or horizon of its own: they are its scenario's.
+    "node count differs from the scenario": (_edit_header(lambda header: header.update(nodeCount=3)),
+                                             r"^header field 'nodeCount': unknown key 'nodeCount'$"),
+    "horizon differs from the scenario": (_edit_header(lambda header: header.update(horizon=99)),
+                                          r"^header field 'horizon': unknown key 'horizon'$"),
+    "v7 header fields in a v8 header": (_edit_header(lambda header: header.update(nodeCount=2, horizon=8)),
+                                        r"^header field 'horizon': unknown key 'horizon'$"),
     "line after the last tick": (lambda lines: lines.append('{"error":{"message":"forged","tick":8}}'),
                                  r"^expected 8 tick lines, found 9$"),
     "swapped ticks": (_swap_ticks_1_and_2, r"^tick 1: field 't': expected 1, found 2$"),
@@ -563,13 +566,13 @@ def _drop_key(t, k, key):
 KEYS = {
     "header key outside its set": (_edit_header(lambda header: header.update(extra=1)),
                                    r"^header field 'extra': unknown key 'extra'$"),
-    "header without its node count": (_edit_header(lambda header: header.pop("nodeCount")),
-                                      r"^header field 'nodeCount': missing key 'nodeCount'$"),
+    "header without its node count": (_edit_header(lambda header: header["scenario"].pop("nodeCount")),
+                                      r"^header field 'scenario': missing key 'nodeCount'$"),
     "header without its scenario": (_edit_header(lambda header: header.pop("scenario")),
                                     r"^header field 'scenario': missing key 'scenario'$"),
     "scenario option outside its set": (
-        _edit_header(lambda header: header["scenario"]["options"].update(fidelitymode=True)),
-        r"^header field 'scenario': unknown key 'options.fidelitymode'$"),
+        _edit_header(lambda header: header["scenario"].update(options={"fidelitymode": True})),
+        r"^header field 'scenario': unknown key 'options'$"),
     "scenario injection outside its set": (
         _edit_header(lambda header: header["scenario"]["injections"][1].update(prio=1)),
         r"^header field 'scenario': unknown key 'injections\[1\].prio'$"),
@@ -678,18 +681,18 @@ def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
     # the header's scenario, the one message, the data symbol and the pending payload of the golden spell 0xab
-    text = (GOLDENS / "single_node.v7.jsonl").read_text()
+    text = (GOLDENS / "single_node.v8.jsonl").read_text()
     assert text.count('"ab"') == 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
-# The golden's header fields whose error texts echo their value, each with its value's text.
-_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "7"}
+# The golden's header fields, and its scenario's counts, whose error texts echo their value, each with its value's text.
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "8"}
 
 
 def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
     # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
-    text = (GOLDENS / "single_node.v7.jsonl").read_text()
+    text = (GOLDENS / "single_node.v8.jsonl").read_text()
     header, ticks = text.split("\n", 1)
     depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
     for depth in depths:
@@ -764,7 +767,7 @@ def _objects(value):
 
 
 # Every key of every kind of object that a scenario document or a trace file holds.
-_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v7.jsonl").read_text().splitlines()
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v8.jsonl").read_text().splitlines()
                for obj in _objects(json.loads(line)) for key in obj}
 
 

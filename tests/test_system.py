@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,6 @@ from canstream import (
     DataSym,
     IdSym,
     ModelViolation,
-    RunOptions,
     Scenario,
     ScenarioError,
     assemble_trace,
@@ -108,13 +106,12 @@ def test_idle_node_wakes_up_for_late_traffic():
     assert [(tick, m.id) for tick, m in delivery_log(t)] == [(3, 1), (15, 2)]
 
 
-def test_delayed_bootstrap_holds_traffic_then_pops_by_priority():
-    from canstream.oracle import compare_with_simulator
-
-    s = scenario(1, 12, (1, 1, 9, b"\x01"), (1, 3, 2, b"\x02"),
-                 bootstrap_request_tick=4)
+def test_arrivals_behind_a_busy_offer_slot_pop_by_priority():
+    # node 1 offers id 4 from tick 0 and loses the first frame to node 2's id 0, so ids 9 and 2 queue behind it; the
+    # handoff after its frame picks id 2 first
+    s = scenario(2, 12, (1, 0, 4, b"\x04"), (2, 0, 0, b"\x00"), (1, 1, 9, b"\x01"), (1, 3, 2, b"\x02"))
     t = run_scenario(s)
-    assert [(tick, m.id) for tick, m in delivery_log(t)] == [(7, 2), (9, 9)]
+    assert [(tick, m.id) for tick, m in delivery_log(t)] == [(3, 0), (5, 4), (7, 2), (9, 9)]
     assert compare_with_simulator(s).equivalent
 
 
@@ -156,17 +153,16 @@ def test_a_state_that_does_not_change_stays_the_same_object():
 def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
     """The kernel may reuse a step's result; each one must equal the step called afresh.
 
-    The buffer's request at tick t is the success request of row 4, or the standing request of a primed node whose
-    offer slot is empty."""
+    The buffer's request at tick t is the success request of row 4, or the standing request of a node whose offer slot
+    is empty."""
     trace = run_scenario(s)
     stream = {family: [trace.node_stream(family, i + 1).cells for i in range(s.node_count)]
               for family in ("a", "as", "ms", "mr", "ar")}
-    boot = s.options.bootstrap_request_tick
     for t, (before, after) in enumerate(zip(trace.states, trace.states[1:])):
         for i in range(s.node_count):
             buf = before["buffers"][i]
             assert stream["as"][i][t] == buffer_emission(buf, t), (t, i)
-            req = REQ_CELL if trace.rows[t][i] == 4 or (t >= boot and not buf.b) else ()
+            req = REQ_CELL if trace.rows[t][i] == 4 or not buf.b else ()
             assert buffer_step(buf, stream["a"][i][t], req, t)[1] == after["buffers"][i], (t, i)
             assert encoder_step(before["encoders"][i], stream["as"][i][t], t) == (
                 stream["ms"][i][t], after["encoders"][i]), (t, i)
@@ -205,15 +201,13 @@ def _stepped_by_hand(s: Scenario):
         for inj in s.injections:
             if inj.tick == t:
                 cells[inj.node - 1] = (inj.message,)
-        state, record = tick_system(state, cells, t, s.options)
+        state, record = tick_system(state, cells, t)
         records.append(record)
     return assemble_trace(s, records)
 
 
-@pytest.mark.parametrize("s", [
-    replace(seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32),
-            options=RunOptions(bootstrap_request_tick=(0, 5, 40)[i % 3]))
-    for i in range(12)] + [saturated(2), scenario(3, 0)])
+@pytest.mark.parametrize("s", [seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32) for i in range(12)]
+                         + [saturated(2), scenario(3, 0)])
 def test_stepping_the_kernel_by_hand_gives_the_run(s):
     assert _stepped_by_hand(s) == run_scenario(s)
 
@@ -221,7 +215,7 @@ def test_stepping_the_kernel_by_hand_gives_the_run(s):
 @pytest.mark.parametrize("count", [2, 4])
 def test_a_row_of_cells_for_another_node_count_is_an_error(count):
     with pytest.raises(ValueError, match="^zip"):
-        tick_system(initial_state(3), [()] * count, 0, RunOptions())
+        tick_system(initial_state(3), [()] * count, 0)
 
 
 @settings(max_examples=200, deadline=None)
