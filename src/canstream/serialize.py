@@ -1,9 +1,9 @@
 """Scenario and trace file formats.
 
 Scenarios are single JSON documents; traces are line-delimited JSON with one
-header line followed by one line per tick. All dumps are canonical (sorted
-keys, fixed separators, integers and hex strings only), so a given run always
-serializes to identical bytes.
+header line followed by one line per tick, or per run of repeated ticks. All
+dumps are canonical (sorted keys, fixed separators, integers and hex strings
+only), so a given run always serializes to identical bytes.
 
 A tick line writes each distinct value once. Its "new" list holds the JSON of
 each cell, row and component state first seen at that tick. The entries of
@@ -24,10 +24,12 @@ the first state that queues it, and each message's JSON is written once.
 
 A line gives "t" and only the fields whose value differs from the previous
 tick's (in "state", only the families that changed), and "new" only when it
-has entries, so a quiet tick is {"t":N}; tick 0 gives every field. The header
-is {"format","scenario","version"}: the node count and the horizon are the
-scenario's. The loader reads version 8 (TRACE_VERSION) only; an older trace is
-regenerated by running the scenario in its header.
+has entries; tick 0 gives every field. A tick that repeats the previous one
+has no line of its own: "through":M on the line of tick N says that ticks N+1
+to M repeat tick N. The loader still reads a line of "t" alone as one repeated
+tick. The header is {"format","scenario","version"}: the node count and the
+horizon are the scenario's. The loader reads version 9 (TRACE_VERSION) only; an
+older trace is regenerated by running the scenario in its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
@@ -67,7 +69,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 8
+TRACE_VERSION = 9
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -122,7 +124,8 @@ _ENCODER = {"e": _BOOL, "pending": _HEX_OR_NULL}
 _LLAYER = {"lid": _INT}
 # The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
 _HEADER = dict.fromkeys(("format", "version", "scenario")).keys()
-_TICK = dict.fromkeys(("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
+_TICK = dict.fromkeys(("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()  # tick 0's line gives each
+_LINE = _TICK | {"through"}  # the keys a tick line may give
 
 
 def _checked(name: str, value, kind: tuple):
@@ -246,6 +249,12 @@ def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
     return "{%s}" % ",".join(parts)
 
 
+def _line(parts: list) -> str:
+    """A tick line of its parts, each starting with its quoted key."""
+    # A quote sorts before any letter, so the parts sort by key.
+    return "{%s}" % ",".join(sorted(parts))
+
+
 def trace_to_jsonl(trace: Trace) -> str:
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "scenario": scenario_to_dict(trace.scenario)}
     # refs: id() -> table number of each value met; numbers: text -> table number
@@ -281,15 +290,24 @@ def trace_to_jsonl(trace: Trace) -> str:
     # its entries in order of first appearance. A line gives each field whose value differs from the previous
     # tick's (at tick 0, all of them), "new" if it has entries, and "t".
     fields = [('"%s":' % key, *series[key]) for key in sorted(series)]
-    lines = [_dumps(header)]
+    # A tick line is kept as its parts until the next line starts: a tick that repeats it adds "through" to its "t"
+    # part, which sorts where "through" does.
+    lines, start = [_dumps(header)], 0
     for t in range(len(trace.states)):
         first = len(table)
         parts = [key + write(values, t) for key, values, write in fields if not t or values[t] != values[t - 1]]
+        if t and not parts:  # the tick repeats the previous one, so the latest line covers it
+            lines[-1][-1] = '"t":%d,"through":%d' % (start, t)
+            continue
+        if t:
+            lines[-1] = _line(lines[-1])
         if len(table) > first:
             parts.append('"new":[%s]' % ",".join(table[first:]))
         parts.append('"t":%d' % t)
-        # Each part starts with its quoted key, and a quote sorts before any letter, so the parts sort by key.
-        lines.append("{%s}" % ",".join(sorted(parts)))
+        lines.append(parts)
+        start = t
+    if trace.states:
+        lines[-1] = _line(lines[-1])
     return "\n".join(lines) + "\n"
 
 
@@ -432,10 +450,6 @@ def trace_from_jsonl(text: str) -> Trace:
     except ScenarioError as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
     n, horizon = scenario.node_count, scenario.horizon
-    ticks = [_json_line(number, line, t) for t, (number, line) in enumerate(lines[1:])]
-    if len(ticks) != horizon:
-        raise ValueError(f"expected {horizon} tick lines, found {len(ticks)}")
-
     table: list = []
     entry, entries = _table_readers(n, table)
     # A record's fields before its state, in its order, each with its reader and whether it has an entry per node.
@@ -445,7 +459,11 @@ def trace_from_jsonl(text: str) -> Trace:
     # entries of two ticks before.
     blank = [((),) * n] * (len(fields) - 1) + [(None,) * n, dict.fromkeys(_COMPONENTS, (None,) * n)]
     records = [blank] * 2
-    for t, tick in enumerate(ticks):
+    for number, line in lines[1:]:
+        t = len(records) - 2  # the tick where the line starts
+        tick = _json_line(number, line, t)
+        if t == horizon:
+            raise ValueError(f"tick {t}: field 't': expected the file to end at the horizon, tick {horizon}")
         if type(tick) is not dict:
             raise ValueError(f"tick {t}: expected an object, got {_dumps(tick)}")
         field = "t"
@@ -453,14 +471,20 @@ def trace_from_jsonl(text: str) -> Trace:
             given = tick.get("t")
             if type(given) is not int or given != t:
                 raise ValueError(f"expected {t}, found {_dumps(given)}" if "t" in tick else "missing key 't'")
-            # After tick 0, a line leaves out each field whose value did not change, so {"t":N} repeats the previous
-            # tick.
-            if t and len(tick) == 1:
-                records.append(records[-1])
+            through = t  # the last tick the line covers: each later one repeats tick t
+            if "through" in tick:
+                field, through = "through", tick["through"]
+                if type(through) is not int or not t < through < horizon:
+                    raise ValueError(f"expected an integer above {t} and below the horizon, {horizon}, "
+                                     f"got {_dumps(through)}")
+            # After tick 0, a line leaves out each field whose value did not change, so a line of "t" alone, or with
+            # "through", repeats the previous tick.
+            if t and len(tick) == 1 + (through > t):
+                records += [records[-1]] * (through + 1 - t)
                 continue
-            # Tick 0 gives every key of a tick line, and a later line any of them.
-            if not (tick.keys() <= _TICK if t else tick.keys() == _TICK):
-                field, reason = _misfit(tick, _TICK, () if t else _TICK)
+            # Tick 0 gives every key of a tick line but "through", and a later line any of them.
+            if not (tick.keys() <= _LINE and (t or _TICK <= tick.keys())):
+                field, reason = _misfit(tick, _LINE, () if t else _TICK)
                 raise ValueError(f"{reason} {field!r}")
             if "new" in tick:
                 field = "new"
@@ -482,9 +506,11 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError("tick 0 must give every component state" if t == 0 else
                                  "tick 1 must give every node's state in each family it gives")
             record.append(snap)
-            records.append(record)
+            records += [record] * (through + 1 - t)
         except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
             raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
+    if len(records) - 2 != horizon:
+        raise ValueError(f"expected {horizon} ticks, found {len(records) - 2}")
     return assemble_trace(scenario, records[2:])
 
 

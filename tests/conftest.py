@@ -67,9 +67,9 @@ def unprimed(monkeypatch) -> None:
 
 
 def add_entry(lines: list[str], t: int, value) -> int:
-    """Append `value` to the value table at tick t of a trace file's lines, and renumber the later ticks' references,
-    in their fields and inside their buffer state entries, so that everything else reads what it read before; the new
-    entry's table number."""
+    """Append `value` to the value table at the t-th tick line of a trace file's lines (tick t's line while no earlier
+    line covers a run of repeated ticks), and renumber the later lines' references, in their fields and inside their
+    buffer state entries, so that everything else reads what it read before; the new entry's table number."""
     ticks = [json.loads(line) for line in lines[1:]]
     k = sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
     ticks[t].setdefault("new", []).append(value)

@@ -134,7 +134,7 @@ def test_criterion_2_golden_trace(golden_scenario):
         first = trace_to_jsonl(trace)
         second = trace_to_jsonl(run_scenario(golden_scenario))
         assert first == second
-        frozen = (GOLDENS / "single_node.v8.jsonl").read_text()
+        frozen = (GOLDENS / "single_node.v9.jsonl").read_text()
         assert first == frozen
         assert trace_from_jsonl(frozen) == trace
 

@@ -21,7 +21,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v8.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v9.jsonl"
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canstream import (
+    Scenario,
     ScenarioError,
     TimedStream,
     check_all,
@@ -67,7 +68,7 @@ def test_trace_bytes_are_deterministic(two_node_scenario):
 def test_trace_is_line_delimited_json(golden_scenario):
     text = trace_to_jsonl(run_scenario(golden_scenario))
     lines = text.strip().split("\n")
-    assert len(lines) == 1 + 6  # header + one line per tick
+    assert len(lines) == 1 + 5  # header + one line per tick, but tick 5 repeats tick 4 and shares its line
     header = json.loads(lines[0])
     assert header["format"] == "canstream-trace"
     for line in lines[1:]:
@@ -149,16 +150,6 @@ def test_a_scenario_key_that_does_not_fit_is_named(case):
         scenario_from_json(document if isinstance(document, str) else json.dumps(document))
 
 
-# The request delay (rule req-delay) and the frame latency (rule mt-latency) were options fixed at 1 and 2; any other
-# value is still refused, now with the options that carry it.
-@pytest.mark.parametrize("key,value", [("reqDelay", 0), ("reqDelay", 2), ("mtLatency", 1), ("mtLatency", 3)],
-                         ids=["reqDelay-req-delay-0", "reqDelay-req-delay-2", "mtLatency-mt-latency-1",
-                              "mtLatency-mt-latency-3"])
-def test_fixed_options_reject_any_other_value(key, value):
-    with pytest.raises(ScenarioError, match="^unknown key 'options'$"):
-        scenario_from_json(json.dumps({"nodeCount": 1, "horizon": 4, "options": {key: value}}))
-
-
 def test_the_scenario_writer_gives_every_key_of_its_set():
     s = scenario(2, 8, (1, 0, 3, b"\xaa"))
     assert json.loads(scenario_to_json(s)) == _DOCUMENT
@@ -180,6 +171,22 @@ def _assert_canonical_round_trip(trace) -> str:
 @given(valid_scenarios())
 def test_every_valid_scenarios_trace_is_canonical_and_round_trips(s):
     _assert_canonical_round_trip(run_scenario(s))
+
+
+def test_an_idle_run_is_its_header_tick_0_and_one_run_of_repeated_ticks():
+    lines = trace_to_jsonl(run_scenario(Scenario(3, 64, ()))).splitlines()
+    assert len(lines) == 3 and lines[2] == '{"r":0,"t":1,"through":63}'
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_scenarios())
+def test_no_line_after_tick_0_is_a_bare_tick_and_a_bare_line_loads_as_one_repeated_tick(s):
+    trace = run_scenario(s)
+    lines = trace_to_jsonl(trace).splitlines()
+    assert not any(json.loads(line).keys() == {"t"} for line in lines[2:])
+    _unfold(lines)
+    assert len(lines) == 1 + trace.horizon
+    assert trace_from_jsonl("\n".join(lines) + "\n") == trace
 
 
 def test_trace_codec_is_canonical_and_round_trips_over_every_kind_of_run():
@@ -233,8 +240,9 @@ def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, 
     n, listed = trace.node_count, Counter()
     columns = {family: list(zip(*(stream.cells for stream in trace.streams[family]))) for family in PER_NODE_FAMILIES}
     columns.update({key: [snap[key] for snap in trace.states] for key in STATE_KEYS})
-    for t, line in enumerate(text.splitlines()[1:1 + trace.horizon]):
+    for line in text.splitlines()[1:]:
         tick = json.loads(line)
+        t = tick["t"]
         for key, column in columns.items():
             value = (tick.get("state", {}) if key in STATE_KEYS else tick).get(key)
             if type(value) is list:
@@ -339,7 +347,7 @@ def _truncated_tick_line(blank_lines: int):
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 8, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 9, got {re.escape(_dumps(value))}$")
 
 
 def _edits(*mutations):
@@ -349,8 +357,19 @@ def _edits(*mutations):
     return mutate
 
 
+def _unfold(lines):
+    """Give each tick that a line's "through" covers a line of "t" alone, as version 8 wrote a repeated tick."""
+    unfolded = lines[:1]
+    for line in lines[1:]:
+        tick = json.loads(line)
+        through = tick.pop("through", tick["t"])
+        unfolded += [_dumps(tick)] + ['{"t":%d}' % t for t in range(tick["t"] + 1, through + 1)]
+    lines[:] = unfolded
+
+
 # Hand edits of the dump of two_node_scenario, and the error each must raise. Its table has entries 0 to 8 after
-# tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5.
+# tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5. Each tick
+# has a line of its own but tick 7, which repeats tick 6: tick 6's line gives "through":7.
 # Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the row, and the buffer,
 # decoder, encoder and logical layer state; tick 1's are node 1's and node 2's `ms` cells, the row, and node 1's and
 # node 2's buffer states, {"b":0,"buf":[]} and {"b":1,"buf":[]}; tick 2's first is node 1's data symbol.
@@ -368,7 +387,7 @@ MALFORMED = {
                                       r"^line 4 \(tick 2\): maximum recursion depth exceeded"),
     "tick of 5,000 digits": (lambda lines: lines.__setitem__(3, '{"t":%s}' % ("1" * 5000)),
                              r"^line 4 \(tick 2\): Exceeds the limit \(4300"),
-    "missing tick line": (lambda lines: lines.pop(), r"^expected 8 tick lines, found 7$"),
+    "missing tick line": (lambda lines: lines.pop(), r"^expected 8 ticks, found 6$"),
     "null scenario": (_edit_header(lambda header: header.update(scenario=None)),
                       r"^header field 'scenario': scenario must be an object, got null$"),
     "header not an object": (_header_not_an_object, r"^header must be a JSON object, got a list$"),
@@ -387,10 +406,11 @@ MALFORMED = {
     "version 5": _version(5),
     "version 6": _version(6),
     "version 7": _version(7),
-    "unknown version": _version(9),
-    "version as a string": _version("8"),
-    "version as a float": _version(8.0),
-    # A v8 header has no node count or horizon of its own: they are its scenario's.
+    "version 8": _version(8),
+    "unknown version": _version(10),
+    "version as a string": _version("9"),
+    "version as a float": _version(9.0),
+    # A v9 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
     "node count differs from the scenario": (_edit_header(lambda header: header.update(nodeCount=3)),
                                              r"^header field 'nodeCount': unknown key 'nodeCount'$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header.update(horizon=99)),
@@ -398,7 +418,27 @@ MALFORMED = {
     "v7 header fields in a v8 header": (_edit_header(lambda header: header.update(nodeCount=2, horizon=8)),
                                         r"^header field 'horizon': unknown key 'horizon'$"),
     "line after the last tick": (lambda lines: lines.append('{"error":{"message":"forged","tick":8}}'),
-                                 r"^expected 8 tick lines, found 9$"),
+                                 r"^tick 8: field 't': expected the file to end at the horizon, tick 8$"),
+    # A run of repeated ticks folded into the line before it.
+    "flag as through": (_set_field(4, "through", True),
+                        r"^tick 4: field 'through': expected an integer above 4 and below the horizon, 8, got true$"),
+    "float through": (_set_field(4, "through", 5.0),
+                      r"^tick 4: field 'through': expected an integer above 4 and below the horizon, 8, got 5.0$"),
+    "string through": (_set_field(4, "through", "5"),
+                       r'^tick 4: field \'through\': expected an integer above 4 and below the horizon, 8, got "5"$'),
+    "null through": (_set_field(4, "through", None),
+                     r"^tick 4: field 'through': expected an integer above 4 and below the horizon, 8, got null$"),
+    "through at its own tick": (
+        _set_field(4, "through", 4),
+        r"^tick 4: field 'through': expected an integer above 4 and below the horizon, 8, got 4$"),
+    "through past the horizon": (
+        _set_field(6, "through", 8),
+        r"^tick 6: field 'through': expected an integer above 6 and below the horizon, 8, got 8$"),
+    "line after a run that reaches the horizon": (lambda lines: lines.append('{"t":8}'),
+                                                  r"^tick 8: field 't': expected the file to end at the horizon, "
+                                                  r"tick 8$"),
+    "run that stops short": (_drop_field(6, "through"), r"^expected 8 ticks, found 7$"),
+    "line that repeats the end of a run": (_set_field(4, "through", 5), r"^tick 6: field 't': expected 6, found 5$"),
     "swapped ticks": (_swap_ticks_1_and_2, r"^tick 1: field 't': expected 1, found 2$"),
     "flag as the tick": (_set_field(1, "t", True), r"^tick 1: field 't': expected 1, found true$"),
     "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
@@ -511,7 +551,7 @@ MALFORMED_V4 = {
     "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
     "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
     "reference beyond the table on a quiet tick": (
-        _set_field(7, "wr", 24),
+        _edits(_unfold, _set_field(7, "wr", 24)),
         r"^tick 7: field 'wr': expected a reference to one of the value table's 24 entries, got 24$"),
 }
 
@@ -647,11 +687,16 @@ def test_a_request_cell_of_two_tokens_and_row_3_load_and_are_reported(two_node_s
 
 def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_node_scenario):
     text = trace_to_jsonl(run_scenario(two_node_scenario))
-    ticks = [json.loads(line) for line in text.splitlines()[1:]]
+    given = {}  # tick -> the keys of its line; a tick that a line's "through" covers gives none
+    for line in text.splitlines()[1:]:
+        tick = json.loads(line)
+        given[tick["t"]] = tick.keys()
+        given.update(dict.fromkeys(range(tick["t"] + 1, tick.get("through", 0) + 1), ()))
     trace = trace_from_jsonl(text)
-    kept = {key: [t for t, tick in enumerate(ticks) if t and key not in tick]
+    assert sorted(given) == list(range(trace.horizon))
+    kept = {key: [t for t in range(1, trace.horizon) if key not in given[t]]
             for key in (*PER_NODE_FAMILIES, "wr", "rows", "state")}
-    assert all(kept.values()) and any(tick.keys() == {"t"} for tick in ticks)
+    assert all(kept.values()) and () in given.values()
     for family in PER_NODE_FAMILIES:
         for stream in trace.streams[family]:
             assert all(stream.cells[t] is stream.cells[t - 1] for t in kept[family])
@@ -681,18 +726,18 @@ def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
     # the header's scenario, the one message, the data symbol and the pending payload of the golden spell 0xab
-    text = (GOLDENS / "single_node.v8.jsonl").read_text()
+    text = (GOLDENS / "single_node.v9.jsonl").read_text()
     assert text.count('"ab"') == 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
 # The golden's header fields, and its scenario's counts, whose error texts echo their value, each with its value's text.
-_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "8"}
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "9"}
 
 
 def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
     # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
-    text = (GOLDENS / "single_node.v8.jsonl").read_text()
+    text = (GOLDENS / "single_node.v9.jsonl").read_text()
     header, ticks = text.split("\n", 1)
     depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
     for depth in depths:
@@ -767,7 +812,7 @@ def _objects(value):
 
 
 # Every key of every kind of object that a scenario document or a trace file holds.
-_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v8.jsonl").read_text().splitlines()
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v9.jsonl").read_text().splitlines()
                for obj in _objects(json.loads(line)) for key in obj}
 
 
