@@ -10,11 +10,6 @@ from typing import Sequence
 from .core import AMessage, IdSym, Message, MixingViolation
 
 
-def take_ids(msgs: Sequence[AMessage]) -> tuple[int, ...]:
-    """Order-preserving projection of the id selector."""
-    return tuple(m.id for m in msgs)
-
-
 def collect_elements(i: int, streams: Sequence[Sequence]) -> tuple:
     """Concatenate the nonempty cells among streams[0..i-1], highest index first.
 
@@ -38,13 +33,6 @@ def min_nat_list(a: int, values: Sequence[int]) -> int:
         if x < best:
             best = x
     return best
-
-
-def min_of_list(values: Sequence[int]) -> int:
-    """Minimum member of a nonempty finite list of naturals."""
-    if not values:
-        raise ValueError("minimum of empty list")
-    return min_nat_list(values[0], values[1:])
 
 
 def pr_add(buf: Sequence[AMessage], msg: AMessage) -> tuple[AMessage, ...]:

@@ -6,15 +6,15 @@ dumps are canonical (sorted keys, fixed separators, integers and hex strings
 only), so a given run always serializes to identical bytes.
 
 A tick line writes each distinct value once. Its "new" list holds the JSON of
-each cell, row and component state first seen at that tick. The entries of
-all lines so far are the value table, numbered in order of first appearance,
-and every other field is an integer reference into it. A per-node field, a
-stream family, the rows or a component family of the state, is one reference
-if every node's entry is the same, else a [node index, reference] pair per
-node whose entry differs from its own entry two ticks before: a frame takes
-two ticks, so a node that loses arbitration repeats its cells and states two
-ticks later. Before tick 0 every cell is empty and no row or state is known.
-Values count as the same when equal, so the bytes depend on the values alone.
+each cell, row and component state first seen at that tick. The value table is
+the seven values of an idle tick 0, which no file writes, then the entries of
+all lines so far in order; every other field is an integer reference into it.
+A per-node field, a stream family, the rows or a component family of the
+state, is one reference if every node's entry is the same, else a [node index,
+reference] pair per node whose entry differs from its own entry two ticks
+before: a frame takes two ticks, so a node that loses arbitration repeats its
+cells and states two ticks later. The ticks before tick 0 are idle. Equal
+values count as the same, so the bytes depend on the values alone.
 
 A buffer state entry refers to its messages, {"b":k,"buf":[k1,...]}: k names
 the cell of its offer slot, and each ki the cell that holds one queued message
@@ -24,12 +24,12 @@ the first state that queues it, and each message's JSON is written once.
 
 A line gives "t" and only the fields whose value differs from the previous
 tick's (in "state", only the families that changed), and "new" only when it
-has entries; tick 0 gives every field. A tick that repeats the previous one
-has no line of its own: "through":M on the line of tick N says that ticks N+1
-to M repeat tick N. The loader still reads a line of "t" alone as one repeated
-tick. The header is {"format","scenario","version"}: the node count and the
-horizon are the scenario's. The loader reads version 9 (TRACE_VERSION) only; an
-older trace is regenerated by running the scenario in its header.
+has entries. A tick that repeats the previous one has no line of its own:
+"through":M on the line of tick N says that ticks N+1 to M repeat tick N, and
+a line of "t" alone is one repeated tick. The header is {"format","scenario",
+"version"}: the node count and the horizon are the scenario's. The loader
+reads version 10 (TRACE_VERSION) only; an older trace is regenerated by
+running the scenario in its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
@@ -53,7 +53,8 @@ from operator import ne
 from string import hexdigits
 
 from .checkers import Report
-from .components import BufferState, DecoderState, EncoderState, LogicalLayerState
+from .components import (REQ_CELL, _IDLE_BUFFER, _IDLE_DECODER, _IDLE_ENCODER, _IDLE_LLAYER, BufferState, DecoderState,
+                         EncoderState, LogicalLayerState)
 from .core import (
     PER_NODE_FAMILIES,
     REQ,
@@ -69,7 +70,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 9
+TRACE_VERSION = 10
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -124,8 +125,7 @@ _ENCODER = {"e": _BOOL, "pending": _HEX_OR_NULL}
 _LLAYER = {"lid": _INT}
 # The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
 _HEADER = dict.fromkeys(("format", "version", "scenario")).keys()
-_TICK = dict.fromkeys(("t", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()  # tick 0's line gives each
-_LINE = _TICK | {"through"}  # the keys a tick line may give
+_LINE = dict.fromkeys(("t", "through", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
 
 
 def _checked(name: str, value, kind: tuple):
@@ -215,6 +215,16 @@ def scenario_from_json(text: str) -> Scenario:
 
 # -- traces -------------------------------------------------------------------
 
+# An idle tick 0's values, in the order its line would number them: they open every value table, and no file has them.
+_OPENING = ((), REQ_CELL, 1, _IDLE_BUFFER, _IDLE_DECODER, _IDLE_ENCODER, _IDLE_LLAYER)
+
+
+def _idle(n: int) -> dict:
+    """The fields of the tick before tick 0 for n nodes, in a record's order."""
+    return {**dict.fromkeys(PER_NODE_FAMILIES, ((),) * n), "wr": (), "rows": (1,) * n,
+            "state": {key: (state,) * n for key, state in zip(_COMPONENTS, _OPENING[3:])}}
+
+
 # The canonical JSON text of a value, by its exact type.
 _FRAGMENTS = {
     tuple: lambda v: "[%s]" % ",".join([_FRAGMENTS[type(x)](x) for x in v]),
@@ -250,15 +260,13 @@ def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
 
 
 def _line(parts: list) -> str:
-    """A tick line of its parts, each starting with its quoted key."""
-    # A quote sorts before any letter, so the parts sort by key.
+    """A tick line of its parts, each starting with its quoted key: a quote sorts first, so the parts sort by key."""
     return "{%s}" % ",".join(sorted(parts))
 
 
-def trace_to_jsonl(trace: Trace) -> str:
-    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "scenario": scenario_to_dict(trace.scenario)}
-    # refs: id() -> table number of each value met; numbers: text -> table number
-    refs, numbers, table = {}, {}, []
+def _value_table() -> tuple:
+    """A dump's value table, opened with `_OPENING`'s entries, and a value's table number, its text added if new."""
+    refs, numbers, table = {}, {}, []  # refs: id() -> table number of each value met; numbers: text -> table number
 
     def number(text: str) -> int:
         k = numbers.setdefault(text, len(numbers))
@@ -269,33 +277,37 @@ def trace_to_jsonl(trace: Trace) -> str:
     def ref(value) -> int:
         k = refs.get(id(value))
         if k is None:
-            # A buffer state refers to its offer cell and to each queued message's cell, numbered first; such a cell
-            # is no object of the trace, and a tuple made here could reuse an id, so its text numbers it.
+            # A buffer state refers to its offer cell and to each queued message's cell; such a cell may be no object
+            # of the trace, and a tuple made here could reuse an id, so its text numbers it.
             text = (_FRAGMENTS[type(value)](value) if type(value) is not BufferState else '{"b":%d,"buf":[%s]}' % (
-                ref(value.b), ",".join(["%d" % number("[%s]" % _FRAGMENTS[AMessage](m)) for m in value.buf])))
+                number(_FRAGMENTS[tuple](value.b)),
+                ",".join(["%d" % number("[%s]" % _FRAGMENTS[AMessage](m)) for m in value.buf])))
             k = refs[id(value)] = number(text)
         return k
 
-    # Before tick 0 every cell is empty and no state is known, so tick 0 gives every state.
-    blank, unknown = ((),) * trace.node_count, dict.fromkeys(_COMPONENTS, (None,) * trace.node_count)
-    prevs, bases = (unknown,) + trace.states, (unknown, unknown) + trace.states
-    cells = lambda column, t: _per_node(column[t], ref, column[t - 2] if t > 1 else blank)
-    one = lambda values, t: "%d" % ref(values[t])
-    # key -> (value per tick, writer); a family's value is its column of per-node cells
-    series = {family: (list(zip(*(stream.cells for stream in trace.streams[family]))), cells)
-              for family in PER_NODE_FAMILIES}
-    series.update(rows=(trace.rows, cells), wr=(trace.wire.cells, one),
-                  state=(trace.states, lambda snaps, t: _snapshot_to_obj(prevs[t], snaps[t], bases[t], ref)))
-    # The line's fields as (quoted key and colon, value per tick, writer), in key order, so that the table numbers
-    # its entries in order of first appearance. A line gives each field whose value differs from the previous
-    # tick's (at tick 0, all of them), "new" if it has entries, and "t".
-    fields = [('"%s":' % key, *series[key]) for key in sorted(series)]
+    for value in _OPENING:
+        ref(value)
+    return table, ref
+
+
+def trace_to_jsonl(trace: Trace) -> str:
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "scenario": scenario_to_dict(trace.scenario)}
+    table, ref = _value_table()
+    idle = _idle(trace.node_count)
+    pairs = lambda values, u: _per_node(values[u], ref, values[u - 2])
+    # key -> (value per tick, writer of the value at an index); a family's value is its column of per-node cells
+    series = {family: (zip(*(stream.cells for stream in trace.streams[family])), pairs) for family in PER_NODE_FAMILIES}
+    series.update(rows=(trace.rows, pairs), wr=(trace.wire.cells, lambda values, u: "%d" % ref(values[u])),
+                  state=(trace.states, lambda snaps, u: _snapshot_to_obj(snaps[u - 1], snaps[u], snaps[u - 2], ref)))
+    # The line's fields as (quoted key and colon, values from tick -2 on, so that tick t's is at index t+2, writer), in
+    # key order, so that the table numbers its entries in order of first appearance.
+    fields = [('"%s":' % key, [idle[key]] * 2 + list(values), write) for key, (values, write) in sorted(series.items())]
     # A tick line is kept as its parts until the next line starts: a tick that repeats it adds "through" to its "t"
     # part, which sorts where "through" does.
     lines, start = [_dumps(header)], 0
     for t in range(len(trace.states)):
-        first = len(table)
-        parts = [key + write(values, t) for key, values, write in fields if not t or values[t] != values[t - 1]]
+        u, first = t + 2, len(table)
+        parts = [key + write(values, u) for key, values, write in fields if values[u] != values[u - 1]]
         if t and not parts:  # the tick repeats the previous one, so the latest line covers it
             lines[-1][-1] = '"t":%d,"through":%d' % (start, t)
             continue
@@ -360,6 +372,7 @@ _STATES = {"buffers": _buffer_state, "decoders": lambda obj: DecoderState(*_read
            "encoders": lambda obj: EncoderState(*_read(obj, _ENCODER)),
            "llayers": lambda obj: LogicalLayerState(*_read(obj, _LLAYER))}
 _COMPONENTS = _STATES.keys()  # the per-node families of a state
+_OPENING_ENTRIES = [json.loads(text) for text in _value_table()[0]]  # the opening entries as a load reads them
 
 
 def _table_readers(n: int, table: list):
@@ -450,15 +463,13 @@ def trace_from_jsonl(text: str) -> Trace:
     except ScenarioError as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
     n, horizon = scenario.node_count, scenario.horizon
-    table: list = []
+    table = list(_OPENING_ENTRIES)
     entry, entries = _table_readers(n, table)
     # A record's fields before its state, in its order, each with its reader and whether it has an entry per node.
     fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
     fields += [("wr", _CELLS["wr"], False), ("rows", _row, True)]
-    # Two ticks of empty cells, unknown rows and unknown states come before tick 0; a line's pairs apply to the
-    # entries of two ticks before.
-    blank = [((),) * n] * (len(fields) - 1) + [(None,) * n, dict.fromkeys(_COMPONENTS, (None,) * n)]
-    records = [blank] * 2
+    # Two idle ticks come before tick 0; a line's pairs apply to the entries of two ticks before.
+    records = [list(_idle(n).values())] * 2
     for number, line in lines[1:]:
         t = len(records) - 2  # the tick where the line starts
         tick = _json_line(number, line, t)
@@ -477,14 +488,8 @@ def trace_from_jsonl(text: str) -> Trace:
                 if type(through) is not int or not t < through < horizon:
                     raise ValueError(f"expected an integer above {t} and below the horizon, {horizon}, "
                                      f"got {_dumps(through)}")
-            # After tick 0, a line leaves out each field whose value did not change, so a line of "t" alone, or with
-            # "through", repeats the previous tick.
-            if t and len(tick) == 1 + (through > t):
-                records += [records[-1]] * (through + 1 - t)
-                continue
-            # Tick 0 gives every key of a tick line but "through", and a later line any of them.
-            if not (tick.keys() <= _LINE and (t or _TICK <= tick.keys())):
-                field, reason = _misfit(tick, _LINE, () if t else _TICK)
+            if not tick.keys() <= _LINE:
+                field, reason = _misfit(tick, _LINE, ())
                 raise ValueError(f"{reason} {field!r}")
             if "new" in tick:
                 field = "new"
@@ -497,14 +502,9 @@ def trace_from_jsonl(text: str) -> Trace:
                     record.append(records[-1][k])
                 else:
                     record.append(entries(tick[field], read, records[-2][k]) if per_node else entry(tick[field], read))
-            if t < 2 and None in record[-1]:  # the last field read is "rows"
-                raise ValueError(f"tick {t} must give every node's row")
             field, snap = "state", records[-1][-1]
             if "state" in tick:
                 snap = _snapshot_from_obj(tick["state"], snap, records[-2][-1], entries)
-            if t < 2 and any(None in snap[key] for key in _COMPONENTS):
-                raise ValueError("tick 0 must give every component state" if t == 0 else
-                                 "tick 1 must give every node's state in each family it gives")
             record.append(snap)
             records += [record] * (through + 1 - t)
         except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from canstream import AMessage, Injection, Scenario
 from canstream.components import dispatch_row
 from canstream.fuzzing import ID_POOL
+from canstream.serialize import _OPENING
 
 
 def amsg(ident: int, data: bytes = b"\x00") -> AMessage:
@@ -66,17 +67,30 @@ def unprimed(monkeypatch) -> None:
     monkeypatch.setattr(system, "buffer_step", lambda state, a, r, t: real(state, a, (), t))
 
 
+def tick_line(lines: list[str], t: int) -> int:
+    """The index, in a trace file's lines, of the line of tick t; a tick that a line's "through" covers has none."""
+    for i, line in enumerate(lines[1:], start=1):
+        tick = json.loads(line)
+        if tick.get("t") == t:
+            return i
+        if tick.get("t", t) < t <= tick.get("through", -1):
+            pytest.fail(f"tick {t} has no line of its own: the line of tick {tick['t']} covers it, through tick "
+                        f"{tick['through']}")
+    pytest.fail(f"no line covers tick {t}")
+
+
 def add_entry(lines: list[str], t: int, value) -> int:
-    """Append `value` to the value table at the t-th tick line of a trace file's lines (tick t's line while no earlier
-    line covers a run of repeated ticks), and renumber the later lines' references, in their fields and inside their
-    buffer state entries, so that everything else reads what it read before; the new entry's table number."""
+    """Append `value` to the value table at tick t's line of a trace file's lines, and renumber the later lines'
+    references, in their fields and inside their buffer state entries, so that everything else reads what it read
+    before; the new entry's table number."""
+    at = tick_line(lines, t)
     ticks = [json.loads(line) for line in lines[1:]]
-    k = sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
-    ticks[t].setdefault("new", []).append(value)
+    k = len(_OPENING) + sum(len(tick.get("new", ())) for tick in ticks[:at])
+    ticks[at - 1].setdefault("new", []).append(value)
     up = lambda r: r + (r >= k)
     shift = lambda v: up(v) if type(v) is int else [[i, up(r)] for i, r in v]
-    for tick in ticks[t + 1:]:
-        for key in tick.keys() - {"t", "new"}:
+    for tick in ticks[at:]:
+        for key in tick.keys() - {"t", "through", "new"}:
             tick[key] = {f: shift(v) for f, v in tick[key].items()} if key == "state" else shift(tick[key])
         for entry in tick.get("new", ()):
             if isinstance(entry, dict) and "buf" in entry:  # a buffer state refers to its messages' cells

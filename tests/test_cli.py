@@ -12,7 +12,7 @@ import canstream
 from canstream.checkers import ALL_PREDICATES, check_all
 from canstream.cli import main
 from canstream.serialize import scenario_to_json, trace_from_jsonl
-from .conftest import add_entry, literal_row2, scenario
+from .conftest import add_entry, literal_row2, scenario, tick_line
 
 GOLDEN = {
     "nodeCount": 1,
@@ -21,7 +21,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v9.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v10.jsonl"
 
 
 @pytest.fixture
@@ -98,9 +98,10 @@ def _golden_with_cell(t: int, family: str, cell: list) -> str:
     changes; the golden has one node, so one reference gives its cell."""
     lines = GOLDEN_TRACE.read_text().splitlines()
     k = add_entry(lines, t, cell)
-    tick = json.loads(lines[1 + t])
+    at = tick_line(lines, t)
+    tick = json.loads(lines[at])
     tick[family] = k
-    lines[1 + t] = json.dumps(tick, sort_keys=True, separators=(",", ":"))
+    lines[at] = json.dumps(tick, sort_keys=True, separators=(",", ":"))
     return "\n".join(lines) + "\n"
 
 

@@ -9,9 +9,7 @@ from canstream.primitives import (
     broadcast,
     collect_elements,
     min_nat_list,
-    min_of_list,
     pr_add,
-    take_ids,
 )
 from .conftest import amsg
 
@@ -20,27 +18,6 @@ amessages = st.builds(
     st.integers(min_value=0, max_value=500),
     st.binary(max_size=8),
 )
-
-
-# -- take_ids ------------------------------------------------------------------
-
-def test_take_ids_empty():
-    assert take_ids(()) == ()
-
-
-def test_take_ids_single():
-    assert take_ids((amsg(3),)) == (3,)
-
-
-def test_take_ids_two():
-    assert take_ids((amsg(3), amsg(1))) == (3, 1)
-
-
-@given(st.lists(amessages))
-def test_take_ids_preserves_length_and_order(msgs):
-    out = take_ids(msgs)
-    assert len(out) == len(msgs)
-    assert all(out[k] == msgs[k].id for k in range(len(msgs)))
 
 
 # -- collect_elements ----------------------------------------------------------
@@ -69,7 +46,7 @@ def test_collect_length_and_membership(cells):
     assert sorted(out) == sorted(x for c in cells for x in c)
 
 
-# -- min_nat_list / min_of_list --------------------------------------------------
+# -- min_nat_list -----------------------------------------------------------------
 
 def test_min_nat_list_empty():
     assert min_nat_list(5, ()) == 5
@@ -88,13 +65,6 @@ def test_min_nat_list_is_min(a, values):
     result = min_nat_list(a, values)
     assert result in {a, *values}
     assert result <= a and all(result <= v for v in values)
-
-
-def test_min_of_list():
-    assert min_of_list((4,)) == 4
-    assert min_of_list((7, 2, 9)) == 2
-    with pytest.raises(ValueError):
-        min_of_list(())
 
 
 # -- pr_add ----------------------------------------------------------------------

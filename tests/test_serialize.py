@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -23,6 +24,8 @@ from canstream.cli import EXIT_INPUT, main
 from canstream.core import PER_NODE_FAMILIES
 from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.serialize import (
+    _OPENING,
+    _OPENING_ENTRIES,
     _dumps,
     report_to_dict,
     report_to_json,
@@ -31,7 +34,8 @@ from canstream.serialize import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .conftest import add_entry, saturated, scenario, valid_scenarios
+from canstream.system import initial_state
+from .conftest import add_entry, saturated, scenario, tick_line, valid_scenarios
 
 GOLDENS = Path(__file__).parent / "goldens"
 STATE_KEYS = ("buffers", "decoders", "encoders", "llayers")
@@ -174,8 +178,17 @@ def test_every_valid_scenarios_trace_is_canonical_and_round_trips(s):
 
 
 def test_an_idle_run_is_its_header_tick_0_and_one_run_of_repeated_ticks():
+    # Tick 0 differs from the idle tick before it only by each node's bootstrap request, the opening entry 1.
     lines = trace_to_jsonl(run_scenario(Scenario(3, 64, ()))).splitlines()
-    assert len(lines) == 3 and lines[2] == '{"r":0,"t":1,"through":63}'
+    assert lines[1:] == ['{"r":1,"t":0}', '{"r":0,"t":1,"through":63}']
+
+
+def test_the_value_table_opens_with_the_values_of_an_idle_tick_0():
+    assert [_dumps(entry) for entry in _OPENING_ENTRIES] == [
+        "[]", "[0]", "1", '{"b":0,"buf":[]}', '{"d":false,"lastId":null}', '{"e":false,"pending":null}', '{"lid":0}']
+    # A field that a line leaves out, from tick 0 on, keeps its idle value: at tick 0 the component's shared value.
+    trace = trace_from_jsonl(trace_to_jsonl(run_scenario(scenario(2, 4, (2, 1, 3, b"\xaa")))))
+    assert all(state is idle for key, idle in zip(STATE_KEYS, _OPENING[3:]) for state in trace.states[0][key])
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,20 +249,36 @@ def test_no_two_entries_of_a_dumps_value_table_are_equal(scenarios):
 
 def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, trace) -> Counter:
     """Check that each list of pairs in a dump names exactly the nodes whose entry differs from two ticks before
-    (before tick 0 every cell is empty and no state is known); the number of pairs per field."""
+    (before tick 0 every cell is empty, every row 1 and every state a run's initial one); the number of pairs per
+    field."""
     n, listed = trace.node_count, Counter()
+    idle = {**dict.fromkeys(PER_NODE_FAMILIES, ((),) * n), "rows": (1,) * n, **initial_state(n)._asdict()}
     columns = {family: list(zip(*(stream.cells for stream in trace.streams[family]))) for family in PER_NODE_FAMILIES}
-    columns.update({key: [snap[key] for snap in trace.states] for key in STATE_KEYS})
+    columns.update(rows=trace.rows, **{key: [snap[key] for snap in trace.states] for key in STATE_KEYS})
     for line in text.splitlines()[1:]:
         tick = json.loads(line)
         t = tick["t"]
         for key, column in columns.items():
             value = (tick.get("state", {}) if key in STATE_KEYS else tick).get(key)
             if type(value) is list:
-                before = column[t - 2] if t > 1 else ((None,) if key in STATE_KEYS else ((),)) * n
+                before = column[t - 2] if t > 1 else idle[key]
                 assert [i for i, _ in value] == [i for i in range(n) if column[t][i] != before[i]], (t, key)
                 listed[key] += len(value)
     return listed
+
+
+def test_a_dump_leaves_no_cyclic_garbage():
+    """Each dump's value table is freed when the call returns, not when the cyclic collector next runs."""
+    traces = [run_scenario(seeded_scenario(1, i, nodes=2 + i % 4, horizon=64)) for i in range(4)]
+    traces.append(run_scenario(saturated(2, nodes=16, per_node=6)))
+    gc.collect()
+    gc.disable()
+    try:
+        for trace in traces:
+            trace_to_jsonl(trace)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_equal_states_dump_the_same_whether_or_not_they_are_the_same_objects():
@@ -270,15 +299,25 @@ def test_equal_cells_dump_the_same_whether_or_not_they_are_the_same_objects():
     assert trace_to_jsonl(copied) == trace_to_jsonl(trace)
 
 
+def test_an_edit_of_a_tick_that_a_run_covers_fails_with_its_line(two_node_scenario):
+    lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
+    assert tick_line(lines, 6) == 7
+    with pytest.raises(pytest.fail.Exception, match="^tick 7 has no line of its own: the line of tick 6 covers it, "
+                                                    "through tick 7$"):
+        tick_line(lines, 7)
+
+
 def _swap_ticks_1_and_2(lines):
     lines[2], lines[3] = lines[3], lines[2]
 
 
 def _edit_tick(t, edit):
+    """Edit the line of tick t; a tick that a line's "through" covers has none."""
     def mutate(lines):
-        tick = json.loads(lines[1 + t])
+        at = tick_line(lines, t)
+        tick = json.loads(lines[at])
         edit(tick)
-        lines[1 + t] = _dumps(tick)
+        lines[at] = _dumps(tick)
     return mutate
 
 
@@ -291,12 +330,13 @@ def _drop_field(t, key):
 
 
 def _set_entry(t, k, value):
-    """Set tick t's k-th new table entry."""
+    """Set the k-th new table entry of tick t's line."""
     return _edit_tick(t, lambda tick: tick["new"].__setitem__(k, value))
 
 
 def _edit_entry(t, k, **fields):
-    """Set fields of tick t's k-th new table entry: a component state, or the first message or symbol of a cell."""
+    """Set fields of the k-th new table entry of tick t's line: a component state, or the first message or symbol of a
+    cell."""
     def edit(tick):
         entry = tick["new"][k]
         (entry if isinstance(entry, dict) else entry[0]).update(fields)
@@ -304,7 +344,8 @@ def _edit_entry(t, k, **fields):
 
 
 def _fresh_entry(t, value, point):
-    """Add `value` to the table at tick t, where no field refers to it, then `point(tick, k)` a field at it, entry k."""
+    """Add `value` to the table at tick t's line, where no field refers to it, then `point(tick, k)` a field at it,
+    entry k."""
     def mutate(lines):
         k = add_entry(lines, t, value)
         _edit_tick(t, lambda tick: point(tick, k))(lines)
@@ -347,7 +388,7 @@ def _truncated_tick_line(blank_lines: int):
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 9, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 10, got {re.escape(_dumps(value))}$")
 
 
 def _edits(*mutations):
@@ -367,12 +408,14 @@ def _unfold(lines):
     lines[:] = unfolded
 
 
-# Hand edits of the dump of two_node_scenario, and the error each must raise. Its table has entries 0 to 8 after
-# tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5. Each tick
-# has a line of its own but tick 7, which repeats tick 6: tick 6's line gives "through":7.
-# Tick 0's entries are node 1's and node 2's `a` cells, the empty cell, the request cell, the row, and the buffer,
-# decoder, encoder and logical layer state; tick 1's are node 1's and node 2's `ms` cells, the row, and node 1's and
-# node 2's buffer states, {"b":0,"buf":[]} and {"b":1,"buf":[]}; tick 2's first is node 1's data symbol.
+# Hand edits of the dump of two_node_scenario, and the error each must raise. Its table opens with entries 0 to 6, the
+# empty cell, the request cell, row 1 and the idle buffer, decoder, encoder and logical layer states, and has entries
+# to 8 after tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5.
+# Each tick has a line of its own but tick 7, which repeats tick 6: tick 6's line gives "through":7.
+# Tick 0's new entries are node 1's and node 2's `a` cells, 7 and 8; tick 1's are node 1's and node 2's `ms` cells, row
+# 2, and node 1's and node 2's buffer states, {"b":7,"buf":[]} and {"b":8,"buf":[]}; tick 2's are node 1's and node 2's
+# data symbols, rows 4 and 5, the two encoder states and the two logical layer states, {"lid":3} and {"lid":5}; tick
+# 3's is node 1's decoder state.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
@@ -407,10 +450,11 @@ MALFORMED = {
     "version 6": _version(6),
     "version 7": _version(7),
     "version 8": _version(8),
-    "unknown version": _version(10),
-    "version as a string": _version("9"),
-    "version as a float": _version(9.0),
-    # A v9 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
+    "version 9": _version(9),
+    "unknown version": _version(11),
+    "version as a string": _version("10"),
+    "version as a float": _version(10.0),
+    # A v10 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
     "node count differs from the scenario": (_edit_header(lambda header: header.update(nodeCount=3)),
                                              r"^header field 'nodeCount': unknown key 'nodeCount'$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header.update(horizon=99)),
@@ -444,10 +488,7 @@ MALFORMED = {
     "float tick": (_set_field(2, "t", 2.0), r"^tick 2: field 't': expected 2, found 2.0$"),
     "tick line that is not an object": (lambda lines: lines.__setitem__(3, "[1]"),
                                         r"^tick 2: expected an object, got \[1\]$"),
-    "missing family": (_drop_field(0, "ws"), r"^tick 0: field 'ws': missing key 'ws'$"),
     "state that is not an object": (_set_field(0, "state", 5), r"^tick 0: field 'state': expected an object, got 5$"),
-    "short family list": (_edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", [[0, 7]])),
-                          r"^tick 0: field 'state': tick 0 must give every component state$"),
     "node index out of range": (_edit_tick(1, lambda tick: tick["as"].append([2, 0])),
                                 r"^tick 1: field 'as': node index 2 out of order or out of range$"),
     "negative node index": (_edit_tick(1, lambda tick: tick["as"][0].__setitem__(0, -1)),
@@ -469,29 +510,30 @@ MALFORMED = {
     "float identifier symbol": (_edit_entry(1, 0, value=3.5),
                                 r"^tick 1: field 'ms': value must be an integer, got 3.5$"),
     "unknown symbol kind": (_edit_entry(1, 0, sym="bogus"), r"^tick 1: field 'ms': unknown symbol kind 'bogus'$"),
-    "bool request token": (_set_entry(0, 3, [False]),
+    "bool request token": (_fresh_entry(0, [False], lambda tick, k: tick.__setitem__("r", k)),
                            r"^tick 0: field 'r': request cell must be a list of integers, got \[false\]$"),
     "request token other than the request": (
-        _set_entry(0, 3, [7]), r"^tick 0: field 'r': request cell may hold only the request token 0, got \[7\]$"),
-    "row beyond the table": (_set_entry(0, 4, 9), r"^tick 0: field 'rows': row must be 1 to 5, got 9$"),
-    "negative row": (_set_entry(0, 4, -1), r"^tick 0: field 'rows': row must be 1 to 5, got -1$"),
-    "bool row": (_set_entry(0, 4, True), r"^tick 0: field 'rows': row must be an integer, got true$"),
-    "float row": (_set_entry(0, 4, 1.0), r"^tick 0: field 'rows': row must be an integer, got 1.0$"),
-    "row entry that is a list": (_set_entry(0, 4, [1, 1]),
-                                 r"^tick 0: field 'rows': row must be an integer, got \[1, 1\]$"),
+        _fresh_entry(0, [7], lambda tick, k: tick.__setitem__("r", k)),
+        r"^tick 0: field 'r': request cell may hold only the request token 0, got \[7\]$"),
+    "row beyond the table": (_set_entry(1, 2, 9), r"^tick 1: field 'rows': row must be 1 to 5, got 9$"),
+    "negative row": (_set_entry(1, 2, -1), r"^tick 1: field 'rows': row must be 1 to 5, got -1$"),
+    "bool row": (_set_entry(1, 2, True), r"^tick 1: field 'rows': row must be an integer, got true$"),
+    "float row": (_set_entry(1, 2, 1.0), r"^tick 1: field 'rows': row must be an integer, got 1.0$"),
+    "row entry that is a list": (_set_entry(1, 2, [1, 1]),
+                                 r"^tick 1: field 'rows': row must be an integer, got \[1, 1\]$"),
     "extra node entry": (_edit_tick(4, lambda tick: tick["rows"].append([2, 4])),
                          r"^tick 4: field 'rows': node index 2 out of order or out of range$"),
-    "string decoding flag": (_edit_entry(0, 6, d="yes"),
-                             r'^tick 0: field \'state\': d must be true or false, got "yes"$'),
-    "float last identifier": (_edit_entry(0, 6, lastId=1.5),
-                              r"^tick 0: field 'state': lastId must be an integer or null, got 1.5$"),
-    "integer encoding flag": (_edit_entry(0, 7, e=0), r"^tick 0: field 'state': e must be true or false, got 0$"),
-    "pending payload not hex": (_edit_entry(0, 7, pending="xyz"),
-                                r'^tick 0: field \'state\': pending must be a hex string, got "xyz"$'),
-    "float lid": (_edit_entry(0, 8, lid=1.5), r"^tick 0: field 'state': lid must be an integer, got 1.5$"),
-    "list lid": (_edit_entry(0, 8, lid=[1]), r"^tick 0: field 'state': lid must be an integer, got \[1\]$"),
+    "string decoding flag": (_edit_entry(3, 0, d="yes"),
+                             r'^tick 3: field \'state\': d must be true or false, got "yes"$'),
+    "float last identifier": (_edit_entry(3, 0, lastId=1.5),
+                              r"^tick 3: field 'state': lastId must be an integer or null, got 1.5$"),
+    "integer encoding flag": (_edit_entry(2, 4, e=0), r"^tick 2: field 'state': e must be true or false, got 0$"),
+    "pending payload not hex": (_edit_entry(2, 4, pending="xyz"),
+                                r'^tick 2: field \'state\': pending must be a hex string, got "xyz"$'),
+    "float lid": (_edit_entry(2, 6, lid=1.5), r"^tick 2: field 'state': lid must be an integer, got 1.5$"),
+    "list lid": (_edit_entry(2, 6, lid=[1]), r"^tick 2: field 'state': lid must be an integer, got \[1\]$"),
     "bool copy of a lid read before": (
-        _fresh_entry(0, {"lid": False}, lambda tick, k: tick["state"].__setitem__("llayers", [[0, 8], [1, k]])),
+        _fresh_entry(0, {"lid": False}, lambda tick, k: tick.__setitem__("state", {"llayers": [[0, 6], [1, k]]})),
         r"^tick 0: field 'state': lid must be an integer, got false$"),
 }
 
@@ -508,8 +550,8 @@ MALFORMED_V3 = {
     "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
     "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
                                      r"^tick 1: field 'as': missing key 'id'$"),
-    "cell read as a buffer state": (_edit_tick(0, lambda tick: tick["state"].__setitem__("buffers", tick["ar"])),
-                                    r"^tick 0: field 'state': expected an object, got \[\]$"),
+    "cell read as a buffer state": (_edit_tick(1, lambda tick: tick["state"].__setitem__("buffers", tick["a"])),
+                                    r"^tick 1: field 'state': expected an object, got \[\]$"),
     "cell that is not a list": (_set_entry(0, 0, 5), r"^tick 0: field 'a': cell must be a list, got 5$"),
     "symbol cell that is an object": (_set_entry(1, 0, {"sym": "id", "value": 3}),
                                       r'^tick 1: field \'ms\': cell must be a list, got \{"sym":"id","value":3\}$'),
@@ -533,22 +575,21 @@ MALFORMED_V3 = {
     "buffer state offer that names a symbol cell": (_edit_entry(1, 3, b=9),
                                                     r"^tick 1: field 'state': missing key 'id'$"),
     "queued message that names the empty cell": (
-        _edit_entry(1, 3, buf=[2]),
-        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 2, a cell of 0$"),
+        _edit_entry(1, 3, buf=[0]),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 0, a cell of 0$"),
     "queued message that names a cell of two": (
-        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[0])),
-        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 0, a cell of 2$"),
+        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[7])),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 7, a cell of 2$"),
     "queued messages that are not a list": (_edit_entry(1, 3, buf=0),
                                             r"^tick 1: field 'state': buf must be a list of integers, got 0$"),
 }
 
 # Hand edits of the same dump that break a rule of the fields a line may leave out, which tick lines have had
-# since version 4: tick 0 gives every field, and a later line at least its `t`.
+# since version 4: a line gives at least its `t`, and `new` when its fields refer to entries first seen at its tick.
+# Since version 10 tick 0 may leave out any other field, as a later line may.
 MALFORMED_V4 = {
-    "tick 0 without a family": (_drop_field(0, "mr"), r"^tick 0: field 'mr': missing key 'mr'$"),
-    "tick 0 without the wire": (_drop_field(0, "wr"), r"^tick 0: field 'wr': missing key 'wr'$"),
-    "tick 0 without its state": (_drop_field(0, "state"), r"^tick 0: field 'state': missing key 'state'$"),
-    "tick 0 without new": (_drop_field(0, "new"), r"^tick 0: field 'new': missing key 'new'$"),
+    "tick 0 without new": (_drop_field(0, "new"),
+                           r"^tick 0: field 'a': expected a reference to one of the value table's 7 entries, got 7$"),
     "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
     "reference beyond the table on a quiet tick": (
         _edits(_unfold, _set_field(7, "wr", 24)),
@@ -556,13 +597,8 @@ MALFORMED_V4 = {
 }
 
 # Hand edits of the same dump that break a rule of the [node index, reference] pairs, which tick lines have had
-# since version 5, and `rows` since version 6. Its tick 1 gives both nodes' buffers, and its tick 4 both nodes' rows.
+# since version 5, and `rows` since version 6. Its tick 4 gives both nodes' rows.
 MALFORMED_V5 = {
-    "state family at tick 1 that leaves a node unknown": (
-        _edit_tick(1, lambda tick: tick["state"]["buffers"].pop()),
-        r"^tick 1: field 'state': tick 1 must give every node's state in each family it gives$"),
-    "rows at tick 1 that leave a node unknown": (_set_field(1, "rows", [[0, 11]]),
-                                                 r"^tick 1: field 'rows': tick 1 must give every node's row$"),
     "rows pairs out of order": (_edit_tick(4, lambda tick: tick["rows"].reverse()),
                                 r"^tick 4: field 'rows': node index 0 out of order or out of range$"),
     "reference beyond the table in a pair": (
@@ -577,11 +613,11 @@ MALFORMED_V5 = {
         _set_field(0, "ar", "x"),
         r"^tick 0: field 'ar': expected a reference or a list of \[node index, reference\] pairs, got \"x\"$"),
     "flag as a state family": (
-        _edit_tick(0, lambda tick: tick["state"].__setitem__("encoders", True)),
-        r"^tick 0: field 'state': expected a reference or a list of \[node index, reference\] pairs, got true$"),
+        _edit_tick(1, lambda tick: tick["state"].__setitem__("encoders", True)),
+        r"^tick 1: field 'state': expected a reference or a list of \[node index, reference\] pairs, got true$"),
     "pair of three as a state family": (
-        _edit_tick(0, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])),
-        r"^tick 0: field 'state': expected a reference or a list of \[node index, reference\] pairs, "
+        _edit_tick(1, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])),
+        r"^tick 1: field 'state': expected a reference or a list of \[node index, reference\] pairs, "
         r"got \[\[0,5,6\]\]$"),
 }
 
@@ -618,7 +654,6 @@ KEYS = {
         r"^header field 'scenario': unknown key 'injections\[1\].prio'$"),
     "tick line key outside its set": (_rename(3, "ar", "aR"), r"^tick 3: field 'aR': unknown key 'aR'$"),
     "tick 0 key outside its set": (_set_field(0, "x", 1), r"^tick 0: field 'x': unknown key 'x'$"),
-    "tick 0 without its rows": (_drop_field(0, "rows"), r"^tick 0: field 'rows': missing key 'rows'$"),
     "state key outside its set": (_rename(1, "buffers", "buffer", within="state"),
                                   r"^tick 1: field 'state': unknown key 'buffer'$"),
     "message key outside its set": (_edit_entry(0, 0, prio=1), r"^tick 0: field 'a': unknown key 'prio'$"),
@@ -626,12 +661,12 @@ KEYS = {
     "symbol key outside its set": (_edit_entry(1, 0, extra=1), r"^tick 1: field 'ms': unknown key 'extra'$"),
     "symbol without its kind": (_drop_key(1, 0, "sym"), r"^tick 1: field 'ms': missing key 'sym'$"),
     "buffer state key outside its set": (_edit_entry(1, 3, x=1), r"^tick 1: field 'state': unknown key 'x'$"),
-    "decoder state key outside its set": (_edit_entry(0, 6, lastID=None),
-                                          r"^tick 0: field 'state': unknown key 'lastID'$"),
-    "encoder state without its payload": (_drop_key(0, 7, "pending"),
-                                          r"^tick 0: field 'state': missing key 'pending'$"),
-    "logical layer state key outside its set": (_edit_entry(0, 8, lid2=0),
-                                                r"^tick 0: field 'state': unknown key 'lid2'$"),
+    "decoder state key outside its set": (_edit_entry(3, 0, lastID=None),
+                                          r"^tick 3: field 'state': unknown key 'lastID'$"),
+    "encoder state without its payload": (_drop_key(2, 4, "pending"),
+                                          r"^tick 2: field 'state': missing key 'pending'$"),
+    "logical layer state key outside its set": (_edit_entry(2, 6, lid2=0),
+                                                r"^tick 2: field 'state': unknown key 'lid2'$"),
 }
 
 
@@ -679,7 +714,8 @@ def test_a_key_outside_its_objects_set_or_missing_is_named(case, two_node_scenar
 def test_a_request_cell_of_two_tokens_and_row_3_load_and_are_reported(two_node_scenario):
     """Values within their field's universe load, and the checks report what is wrong with them."""
     lines = trace_to_jsonl(run_scenario(two_node_scenario)).splitlines()
-    _edits(_set_entry(0, 3, [0, 0]), _set_entry(0, 4, 3))(lines)
+    _edits(_fresh_entry(0, [0, 0], lambda tick, k: tick.__setitem__("r", k)),
+           _fresh_entry(0, 3, lambda tick, k: tick.__setitem__("rows", k)))(lines)
     report = check_all(trace_from_jsonl("\n".join(lines) + "\n"))
     found = {(v.predicate, v.tick, v.streams) for v in report.violations}
     assert {("msg1", 0, ("r_1",)), ("msg1", 0, ("r_2",)), ("row3", 0, ("node_1",)), ("row3", 0, ("node_2",))} <= found
@@ -726,18 +762,18 @@ def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
     # the header's scenario, the one message, the data symbol and the pending payload of the golden spell 0xab
-    text = (GOLDENS / "single_node.v9.jsonl").read_text()
+    text = (GOLDENS / "single_node.v10.jsonl").read_text()
     assert text.count('"ab"') == 4
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
 # The golden's header fields, and its scenario's counts, whose error texts echo their value, each with its value's text.
-_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "9"}
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "10"}
 
 
 def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
     # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
-    text = (GOLDENS / "single_node.v9.jsonl").read_text()
+    text = (GOLDENS / "single_node.v10.jsonl").read_text()
     header, ticks = text.split("\n", 1)
     depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
     for depth in depths:
@@ -772,10 +808,10 @@ def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=rng.randint(2, 24))
     lines = trace_to_jsonl(run_scenario(s)).splitlines()
     ticks = [json.loads(line) for line in lines[1:]]
-    entries = data.draw(st.booleans(), label="edit a table entry")
+    entries = data.draw(st.booleans(), label="edit a table entry") and any("new" in tick for tick in ticks)
     t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick.get("new") or not entries]),
-                  label="tick")
-    tick, table = ticks[t], sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
+                  label="line")
+    tick, table = ticks[t], len(_OPENING) + sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
     if entries:
         k = data.draw(st.integers(0, len(tick["new"]) - 1))
         entry = tick["new"][k]
@@ -812,7 +848,7 @@ def _objects(value):
 
 
 # Every key of every kind of object that a scenario document or a trace file holds.
-_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v9.jsonl").read_text().splitlines()
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v10.jsonl").read_text().splitlines()
                for obj in _objects(json.loads(line)) for key in obj}
 
 
