@@ -35,6 +35,13 @@ def min_nat_list(a: int, values: Sequence[int]) -> int:
     return best
 
 
+def min_of_list(values: Sequence[int]) -> int:
+    """Minimum member of a nonempty finite list of naturals."""
+    if not values:
+        raise ValueError("minimum of empty list")
+    return min_nat_list(values[0], values[1:])
+
+
 def pr_add(buf: Sequence[AMessage], msg: AMessage) -> tuple[AMessage, ...]:
     """Insert msg into an id-sorted buffer, before the first strictly larger id.
 
