@@ -188,7 +188,8 @@ class Trace:
     streams maps a family name ("a", "as", "ar", "r", "ms", "mr", "ws") to one
     TimedStream per node (index 0 is node 1). wire is the shared bus stream.
     rows[t][i] is the bus-access table row that fired for node i+1 at tick t.
-    states[t], from tick t's record, is the snapshot of every state entering it.
+    states[t], from tick t's record, is the snapshot of the buffer states
+    entering it; the other component states follow from the streams.
     The node count is the scenario's, and the horizon the number of ticks
     recorded, which for a run is the scenario's.
     """
@@ -222,7 +223,7 @@ def assemble_trace(scenario: Scenario, records) -> Trace:
 
     A record holds, per family of PER_NODE_FAMILIES in that order, one cell
     per node, then the wire cell, the tuple of rows and the snapshot of the
-    component states entering its tick (see system.tick_system).
+    buffer states entering its tick (see system.tick_system).
     """
     if not records:
         return Trace(scenario, {f: (TimedStream(()),) * scenario.node_count for f in PER_NODE_FAMILIES},

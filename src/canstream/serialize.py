@@ -5,16 +5,22 @@ header line followed by one line per tick, or per run of repeated ticks. All
 dumps are canonical (sorted keys, fixed separators, integers and hex strings
 only), so a given run always serializes to identical bytes.
 
+A trace records the buffer states only, under "state"; the other component
+states follow from the streams. Entering tick t, node i's encoder holds the
+payload of as_i(t-1)'s message exactly when ms_i(t-1) is an identifier, its
+decoder holds k exactly when mr(t-1) = [id(k)], and its bus-access layer's lid
+is the last identifier in ms_i before t, else 0.
+
 A tick line writes each distinct value once. Its "new" list holds the JSON of
-each cell, row and component state first seen at that tick. The value table is
-the seven values of an idle tick 0, which no file writes, then the entries of
-all lines so far in order; every other field is an integer reference into it.
-A per-node field, a stream family, the rows or a component family of the
-state, is one reference if every node's entry is the same, else a [node index,
-reference] pair per node whose entry differs from its own entry two ticks
-before: a frame takes two ticks, so a node that loses arbitration repeats its
-cells and states two ticks later. The ticks before tick 0 are idle. Equal
-values count as the same, so the bytes depend on the values alone.
+each cell, row and buffer state first seen at that tick. The value table is the
+four values of an idle tick 0, which no file writes, then the entries of all
+lines so far in order; every other field is an integer reference into it. A
+per-node field, a stream family, the rows or the buffers of the state, is one
+reference if every node's entry is the same, else a [node index, reference]
+pair per node whose entry differs from its own entry two ticks before: a frame
+takes two ticks, so a node that loses arbitration repeats its cells and states
+two ticks later. The ticks before tick 0 are idle. Equal values count as the
+same, so the bytes depend on the values alone.
 
 A buffer state entry refers to its messages, {"b":k,"buf":[k1,...]}: k names
 the cell of its offer slot, and each ki the cell that holds one queued message
@@ -23,13 +29,13 @@ an entry names an earlier entry, so the writer adds a message's cell before
 the first state that queues it, and each message's JSON is written once.
 
 A line gives "t" and only the fields whose value differs from the previous
-tick's (in "state", only the families that changed), and "new" only when it
-has entries. A tick that repeats the previous one has no line of its own:
-"through":M on the line of tick N says that ticks N+1 to M repeat tick N, and
-a line of "t" alone is one repeated tick. The header is {"format","scenario",
-"version"}: the node count and the horizon are the scenario's. The loader
-reads version 10 (TRACE_VERSION) only; an older trace is regenerated by
-running the scenario in its header.
+tick's ("state" when the buffers changed), and "new" only when it has entries.
+A tick that repeats the previous one has no line of its own: "through":M on
+the line of tick N says that ticks N+1 to M repeat tick N, and a line of "t"
+alone is one repeated tick. The header is {"format","scenario","version"}: the
+node count and the horizon are the scenario's. The loader reads version 11
+(TRACE_VERSION) only; an older trace is regenerated by running the scenario in
+its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
@@ -53,8 +59,7 @@ from operator import ne
 from string import hexdigits
 
 from .checkers import Report
-from .components import (REQ_CELL, _IDLE_BUFFER, _IDLE_DECODER, _IDLE_ENCODER, _IDLE_LLAYER, BufferState, DecoderState,
-                         EncoderState, LogicalLayerState)
+from .components import REQ_CELL, _IDLE_BUFFER, BufferState
 from .core import (
     PER_NODE_FAMILIES,
     REQ,
@@ -70,7 +75,7 @@ from .core import (
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 10
+TRACE_VERSION = 11
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -97,11 +102,8 @@ _INVALID = object()  # what a kind reads a value of another kind as; the value o
 _ANY = (lambda v: v, "given")
 _INT = (lambda v: v if type(v) is int else _INVALID, "an integer")
 _INTS = (lambda v: v if type(v) is list and {int}.issuperset(map(type, v)) else _INVALID, "a list of integers")
-_INT_OR_NULL = (lambda v: v if v is None or type(v) is int else _INVALID, "an integer or null")
-_BOOL = (lambda v: v if type(v) is bool else _INVALID, "true or false")
 _HEX = (lambda v: bytes.fromhex(v) if isinstance(v, str) and len(v) % 2 == 0 and not v.strip(hexdigits) else _INVALID,
         "a hex string")
-_HEX_OR_NULL = (lambda v: v if v is None else _HEX[0](v), "a hex string")
 _OBJECT = (lambda v: v if isinstance(v, dict) else _INVALID, "an object")
 
 
@@ -120,9 +122,6 @@ _SCENARIO = {"nodeCount": _INT, "horizon": _INT,
 _MESSAGE = {"id": _INT, "data": _HEX}
 _SYMBOL = {"sym": _ANY, "value": _ANY}
 _BUFFER = {"b": _ANY, "buf": _INTS}
-_DECODER = {"d": _BOOL, "lastId": _INT_OR_NULL}
-_ENCODER = {"e": _BOOL, "pending": _HEX_OR_NULL}
-_LLAYER = {"lid": _INT}
 # The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
 _HEADER = dict.fromkeys(("format", "version", "scenario")).keys()
 _LINE = dict.fromkeys(("t", "through", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
@@ -216,7 +215,7 @@ def scenario_from_json(text: str) -> Scenario:
 # -- traces -------------------------------------------------------------------
 
 # An idle tick 0's values, in the order its line would number them: they open every value table, and no file has them.
-_OPENING = ((), REQ_CELL, 1, _IDLE_BUFFER, _IDLE_DECODER, _IDLE_ENCODER, _IDLE_LLAYER)
+_OPENING = ((), REQ_CELL, 1, _IDLE_BUFFER)
 
 
 def _idle(n: int) -> dict:
@@ -232,10 +231,6 @@ _FRAGMENTS = {
     AMessage: lambda v: '{"data":"%s","id":%d}' % (v.data.hex(), v.id),
     IdSym: lambda v: '{"sym":"id","value":%d}' % v.value,
     DataSym: lambda v: '{"sym":"data","value":"%s"}' % v.value.hex(),
-    DecoderState: lambda v: '{"d":%s,"lastId":%s}' % (_dumps(v.d), _dumps(v.last_id)),
-    EncoderState: lambda v: '{"e":%s,"pending":%s}' % (
-        _dumps(v.e), _dumps(None if v.pending is None else v.pending.hex())),
-    LogicalLayerState: lambda v: '{"lid":%d}' % v.lid,
 }
 
 
@@ -365,12 +360,10 @@ def _buffer_state(obj, cell) -> BufferState:
 
 
 _amessages = _cell(lambda obj: AMessage(*_read(obj, _MESSAGE)))
-# How a JSON value is read as each kind of value: a cell of each family, a row, or one node's component state.
+# How a JSON value is read as each kind of value: a cell of each family, a row, or one node's buffer state.
 _CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _cell(_symbol)),
           "r": _requests}
-_STATES = {"buffers": _buffer_state, "decoders": lambda obj: DecoderState(*_read(obj, _DECODER)),
-           "encoders": lambda obj: EncoderState(*_read(obj, _ENCODER)),
-           "llayers": lambda obj: LogicalLayerState(*_read(obj, _LLAYER))}
+_STATES = {"buffers": _buffer_state}
 _COMPONENTS = _STATES.keys()  # the per-node families of a state
 _OPENING_ENTRIES = [json.loads(text) for text in _value_table()[0]]  # the opening entries as a load reads them
 

@@ -111,9 +111,10 @@ def tick_system(
     cells holds one cell per node (else ValueError): cells[i] is node i+1's
     application cell a at tick t, which its buffer takes in. The record holds,
     per family of PER_NODE_FAMILIES in that order, one cell per node, then the
-    wire cell wr, the tuple of rows that fired and the snapshot {"buffers",
-    "encoders", "decoders", "llayers"} of `state`; assemble_trace turns a run's
-    records into its Trace. Only t's parity sets the tick's values.
+    wire cell wr, the tuple of rows that fired and the snapshot {"buffers"} of
+    `state`, whose other states follow from the streams (see serialize);
+    assemble_trace turns a run's records into its Trace. Only t's parity sets
+    the tick's values.
 
     `last` is the reuse record, 4*n + 1 slots for n nodes. For node i and tick
     parity p, slot 4*i + p keeps its last encoder_step call as (state, cell,
@@ -161,8 +162,7 @@ def tick_system(
         k += 4
     as_, ar, ms, mr, ws, rows, next_buffers, encoders, decoders, llayers, raised = zip(*nodes)
     return SystemState(next_buffers, encoders, decoders, llayers, ws, raised), (
-        tuple(cells), as_, ar, state.raised, ms, mr, ws, wr, rows,
-        {"buffers": buffers, "encoders": state.encoders, "decoders": state.decoders, "llayers": state.llayers})
+        tuple(cells), as_, ar, state.raised, ms, mr, ws, wr, rows, {"buffers": buffers})
 
 
 def run_scenario(scenario: Scenario) -> Trace:

@@ -21,7 +21,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v10.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v11.jsonl"
 
 
 @pytest.fixture

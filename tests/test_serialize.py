@@ -38,7 +38,7 @@ from canstream.system import initial_state
 from .conftest import add_entry, saturated, scenario, tick_line, valid_scenarios
 
 GOLDENS = Path(__file__).parent / "goldens"
-STATE_KEYS = ("buffers", "decoders", "encoders", "llayers")
+STATE_KEYS = ("buffers",)  # the families of a trace's state
 
 
 def test_scenario_round_trip(two_node_scenario):
@@ -184,9 +184,8 @@ def test_an_idle_run_is_its_header_tick_0_and_one_run_of_repeated_ticks():
 
 
 def test_the_value_table_opens_with_the_values_of_an_idle_tick_0():
-    assert [_dumps(entry) for entry in _OPENING_ENTRIES] == [
-        "[]", "[0]", "1", '{"b":0,"buf":[]}', '{"d":false,"lastId":null}', '{"e":false,"pending":null}', '{"lid":0}']
-    # A field that a line leaves out, from tick 0 on, keeps its idle value: at tick 0 the component's shared value.
+    assert [_dumps(entry) for entry in _OPENING_ENTRIES] == ["[]", "[0]", "1", '{"b":0,"buf":[]}']
+    # A field that a line leaves out, from tick 0 on, keeps its idle value: at tick 0 the buffer's shared value.
     trace = trace_from_jsonl(trace_to_jsonl(run_scenario(scenario(2, 4, (2, 1, 3, b"\xaa")))))
     assert all(state is idle for key, idle in zip(STATE_KEYS, _OPENING[3:]) for state in trace.states[0][key])
 
@@ -335,7 +334,7 @@ def _set_entry(t, k, value):
 
 
 def _edit_entry(t, k, **fields):
-    """Set fields of the k-th new table entry of tick t's line: a component state, or the first message or symbol of a
+    """Set fields of the k-th new table entry of tick t's line: a buffer state, or the first message or symbol of a
     cell."""
     def edit(tick):
         entry = tick["new"][k]
@@ -388,7 +387,7 @@ def _truncated_tick_line(blank_lines: int):
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 10, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 11, got {re.escape(_dumps(value))}$")
 
 
 def _edits(*mutations):
@@ -408,14 +407,13 @@ def _unfold(lines):
     lines[:] = unfolded
 
 
-# Hand edits of the dump of two_node_scenario, and the error each must raise. Its table opens with entries 0 to 6, the
-# empty cell, the request cell, row 1 and the idle buffer, decoder, encoder and logical layer states, and has entries
-# to 8 after tick 0, to 13 after tick 1, to 21 after tick 2 and to 22 after tick 3 and tick 4, and to 23 after tick 5.
-# Each tick has a line of its own but tick 7, which repeats tick 6: tick 6's line gives "through":7.
-# Tick 0's new entries are node 1's and node 2's `a` cells, 7 and 8; tick 1's are node 1's and node 2's `ms` cells, row
-# 2, and node 1's and node 2's buffer states, {"b":7,"buf":[]} and {"b":8,"buf":[]}; tick 2's are node 1's and node 2's
-# data symbols, rows 4 and 5, the two encoder states and the two logical layer states, {"lid":3} and {"lid":5}; tick
-# 3's is node 1's decoder state.
+# Hand edits of the dump of two_node_scenario, and the error each must raise. Its table opens with entries 0 to 3, the
+# empty cell, the request cell, row 1 and the idle buffer state, and has entries to 5 after tick 0, to 10 after tick 1
+# and to 14 after tick 2 and every later tick. Each tick has a line of its own but tick 7, which repeats tick 6: tick
+# 6's line gives "through":7.
+# Tick 0's new entries are node 1's and node 2's `a` cells, 4 and 5; tick 1's are node 1's and node 2's `ms` cells, 6
+# and 7, row 2, and node 1's and node 2's buffer states, {"b":4,"buf":[]} and {"b":5,"buf":[]}, 9 and 10; tick 2's are
+# node 1's and node 2's data symbols and rows 4 and 5.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
@@ -451,10 +449,11 @@ MALFORMED = {
     "version 7": _version(7),
     "version 8": _version(8),
     "version 9": _version(9),
-    "unknown version": _version(11),
-    "version as a string": _version("10"),
-    "version as a float": _version(10.0),
-    # A v10 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
+    "version 10": _version(10),
+    "unknown version": _version(12),
+    "version as a string": _version("11"),
+    "version as a float": _version(11.0),
+    # A v11 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
     "node count differs from the scenario": (_edit_header(lambda header: header.update(nodeCount=3)),
                                              r"^header field 'nodeCount': unknown key 'nodeCount'$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header.update(horizon=99)),
@@ -523,18 +522,6 @@ MALFORMED = {
                                  r"^tick 1: field 'rows': row must be an integer, got \[1, 1\]$"),
     "extra node entry": (_edit_tick(4, lambda tick: tick["rows"].append([2, 4])),
                          r"^tick 4: field 'rows': node index 2 out of order or out of range$"),
-    "string decoding flag": (_edit_entry(3, 0, d="yes"),
-                             r'^tick 3: field \'state\': d must be true or false, got "yes"$'),
-    "float last identifier": (_edit_entry(3, 0, lastId=1.5),
-                              r"^tick 3: field 'state': lastId must be an integer or null, got 1.5$"),
-    "integer encoding flag": (_edit_entry(2, 4, e=0), r"^tick 2: field 'state': e must be true or false, got 0$"),
-    "pending payload not hex": (_edit_entry(2, 4, pending="xyz"),
-                                r'^tick 2: field \'state\': pending must be a hex string, got "xyz"$'),
-    "float lid": (_edit_entry(2, 6, lid=1.5), r"^tick 2: field 'state': lid must be an integer, got 1.5$"),
-    "list lid": (_edit_entry(2, 6, lid=[1]), r"^tick 2: field 'state': lid must be an integer, got \[1\]$"),
-    "bool copy of a lid read before": (
-        _fresh_entry(0, {"lid": False}, lambda tick, k: tick.__setitem__("state", {"llayers": [[0, 6], [1, k]]})),
-        r"^tick 0: field 'state': lid must be an integer, got false$"),
 }
 
 
@@ -542,11 +529,11 @@ MALFORMED = {
 # rule of the references inside a buffer state entry, which version 6 added.
 MALFORMED_V3 = {
     "reference beyond the table": (
-        _set_field(3, "wr", 23),
-        r"^tick 3: field 'wr': expected a reference to one of the value table's 23 entries, got 23$"),
+        _set_field(3, "wr", 15),
+        r"^tick 3: field 'wr': expected a reference to one of the value table's 15 entries, got 15$"),
     "reference to an entry of a later tick": (
-        _set_field(1, "mr", 14),
-        r"^tick 1: field 'mr': expected a reference to one of the value table's 14 entries, got 14$"),
+        _set_field(1, "mr", 11),
+        r"^tick 1: field 'mr': expected a reference to one of the value table's 11 entries, got 11$"),
     "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
     "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
                                      r"^tick 1: field 'as': missing key 'id'$"),
@@ -559,27 +546,27 @@ MALFORMED_V3 = {
     "new that is not a list": (_set_field(2, "new", {"x": 1}),
                                r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
     "pairs of a state family out of order": (
-        _edit_tick(2, lambda tick: tick["state"]["encoders"].reverse()),
-        r"^tick 2: field 'state': node index 0 out of order or out of range$"),
+        _edit_tick(1, lambda tick: tick["state"]["buffers"].reverse()),
+        r"^tick 1: field 'state': node index 0 out of order or out of range$"),
     "node index out of range in a pair list": (_set_field(1, "as", [[2, 0]]),
                                                r"^tick 1: field 'as': node index 2 out of order or out of range$"),
-    "buffer state that refers to itself": (_edit_entry(1, 3, b=12),
+    "buffer state that refers to itself": (_edit_entry(1, 3, b=9),
                                            r"^tick 1: field 'state': expected a reference to an entry before entry "
-                                           r"12, got 12$"),
-    "buffer state that refers to a later entry": (_edit_entry(1, 3, buf=[13]),
+                                           r"9, got 9$"),
+    "buffer state that refers to a later entry": (_edit_entry(1, 3, buf=[10]),
                                                   r"^tick 1: field 'state': expected a reference to an entry before "
-                                                  r"entry 12, got 13$"),
+                                                  r"entry 9, got 10$"),
     "buffer state reference out of range": (_edit_entry(1, 3, b=-1),
                                             r"^tick 1: field 'state': expected a reference to an entry before entry "
-                                            r"12, got -1$"),
-    "buffer state offer that names a symbol cell": (_edit_entry(1, 3, b=9),
+                                            r"9, got -1$"),
+    "buffer state offer that names a symbol cell": (_edit_entry(1, 3, b=6),
                                                     r"^tick 1: field 'state': missing key 'id'$"),
     "queued message that names the empty cell": (
         _edit_entry(1, 3, buf=[0]),
         r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 0, a cell of 0$"),
     "queued message that names a cell of two": (
-        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[7])),
-        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 7, a cell of 2$"),
+        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[4])),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 4, a cell of 2$"),
     "queued messages that are not a list": (_edit_entry(1, 3, buf=0),
                                             r"^tick 1: field 'state': buf must be a list of integers, got 0$"),
 }
@@ -589,11 +576,11 @@ MALFORMED_V3 = {
 # Since version 10 tick 0 may leave out any other field, as a later line may.
 MALFORMED_V4 = {
     "tick 0 without new": (_drop_field(0, "new"),
-                           r"^tick 0: field 'a': expected a reference to one of the value table's 7 entries, got 7$"),
+                           r"^tick 0: field 'a': expected a reference to one of the value table's 4 entries, got 4$"),
     "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
     "reference beyond the table on a quiet tick": (
-        _edits(_unfold, _set_field(7, "wr", 24)),
-        r"^tick 7: field 'wr': expected a reference to one of the value table's 24 entries, got 24$"),
+        _edits(_unfold, _set_field(7, "wr", 15)),
+        r"^tick 7: field 'wr': expected a reference to one of the value table's 15 entries, got 15$"),
 }
 
 # Hand edits of the same dump that break a rule of the [node index, reference] pairs, which tick lines have had
@@ -602,8 +589,8 @@ MALFORMED_V5 = {
     "rows pairs out of order": (_edit_tick(4, lambda tick: tick["rows"].reverse()),
                                 r"^tick 4: field 'rows': node index 0 out of order or out of range$"),
     "reference beyond the table in a pair": (
-        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 23)),
-        r"^tick 3: field 'as': expected a reference to one of the value table's 23 entries, got 23$"),
+        _edit_tick(3, lambda tick: tick["as"][0].__setitem__(1, 15)),
+        r"^tick 3: field 'as': expected a reference to one of the value table's 15 entries, got 15$"),
     "node indices out of order": (_edit_tick(4, lambda tick: tick["ws"].reverse()),
                                   r"^tick 4: field 'ws': node index 0 out of order or out of range$"),
     "flag as a stream family": (
@@ -613,10 +600,10 @@ MALFORMED_V5 = {
         _set_field(0, "ar", "x"),
         r"^tick 0: field 'ar': expected a reference or a list of \[node index, reference\] pairs, got \"x\"$"),
     "flag as a state family": (
-        _edit_tick(1, lambda tick: tick["state"].__setitem__("encoders", True)),
+        _edit_tick(1, lambda tick: tick["state"].__setitem__("buffers", True)),
         r"^tick 1: field 'state': expected a reference or a list of \[node index, reference\] pairs, got true$"),
     "pair of three as a state family": (
-        _edit_tick(1, lambda tick: tick["state"].__setitem__("decoders", [[0, 5, 6]])),
+        _edit_tick(1, lambda tick: tick["state"].__setitem__("buffers", [[0, 5, 6]])),
         r"^tick 1: field 'state': expected a reference or a list of \[node index, reference\] pairs, "
         r"got \[\[0,5,6\]\]$"),
 }
@@ -631,7 +618,7 @@ def _rename(t, old, new, within=None):
 
 
 def _drop_key(t, k, key):
-    """Drop `key` from tick t's k-th new table entry: a component state, or the first message or symbol of a cell."""
+    """Drop `key` from tick t's k-th new table entry: a buffer state, or the first message or symbol of a cell."""
     def edit(tick):
         entry = tick["new"][k]
         (entry if isinstance(entry, dict) else entry[0]).pop(key)
@@ -661,12 +648,6 @@ KEYS = {
     "symbol key outside its set": (_edit_entry(1, 0, extra=1), r"^tick 1: field 'ms': unknown key 'extra'$"),
     "symbol without its kind": (_drop_key(1, 0, "sym"), r"^tick 1: field 'ms': missing key 'sym'$"),
     "buffer state key outside its set": (_edit_entry(1, 3, x=1), r"^tick 1: field 'state': unknown key 'x'$"),
-    "decoder state key outside its set": (_edit_entry(3, 0, lastID=None),
-                                          r"^tick 3: field 'state': unknown key 'lastID'$"),
-    "encoder state without its payload": (_drop_key(2, 4, "pending"),
-                                          r"^tick 2: field 'state': missing key 'pending'$"),
-    "logical layer state key outside its set": (_edit_entry(2, 6, lid2=0),
-                                                r"^tick 2: field 'state': unknown key 'lid2'$"),
 }
 
 
@@ -761,19 +742,19 @@ def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
 
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
-    # the header's scenario, the one message, the data symbol and the pending payload of the golden spell 0xab
-    text = (GOLDENS / "single_node.v10.jsonl").read_text()
-    assert text.count('"ab"') == 4
+    # the header's scenario, the one message and the data symbol of the golden spell 0xab
+    text = (GOLDENS / "single_node.v11.jsonl").read_text()
+    assert text.count('"ab"') == 3
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
 # The golden's header fields, and its scenario's counts, whose error texts echo their value, each with its value's text.
-_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "10"}
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "11"}
 
 
 def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
     # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
-    text = (GOLDENS / "single_node.v10.jsonl").read_text()
+    text = (GOLDENS / "single_node.v11.jsonl").read_text()
     header, ticks = text.split("\n", 1)
     depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
     for depth in depths:
@@ -815,7 +796,7 @@ def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
     if entries:
         k = data.draw(st.integers(0, len(tick["new"]) - 1))
         entry = tick["new"][k]
-        if isinstance(entry, dict):  # a component state, whose buffer fields are references
+        if isinstance(entry, dict):  # a buffer state, whose fields are references
             entry[data.draw(st.sampled_from(sorted(entry)))] = data.draw(_FIELD)
         elif type(entry) is int:  # a row
             tick["new"][k] = data.draw(_FIELD)
@@ -848,7 +829,7 @@ def _objects(value):
 
 
 # Every key of every kind of object that a scenario document or a trace file holds.
-_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v10.jsonl").read_text().splitlines()
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v11.jsonl").read_text().splitlines()
                for obj in _objects(json.loads(line)) for key in obj}
 
 

@@ -20,10 +20,12 @@ from canstream import (
     tick_system,
     validate_scenario,
 )
-from canstream.components import REQ_CELL, buffer_emission, buffer_step, decoder_step, encoder_step
+from canstream.components import (REQ_CELL, DecoderState, EncoderState, buffer_emission, buffer_step, decoder_step,
+                                  encoder_step)
+from canstream.core import PER_NODE_FAMILIES
 from canstream.fuzzing import random_scenario, seeded_scenario
 from canstream.serialize import trace_to_jsonl
-from canstream.system import delivery_log, initial_state
+from canstream.system import _UNSEEN, delivery_log, initial_state
 from .conftest import amsg, saturated, scenario, valid_scenarios
 
 
@@ -139,35 +141,67 @@ def test_every_valid_scenario_runs_to_its_horizon(s):
     assert check_all(result.trace).ok()
 
 
+def _steps(s: Scenario, last: list | None = None):
+    """Step tick_system from the initial state over the scenario's ticks: per tick, the state entering it, its record
+    and the next state. A reuse record `last` is kept across the ticks, as run_scenario keeps one."""
+    state = initial_state(s.node_count)
+    for t in range(s.horizon):
+        cells = [()] * s.node_count
+        for inj in s.injections:
+            if inj.tick == t:
+                cells[inj.node - 1] = (inj.message,)
+        after, record = tick_system(state, cells, t, last)
+        yield state, record, after
+        state = after
+
+
+def _reuse_record(s: Scenario) -> list:
+    return [_UNSEEN] * (4 * s.node_count + 1)
+
+
 def test_a_state_that_does_not_change_stays_the_same_object():
     """Between ticks, every component state is the previous object or a different value."""
     for i in range(40):
-        states = run_scenario(seeded_scenario("identity", i, nodes=1 + i % 5, horizon=64)).states
-        for prev, snap in zip(states, states[1:]):
-            pairs = [pair for key in ("buffers", "encoders", "decoders", "llayers") for pair in zip(prev[key], snap[key])]
-            assert all(old is new or old != new for old, new in pairs), (i, snap)
+        s = seeded_scenario("identity", i, nodes=1 + i % 5, horizon=64)
+        for before, _, after in _steps(s, _reuse_record(s)):
+            pairs = [pair for key in ("buffers", "encoders", "decoders", "llayers")
+                     for pair in zip(getattr(before, key), getattr(after, key))]
+            assert all(old is new or old != new for old, new in pairs), (i, after)
 
 
 @pytest.mark.parametrize("s", [saturated(seed) for seed in range(3)]
                          + [seeded_scenario("accept3", i, nodes=2 + i % 4, horizon=64) for i in range(12)])
 def test_every_encoder_and_decoder_result_is_that_of_a_fresh_call(s):
-    """The kernel may reuse a step's result; each one must equal the step called afresh.
+    """The kernel may reuse a step's result; each one must equal the step called afresh on the state it was given.
 
     The buffer's request at tick t is the success request of row 4, or the standing request of a node whose offer slot
     is empty."""
-    trace = run_scenario(s)
-    stream = {family: [trace.node_stream(family, i + 1).cells for i in range(s.node_count)]
-              for family in ("a", "as", "ms", "mr", "ar")}
-    for t, (before, after) in enumerate(zip(trace.states, trace.states[1:])):
-        for i in range(s.node_count):
-            buf = before["buffers"][i]
-            assert stream["as"][i][t] == buffer_emission(buf, t), (t, i)
-            req = REQ_CELL if trace.rows[t][i] == 4 or not buf.b else ()
-            assert buffer_step(buf, stream["a"][i][t], req, t)[1] == after["buffers"][i], (t, i)
-            assert encoder_step(before["encoders"][i], stream["as"][i][t], t) == (
-                stream["ms"][i][t], after["encoders"][i]), (t, i)
-            assert decoder_step(before["decoders"][i], stream["mr"][i][t], t) == (
-                stream["ar"][i][t], after["decoders"][i]), (t, i)
+    for t, (before, record, after) in enumerate(_steps(s, _reuse_record(s))):
+        cells, rows = dict(zip(PER_NODE_FAMILIES, record)), record[-2]
+        for i, buf in enumerate(before.buffers):
+            assert cells["as"][i] == buffer_emission(buf, t), (t, i)
+            req = REQ_CELL if rows[i] == 4 or not buf.b else ()
+            assert buffer_step(buf, cells["a"][i], req, t)[1] == after.buffers[i], (t, i)
+            assert encoder_step(before.encoders[i], cells["as"][i], t) == (cells["ms"][i], after.encoders[i]), (t, i)
+            assert decoder_step(before.decoders[i], cells["mr"][i], t) == (cells["ar"][i], after.decoders[i]), (t, i)
+
+
+@pytest.mark.parametrize("s", [saturated(seed, nodes=4 + seed % 8) for seed in range(4)]
+                         + [seeded_scenario("derived", i, nodes=1 + i % 5, horizon=64) for i in range(12)])
+def test_the_states_a_trace_leaves_out_follow_from_its_streams(s):
+    """Entering tick t, a node's encoder holds the payload of as(t-1)'s message exactly when ms(t-1) is an identifier,
+    its decoder holds k exactly when mr(t-1) is [id(k)], and its bus-access layer's lid is the last identifier in its
+    ms, else 0."""
+    encoders, decoders, lids = [EncoderState()] * s.node_count, [DecoderState()] * s.node_count, [0] * s.node_count
+    for before, record, _ in _steps(s):
+        assert (before.encoders, before.decoders) == (tuple(encoders), tuple(decoders))
+        assert [ll.lid for ll in before.llayers] == lids
+        cells = dict(zip(PER_NODE_FAMILIES, record))
+        for i, (as_cell, ms, mr) in enumerate(zip(cells["as"], cells["ms"], cells["mr"])):
+            framing = ms and type(ms[0]) is IdSym
+            encoders[i] = EncoderState(True, as_cell[0].data) if framing else EncoderState()
+            decoders[i] = DecoderState(True, mr[0].value) if mr and type(mr[0]) is IdSym else DecoderState()
+            lids[i] = ms[0].value if framing else lids[i]
 
 
 def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
@@ -195,15 +229,7 @@ def test_a_node_re_offering_a_lost_frame_reuses_its_encoder_steps(monkeypatch):
 
 def _stepped_by_hand(s: Scenario):
     """The trace of stepping tick_system from the initial state, one call per tick and no reuse record."""
-    state, records = initial_state(s.node_count), []
-    for t in range(s.horizon):
-        cells = [()] * s.node_count
-        for inj in s.injections:
-            if inj.tick == t:
-                cells[inj.node - 1] = (inj.message,)
-        state, record = tick_system(state, cells, t)
-        records.append(record)
-    return assemble_trace(s, records)
+    return assemble_trace(s, [record for _, record, _ in _steps(s)])
 
 
 @pytest.mark.parametrize("s", [seeded_scenario("by-hand", i, nodes=1 + i % 5, horizon=32) for i in range(12)]
