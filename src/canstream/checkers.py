@@ -144,7 +144,8 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
 
     Each identifier belongs to one sender, so several nodes offering the same
     minimal identifier break (3) outright. (3) reads each offer cell's head, and
-    skips a head that is not a message. (1) and (3) are checked for the ticks
+    skips a head that is not a message; a head whose identifier is not an
+    integer is reported and skipped. (1) and (3) are checked for the ticks
     whose delivery tick lies inside the horizon.
     """
     n = trace.node_count
@@ -177,8 +178,14 @@ def check_message_transmission(trace: Trace) -> list[Violation]:
                         render_cell(delivered[j]),
                     ))
             continue
-        # The smallest identifier among the heads that are messages; msg1 and the kind rules report the rest.
+        # The smallest identifier among the heads that are messages; msg1 and the kind rules report the rest. A head
+        # whose identifier is not an integer cannot arbitrate.
         heads = {i: cell[0].id for i, cell in enumerate(offers) if cell and type(cell[0]) is AMessage}
+        if not {int}.issuperset(map(type, heads.values())):
+            for i in [i for i, ident in heads.items() if type(ident) is not int]:
+                del heads[i]
+                out.append(Violation("transmission", t, (f"as_{i + 1}",), "an integer identifier (clause 3)",
+                                     render_cell(offers[i])))
         best = min(heads.values(), default=None)
         winners = [i for i, ident in heads.items() if ident == best]
         if not winners:
@@ -224,7 +231,9 @@ def check_row3_unreachable(trace: Trace) -> list[Violation]:
 
 
 def _is_sorted_by_id(msgs: Sequence[AMessage]) -> bool:
-    return all(msgs[k].id <= msgs[k + 1].id for k in range(len(msgs) - 1))
+    """Whether the identifiers are integers in ascending order; a queue holding any other identifier is not sorted."""
+    ids = [getattr(m, "id", None) for m in msgs]
+    return {int}.issuperset(map(type, ids)) and ids == sorted(ids)
 
 
 # Per component family: its snapshot key, its stream name, and the (expected,

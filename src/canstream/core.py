@@ -176,6 +176,19 @@ def require_valid(s: Scenario) -> None:
         raise ScenarioError("; ".join(f"{v.rule}: {v.detail}" for v in problems))
 
 
+def arrivals(scenario: Scenario) -> tuple[tuple[Cell, ...], ...]:
+    """Each tick's arrival row of a valid scenario, its application cells a: node i+1's cell at tick t holds the
+    message injected at node i+1 and tick t, else it is empty. The ticks without an injection share one row."""
+    quiet: tuple[Cell, ...] = ((),) * scenario.node_count
+    busy: dict[int, list[Cell]] = {}
+    for inj in scenario.injections:
+        busy.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
+    rows = [quiet] * scenario.horizon
+    for t, row in busy.items():
+        rows[t] = tuple(row)
+    return tuple(rows)
+
+
 # Stream families recorded per node in every trace: the application input a,
 # the buffer's offer as, the delivery ar, the request r, and the symbol streams.
 PER_NODE_FAMILIES = ("a", "as", "ar", "r", "ms", "mr", "ws")

@@ -1,16 +1,16 @@
-"""Brute-force reference model of correct bus behaviour, for equivalence tests.
+"""Reference model of correct bus behaviour, for equivalence tests.
 
 The oracle knows nothing about encoders, wires, or per-tick symbols. It keeps,
-per node, a committed message (the one being offered for transmission), a
-priority backlog, and a readiness flag, and applies the delivery rules
-directly: at every odd tick the smallest committed identifier wins and is
-delivered two ticks later; the winner commits its next message in the
-following tick; losers keep offering. A node with nothing committed is ready,
-and commits an arriving message immediately.
+per node, a committed message (the one being offered for transmission) and a
+priority backlog, and applies the delivery rules directly: at every odd tick
+the smallest committed identifier wins and is delivered two ticks later; the
+winner commits its next message in the following tick; losers keep offering.
+A node with nothing committed is ready, and commits an arriving message
+immediately.
 
 It deliberately shares no machinery with the simulator (its own insertion and
-minimum handling via the bisect module), so agreement between the two is
-evidence rather than tautology. Each identifier belongs to one sender (the
+minimum handling via the bisect and heapq modules), so agreement between the
+two is evidence rather than tautology. Each identifier belongs to one sender (the
 scenario's `duplicate-identifier` rule), so the smallest committed identifier
 is always unique. Every node starts with nothing committed, so it is ready
 from tick 0, as the simulator primes every buffer at tick 0. A kernel that
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .core import FRAME_LATENCY, AMessage, Scenario, Trace, require_valid
 from .system import delivery_log, run_scenario
@@ -34,43 +35,40 @@ def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
 
 
 def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
-    """oracle_run's log of a scenario already validated."""
-    n = scenario.node_count
+    """oracle_run's log of a scenario already validated.
+
+    At tick t only two kinds of node can change, so only they are visited: a
+    node with an arrival at t, and the winner of t - 1, which commits its next
+    message at t. The winner's offer leaves the heap when it wins, since a
+    node that commits later in that tick may offer a smaller identifier.
+    """
     horizon = scenario.horizon
-
-    arrivals: dict[tuple[int, int], AMessage] = {
-        (inj.node - 1, inj.tick): inj.message for inj in scenario.injections
-    }
+    arrivals: dict[int, dict[int, AMessage | None]] = {}  # tick -> node index -> the message it receives
+    for inj in scenario.injections:
+        arrivals.setdefault(inj.tick, {})[inj.node - 1] = inj.message
     counter = itertools.count()
-    committed: list[AMessage | None] = [None] * n
-    backlog: list[list[tuple[int, int, AMessage]]] = [[] for _ in range(n)]
-    ready = [True] * n
-    handoff_due = [-1] * n  # tick at which a winner commits its next message
+    committed: list[AMessage | None] = [None] * scenario.node_count
+    backlog: list[list[tuple[int, int, AMessage]]] = [[] for _ in committed]
+    offers: list[tuple[int, int]] = []  # heap of (identifier, node index) of each committed message that may still win
     log: list[tuple[int, AMessage]] = []
-
+    winner = None
     for t in range(horizon):
-        if t % 2 == 1:
-            contenders = [i for i in range(n) if committed[i] is not None]
-            if contenders:
-                w = min(contenders, key=lambda i: committed[i].id)
-                if t + FRAME_LATENCY < horizon:
-                    log.append((t + FRAME_LATENCY, committed[w]))
-                handoff_due[w] = t + 1
-
-        for i in range(n):
-            arrived = arrivals.get((i, t))
-            has_request = ready[i] or handoff_due[i] == t
-            if has_request:
-                if not backlog[i]:
-                    committed[i] = arrived
-                else:
-                    if arrived is not None:
-                        insort(backlog[i], (arrived.id, next(counter), arrived))
-                    _, _, head = backlog[i].pop(0)
-                    committed[i] = head
-                ready[i] = committed[i] is None
-            elif arrived is not None:
-                insort(backlog[i], (arrived.id, next(counter), arrived))
+        handoff, winner = winner, None
+        if t % 2 == 1 and offers:
+            _, winner = heappop(offers)
+            if t + FRAME_LATENCY < horizon:
+                log.append((t + FRAME_LATENCY, committed[winner]))
+        arrived = arrivals.get(t, {})
+        if handoff is not None and handoff not in arrived:
+            arrived = {**arrived, handoff: None}
+        for i, msg in arrived.items():
+            queue = backlog[i]
+            if msg is not None:
+                insort(queue, (msg.id, next(counter), msg))
+            if i == handoff or committed[i] is None:  # the node requests: it commits the head of its backlog
+                head = committed[i] = queue.pop(0)[2] if queue else None
+                if head is not None:
+                    heappush(offers, (head.id, i))
     return log
 
 

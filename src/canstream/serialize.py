@@ -5,41 +5,52 @@ header line followed by one line per tick, or per run of repeated ticks. All
 dumps are canonical (sorted keys, fixed separators, integers and hex strings
 only), so a given run always serializes to identical bytes.
 
-A trace records the buffer states only, under "state"; the other component
-states follow from the streams. Entering tick t, node i's encoder holds the
-payload of as_i(t-1)'s message exactly when ms_i(t-1) is an identifier, its
-decoder holds k exactly when mr(t-1) = [id(k)], and its bus-access layer's lid
-is the last identifier in ms_i before t, else 0.
+A trace keeps only what it cannot derive. Each node's application stream a is
+its environment's input, so the header's scenario alone gives it: a tick line
+has no "a" field, and the loader builds every node's a from the scenario's
+injections (core.arrivals), at every tick, whether or not the tick has a line
+of its own. The writer refuses a trace whose a is not its scenario's
+injections. A trace records the buffer states only, under "state"; the other
+component states follow from the streams. Entering tick t, node i's encoder
+holds the payload of as_i(t-1)'s message exactly when ms_i(t-1) is an
+identifier, its decoder holds k exactly when mr(t-1) = [id(k)], and its
+bus-access layer's lid is the last identifier in ms_i before t, else 0.
 
 A tick line writes each distinct value once. Its "new" list holds the JSON of
-each cell, row and buffer state first seen at that tick. The value table is the
-four values of an idle tick 0, which no file writes, then the entries of all
-lines so far in order; every other field is an integer reference into it. A
-per-node field, a stream family, the rows or the buffers of the state, is one
-reference if every node's entry is the same, else a [node index, reference]
-pair per node whose entry differs from its own entry two ticks before: a frame
-takes two ticks, so a node that loses arbitration repeats its cells and states
-two ticks later. The ticks before tick 0 are idle. Equal values count as the
-same, so the bytes depend on the values alone.
+each cell, row and buffer state first seen at that tick. The value table opens
+with the entries that no file writes: the four values of an idle tick 0, then
+the header's message cells, [{"data":..,"id":..}], in injection order, each
+distinct one once. Then come the entries of all lines so far in order; every
+other field is an integer reference into it. A per-node field, a stream
+family, the rows or the buffers of the state, is one reference if every node's
+entry is the same, else a [node index, reference] pair per node whose entry
+differs from its own entry two ticks before: a frame takes two ticks, so a
+node that loses arbitration repeats its cells and states two ticks later. The
+ticks before tick 0 are idle. Equal values count as the same, so the bytes
+depend on the values alone.
 
 A buffer state entry refers to its messages, {"b":k,"buf":[k1,...]}: k names
 the cell of its offer slot, and each ki the cell that holds one queued message
 alone, the entry a stream cell of that message alone uses. A reference inside
-an entry names an earlier entry, so the writer adds a message's cell before
-the first state that queues it, and each message's JSON is written once.
+an entry names an earlier entry. Every message of a run is injected, so the
+offer, delivery and queue references of a run all name the header's message
+cells, and each message is written once, in the header.
 
 A line gives "t" and only the fields whose value differs from the previous
 tick's ("state" when the buffers changed), and "new" only when it has entries.
 A tick that repeats the previous one has no line of its own: "through":M on
 the line of tick N says that ticks N+1 to M repeat tick N, and a line of "t"
 alone is one repeated tick. The header is {"format","scenario","version"}: the
-node count and the horizon are the scenario's. The loader reads version 11
+node count and the horizon are the scenario's. The loader reads version 12
 (TRACE_VERSION) only; an older trace is regenerated by running the scenario in
 its header.
 
 Both formats are closed: one table gives each object kind its keys and their
 value kinds, and one reader checks them, so an error names the key and its
-place ("unknown key 'injections[0].prio'"), never a missing field.
+place ("unknown key 'injections[0].prio'"), never a missing field. An object
+that gives a key twice is rejected by name ("repeated key 'nodeCount'"), in a
+scenario file and anywhere in a trace file, where JSON decoding would keep the
+last value.
 
 Within one dump each value is numbered once and then found by its id(), which
 is exact: the values are immutable and the trace keeps them alive for the call,
@@ -47,18 +58,19 @@ so no id is reused. Its text, made when its id is first met, finds its number;
 no text is kept, as a memo of texts costs more than it saves. A load builds each
 table entry once for each kind it is read as, and a field that a line leaves out
 keeps the previous tick's object, so a loaded trace shares its values as a run
-does: a loaded buffer holds the message objects of the loaded cells.
+does: a header message entry, read as a cell, is the a cell that holds it, and
+a loaded buffer holds the message objects of the loaded cells.
 """
 from __future__ import annotations
 
 import json
 from collections import defaultdict
 from dataclasses import asdict
-from itertools import compress
+from itertools import compress, zip_longest
 from operator import ne
 from string import hexdigits
 
-from .checkers import Report
+from .checkers import Report, render_cell
 from .components import REQ_CELL, _IDLE_BUFFER, BufferState
 from .core import (
     PER_NODE_FAMILIES,
@@ -70,16 +82,16 @@ from .core import (
     Scenario,
     ScenarioError,
     Trace,
+    arrivals,
     assemble_trace,
     require_valid,
 )
 
 TRACE_FORMAT = "canstream-trace"
-TRACE_VERSION = 11
+TRACE_VERSION = 12
 
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_decode = json.JSONDecoder().raw_decode
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -122,9 +134,11 @@ _SCENARIO = {"nodeCount": _INT, "horizon": _INT,
 _MESSAGE = {"id": _INT, "data": _HEX}
 _SYMBOL = {"sym": _ANY, "value": _ANY}
 _BUFFER = {"b": _ANY, "buf": _INTS}
+# The per-node stream families that a tick line gives: each node's `a` is its scenario's injections.
+_FAMILIES = tuple(family for family in PER_NODE_FAMILIES if family != "a")
 # The key sets of the objects that the trace loader reads by hand, in the order it reads their keys.
 _HEADER = dict.fromkeys(("format", "version", "scenario")).keys()
-_LINE = dict.fromkeys(("t", "through", "new", *PER_NODE_FAMILIES, "wr", "rows", "state")).keys()
+_LINE = dict.fromkeys(("t", "through", "new", *_FAMILIES, "wr", "rows", "state")).keys()
 
 
 def _checked(name: str, value, kind: tuple):
@@ -196,12 +210,16 @@ class _Repeated(dict):
 
 
 def _unrepeated(pairs: list) -> dict:
-    """A scenario file's object from its key-value pairs, a _Repeated if it gives a key twice."""
-    obj, keys = dict(pairs), [key for key, _ in pairs]
-    if len(obj) < len(keys):
+    """A scenario or trace file's object from its key-value pairs, a _Repeated if it gives a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
         obj = _Repeated(obj)
         obj.repeated = next(key for key in keys if keys.count(key) > 1)
     return obj
+
+
+_decode = json.JSONDecoder(object_pairs_hook=_unrepeated).raw_decode
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -220,7 +238,7 @@ _OPENING = ((), REQ_CELL, 1, _IDLE_BUFFER)
 
 def _idle(n: int) -> dict:
     """The fields of the tick before tick 0 for n nodes, in a record's order."""
-    return {**dict.fromkeys(PER_NODE_FAMILIES, ((),) * n), "wr": (), "rows": (1,) * n,
+    return {**dict.fromkeys(_FAMILIES, ((),) * n), "wr": (), "rows": (1,) * n,
             "state": {key: (state,) * n for key, state in zip(_COMPONENTS, _OPENING[3:])}}
 
 
@@ -259,8 +277,9 @@ def _line(parts: list) -> str:
     return "{%s}" % ",".join(sorted(parts))
 
 
-def _value_table() -> tuple:
-    """A dump's value table, opened with `_OPENING`'s entries, and a value's table number, its text added if new."""
+def _value_table(cells) -> tuple:
+    """A dump's value table, opened with `_OPENING`'s entries and then `cells`, the header's message cells in injection
+    order, and a value's table number, its text added if new."""
     refs, numbers, table = {}, {}, []  # refs: id() -> table number of each value met; numbers: text -> table number
 
     def number(text: str) -> int:
@@ -280,18 +299,36 @@ def _value_table() -> tuple:
             k = refs[id(value)] = number(text)
         return k
 
-    for value in _OPENING:
+    for value in (*_OPENING, *cells):
         ref(value)
     return table, ref
 
 
+def _require_arrivals(trace: Trace) -> None:
+    """Raise a ValueError naming the first node and tick where the trace's `a` stream is not its scenario's
+    injections, which are all that a file keeps of it."""
+    rows = arrivals(trace.scenario)
+    expected = tuple(zip(*rows)) if rows else ((),) * trace.node_count
+    given = tuple(stream.cells for stream in trace.streams["a"])
+    if given == expected:
+        return
+    for i, (cells, injected) in enumerate(zip_longest(given, expected, fillvalue=())):
+        for t, (cell, arrival) in enumerate(zip_longest(cells, injected)):
+            if cell != arrival:
+                shown = [render_cell(c) if c is not None else "no cell" for c in (cell, arrival)]
+                raise ValueError(f"node {i + 1}, tick {t}: a is {shown[0]}, but the scenario injects {shown[1]}; a "
+                                 f"trace file keeps each node's a as its scenario's injections only")
+
+
 def trace_to_jsonl(trace: Trace) -> str:
+    _require_arrivals(trace)
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "scenario": scenario_to_dict(trace.scenario)}
-    table, ref = _value_table()
+    a = trace.streams["a"]
+    table, ref = _value_table([a[inj.node - 1].cells[inj.tick] for inj in trace.scenario.injections])
     idle = _idle(trace.node_count)
     pairs = lambda values, u: _per_node(values[u], ref, values[u - 2])
     # key -> (value per tick, writer of the value at an index); a family's value is its column of per-node cells
-    series = {family: (zip(*(stream.cells for stream in trace.streams[family])), pairs) for family in PER_NODE_FAMILIES}
+    series = {family: (zip(*(stream.cells for stream in trace.streams[family])), pairs) for family in _FAMILIES}
     series.update(rows=(trace.rows, pairs), wr=(trace.wire.cells, lambda values, u: "%d" % ref(values[u])),
                   state=(trace.states, lambda snaps, u: _snapshot_to_obj(snaps[u - 1], snaps[u], snaps[u - 2], ref)))
     # The line's fields as (quoted key and colon, values from tick -2 on, so that tick t's is at index t+2, writer), in
@@ -361,16 +398,17 @@ def _buffer_state(obj, cell) -> BufferState:
 
 _amessages = _cell(lambda obj: AMessage(*_read(obj, _MESSAGE)))
 # How a JSON value is read as each kind of value: a cell of each family, a row, or one node's buffer state.
-_CELLS = {**dict.fromkeys(("a", "as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _cell(_symbol)),
+_CELLS = {**dict.fromkeys(("as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _cell(_symbol)),
           "r": _requests}
 _STATES = {"buffers": _buffer_state}
 _COMPONENTS = _STATES.keys()  # the per-node families of a state
-_OPENING_ENTRIES = [json.loads(text) for text in _value_table()[0]]  # the opening entries as a load reads them
+_OPENING_ENTRIES = [json.loads(text) for text in _value_table(())[0]]  # the opening entries as a load reads them
 
 
-def _table_readers(n: int, table: list):
-    """A value-table load's readers of a reference and of a family's references; each entry is read once per kind."""
-    built = defaultdict(dict)  # per reader: table number -> the entry as read
+def _table_readers(n: int, table: list, cells: dict):
+    """A value-table load's readers of a reference and of a family's references; each entry is read once per kind, and
+    the entries numbered in `cells` are read as message cells as those cells."""
+    built = defaultdict(dict, {_amessages: cells})  # per reader: table number -> the entry as read
     copies = defaultdict(dict)  # per reader: table number -> n copies of the entry as read
 
     def entry(k, read):
@@ -430,7 +468,7 @@ def _json_line(number: int, line: str, tick: int | None = None):
         return value
     # Blanks around the value, extra data or no JSON at all: json.loads reads the blanks and words the errors.
     try:
-        return json.loads(line)
+        return json.loads(line, object_pairs_hook=_unrepeated)
     except (ValueError, RecursionError) as exc:  # bad syntax, an integer of too many digits, or nesting too deep
         raise ValueError(f"line {number} ({'header' if tick is None else f'tick {tick}'}): {exc}") from exc
 
@@ -442,6 +480,8 @@ def trace_from_jsonl(text: str) -> Trace:
     header = _json_line(*lines[0])
     if not isinstance(header, dict):
         raise ValueError(f"header must be a JSON object, got a {type(header).__name__}")
+    if type(header) is _Repeated:
+        raise ValueError(f"header field {header.repeated!r}: repeated key {header.repeated!r}")
     if header.get("format") != TRACE_FORMAT:
         raise ValueError(f"header field 'format': expected {_dumps(TRACE_FORMAT)}, got {_dumps(header.get('format'))}")
     version = header.get("version")
@@ -456,18 +496,25 @@ def trace_from_jsonl(text: str) -> Trace:
     except ScenarioError as exc:
         raise ValueError(f"header field 'scenario': {exc}") from exc
     n, horizon = scenario.node_count, scenario.horizon
-    table = list(_OPENING_ENTRIES)
-    entry, entries = _table_readers(n, table)
-    # A record's fields before its state, in its order, each with its reader and whether it has an entry per node.
-    fields = [(family, _CELLS[family], True) for family in PER_NODE_FAMILIES]
+    # Each node's a, and the table entries after the opening: the header's message cells, each distinct one once (a
+    # valid scenario's equal cells have equal texts) and read as the first cell that holds it.
+    rows = arrivals(scenario)
+    cells = dict.fromkeys(rows[inj.tick][inj.node - 1] for inj in scenario.injections)
+    table = _OPENING_ENTRIES + [[{"data": cell[0].data.hex(), "id": cell[0].id}] for cell in cells]
+    entry, entries = _table_readers(n, table, dict(enumerate(cells, len(_OPENING_ENTRIES))))
+    # A record's fields after a, the tick's arrival row, and before its state, in its order, each with its reader and
+    # whether it has an entry per node.
+    fields = [(family, _CELLS[family], True) for family in _FAMILIES]
     fields += [("wr", _CELLS["wr"], False), ("rows", _row, True)]
-    # Two idle ticks come before tick 0; a line's pairs apply to the entries of two ticks before.
-    records = [list(_idle(n).values())] * 2
+    # Two idle ticks, whose a no tick reads, come before tick 0; a line's pairs apply to the entries of two ticks before.
+    records = [[None, *_idle(n).values()]] * 2
     for number, line in lines[1:]:
         t = len(records) - 2  # the tick where the line starts
         tick = _json_line(number, line, t)
         if t == horizon:
             raise ValueError(f"tick {t}: field 't': expected the file to end at the horizon, tick {horizon}")
+        if type(tick) is _Repeated:
+            raise ValueError(f"tick {t}: field {tick.repeated!r}: repeated key {tick.repeated!r}")
         if type(tick) is not dict:
             raise ValueError(f"tick {t}: expected an object, got {_dumps(tick)}")
         field = "t"
@@ -489,8 +536,8 @@ def trace_from_jsonl(text: str) -> Trace:
                 if type(tick["new"]) is not list:
                     raise ValueError(f"expected a list, got {_dumps(tick['new'])}")
                 table += tick["new"]
-            record = []
-            for k, (field, read, per_node) in enumerate(fields):
+            record = [rows[t]]
+            for k, (field, read, per_node) in enumerate(fields, start=1):
                 if field not in tick:
                     record.append(records[-1][k])
                 else:
@@ -499,7 +546,8 @@ def trace_from_jsonl(text: str) -> Trace:
             if "state" in tick:
                 snap = _snapshot_from_obj(tick["state"], snap, records[-2][-1], entries)
             record.append(snap)
-            records += [record] * (through + 1 - t)
+            # Each tick that the line covers repeats tick t but for its arrivals; most share tick t's row of none.
+            records += [record if rows[u] is record[0] else [rows[u], *record[1:]] for u in range(t, through + 1)]
         except (ValueError, RecursionError) as exc:  # or a value nested too deeply for its error to show it
             raise ValueError(f"tick {t}: field {field!r}: {exc}") from exc
     if len(records) - 2 != horizon:

@@ -67,6 +67,7 @@ from .core import (
     Cell,
     Scenario,
     Trace,
+    arrivals,
     assemble_trace,
     require_valid,
 )
@@ -172,14 +173,10 @@ def run_scenario(scenario: Scenario) -> Trace:
     """
     require_valid(scenario)
     n = scenario.node_count
-    quiet: tuple[Cell, ...] = ((),) * n
-    arrivals: dict[int, list[Cell]] = {}
-    for inj in scenario.injections:
-        arrivals.setdefault(inj.tick, list(quiet))[inj.node - 1] = (inj.message,)
     state = initial_state(n)
     last, records = [_UNSEEN] * (4 * n + 1), []
-    for t in range(scenario.horizon):
-        state, record = tick_system(state, arrivals.get(t, quiet), t, last)
+    for t, cells in enumerate(arrivals(scenario)):
+        state, record = tick_system(state, cells, t, last)
         records.append(record)
     return assemble_trace(scenario, records)
 

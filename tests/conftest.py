@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from canstream import AMessage, Injection, Scenario
 from canstream.components import dispatch_row
 from canstream.fuzzing import ID_POOL
-from canstream.serialize import _OPENING
+from canstream.serialize import _OPENING, scenario_from_dict
 
 
 def amsg(ident: int, data: bytes = b"\x00") -> AMessage:
@@ -79,13 +79,20 @@ def tick_line(lines: list[str], t: int) -> int:
     pytest.fail(f"no line covers tick {t}")
 
 
+def unwritten_entries(lines: list[str]) -> int:
+    """The number of value-table entries that a trace file's tick lines do not write: the opening entries, then the
+    header's distinct message cells."""
+    injections = scenario_from_dict(json.loads(lines[0])["scenario"]).injections
+    return len(_OPENING) + len({inj.message for inj in injections})
+
+
 def add_entry(lines: list[str], t: int, value) -> int:
     """Append `value` to the value table at tick t's line of a trace file's lines, and renumber the later lines'
     references, in their fields and inside their buffer state entries, so that everything else reads what it read
     before; the new entry's table number."""
     at = tick_line(lines, t)
     ticks = [json.loads(line) for line in lines[1:]]
-    k = len(_OPENING) + sum(len(tick.get("new", ())) for tick in ticks[:at])
+    k = unwritten_entries(lines) + sum(len(tick.get("new", ())) for tick in ticks[:at])
     ticks[at - 1].setdefault("new", []).append(value)
     up = lambda r: r + (r >= k)
     shift = lambda v: up(v) if type(v) is int else [[i, up(r)] for i, r in v]

@@ -130,7 +130,7 @@ def test_criterion_2_golden_trace(golden_scenario):
         first = trace_to_jsonl(trace)
         second = trace_to_jsonl(run_scenario(golden_scenario))
         assert first == second
-        frozen = (GOLDENS / "single_node.v11.jsonl").read_text()
+        frozen = (GOLDENS / "single_node.v12.jsonl").read_text()
         assert first == frozen
         assert trace_from_jsonl(frozen) == trace
 

@@ -227,6 +227,27 @@ def test_structural_flags_unsorted_buffer():
     assert any("buffer_1" in v.streams for v in found)
 
 
+def test_structural_reports_a_queue_whose_identifier_is_not_an_integer(two_node_scenario):
+    # only a faulty component queues such a message; the check reports the queue as unsorted and does not raise
+    trace = run_scenario(two_node_scenario)
+    states = list(trace.states)
+    states[2] = {"buffers": (BufferState((AMessage(None, b""), AMessage(2, b""))), states[2]["buffers"][1])}
+    found = check_structural(replace(trace, states=tuple(states)))
+    assert [(v.tick, v.streams, v.expected, v.observed) for v in found] == [
+        (2, ("buffer_1",), "buf sorted by id", "[msg(None,-) msg(2,-)]")]
+
+
+def test_transmission_reports_an_offer_whose_identifier_is_not_an_integer(two_node_scenario):
+    # both nodes offer at tick 1; a head whose identifier is not an integer cannot arbitrate, so it is reported
+    trace = run_scenario(two_node_scenario)
+    offers = trace.streams["as"]
+    assert offers[0].cells[1] and offers[1].cells[1]
+    bad = replace(offers[0], cells=offers[0].cells[:1] + ((AMessage(None, b"\xaa"),),) + offers[0].cells[2:])
+    found = check_message_transmission(replace(trace, streams={**trace.streams, "as": (bad, offers[1])}))
+    assert ("transmission", 1, ("as_1",), "an integer identifier (clause 3)", "[msg(None,aa)]") in {
+        (v.predicate, v.tick, v.streams, v.expected, v.observed) for v in found}
+
+
 # -- aggregate ----------------------------------------------------------------------
 
 def test_check_all_golden_passes(golden_scenario):
@@ -309,7 +330,8 @@ def _mutated(trace: Trace, rng: random.Random) -> tuple[Trace, bool]:
         old, how = stream.cells[t], rng.choice(("empty", "double", "swap", "swap"))
         swap_kind, make = rng.choice(_SWAPS[family])
         new = () if how == "empty" else (old or make(rng)) * 2 if how == "double" else make(rng)
-        loadable = how == "empty" or (how == "double" and bool(old)) or swap_kind in _LOADABLE[family]
+        # A file keeps each node's a as its scenario's injections only, so no fault of a can be written.
+        loadable = family != "a" and (how == "empty" or (how == "double" and bool(old)) or swap_kind in _LOADABLE[family])
         cells = TimedStream(stream.cells[:t] + (new,) + stream.cells[t + 1:])
         if family == "wr":
             return replace(trace, wire=cells), loadable
@@ -346,7 +368,7 @@ def _pinned_traces() -> list[Trace]:
 
 # SHA-256 of every pinned trace's report_to_json(check_all(...)), in order, and
 # the number of findings.
-PINNED_REPORTS = "044876bc43168fa5d7addb542c4ce710b90cbef8a8b619fc99af92a6db8142e1"
+PINNED_REPORTS = "7dfa047bc2c77affe89a25b960aa4340206fd7c82da3ea3053e80691638d31c2"
 PINNED_FINDINGS = 3546
 
 

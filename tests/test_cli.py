@@ -21,7 +21,7 @@ GOLDEN = {
 }
 
 
-GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v11.jsonl"
+GOLDEN_TRACE = Path(__file__).parent / "goldens" / "single_node.v12.jsonl"
 
 
 @pytest.fixture
@@ -106,10 +106,13 @@ def _golden_with_cell(t: int, family: str, cell: list) -> str:
 
 
 def test_check_finds_two_messages_in_one_application_cell(tmp_path):
-    out = tmp_path / "wide_a.trace"
-    out.write_text(_golden_with_cell(0, "a", [{"data": "ab", "id": 5}, {"data": "cd", "id": 6}]))
+    out = tmp_path / "wide_as.trace"
+    out.write_text(_golden_with_cell(1, "as", [{"data": "ab", "id": 5}, {"data": "cd", "id": 6}]))
     report = check_all(trace_from_jsonl(out.read_text()))
-    assert [(v.predicate, v.tick, v.streams) for v in report.violations] == [("msg1", 0, ("a_1",))]
+    # a file gives each node's a as its header's injections only, so the two messages go into the buffer's offer,
+    # whose delivery then differs from it as well
+    assert [(v.predicate, v.tick, v.streams) for v in report.violations] == [
+        ("msg1", 1, ("as_1",)), ("transmission", 1, ("as_1", "ar_1"))]
     assert main(["check", "--trace", str(out), "--only", "msg1"]) == 1
 
 
@@ -125,7 +128,7 @@ def test_check_reports_an_offer_whose_smallest_identifier_is_not_its_head(tmp_pa
 def test_check_names_the_line_of_a_truncated_tick(tmp_path, capsys):
     lines = GOLDEN_TRACE.read_text().splitlines()
     out = tmp_path / "truncated.trace"
-    out.write_text("\n".join(lines[:3] + ['{"t":2,"a":[']) + "\n")
+    out.write_text("\n".join(lines[:3] + ['{"t":2,"as":[']) + "\n")
     assert main(["check", "--trace", str(out)]) == 2
     assert "malformed trace: line 4 (tick 2): Expecting value" in capsys.readouterr().err
 

@@ -9,7 +9,6 @@ from canstream.primitives import (
     broadcast,
     collect_elements,
     min_nat_list,
-    min_of_list,
     pr_add,
 )
 from .conftest import amsg
@@ -47,7 +46,7 @@ def test_collect_length_and_membership(cells):
     assert sorted(out) == sorted(x for c in cells for x in c)
 
 
-# -- min_nat_list / min_of_list --------------------------------------------------
+# -- min_nat_list ----------------------------------------------------------------
 
 def test_min_nat_list_empty():
     assert min_nat_list(5, ()) == 5
@@ -66,13 +65,6 @@ def test_min_nat_list_is_min(a, values):
     result = min_nat_list(a, values)
     assert result in {a, *values}
     assert result <= a and all(result <= v for v in values)
-
-
-def test_min_of_list():
-    assert min_of_list((4,)) == 4
-    assert min_of_list((7, 2, 9)) == 2
-    with pytest.raises(ValueError):
-        min_of_list(())
 
 
 # -- pr_add ----------------------------------------------------------------------

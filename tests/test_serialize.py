@@ -35,10 +35,11 @@ from canstream.serialize import (
     trace_to_jsonl,
 )
 from canstream.system import initial_state
-from .conftest import add_entry, saturated, scenario, tick_line, valid_scenarios
+from .conftest import add_entry, amsg, saturated, scenario, tick_line, unwritten_entries, valid_scenarios
 
 GOLDENS = Path(__file__).parent / "goldens"
 STATE_KEYS = ("buffers",)  # the families of a trace's state
+LINE_FAMILIES = tuple(family for family in PER_NODE_FAMILIES if family != "a")  # a is the header scenario's
 
 
 def test_scenario_round_trip(two_node_scenario):
@@ -227,12 +228,14 @@ def _deepest_queue(trace) -> int:
 
 
 def test_a_dump_writes_each_message_once():
+    # The header's scenario writes each message; the tick lines and their buffer states refer to it.
     trace = run_scenario(saturated(2, nodes=16, per_node=6))
     assert _deepest_queue(trace) >= 3
-    ticks = trace_to_jsonl(trace).split("\n", 1)[1]
+    header, ticks = trace_to_jsonl(trace).split("\n", 1)
     for injection in trace.scenario.injections:
         message = injection.message
-        assert ticks.count('{"data":"%s","id":%d}' % (message.data.hex(), message.id)) == 1, message
+        assert header.count('{"data":"%s","id":%d,' % (message.data.hex(), message.id)) == 1, message
+        assert '"id":%d}' % message.id not in ticks, message
 
 
 @pytest.mark.parametrize("scenarios", [
@@ -251,8 +254,8 @@ def _assert_pairs_name_the_entries_that_differ_from_two_ticks_before(text: str, 
     (before tick 0 every cell is empty, every row 1 and every state a run's initial one); the number of pairs per
     field."""
     n, listed = trace.node_count, Counter()
-    idle = {**dict.fromkeys(PER_NODE_FAMILIES, ((),) * n), "rows": (1,) * n, **initial_state(n)._asdict()}
-    columns = {family: list(zip(*(stream.cells for stream in trace.streams[family]))) for family in PER_NODE_FAMILIES}
+    idle = {**dict.fromkeys(LINE_FAMILIES, ((),) * n), "rows": (1,) * n, **initial_state(n)._asdict()}
+    columns = {family: list(zip(*(stream.cells for stream in trace.streams[family]))) for family in LINE_FAMILIES}
     columns.update(rows=trace.rows, **{key: [snap[key] for snap in trace.states] for key in STATE_KEYS})
     for line in text.splitlines()[1:]:
         tick = json.loads(line)
@@ -356,9 +359,9 @@ def test_an_added_table_entry_leaves_every_reference_reading_what_it_read():
     lines = trace_to_jsonl(trace).splitlines()
     k = add_entry(lines, 1, [{"data": "ff", "id": 999}])
     assert json.loads(lines[2])["new"][-1] == [{"data": "ff", "id": 999}]
-    # later buffer states refer to entries from k on, inside the entries themselves
-    assert any(isinstance(entry, dict) and max(entry["buf"], default=-1) > k
-               for line in lines[3:] for entry in json.loads(line).get("new", ()))
+    # later buffer states refer, inside the entries themselves, to the header's message cells, before entry k
+    states = [entry for line in lines[3:] for entry in json.loads(line).get("new", ()) if isinstance(entry, dict)]
+    assert any(state["buf"] for state in states) and max(max(state["buf"], default=0) for state in states) < k
     assert trace_from_jsonl("\n".join(lines) + "\n") == trace
 
 
@@ -381,13 +384,26 @@ def _add_header_injection(injection):
 def _truncated_tick_line(blank_lines: int):
     """Keep the header and ticks 0 and 1, then blank lines and a tick 2 line cut short."""
     def mutate(lines):
-        lines[3:] = [""] * blank_lines + ['{"t":2,"a":[']
+        lines[3:] = [""] * blank_lines + ['{"t":2,"as":[']
     return mutate
 
 
 def _version(value):
     return (_edit_header(lambda header: header.update(version=value)),
-            rf"^header field 'version': expected 11, got {re.escape(_dumps(value))}$")
+            rf"^header field 'version': expected 12, got {re.escape(_dumps(value))}$")
+
+
+def _message_entry(message):
+    """Give tick 3's `ar` a fresh table entry, a cell of `message`."""
+    return _fresh_entry(3, [message], lambda tick, k: tick.__setitem__("ar", k))
+
+
+def _repeat_key(n, key):
+    """Give key `key` of line n twice, the first time with the value 9."""
+    def mutate(lines):
+        assert lines[n].count(f'"{key}":') == 1
+        lines[n] = lines[n].replace(f'"{key}":', f'"{key}":9,"{key}":')
+    return mutate
 
 
 def _edits(*mutations):
@@ -408,17 +424,17 @@ def _unfold(lines):
 
 
 # Hand edits of the dump of two_node_scenario, and the error each must raise. Its table opens with entries 0 to 3, the
-# empty cell, the request cell, row 1 and the idle buffer state, and has entries to 5 after tick 0, to 10 after tick 1
-# and to 14 after tick 2 and every later tick. Each tick has a line of its own but tick 7, which repeats tick 6: tick
-# 6's line gives "through":7.
-# Tick 0's new entries are node 1's and node 2's `a` cells, 4 and 5; tick 1's are node 1's and node 2's `ms` cells, 6
-# and 7, row 2, and node 1's and node 2's buffer states, {"b":4,"buf":[]} and {"b":5,"buf":[]}, 9 and 10; tick 2's are
-# node 1's and node 2's data symbols and rows 4 and 5.
+# empty cell, the request cell, row 1 and the idle buffer state, then 4 and 5, the header's message cells of node 1 and
+# node 2, which no line writes. It has entries to 10 after tick 1 and to 14 after tick 2 and every later tick. Each
+# tick has a line of its own but tick 7, which repeats tick 6: tick 6's line gives "through":7.
+# Tick 0 writes no entry; tick 1's new entries are node 1's and node 2's `ms` cells, 6 and 7, row 2, and node 1's and
+# node 2's buffer states, {"b":4,"buf":[]} and {"b":5,"buf":[]}, 9 and 10; tick 2's are node 1's and node 2's data
+# symbols and rows 4 and 5. Tick 1's `as` gives the message cells as [[0,4],[1,5]], and tick 3's `ar` gives 4.
 MALFORMED = {
     "header that is not JSON": (lambda lines: lines.__setitem__(0, lines[0][:-1]),
                                 r"^line 1 \(header\): Expecting ',' delimiter: line 1 column \d+"),
     "truncated tick line": (_truncated_tick_line(0),
-                            r"^line 4 \(tick 2\): Expecting value: line 1 column 13 \(char 12\)$"),
+                            r"^line 4 \(tick 2\): Expecting value: line 1 column 14 \(char 13\)$"),
     "truncated tick line after blank lines": (_truncated_tick_line(2), r"^line 6 \(tick 2\): Expecting value"),
     "extra data after a tick": (lambda lines: lines.__setitem__(3, '{"t":2} {"t":2}'),
                                 r"^line 4 \(tick 2\): Extra data: line 1 column 9 \(char 8\)$"),
@@ -450,10 +466,16 @@ MALFORMED = {
     "version 8": _version(8),
     "version 9": _version(9),
     "version 10": _version(10),
-    "unknown version": _version(12),
-    "version as a string": _version("11"),
-    "version as a float": _version(11.0),
-    # A v11 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
+    "version 11": _version(11),
+    "unknown version": _version(13),
+    "version as a string": _version("12"),
+    "version as a float": _version(12.0),
+    # A file that gives a key of an object twice, which JSON decoding would otherwise read as its last value.
+    "header that repeats a key": (_repeat_key(0, "version"), r"^header field 'version': repeated key 'version'$"),
+    "header scenario that repeats a key": (_repeat_key(0, "nodeCount"),
+                                           r"^header field 'scenario': repeated key 'nodeCount'$"),
+    "tick line that repeats a key": (_repeat_key(2, "t"), r"^tick 1: field 't': repeated key 't'$"),
+    # A v12 header, as a v8 one, has no node count or horizon of its own: they are its scenario's.
     "node count differs from the scenario": (_edit_header(lambda header: header.update(nodeCount=3)),
                                              r"^header field 'nodeCount': unknown key 'nodeCount'$"),
     "horizon differs from the scenario": (_edit_header(lambda header: header.update(horizon=99)),
@@ -492,18 +514,21 @@ MALFORMED = {
                                 r"^tick 1: field 'as': node index 2 out of order or out of range$"),
     "negative node index": (_edit_tick(1, lambda tick: tick["as"][0].__setitem__(0, -1)),
                             r"^tick 1: field 'as': node index -1 out of order or out of range$"),
-    "node indices out of order": (_edit_tick(0, lambda tick: tick["a"].reverse()),
-                                  r"^tick 0: field 'a': node index 0 out of order or out of range$"),
-    "float identifier": (_edit_entry(0, 1, id=5.7), r"^tick 0: field 'a': id must be an integer, got 5.7$"),
-    "string identifier": (_edit_entry(0, 1, id="5"), r'^tick 0: field \'a\': id must be an integer, got "5"$'),
-    "list identifier": (_edit_entry(0, 1, id=[5]), r"^tick 0: field 'a': id must be an integer, got \[5\]$"),
+    "node indices out of order": (_edit_tick(1, lambda tick: tick["as"].reverse()),
+                                  r"^tick 1: field 'as': node index 0 out of order or out of range$"),
+    "float identifier": (_message_entry({"data": "bb", "id": 5.7}),
+                         r"^tick 3: field 'ar': id must be an integer, got 5.7$"),
+    "string identifier": (_message_entry({"data": "bb", "id": "5"}),
+                          r'^tick 3: field \'ar\': id must be an integer, got "5"$'),
+    "list identifier": (_message_entry({"data": "bb", "id": [5]}),
+                        r"^tick 3: field 'ar': id must be an integer, got \[5\]$"),
     "float copy of an identifier read before": (
         _fresh_entry(1, [{"data": "aa", "id": 3.0}], lambda tick, k: tick["as"][0].__setitem__(1, k)),
         r"^tick 1: field 'as': id must be an integer, got 3.0$"),
-    "payload with a space": (_edit_entry(0, 1, data=" ab"),
-                             r'^tick 0: field \'a\': data must be a hex string, got " ab"$'),
-    "payload as a list of octets": (_edit_entry(0, 1, data=[171]),
-                                    r"^tick 0: field 'a': data must be a hex string, got \[171\]$"),
+    "payload with a space": (_message_entry({"data": " ab", "id": 5}),
+                             r'^tick 3: field \'ar\': data must be a hex string, got " ab"$'),
+    "payload as a list of octets": (_message_entry({"data": [171], "id": 5}),
+                                    r"^tick 3: field 'ar': data must be a hex string, got \[171\]$"),
     "data symbol with a space": (_edit_entry(2, 0, value=" ab"),
                                  r'^tick 2: field \'ms\': value must be a hex string, got " ab"$'),
     "float identifier symbol": (_edit_entry(1, 0, value=3.5),
@@ -537,12 +562,12 @@ MALFORMED_V3 = {
     "flag as a reference": (_set_field(0, "wr", True), r"^tick 0: field 'wr': expected a reference .* got true$"),
     "symbol cell read as an offer": (_edit_tick(1, lambda tick: tick.__setitem__("as", tick["ms"])),
                                      r"^tick 1: field 'as': missing key 'id'$"),
-    "cell read as a buffer state": (_edit_tick(1, lambda tick: tick["state"].__setitem__("buffers", tick["a"])),
+    "cell read as a buffer state": (_edit_tick(1, lambda tick: tick["state"].__setitem__("buffers", tick["r"])),
                                     r"^tick 1: field 'state': expected an object, got \[\]$"),
-    "cell that is not a list": (_set_entry(0, 0, 5), r"^tick 0: field 'a': cell must be a list, got 5$"),
+    "cell that is not a list": (_set_entry(1, 0, 5), r"^tick 1: field 'ms': cell must be a list, got 5$"),
     "symbol cell that is an object": (_set_entry(1, 0, {"sym": "id", "value": 3}),
                                       r'^tick 1: field \'ms\': cell must be a list, got \{"sym":"id","value":3\}$'),
-    "message that is not an object": (_set_entry(0, 0, [5]), r"^tick 0: field 'a': expected an object, got 5$"),
+    "message that is not an object": (_message_entry(5), r"^tick 3: field 'ar': expected an object, got 5$"),
     "new that is not a list": (_set_field(2, "new", {"x": 1}),
                                r'^tick 2: field \'new\': expected a list, got \{"x":1\}$'),
     "pairs of a state family out of order": (
@@ -565,8 +590,9 @@ MALFORMED_V3 = {
         _edit_entry(1, 3, buf=[0]),
         r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 0, a cell of 0$"),
     "queued message that names a cell of two": (
-        _edits(_edit_tick(0, lambda tick: tick["new"][0].append({"data": "cc", "id": 7})), _edit_entry(1, 3, buf=[4])),
-        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 4, a cell of 2$"),
+        _edits(lambda lines: add_entry(lines, 0, [{"data": "aa", "id": 3}, {"data": "cc", "id": 7}]),
+               _edit_entry(1, 3, buf=[6])),
+        r"^tick 1: field 'state': buf: expected a reference to a cell of one message, got 6, a cell of 2$"),
     "queued messages that are not a list": (_edit_entry(1, 3, buf=0),
                                             r"^tick 1: field 'state': buf must be a list of integers, got 0$"),
 }
@@ -575,8 +601,8 @@ MALFORMED_V3 = {
 # since version 4: a line gives at least its `t`, and `new` when its fields refer to entries first seen at its tick.
 # Since version 10 tick 0 may leave out any other field, as a later line may.
 MALFORMED_V4 = {
-    "tick 0 without new": (_drop_field(0, "new"),
-                           r"^tick 0: field 'a': expected a reference to one of the value table's 4 entries, got 4$"),
+    "tick 1 without new": (_drop_field(1, "new"),
+                           r"^tick 1: field 'ms': expected a reference to one of the value table's 6 entries, got 6$"),
     "line without t": (_drop_field(3, "t"), r"^tick 3: field 't': missing key 't'$"),
     "reference beyond the table on a quiet tick": (
         _edits(_unfold, _set_field(7, "wr", 15)),
@@ -641,10 +667,13 @@ KEYS = {
         r"^header field 'scenario': unknown key 'injections\[1\].prio'$"),
     "tick line key outside its set": (_rename(3, "ar", "aR"), r"^tick 3: field 'aR': unknown key 'aR'$"),
     "tick 0 key outside its set": (_set_field(0, "x", 1), r"^tick 0: field 'x': unknown key 'x'$"),
+    # Each node's `a` is the header's scenario's injections, which a tick line does not repeat.
+    "tick line that gives a": (_set_field(0, "a", 0), r"^tick 0: field 'a': unknown key 'a'$"),
     "state key outside its set": (_rename(1, "buffers", "buffer", within="state"),
                                   r"^tick 1: field 'state': unknown key 'buffer'$"),
-    "message key outside its set": (_edit_entry(0, 0, prio=1), r"^tick 0: field 'a': unknown key 'prio'$"),
-    "message without its payload": (_drop_key(0, 0, "data"), r"^tick 0: field 'a': missing key 'data'$"),
+    "message key outside its set": (_message_entry({"data": "bb", "id": 5, "prio": 1}),
+                                    r"^tick 3: field 'ar': unknown key 'prio'$"),
+    "message without its payload": (_message_entry({"id": 5}), r"^tick 3: field 'ar': missing key 'data'$"),
     "symbol key outside its set": (_edit_entry(1, 0, extra=1), r"^tick 1: field 'ms': unknown key 'extra'$"),
     "symbol without its kind": (_drop_key(1, 0, "sym"), r"^tick 1: field 'ms': missing key 'sym'$"),
     "buffer state key outside its set": (_edit_entry(1, 3, x=1), r"^tick 1: field 'state': unknown key 'x'$"),
@@ -712,9 +741,9 @@ def test_a_field_a_version_5_line_leaves_out_is_the_previous_ticks_object(two_no
     trace = trace_from_jsonl(text)
     assert sorted(given) == list(range(trace.horizon))
     kept = {key: [t for t in range(1, trace.horizon) if key not in given[t]]
-            for key in (*PER_NODE_FAMILIES, "wr", "rows", "state")}
+            for key in (*LINE_FAMILIES, "wr", "rows", "state")}
     assert all(kept.values()) and () in given.values()
-    for family in PER_NODE_FAMILIES:
+    for family in LINE_FAMILIES:
         for stream in trace.streams[family]:
             assert all(stream.cells[t] is stream.cells[t - 1] for t in kept[family])
     assert all(trace.wire.cells[t] is trace.wire.cells[t - 1] for t in kept["wr"])
@@ -729,10 +758,29 @@ def test_a_loaded_trace_shares_its_values_as_the_run_does():
     assert len(busy) > 0.9 * trace.node_count * trace.horizon
     assert all(cell is wire[t] for t, cell in busy)
     assert all(c is d for stream in ar[1:] for c, d in zip(stream.cells, ar[0].cells))
-    # a buffer holds the message objects of the `a` cells
+    # a buffer holds the message objects of the `a` cells, and each offer and delivery is an `a` cell, which the
+    # header's scenario gives
     sent = {id(cell[0]) for stream in trace.streams["a"] for cell in stream.cells if cell}
     held = {id(m) for snap in trace.states for buffer in snap["buffers"] for m in (*buffer.buf, *buffer.b)}
     assert held and held <= sent
+    cells = {id(cell) for stream in trace.streams["a"] for cell in stream.cells if cell}
+    assert all(id(cell) in cells for family in ("as", "ar") for stream in trace.streams[family]
+               for cell in stream.cells if cell)
+
+
+def test_the_writer_rejects_an_a_stream_that_is_not_the_scenarios_injections(two_node_scenario):
+    # A file keeps each node's a as its header's injections only, so a trace that differs there cannot be written.
+    trace = run_scenario(two_node_scenario)
+    a = trace.streams["a"]
+    extra = replace(a[1], cells=a[1].cells[:4] + ((amsg(7, b""),),) + a[1].cells[5:])
+    with pytest.raises(ValueError, match=r"^node 2, tick 4: a is \[msg\(7,-\)\], but the scenario injects \[\]; "):
+        trace_to_jsonl(replace(trace, streams={**trace.streams, "a": (a[0], extra)}))
+    dropped = replace(a[0], cells=((),) + a[0].cells[1:])
+    with pytest.raises(ValueError, match=r"^node 1, tick 0: a is \[\], but the scenario injects \[msg\(3,aa\)\]; "):
+        trace_to_jsonl(replace(trace, streams={**trace.streams, "a": (dropped, a[1])}))
+    short = replace(a[1], cells=a[1].cells[:-1])
+    with pytest.raises(ValueError, match=r"^node 2, tick 7: a is no cell, but the scenario injects \[\]; "):
+        trace_to_jsonl(replace(trace, streams={**trace.streams, "a": (a[0], short)}))
 
 
 def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
@@ -742,19 +790,19 @@ def test_blanks_around_a_line_are_read_as_json_reads_them(two_node_scenario):
 
 
 def test_uppercase_hex_payloads_load_as_in_scenario_files():
-    # the header's scenario, the one message and the data symbol of the golden spell 0xab
-    text = (GOLDENS / "single_node.v11.jsonl").read_text()
-    assert text.count('"ab"') == 3
+    # the header's scenario, which alone gives the one message, and the data symbol of the golden spell 0xab
+    text = (GOLDENS / "single_node.v12.jsonl").read_text()
+    assert text.count('"ab"') == 2
     assert trace_from_jsonl(text.replace('"ab"', '"AB"')) == trace_from_jsonl(text)
 
 
 # The golden's header fields, and its scenario's counts, whose error texts echo their value, each with its value's text.
-_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "11"}
+_ECHOED_HEADER_FIELDS = {"format": '"canstream-trace"', "horizon": "6", "nodeCount": "1", "version": "12"}
 
 
 def test_a_value_nested_near_the_recursion_limit_is_a_value_error():
     # A list that just decodes is echoed in the error text; echoing it must not pass the limit either.
-    text = (GOLDENS / "single_node.v11.jsonl").read_text()
+    text = (GOLDENS / "single_node.v12.jsonl").read_text()
     header, ticks = text.split("\n", 1)
     depths, decoded = range(800, 1001), Counter()  # per place, the depths whose line decodes and the error echoes
     for depth in depths:
@@ -792,7 +840,7 @@ def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
     entries = data.draw(st.booleans(), label="edit a table entry") and any("new" in tick for tick in ticks)
     t = data.draw(st.sampled_from([t for t, tick in enumerate(ticks) if tick.get("new") or not entries]),
                   label="line")
-    tick, table = ticks[t], len(_OPENING) + sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
+    tick, table = ticks[t], unwritten_entries(lines) + sum(len(tick.get("new", ())) for tick in ticks[:t + 1])
     if entries:
         k = data.draw(st.integers(0, len(tick["new"]) - 1))
         entry = tick["new"][k]
@@ -804,7 +852,7 @@ def test_an_edited_trace_file_is_rejected_or_checks_without_raising(rng, data):
             kind = "int" if entry and type(entry[0]) is int else "message" if entry and "id" in entry[0] else "symbol"
             tick["new"][k] = data.draw(_LISTS[kind] if entry else st.one_of(*_LISTS.values()))
     else:
-        key = data.draw(st.sampled_from([*PER_NODE_FAMILIES, "wr", "rows", *STATE_KEYS]), label="field")
+        key = data.draw(st.sampled_from([*LINE_FAMILIES, "wr", "rows", *STATE_KEYS]), label="field")
         ref = st.integers(-1, table + 1)
         value = data.draw(st.one_of(ref, st.lists(st.tuples(st.integers(-1, s.node_count), ref).map(list),
                                                   max_size=s.node_count + 1)))
@@ -829,7 +877,7 @@ def _objects(value):
 
 
 # Every key of every kind of object that a scenario document or a trace file holds.
-_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v11.jsonl").read_text().splitlines()
+_KNOWN_KEYS = {key for line in (GOLDENS / "single_node.v12.jsonl").read_text().splitlines()
                for obj in _objects(json.loads(line)) for key in obj}
 
 
