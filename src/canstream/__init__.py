@@ -36,17 +36,17 @@ from .core import (
     assemble_trace,
     validate_scenario,
 )
-from .oracle import CompareResult, compare_with_simulator, oracle_run
+from .oracle import divergence, oracle_run
 from .system import SystemState, delivery_log, run_scenario, tick_system
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMessage", "AssumptionViolation", "CompareResult", "DataSym", "FRAME_LATENCY", "FormatViolation",
+    "AMessage", "AssumptionViolation", "DataSym", "FRAME_LATENCY", "FormatViolation",
     "IdSym", "Injection", "InputCollision", "Message", "MixingViolation",
     "ModelViolation", "REQ", "Report", "Scenario", "ScenarioError", "SystemState", "TimedStream", "Trace",
     "Violation", "assemble_trace", "check_all", "check_message_transmission", "check_msg1",
     "check_msg_can_format", "check_row3_unreachable", "check_structural",
-    "check_wire_assumptions", "compare_with_simulator", "delivery_log", "oracle_run",
+    "check_wire_assumptions", "delivery_log", "divergence", "oracle_run",
     "run_scenario", "tick_system", "validate_scenario",
 ]

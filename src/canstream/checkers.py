@@ -236,12 +236,10 @@ def _is_sorted_by_id(msgs: Sequence[AMessage]) -> bool:
     return {int}.issuperset(map(type, ids)) and ids == sorted(ids)
 
 
-# Per component family: its snapshot key, its stream name, and the (expected,
-# observed) pair of each invariant a state breaks.
-_INVARIANTS = (
-    ("buffers", "buffer", lambda s: ([] if _is_sorted_by_id(s.buf) else [("buf sorted by id", render_cell(s.buf))])
-                                    + ([("|b| <= 1", render_cell(s.b))] if len(s.b) > 1 else [])),
-)
+def _buffer_faults(state) -> list[tuple[str, str]]:
+    """The (expected, observed) pair of each invariant that a buffer state breaks."""
+    return ([] if _is_sorted_by_id(state.buf) else [("buf sorted by id", render_cell(state.buf))]) + (
+        [("|b| <= 1", render_cell(state.b))] if len(state.b) > 1 else [])
 
 
 def check_structural(trace: Trace) -> list[Violation]:
@@ -254,19 +252,17 @@ def check_structural(trace: Trace) -> list[Violation]:
     check_message_transmission.
     """
     out: list[Violation] = []
-    broken = {}  # id() of each distinct state that breaks an invariant -> its (expected, observed) pairs
-    for key, _, judge in _INVARIANTS:
-        # Each distinct state once: pass over, at C speed, an entry that is the same
-        # object as the one two ticks before it, then as the entry before it.
-        states = list(chain.from_iterable(snap.get(key, ()) for snap in trace.states))
-        for lag in (max(2 * trace.node_count, 1), 1):
-            states = states[:lag] + list(compress(states[lag:], map(is_not, states[lag:], states)))
-        broken.update((id(s), faults) for s in {id(s): s for s in states}.values() if (faults := judge(s)))
+    # Each distinct state once: pass over, at C speed, an entry that is the same
+    # object as the one two ticks before it, then as the entry before it.
+    states = list(chain.from_iterable(snap.get("buffers", ()) for snap in trace.states))
+    for lag in (max(2 * trace.node_count, 1), 1):
+        states = states[:lag] + list(compress(states[lag:], map(is_not, states[lag:], states)))
+    # id() of each distinct state that breaks an invariant -> its (expected, observed) pairs
+    broken = {id(s): faults for s in {id(s): s for s in states}.values() if (faults := _buffer_faults(s))}
     for t, snap in enumerate(trace.states if broken else ()):
-        for key, name, _ in _INVARIANTS:
-            for i, state in enumerate(snap.get(key, ()), start=1):
-                for expected, observed in broken.get(id(state), ()):
-                    out.append(Violation("structural", t, (f"{name}_{i}",), expected, observed))
+        for i, state in enumerate(snap.get("buffers", ()), start=1):
+            for expected, observed in broken.get(id(state), ()):
+                out.append(Violation("structural", t, (f"buffer_{i}",), expected, observed))
     wr = trace.wire.cells
     for i, mr in enumerate(trace.streams["mr"], start=1):
         for t in range(trace.horizon) if mr.cells != wr else ():

@@ -12,7 +12,7 @@ from pathlib import Path
 from .checkers import ALL_PREDICATES, Report, check_all
 from .core import ModelViolation, ScenarioError
 from .fuzzing import seeded_scenario
-from .oracle import compare_with_simulator
+from .oracle import divergence
 from .serialize import (
     report_to_json,
     scenario_from_json,
@@ -124,12 +124,11 @@ def _cmd_fuzz(args) -> int:
     failures = 0
     for i in range(args.count):
         scenario = seeded_scenario(args.seed, i, args.nodes, args.horizon)
-        result = compare_with_simulator(scenario)
-        report = check_all(result.trace)
+        trace = run_scenario(scenario)
+        diverged, report = divergence(trace), check_all(trace)
         reasons = []
-        if not result.equivalent:
-            reasons.append(f"oracle divergence at node {result.divergent_node}, "
-                           f"entry {result.first_divergence}")
+        if diverged:
+            reasons.append(f"oracle divergence at node {diverged[0]}, entry {diverged[1]}")
         if not report.ok():
             broken = sorted({v.predicate for v in report.violations})
             reasons.append(f"check violations: {', '.join(broken)}")
@@ -145,20 +144,19 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_oracle_diff(args) -> int:
     try:
-        result = compare_with_simulator(_load_scenario(args.scenario))
+        trace = run_scenario(_load_scenario(args.scenario))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ModelViolation as exc:
         print(f"component error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if result.equivalent:
-        print(f"equivalent: {len(result.simulator_log)} deliveries match the oracle")
+    diverged = divergence(trace)
+    if diverged is None:
+        print(f"equivalent: {len(delivery_log(trace))} deliveries match the oracle")
         return EXIT_OK
-    k = result.first_divergence
-    sim = result.simulator_log[k] if k < len(result.simulator_log) else None
-    exp = result.oracle_log[k] if k < len(result.oracle_log) else None
-    print(f"inequivalent at node {result.divergent_node}, delivery {k}: simulator={sim}, oracle={exp}")
+    node, k, sim, exp = diverged
+    print(f"inequivalent at node {node}, delivery {k}: simulator={sim}, oracle={exp}")
     return EXIT_VIOLATIONS
 
 

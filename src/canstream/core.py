@@ -6,6 +6,7 @@ mutable state, so traces and states can be passed around freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 # Largest payload a scenario may carry: the 8-octet data field of CAN 2.0.
 # Nothing in the model inspects payload contents beyond equality.
@@ -229,6 +230,12 @@ class Trace:
         if not 1 <= node <= self.node_count:
             raise ValueError(f"node {node} outside [1..{self.node_count}]")
         return self.streams[family][node - 1]
+
+
+def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:
+    """The (tick, message) sequence delivered to one node's application."""
+    cells = trace.node_stream("ar", node).cells
+    return [(t, cell[0]) for t, cell in compress(enumerate(cells), cells)]
 
 
 def assemble_trace(scenario: Scenario, records) -> Trace:

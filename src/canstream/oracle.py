@@ -1,4 +1,4 @@
-"""Reference model of correct bus behaviour, for equivalence tests.
+"""Reference model of correct bus behaviour, and the judge of a trace's deliveries.
 
 The oracle knows nothing about encoders, wires, or per-tick symbols. It keeps,
 per node, a committed message (the one being offered for transmission) and a
@@ -8,9 +8,11 @@ winner commits its next message in the following tick; losers keep offering.
 A node with nothing committed is ready, and commits an arriving message
 immediately.
 
-It deliberately shares no machinery with the simulator (its own insertion and
-minimum handling via the bisect and heapq modules), so agreement between the
-two is evidence rather than tautology. Each identifier belongs to one sender (the
+It deliberately shares no machinery with the simulator: it imports only core's
+values and its reading of a trace's deliveries, and does its own insertion and
+minimum handling via the bisect and heapq modules, so agreement between the
+two is evidence rather than tautology. `divergence` judges a Trace, run or
+loaded, and never runs the kernel. Each identifier belongs to one sender (the
 scenario's `duplicate-identifier` rule), so the smallest committed identifier
 is always unique. Every node starts with nothing committed, so it is ready
 from tick 0, as the simulator primes every buffer at tick 0. A kernel that
@@ -19,34 +21,27 @@ disagrees with the oracle, which states what a correct bus would deliver.
 """
 from __future__ import annotations
 
-import itertools
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count, zip_longest
 
-from .core import FRAME_LATENCY, AMessage, Scenario, Trace, require_valid
-from .system import delivery_log, run_scenario
+from .core import FRAME_LATENCY, AMessage, Scenario, Trace, delivery_log, require_valid
 
 
 def oracle_run(scenario: Scenario) -> list[tuple[int, AMessage]]:
-    """Expected delivery log [(tick, message), ...] for a scenario; an invalid one raises ScenarioError."""
-    require_valid(scenario)
-    return _delivery_log(scenario)
-
-
-def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
-    """oracle_run's log of a scenario already validated.
+    """Expected delivery log [(tick, message), ...] for a scenario; an invalid one raises ScenarioError.
 
     At tick t only two kinds of node can change, so only they are visited: a
     node with an arrival at t, and the winner of t - 1, which commits its next
     message at t. The winner's offer leaves the heap when it wins, since a
     node that commits later in that tick may offer a smaller identifier.
     """
+    require_valid(scenario)
     horizon = scenario.horizon
     arrivals: dict[int, dict[int, AMessage | None]] = {}  # tick -> node index -> the message it receives
     for inj in scenario.injections:
         arrivals.setdefault(inj.tick, {})[inj.node - 1] = inj.message
-    counter = itertools.count()
+    counter = count()
     committed: list[AMessage | None] = [None] * scenario.node_count
     backlog: list[list[tuple[int, int, AMessage]]] = [[] for _ in committed]
     offers: list[tuple[int, int]] = []  # heap of (identifier, node index) of each committed message that may still win
@@ -72,41 +67,13 @@ def _delivery_log(scenario: Scenario) -> list[tuple[int, AMessage]]:
     return log
 
 
-@dataclass(frozen=True, slots=True)
-class CompareResult:
-    """Outcome of an oracle-versus-simulator comparison.
-
-    divergent_node is the first node whose delivery log differs from the
-    oracle's (None when every node agrees). simulator_log is that node's
-    log, or node 1's when all agree; first_divergence indexes into it.
-    """
-
-    equivalent: bool
-    simulator_log: tuple[tuple[int, AMessage], ...]
-    oracle_log: tuple[tuple[int, AMessage], ...]
-    first_divergence: int | None
-    trace: Trace
-    divergent_node: int | None = None
-
-
-def compare_with_simulator(scenario: Scenario) -> CompareResult:
-    """Run both models and compare every node's delivery sequence exactly."""
-    trace = run_scenario(scenario)  # validates the scenario
-    expected = tuple(_delivery_log(scenario))
-    logs = [tuple(delivery_log(trace, node)) for node in range(1, trace.node_count + 1)]
-    node = next((k for k, sim in enumerate(logs, start=1) if sim != expected), None)
-    sim = logs[0 if node is None else node - 1]
-    divergence = None
-    if node is not None:
-        divergence = next(
-            (k for k in range(min(len(sim), len(expected))) if sim[k] != expected[k]),
-            min(len(sim), len(expected)),
-        )
-    return CompareResult(
-        equivalent=node is None,
-        simulator_log=sim,
-        oracle_log=expected,
-        first_divergence=divergence,
-        trace=trace,
-        divergent_node=node,
-    )
+def divergence(trace: Trace) -> tuple[int, int, tuple[int, AMessage] | None, tuple[int, AMessage] | None] | None:
+    """None if every node's delivery log in `trace` equals oracle_run(trace.scenario); else the first node whose log
+    differs, the index k of its first differing entry, and the node's and the oracle's entry k, either None past the
+    end of its log."""
+    expected = oracle_run(trace.scenario)
+    for node in range(1, trace.node_count + 1):
+        log = delivery_log(trace, node)
+        if log != expected:
+            return next((node, k, got, want) for k, (got, want) in enumerate(zip_longest(log, expected)) if got != want)
+    return None

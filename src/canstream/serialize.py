@@ -239,7 +239,7 @@ _OPENING = ((), REQ_CELL, 1, _IDLE_BUFFER)
 def _idle(n: int) -> dict:
     """The fields of the tick before tick 0 for n nodes, in a record's order."""
     return {**dict.fromkeys(_FAMILIES, ((),) * n), "wr": (), "rows": (1,) * n,
-            "state": {key: (state,) * n for key, state in zip(_COMPONENTS, _OPENING[3:])}}
+            "state": {"buffers": (_IDLE_BUFFER,) * n}}
 
 
 # The canonical JSON text of a value, by its exact type.
@@ -263,13 +263,9 @@ def _per_node(entries: tuple, ref, base: tuple) -> str:
                               for i in compress(range(len(entries)), map(ne, entries, base))])
 
 
-def _snapshot_to_obj(prev: dict, snap: dict, base: dict, ref) -> str:
-    """The component families of one tick that differ from `prev`, each written against `base`, as text."""
-    parts = []
-    for key in _COMPONENTS:
-        if prev[key] != snap[key]:  # a tuple compare tests each pair of entries for identity, then equality
-            parts.append('"%s":%s' % (key, _per_node(snap[key], ref, base[key])))
-    return "{%s}" % ",".join(parts)
+def _snapshot_to_obj(snap: dict, base: dict, ref) -> str:
+    """The buffers of one tick's snapshot, which differ from the tick before's, written against `base`'s, as text."""
+    return '{"buffers":%s}' % _per_node(snap["buffers"], ref, base["buffers"])
 
 
 def _line(parts: list) -> str:
@@ -330,7 +326,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     # key -> (value per tick, writer of the value at an index); a family's value is its column of per-node cells
     series = {family: (zip(*(stream.cells for stream in trace.streams[family])), pairs) for family in _FAMILIES}
     series.update(rows=(trace.rows, pairs), wr=(trace.wire.cells, lambda values, u: "%d" % ref(values[u])),
-                  state=(trace.states, lambda snaps, u: _snapshot_to_obj(snaps[u - 1], snaps[u], snaps[u - 2], ref)))
+                  state=(trace.states, lambda snaps, u: _snapshot_to_obj(snaps[u], snaps[u - 2], ref)))
     # The line's fields as (quoted key and colon, values from tick -2 on, so that tick t's is at index t+2, writer), in
     # key order, so that the table numbers its entries in order of first appearance.
     fields = [('"%s":' % key, [idle[key]] * 2 + list(values), write) for key, (values, write) in sorted(series.items())]
@@ -397,11 +393,9 @@ def _buffer_state(obj, cell) -> BufferState:
 
 
 _amessages = _cell(lambda obj: AMessage(*_read(obj, _MESSAGE)))
-# How a JSON value is read as each kind of value: a cell of each family, a row, or one node's buffer state.
+# How a JSON value is read as a cell of each family.
 _CELLS = {**dict.fromkeys(("as", "ar"), _amessages), **dict.fromkeys(("ms", "mr", "ws", "wr"), _cell(_symbol)),
           "r": _requests}
-_STATES = {"buffers": _buffer_state}
-_COMPONENTS = _STATES.keys()  # the per-node families of a state
 _OPENING_ENTRIES = [json.loads(text) for text in _value_table(())[0]]  # the opening entries as a load reads them
 
 
@@ -451,10 +445,10 @@ def _table_readers(n: int, table: list, cells: dict):
 
 
 def _snapshot_from_obj(obj, prev: dict, base: dict, entries) -> dict:
-    """`prev` with each family that one tick line's state gives read against that family in `base`."""
-    if type(obj) is not dict or not obj.keys() <= _COMPONENTS:  # each family of a state is optional
-        raise _unfit(obj, dict.fromkeys(_COMPONENTS, _or(_ANY, None)), "")
-    return {key: entries(obj[key], _STATES[key], base[key]) if key in obj else prev[key] for key in _COMPONENTS}
+    """The snapshot that one tick line's state gives: its buffers read against `base`'s, else `prev`."""
+    if type(obj) is not dict or not obj.keys() <= {"buffers"}:  # the buffers are optional
+        raise _unfit(obj, {"buffers": _or(_ANY, None)}, "")
+    return {"buffers": entries(obj["buffers"], _buffer_state, base["buffers"])} if obj else prev
 
 
 def _json_line(number: int, line: str, tick: int | None = None):

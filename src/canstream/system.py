@@ -41,7 +41,6 @@ the frame start, where the transmission contract looks for it.
 """
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .components import (
@@ -62,13 +61,13 @@ from .components import (
     logical_layer_step,
     wire_emission,
 )
-from .core import (
-    AMessage,
+from .core import (  # delivery_log is re-exported: callers read it as system.delivery_log
     Cell,
     Scenario,
     Trace,
     arrivals,
     assemble_trace,
+    delivery_log,
     require_valid,
 )
 
@@ -179,9 +178,3 @@ def run_scenario(scenario: Scenario) -> Trace:
         state, record = tick_system(state, cells, t, last)
         records.append(record)
     return assemble_trace(scenario, records)
-
-
-def delivery_log(trace: Trace, node: int = 1) -> list[tuple[int, AMessage]]:
-    """The (tick, message) sequence delivered to one node's application."""
-    cells = trace.node_stream("ar", node).cells
-    return [(t, cell[0]) for t, cell in compress(enumerate(cells), cells)]

@@ -19,7 +19,7 @@ from canstream import (
     check_message_transmission,
     check_row3_unreachable,
     check_structural,
-    compare_with_simulator,
+    divergence,
     run_scenario,
 )
 from canstream.components import (
@@ -150,8 +150,8 @@ def test_criterion_4_oracle_equivalence_exhaustive():
         started = time.perf_counter()
         count = 0
         for scenario in two_node_scenarios():
-            result = compare_with_simulator(scenario)
-            assert result.equivalent, (scenario.injections, result.simulator_log, result.oracle_log)
+            diverged = divergence(run_scenario(scenario))
+            assert diverged is None, (scenario.injections, diverged)
             count += 1
         elapsed = time.perf_counter() - started
         assert count == 2005
@@ -172,9 +172,9 @@ def test_criterion_5_negative_controls(golden_scenario, two_node_scenario, monke
         # delivered, and the oracle comparison diverges at its first entry
         with monkeypatch.context() as patch:
             unprimed(patch)
-            result = compare_with_simulator(golden_scenario)
-        assert delivery_log(result.trace) == []
-        assert not result.equivalent and result.first_divergence == 0
+            trace = run_scenario(golden_scenario)
+        assert delivery_log(trace) == []
+        assert divergence(trace)[1] == 0
 
         # (c) a flipped delivery cell is caught by the broadcast-equality axiom
         text = trace_to_jsonl(run_scenario(two_node_scenario))

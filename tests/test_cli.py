@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -294,16 +295,10 @@ def diverging(monkeypatch):
     """Every scenario fuzz runs is reported as diverging from the oracle."""
     import canstream.cli as cli
 
-    real = cli.compare_with_simulator
+    def always_diverges(trace):
+        return 1, 0, None, None
 
-    def always_diverges(scenario):
-        result = real(scenario)
-        return type(result)(
-            equivalent=False, simulator_log=result.simulator_log,
-            oracle_log=result.oracle_log, first_divergence=0, trace=result.trace,
-        )
-
-    monkeypatch.setattr(cli, "compare_with_simulator", always_diverges)
+    monkeypatch.setattr(cli, "divergence", always_diverges)
 
 
 def test_fuzz_writes_failing_scenarios_for_replay(tmp_path, diverging, capsys):
@@ -399,7 +394,7 @@ def test_an_unreadable_trace_is_an_input_error(tmp_path, capsys):
 def test_oracle_diff_on_a_run_that_fails_is_a_runtime_error(golden_file, monkeypatch, capsys):
     import canstream.cli as cli
 
-    monkeypatch.setattr(cli, "compare_with_simulator", _explode)
+    monkeypatch.setattr(cli, "run_scenario", _explode)
     assert main(["oracle-diff", "--scenario", str(golden_file)]) == 3
     assert capsys.readouterr() == ("", "component error: synthetic failure at tick 4\n")
 
@@ -433,6 +428,15 @@ def test_the_cli_imports_every_module_of_the_package():
     loaded = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True)
     modules = {f"canstream.{p.stem}" for p in package.glob("*.py")} - {"canstream.__init__", "canstream.__main__"}
     assert modules - set(loaded.stdout.split()) == set()
+
+
+def test_the_oracle_imports_nothing_of_the_package_but_core():
+    tree = ast.parse((Path(canstream.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    absolute |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert relative == {"core"}
+    assert not {name for name in absolute if name.partition(".")[0] == "canstream"}
 
 
 def test_scenario_json_round_trips_via_cli_format(tmp_path):

@@ -14,14 +14,16 @@ from canstream import (
     Scenario,
     ScenarioError,
     check_all,
-    compare_with_simulator,
+    delivery_log,
+    divergence,
     oracle_run,
     run_scenario,
     validate_scenario,
 )
 from canstream.checkers import ALL_PREDICATES
 from canstream.fuzzing import random_scenario
-from .conftest import amsg, literal_row2, scenario, unprimed
+from canstream.serialize import trace_from_jsonl, trace_to_jsonl
+from .conftest import amsg, literal_row2, saturated, scenario, unprimed
 
 
 def ids_of(log):
@@ -53,7 +55,7 @@ def test_deliveries_beyond_horizon_are_dropped():
     assert oracle_run(scenario(1, 3, (1, 0, 5, b"x"))) == []
 
 
-@pytest.mark.parametrize("entry", [run_scenario, oracle_run, compare_with_simulator], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [run_scenario, oracle_run], ids=lambda f: f.__name__)
 def test_an_identifier_sent_by_two_nodes_is_rejected(entry):
     s = scenario(2, 8, (1, 1, 3, b"\xaa"), (2, 1, 3, b"\xbb"))
     with pytest.raises(ScenarioError, match=r"^duplicate-identifier: identifier 3 is injected at nodes 1 and 2$"):
@@ -71,18 +73,20 @@ def test_a_comparison_validates_its_scenario_once(monkeypatch, two_node_scenario
         return real(s)
 
     monkeypatch.setattr(core, "validate_scenario", counted)
-    assert compare_with_simulator(two_node_scenario).equivalent
+    trace = run_scenario(two_node_scenario)
     assert calls == {two_node_scenario: 1}
-    assert oracle_run(two_node_scenario) == list(compare_with_simulator(two_node_scenario).oracle_log)
+    assert divergence(trace) is None
+    assert calls == {two_node_scenario: 2}
+    assert oracle_run(two_node_scenario) == delivery_log(trace)
     assert calls == {two_node_scenario: 3}
 
 
 def test_a_node_that_repeats_an_identifier_sends_both_in_arrival_order():
     # node 1 commits id 4 at once; its two id-3 messages wait behind it, in arrival order
     s = scenario(2, 12, (1, 0, 4, b"\x04"), (1, 1, 3, b"\xaa"), (1, 2, 3, b"\xbb"), (2, 0, 5, b"\x05"))
-    result = compare_with_simulator(s)
-    assert result.equivalent, (result.simulator_log, result.oracle_log)
-    assert list(result.simulator_log) == [
+    trace = run_scenario(s)
+    assert divergence(trace) is None
+    assert delivery_log(trace) == [
         (3, amsg(4, b"\x04")), (5, amsg(3, b"\xaa")), (7, amsg(3, b"\xbb")), (9, amsg(5, b"\x05"))]
 
 
@@ -106,13 +110,13 @@ def test_each_scenario_is_rejected_for_a_shared_identifier_or_agrees_with_the_or
             senders.setdefault(inj.message.id, set()).add(inj.node)
         shared = any(len(nodes) > 1 for nodes in senders.values())
         try:
-            result = compare_with_simulator(s)
+            trace = run_scenario(s)
         except ScenarioError as exc:
             assert shared and {v.rule for v in validate_scenario(s)} == {"duplicate-identifier"}, (s, exc)
             outcomes["rejected"] += 1
             continue
-        assert result.equivalent, (s, result.divergent_node, result.simulator_log, result.oracle_log)
-        report = check_all(result.trace, ALL_PREDICATES)
+        assert divergence(trace) is None, (s, divergence(trace))
+        report = check_all(trace, ALL_PREDICATES)
         assert report.ok(), (s, report.violations[:3])
         assert not shared, s
         outcomes["ran"] += 1
@@ -120,60 +124,58 @@ def test_each_scenario_is_rejected_for_a_shared_identifier_or_agrees_with_the_or
 
 
 def test_compare_equivalent_on_nominal_scenario(two_node_scenario):
-    result = compare_with_simulator(two_node_scenario)
-    assert result.equivalent
-    assert result.first_divergence is None
-    assert result.divergent_node is None
+    assert divergence(run_scenario(two_node_scenario)) is None
 
 
 def test_compare_empty_scenario():
-    result = compare_with_simulator(scenario(2, 6))
-    assert result.equivalent
-    assert result.simulator_log == ()
+    trace = run_scenario(scenario(2, 6))
+    assert divergence(trace) is None
+    assert delivery_log(trace) == []
 
 
 def test_compare_detects_the_stall_of_an_unprimed_buffer(golden_scenario, monkeypatch):
     unprimed(monkeypatch)
-    result = compare_with_simulator(golden_scenario)
-    assert not result.equivalent
-    assert result.simulator_log == ()
-    assert result.oracle_log  # the oracle states what should have been delivered
-    assert result.first_divergence == 0
+    # node 1 delivers nothing; the oracle states what should have been delivered
+    assert divergence(run_scenario(golden_scenario)) == (1, 0, None, (3, amsg(5, b"\xab")))
 
 
 def test_compare_detects_stall_in_literal_row2_mode(golden_scenario, monkeypatch):
     literal_row2(monkeypatch)
-    result = compare_with_simulator(golden_scenario)
-    assert not result.equivalent
-    assert result.simulator_log == ()
-    assert result.oracle_log  # the oracle states what should have been delivered
-    assert result.first_divergence == 0
+    assert divergence(run_scenario(golden_scenario)) == (1, 0, None, (3, amsg(5, b"\xab")))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_equivalence_on_random_scenarios(rng):
     s = random_scenario(rng, nodes=rng.randint(1, 4), horizon=32)
-    result = compare_with_simulator(s)
-    assert result.equivalent, (result.simulator_log, result.oracle_log)
+    assert divergence(run_scenario(s)) is None
 
 
-def test_compare_checks_every_node_not_only_node_1(monkeypatch, two_node_scenario):
-    import canstream.oracle as oracle
+def test_compare_checks_every_node_not_only_node_1(two_node_scenario):
     from canstream import TimedStream
 
-    real = oracle.run_scenario
+    trace = run_scenario(two_node_scenario)
+    ar = trace.streams["ar"]
+    deaf = replace(trace, streams={**trace.streams, "ar": (ar[0], TimedStream(((),) * trace.horizon))})
+    assert divergence(deaf) == (2, 0, None, oracle_run(two_node_scenario)[0])
+    assert ids_of(oracle_run(two_node_scenario)) == [(3, 3), (5, 5)]
 
-    def node_2_hears_nothing(s):
-        trace = real(s)
-        ar = trace.streams["ar"]
-        deaf = TimedStream(((),) * trace.horizon)
-        return replace(trace, streams={**trace.streams, "ar": (ar[0], deaf)})
 
-    monkeypatch.setattr(oracle, "run_scenario", node_2_hears_nothing)
-    result = compare_with_simulator(two_node_scenario)
-    assert not result.equivalent
-    assert result.divergent_node == 2
-    assert result.simulator_log == ()
-    assert ids_of(result.oracle_log) == [(3, 3), (5, 5)]
-    assert result.first_divergence == 0
+def _drop(monkeypatch) -> None:
+    """Patch the kernel's buffer step to drop an arrival that finds the queue non-empty."""
+    import canstream.system as system
+
+    real = system.buffer_step
+    monkeypatch.setattr(system, "buffer_step", lambda state, a, r, t: real(state, () if state.buf else a, r, t))
+
+
+@pytest.mark.parametrize("mutant", [None, _drop], ids=["clean", "drop"])
+def test_a_run_and_its_dump_and_load_diverge_alike(mutant, monkeypatch):
+    if mutant:
+        mutant(monkeypatch)
+    found = []
+    for s in range(20):
+        trace = run_scenario(saturated(s, nodes=4 + s % 8))
+        found.append(divergence(trace))
+        assert divergence(trace_from_jsonl(trace_to_jsonl(trace))) == found[-1]
+    assert sum(d is not None for d in found) == (20 if mutant else 0)
